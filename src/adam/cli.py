@@ -26,15 +26,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .agents import (
-    AgentContext,
     ClassificationReport,
     DeployedModel,
     HttpChatBackend,
     ThresholdMockLLM,
     TitleEchoMock,
     render_report,
-    run_computational,
-    run_pipeline,
 )
 from .chunker import read_corpus
 from .config import RunConfig, load_config_file, resolve_config, write_resolved_config
@@ -51,9 +48,9 @@ from .errors import AdamError, FormatError, IntegrityError, SchemaError
 from .evaluation import (
     EvaluationConfig,
     MODEL_TAGS,
-    _fit_tuned_gbdt,
-    _history_outputs,
+    classify_cohort,
     compare_models,
+    fit_tuned_gbdt,
     format_metrics_table,
     format_summary,
     read_trials_csv,
@@ -279,8 +276,8 @@ def cmd_train(args) -> int:
     selected_names = tuple(names[j] for j in selected)
     evaluation_config = EvaluationConfig(tuning_trials=config.tuning_trials,
                                          tuning_folds=config.tuning_folds)
-    model = _fit_tuned_gbdt(X_train[:, selected], y_train,
-                            train.study_ids(), evaluation_config, config.seed)
+    model = fit_tuned_gbdt(X_train[:, selected], y_train,
+                           train.study_ids(), evaluation_config, config.seed)
 
     train_metrics = evaluate_binary(
         y_train, model.predict_proba(X_train[:, selected]))
@@ -345,22 +342,15 @@ def cmd_classify(args) -> int:
     reports_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     yes = 0
-    for sample in cohort.samples:
-        output = run_computational(sample, cohort.clinical_names,
-                                   cohort.taxon_names, deployed, reference)
-        history = _history_outputs(sample, test, cohort.clinical_names,
-                                   cohort.taxon_names, deployed, reference)
-        ctx = AgentContext(sample_id=sample.sample_id,
-                           study_id=sample.study_id,
-                           visit_index=sample.visit_index,
-                           computational=output, history=history)
-        report = run_pipeline(
-            ctx, searcher, summarizer, classifier,
-            summarization_budget=config.summarization_budget,
-            classification_budget=config.classification_budget,
-            fallback_threshold=config.fallback_threshold,
-            summarization_model=config.summarization_model,
-            classification_model=config.classification_model)
+    classified = classify_cohort(
+        cohort, test, deployed, reference, searcher, summarizer, classifier,
+        summarization_budget=config.summarization_budget,
+        classification_budget=config.classification_budget,
+        fallback_threshold=config.fallback_threshold,
+        summarization_model=config.summarization_model,
+        classification_model=config.classification_model)
+    for item in classified:
+        sample, report = item.sample, item.report
         report_path = reports_dir / f"{sample.sample_id}.md"
         report_path.write_text(render_report(report), encoding="utf-8")
         yes += report.verdict == "Yes"
@@ -369,11 +359,11 @@ def cmd_classify(args) -> int:
             "study_id": sample.study_id,
             "visit_index": sample.visit_index,
             "label": sample.label,
-            "probability": output.probability,
+            "probability": item.context.computational.probability,
             "verdict": report.verdict,
             "report_path": str(report_path.relative_to(out)),
             "prompt_tokens": {t.stage: t.prompt_tokens
-                              for t in ctx.transcripts},
+                              for t in item.context.transcripts},
             "report": asdict(report),
         })
     dossier = {

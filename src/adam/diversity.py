@@ -125,6 +125,30 @@ class DiversityProfile:
     beta_to_reference: dict[str, float]
 
 
+def _check_reference(ref: np.ndarray) -> None:
+    """Raise what ``_pair`` raises for the first reference row it rejects."""
+    nonfinite = ~np.isfinite(ref).all(axis=1)
+    negative = (ref < 0).any(axis=1)
+    empty = ref.sum(axis=1) <= 0
+    bad = np.flatnonzero(nonfinite | negative | empty)
+    if bad.size == 0:
+        return
+    i = bad[0]
+    if nonfinite[i]:
+        raise ValueError("abundances must be finite")
+    if negative[i]:
+        raise ValueError("abundances must be non-negative")
+    raise DegenerateCommunityError("abundance vector has no positive entries")
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order of a ``total += value`` loop."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
 def diversity_profile(sample, reference_rows) -> DiversityProfile:
     """Profile one sample against a set of reference communities.
 
@@ -133,6 +157,10 @@ def diversity_profile(sample, reference_rows) -> DiversityProfile:
         on the same taxon axis as the sample.
     :returns: alpha metrics of the sample and, for each beta metric,
         the mean dissimilarity to the reference rows.
+
+    The beta metrics are row reductions over the whole reference matrix;
+    each value is bit-identical to the pairwise function's, and the
+    per-row values are summed in row order before dividing by the count.
     """
     sample = np.asarray(sample, dtype=float)
     ref = np.asarray(reference_rows, dtype=float)
@@ -142,12 +170,25 @@ def diversity_profile(sample, reference_rows) -> DiversityProfile:
         raise AlignmentError(
             f"reference axis {ref.shape[1]} does not match sample axis {sample.size}")
     alpha = alpha_metrics(sample)
-    beta: dict[str, float] = {m: 0.0 for m in BETA_METRICS}
-    for row in ref:
-        for m, value in beta_metrics(sample, row).items():
-            beta[m] += value
+    _check_reference(ref)
+    diff = np.abs(sample - ref)
+    total = sample + ref
+    union = ((sample > 0) | (ref > 0)).sum(axis=1)
+    inter = ((sample > 0) & (ref > 0)).sum(axis=1)
+    positive = total > 0
+    canberra = (diff / np.where(positive, total, 1.0)).sum(axis=1)
+    # A masked row sums a shorter array, whose pairwise blocking differs
+    # from the full row's; those rows take the pairwise route.
+    for i in np.flatnonzero(~positive.all(axis=1)):
+        mask = positive[i]
+        canberra[i] = (diff[i][mask] / total[i][mask]).sum()
+    per_row = {
+        "bray_curtis": diff.sum(axis=1) / total.sum(axis=1),
+        "jaccard": 1.0 - inter / union,
+        "canberra": canberra,
+    }
     n = ref.shape[0]
-    beta = {m: v / n for m, v in beta.items()}
+    beta = {m: _running_sum(per_row[m]) / n for m in BETA_METRICS}
     return DiversityProfile(shannon=alpha["shannon"],
                             gini_simpson=alpha["gini_simpson"],
                             berger_parker=alpha["berger_parker"],

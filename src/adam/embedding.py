@@ -5,7 +5,9 @@ output, batch order preserved):
 
 * ``OfflineHashEmbedder``: deterministic and dependency-free. Each
   character 3-gram is hashed; the hash picks a coordinate and its
-  parity picks the sign; the accumulated vector is L2-normalized. It
+  parity picks the sign; the accumulated vector is L2-normalized. The
+  gram -> (coordinate, sign) map is memoized per dimension in a bounded
+  LRU cache shared by all instances, so repeated grams hash once. It
   exists so everything downstream runs without network access; it makes
   no semantic-quality claims.
 * ``RemoteEmbedder``: POSTs {model, input list} to an HTTP embeddings
@@ -20,11 +22,13 @@ uniform when callers pass bare strings.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import requests
@@ -43,6 +47,7 @@ MAX_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
+GRAM_CACHE_SIZE = 1 << 15
 
 
 def _normalize(vector: np.ndarray) -> np.ndarray:
@@ -85,6 +90,15 @@ class EmbeddingBackend:
         return out
 
 
+@functools.lru_cache(maxsize=GRAM_CACHE_SIZE)
+def _gram_bucket(piece: str, dim: int) -> tuple[int, float]:
+    """(coordinate, sign) of one gram: blake2b-64, low bit is the sign."""
+    digest = hashlib.blake2b(piece.encode("utf-8"), digest_size=8).digest()
+    h = int.from_bytes(digest, "little")
+    sign = 1.0 if (h & 1) == 0 else -1.0
+    return (h >> 1) % dim, sign
+
+
 @dataclass(frozen=True)
 class OfflineHashEmbedder(EmbeddingBackend):
     """Deterministic character-3-gram hashing embedder.
@@ -106,23 +120,17 @@ class OfflineHashEmbedder(EmbeddingBackend):
     def name(self) -> str:
         return f"offline-hash-{self.dim}"
 
-    def _bucket(self, piece: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(piece.encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        sign = 1.0 if (h & 1) == 0 else -1.0
-        return (h >> 1) % self.dim, sign
-
     def _raw(self, text: str) -> np.ndarray:
-        acc = np.zeros(self.dim, dtype=np.float64)
         if len(text) < 3:
-            grams = (text,)
+            grams = [text]
         else:
-            grams = (text[i:i + 3] for i in range(len(text) - 2))
-        for gram in grams:
-            bucket, sign = self._bucket(gram)
-            acc[bucket] += sign
+            grams = [text[i:i + 3] for i in range(len(text) - 2)]
+        buckets, signs = zip(*map(_gram_bucket, grams, repeat(self.dim)))
+        # Every partial sum is a small integer, so the order of the
+        # additions cannot change a bit of the result.
+        acc = np.bincount(buckets, weights=signs, minlength=self.dim)
         if not acc.any():
-            bucket, sign = self._bucket("\x00" + text)
+            bucket, sign = _gram_bucket("\x00" + text, self.dim)
             acc[bucket] = sign
         return acc
 

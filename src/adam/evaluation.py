@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .agents import (
     AgentContext,
+    ClassificationReport,
+    ComputationalOutput,
     DeployedModel,
     ThresholdMockLLM,
     TitleEchoMock,
@@ -29,6 +32,7 @@ from .agents import (
     run_pipeline,
 )
 from .dataset import (
+    Sample,
     SampleSet,
     draw_eval_cohort,
     feature_medians,
@@ -104,7 +108,9 @@ def select_features(X, y, n_features: int, seed: int = 0) -> np.ndarray:
     return np.sort(order[:n_features])
 
 
-def _fit_tuned_gbdt(X, y, groups, config: EvaluationConfig, seed: int):
+def fit_tuned_gbdt(X, y, groups, config: EvaluationConfig, seed: int):
+    """GBDT with TPE-tuned parameters when config asks for tuning trials,
+    else with the defaults."""
     if config.tuning_trials > 0:
         search = run_search(X, y, groups, n_trials=config.tuning_trials,
                             seed=seed, n_folds=config.tuning_folds)
@@ -113,17 +119,50 @@ def _fit_tuned_gbdt(X, y, groups, config: EvaluationConfig, seed: int):
     return fit_gbdt(X, y, seed=seed)
 
 
-def _history_outputs(sample, test_set, clinical_names, taxon_names,
-                     deployed, reference):
-    outputs = []
-    last_visit = 0
-    for prior in test_set.prior_visits(sample):
-        if prior.visit_index <= last_visit:
-            continue  # duplicate visit index: keep the first sample
-        outputs.append(run_computational(prior, clinical_names, taxon_names,
-                                         deployed, reference))
-        last_visit = prior.visit_index
-    return tuple(outputs)
+@dataclass(frozen=True)
+class ClassifiedSample:
+    sample: Sample
+    context: AgentContext  # computational output, history and transcripts
+    report: ClassificationReport
+
+
+def classify_cohort(cohort, test_set, deployed, reference, searcher,
+                    summarizer, classifier,
+                    **pipeline_options) -> Iterator[ClassifiedSample]:
+    """Run the three-agent pipeline on every cohort sample, in cohort order.
+
+    A sample's history is its earlier visits in test_set, keeping the
+    first sample of a repeated visit index. The computational agent
+    runs once per distinct visit: a visit that is both a cohort sample
+    and another sample's history, or in several histories, is computed
+    once. pipeline_options go to run_pipeline unchanged.
+    """
+    outputs: dict[Sample, ComputationalOutput] = {}
+
+    def computed(sample: Sample) -> ComputationalOutput:
+        if sample not in outputs:
+            outputs[sample] = run_computational(
+                sample, cohort.clinical_names, cohort.taxon_names,
+                deployed, reference)
+        return outputs[sample]
+
+    for sample in cohort.samples:
+        output = computed(sample)
+        history = []
+        last_visit = 0
+        for prior in test_set.prior_visits(sample):
+            if prior.visit_index <= last_visit:
+                continue  # duplicate visit index: keep the first sample
+            history.append(computed(prior))
+            last_visit = prior.visit_index
+        ctx = AgentContext(sample_id=sample.sample_id,
+                           study_id=sample.study_id,
+                           visit_index=sample.visit_index,
+                           computational=output,
+                           history=tuple(history))
+        report = run_pipeline(ctx, searcher, summarizer, classifier,
+                              **pipeline_options)
+        yield ClassifiedSample(sample=sample, context=ctx, report=report)
 
 
 def _adam_metrics(cohort, test_set, deployed, reference, config,
@@ -131,21 +170,12 @@ def _adam_metrics(cohort, test_set, deployed, reference, config,
     labels = []
     predictions = []
     scores = []
-    for sample in cohort.samples:
-        output = run_computational(sample, cohort.clinical_names,
-                                   cohort.taxon_names, deployed, reference)
-        history = _history_outputs(sample, test_set, cohort.clinical_names,
-                                   cohort.taxon_names, deployed, reference)
-        ctx = AgentContext(sample_id=sample.sample_id,
-                           study_id=sample.study_id,
-                           visit_index=sample.visit_index,
-                           computational=output,
-                           history=history)
-        report = run_pipeline(ctx, searcher, summarizer, classifier,
-                              fallback_threshold=config.fallback_threshold)
-        labels.append(sample.label)
-        predictions.append(1.0 if report.verdict == "Yes" else 0.0)
-        scores.append(output.probability)
+    for item in classify_cohort(cohort, test_set, deployed, reference,
+                                searcher, summarizer, classifier,
+                                fallback_threshold=config.fallback_threshold):
+        labels.append(item.sample.label)
+        predictions.append(1.0 if item.report.verdict == "Yes" else 0.0)
+        scores.append(item.context.computational.probability)
     y = np.asarray(labels, dtype=float)
     yhat = np.asarray(predictions, dtype=float)
     precision, recall, f1 = precision_recall_f1(y, yhat)
@@ -172,8 +202,8 @@ def _run_one_seed(sample_set, seed, config, models, summarizer, classifier,
 
     gbdt_model = None
     if "baseline-gbdt" in models or "adam" in models:
-        gbdt_model = _fit_tuned_gbdt(X_train, y_train, train.study_ids(),
-                                     config, seed)
+        gbdt_model = fit_tuned_gbdt(X_train, y_train, train.study_ids(),
+                                    config, seed)
 
     results = []
     for tag in models:

@@ -20,6 +20,7 @@ observe complete stores.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -129,6 +130,21 @@ class Collection:
     def count(self) -> int:
         return len(self.records)
 
+    @functools.cached_property
+    def _scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row indices, float64 rows, row norms) of the nonzero records.
+
+        Built on the first search and kept; a collection never changes,
+        so neither does its scan matrix.
+        """
+        matrix = self._matrix.astype(np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        nonzero = norms > 0.0
+        if not nonzero.all():
+            matrix = matrix[nonzero]
+        matrix.flags.writeable = False
+        return np.flatnonzero(nonzero), matrix, norms[nonzero]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Collection):
             return NotImplemented
@@ -166,12 +182,17 @@ def search(collections, query, k: int = DEFAULT_TOP_K,
         if coll.count == 0:
             continue
         q = _as_query(query, coll.dim)
-        matrix = coll._matrix.astype(np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
+        rows, matrix, norms = coll._scan
         sims = np.zeros(coll.count)
-        nonzero = norms > 0.0
-        sims[nonzero] = (matrix[nonzero] @ q) / norms[nonzero]
-        for i in np.nonzero(sims >= threshold)[0]:
+        sims[rows] = (matrix @ q) / norms
+        candidates = np.flatnonzero(sims >= threshold)
+        if candidates.size > k:
+            # Only rows at or above this collection's k-th best similarity
+            # can reach the merged top k; ties at that value all stay.
+            kth = np.partition(sims[candidates], candidates.size - k)[
+                candidates.size - k]
+            candidates = candidates[sims[candidates] >= kth]
+        for i in candidates:
             rec = coll.records[i]
             hits.append(RetrievalHit(publication_id=rec.publication_id,
                                      segment_index=rec.segment_index,

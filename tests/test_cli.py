@@ -272,3 +272,76 @@ def test_run_config_defaults_and_validation():
                 {"embedding_backend": "quantum"}, {"jobs": 0}):
         with pytest.raises(SchemaError):
             resolve_config(bad)
+
+
+# --- the shared per-sample loop ----------------------------------------------
+
+def test_classify_matches_per_visit_recompute(workspace):
+    """Reports equal a loop that reruns the computational agent for every
+    cohort sample and every prior visit, with no sharing between them."""
+    from dataclasses import asdict
+
+    from adam import cli
+    from adam.agents import (
+        AgentContext,
+        DeployedModel,
+        render_report,
+        run_computational,
+        run_pipeline,
+    )
+    from adam.dataset import draw_eval_cohort
+
+    config = resolve_config(None, dataset=workspace["dataset"],
+                            schema=workspace["schema"],
+                            model=workspace["model"],
+                            store=str(workspace["store"]),
+                            embedding_dim=int(EMBED_DIM), seed=0)
+    model, names, medians, train_studies, test_studies = \
+        cli._load_model_bundle(config.model)
+    sample_set = cli._load_sample_set(config).sample_set
+    train = sample_set.restrict_to_studies(train_studies)
+    test = sample_set.restrict_to_studies(test_studies)
+    reference = train.subset([s.sample_id for s in train.samples
+                              if s.label == 0])
+    deployed = DeployedModel(model=model, feature_names=names,
+                             medians=medians)
+    cohort = draw_eval_cohort(test, config.n_pos, config.n_neg, config.seed)
+    searcher = cli._searcher(config)
+    summarizer, classifier = cli._llm_backends(config)
+    args = (cohort.clinical_names, cohort.taxon_names, deployed, reference)
+
+    dossier = json.loads((workspace["first"] / "dossier.json").read_text())
+    entries = dossier["samples"]
+    assert [e["sample_id"] for e in entries] == \
+        [s.sample_id for s in cohort.samples]
+    for sample, entry in zip(cohort.samples, entries):
+        output = run_computational(sample, *args)
+        history, last_visit = [], 0
+        for prior in test.prior_visits(sample):
+            if prior.visit_index > last_visit:
+                history.append(run_computational(prior, *args))
+                last_visit = prior.visit_index
+        ctx = AgentContext(sample_id=sample.sample_id,
+                           study_id=sample.study_id,
+                           visit_index=sample.visit_index,
+                           computational=output, history=tuple(history))
+        report = run_pipeline(ctx, searcher, summarizer, classifier,
+                              fallback_threshold=config.fallback_threshold)
+        written = workspace["first"] / entry["report_path"]
+        assert written.read_text(encoding="utf-8") == render_report(report)
+        assert entry["probability"] == output.probability
+        assert entry["report"] == json.loads(json.dumps(asdict(report)))
+
+
+def test_evaluate_jobs_2_matches_jobs_1(workspace, tmp_path):
+    args = ["evaluate", "--dataset", workspace["dataset"],
+            "--schema", workspace["schema"], "--models", "gbdt,adam",
+            "--seeds", "2", "--store", str(workspace["store"]),
+            "--embedding-dim", EMBED_DIM, "--threshold", "0.2"]
+    for jobs in ("1", "2"):
+        assert main(args + ["--out", str(tmp_path / jobs),
+                            "--jobs", jobs]) == 0
+    for name in ("trials.csv", "trials-adam.csv", "trials-baseline-gbdt.csv",
+                 "metrics.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()

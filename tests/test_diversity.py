@@ -139,3 +139,57 @@ def test_diversity_profile_means():
         diversity_profile(sample, rng.random((3, 8)))
     with pytest.raises(DegenerateCommunityError):
         diversity_profile(sample, np.empty((0, 16)))
+
+
+def _profile_pairwise(sample, ref):
+    """Mean beta distances by the per-pair loop: one beta_metrics call per
+    reference row, accumulated in row order."""
+    beta = {m: 0.0 for m in BETA_METRICS}
+    for row in np.asarray(ref, dtype=float):
+        for m, value in beta_metrics(sample, row).items():
+            beta[m] += value
+    return {m: v / len(ref) for m, v in beta.items()}
+
+
+def test_diversity_profile_is_bit_identical_to_pairwise_loop():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n_taxa, n_rows in ((3, 1), (16, 5), (64, 140), (200, 37)):
+        cases.append((rng.gamma(0.5, 3.0, n_taxa),
+                      rng.gamma(0.5, 3.0, (n_rows, n_taxa)) * 1e-3))
+    # Zero abundances: Jaccard > 0, and positions absent from both the
+    # sample and a row shrink that row's Canberra mask.
+    sample = rng.gamma(0.5, 3.0, 64)
+    sample[::5] = 0.0
+    ref = rng.gamma(0.5, 3.0, (90, 64))
+    ref[rng.random(ref.shape) < 0.3] = 0.0
+    ref[:, 0] = 0.0
+    cases.append((sample, ref))
+    # One row each: a last-ulp difference in a row's value cannot vanish
+    # in the running sum.
+    cases.extend((sample, row[None, :]) for row in ref[:40])
+    for sample, ref in cases:
+        prof = diversity_profile(sample, ref)
+        assert prof.beta_to_reference == _profile_pairwise(sample, ref)
+    assert prof.beta_to_reference["jaccard"] > 0.0
+
+
+@pytest.mark.parametrize("bad_rows", [
+    {2: np.nan}, {2: -1.0}, {2: 0.0}, {2: np.inf},
+    {1: 0.0, 3: np.nan}, {1: np.nan, 3: -1.0}, {1: -1.0, 3: 0.0},
+])
+def test_diversity_profile_rejects_like_pairwise_loop(bad_rows):
+    rng = np.random.default_rng(12)
+    sample = rng.random(8) + 0.1
+    ref = rng.random((5, 8))
+    for row, value in bad_rows.items():
+        if value == 0.0:
+            ref[row] = 0.0
+        else:
+            ref[row, 3] = value
+    with pytest.raises(Exception) as pairwise:
+        _profile_pairwise(sample, ref)
+    with pytest.raises(Exception) as vectorized:
+        diversity_profile(sample, ref)
+    assert type(vectorized.value) is type(pairwise.value)
+    assert str(vectorized.value) == str(pairwise.value)

@@ -258,3 +258,36 @@ def test_format_summary_contents():
     lines = text.splitlines()
     assert any(line.startswith("adam ") for line in lines)
     assert any(line.startswith("baseline ") for line in lines)
+
+
+def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
+    from collections import Counter
+
+    import adam.evaluation as evaluation
+    from adam.agents import ThresholdMockLLM, TitleEchoMock
+    from adam.dataset import draw_eval_cohort
+
+    calls = Counter()
+    compute = evaluation.run_computational
+
+    def counting(sample, *args):
+        calls[sample.sample_id] += 1
+        return compute(sample, *args)
+
+    monkeypatch.setattr(evaluation, "run_computational", counting)
+    test = deployment["test"]
+    cohort = draw_eval_cohort(test, 15, 15, seed=0)
+    items = list(evaluation.classify_cohort(
+        cohort, test, deployment["deployed"], deployment["reference"], None,
+        TitleEchoMock(), ThresholdMockLLM()))
+    assert [i.sample.sample_id for i in items] == \
+        [s.sample_id for s in cohort.samples]
+    needed = {i.sample.sample_id for i in items} | \
+        {h.sample_id for i in items for h in i.context.history}
+    assert set(calls) == needed
+    assert set(calls.values()) == {1}
+    uses = len(items) + sum(len(i.context.history) for i in items)
+    assert len(calls) < uses  # some visits serve more than one sample
+    for item in items:
+        assert item.report.verdict == \
+            ("Yes" if item.context.computational.probability >= 0.5 else "No")

@@ -288,3 +288,88 @@ def test_semantic_search_wrapper(corpus_path):
 def test_default_routing_shape():
     assert DEFAULT_COLLECTION in DEFAULT_ROUTING
     assert all(isinstance(v, tuple) for v in DEFAULT_ROUTING.values())
+
+
+def _search_full_scan(collections, query, k, threshold):
+    """search() as it was before the per-collection scan cache and top-k
+    pruning: recast and renormalize per query, build every hit, sort."""
+    if isinstance(collections, Collection):
+        collections = (collections,)
+    hits = []
+    for coll in collections:
+        if coll.count == 0:
+            continue
+        q = np.asarray(query, dtype=np.float64).ravel()
+        q = q / float(np.linalg.norm(q))
+        matrix = coll._matrix.astype(np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        sims = np.zeros(coll.count)
+        nonzero = norms > 0.0
+        sims[nonzero] = (matrix[nonzero] @ q) / norms[nonzero]
+        for i in np.nonzero(sims >= threshold)[0]:
+            rec = coll.records[i]
+            hits.append(RetrievalHit(publication_id=rec.publication_id,
+                                     segment_index=rec.segment_index,
+                                     similarity=float(sims[i]),
+                                     collection=coll.name,
+                                     text=rec.text))
+    hits.sort(key=lambda h: (-h.similarity, h.publication_id,
+                             h.segment_index, h.collection))
+    return tuple(hits[:k])
+
+
+def test_cached_top_k_equals_full_scan():
+    e = np.eye(4, dtype=np.float32)
+    ties = Collection(name="t", dim=4, records=(
+        _record("PUBC", 0, e[0]), _record("PUBB", 0, e[0] + e[1]),
+        _record("PUBA", 3, e[0]), _record("PUBA", 1, 3 * e[0]),
+        _record("PUBZ", 0, np.zeros(4)), _record("PUBY", 0, e[2]),
+        _record("PUBD", 0, e[0] + e[1])))
+    other = Collection(name="s", dim=4, records=(
+        _record("PUBA", 2, e[0]), _record("PUBB", 0, e[0] + e[1]),
+        _record("PUBX", 0, -e[0])))
+    cases = [
+        (ties, e[0], 2, 0.5),    # three exact ties at the k-th similarity
+        (ties, e[0], 4, 0.5),    # the k-th is the first of a second tie group
+        (ties, e[0], 6, -1.0),   # zero-norm record ties an orthogonal one at 0
+        (ties, e[3], 3, 0.0),    # every record scores 0, zero norm included
+        ((ties, other), e[0], 3, 0.5),
+        ((other, ties), e[0], 6, -1.0),
+        ((ties, other), e[0], 50, 0.5),   # k above the hits at threshold
+        ((ties, other), e[1], 50, -0.2),
+    ]
+    for collections, q, k, threshold in cases:
+        assert search(collections, q, k=k, threshold=threshold) == \
+            _search_full_scan(collections, q, k, threshold)
+
+    backend = OfflineHashEmbedder(dim=256)
+    words = ("gut", "microbiome", "shannon", "alzheimer", "bacteroides",
+             "cognition", "diversity", "amyloid")
+    rng = np.random.default_rng(7)
+    colls = []
+    for name in ("a", "b"):
+        recs = [_record(f"PUB{i:03d}", i % 3,
+                        backend.embed(" ".join(rng.choice(words, 12))))
+                for i in range(120)]
+        colls.append(Collection(name=name, dim=256, records=tuple(recs)))
+    for _ in range(40):
+        q = backend.embed(" ".join(rng.choice(words, 6)))
+        k = int(rng.integers(1, 30))
+        threshold = float(rng.uniform(-0.2, 0.7))
+        assert search(colls, q, k=k, threshold=threshold) == \
+            _search_full_scan(colls, q, k, threshold)
+
+
+def test_scan_cache_is_reused_and_invisible():
+    coll = _random_collection(8, 50, 12)
+    fresh = _random_collection(8, 50, 12)
+    q = np.random.default_rng(9).normal(size=12)
+    first = search(coll, q, k=7, threshold=-1.0)
+    scan = coll._scan
+    assert search(coll, q, k=7, threshold=-1.0) == first
+    assert coll._scan is scan
+    assert not scan[1].flags.writeable
+    assert coll == fresh and fresh == coll
+    for c in (coll, fresh):
+        with pytest.raises(TypeError):
+            hash(c)
