@@ -23,8 +23,6 @@ import re
 import time
 from dataclasses import dataclass
 
-import requests
-
 from ..errors import BackendError, VerdictParseError
 
 API_KEY_VARIABLE = "ADAM_LLM_API_KEY"
@@ -154,7 +152,10 @@ class HttpChatBackend(LLMBackend):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self._api_key = api_key
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # imported on first use: mock runs never load it
+            session = requests.Session()
+        self._session = session
         self._sleep = sleeper
 
     @property
@@ -169,6 +170,8 @@ class HttpChatBackend(LLMBackend):
         return key
 
     def complete(self, request: LLMRequest) -> str:
+        import requests
+
         payload = {
             "model": request.model or self.model,
             "messages": [{"role": "system", "content": request.system},

@@ -12,6 +12,10 @@ routes produce the same numbers:
   factorial Shapley weights. Exponential in the number of distinct
   split features, so it refuses to run past ``MAX_EXACT_FEATURES``.
 
+Both read the model's trees directly: the parallel preorder arrays of
+``ensemble.tree.Tree`` that fitting produces and ``model_from_dict``
+checks once at load, so nothing is rebuilt per call.
+
 Both satisfy local accuracy: ``expected_margin(model)`` plus the sum of
 per-feature contributions equals ``model.predict_margin(x)`` exactly
 (up to floating-point roundoff).
@@ -24,22 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble.gbdt import GBDTModel, TreeNode
-from .errors import ModelIntegrityError, SizeGuardError
+from .ensemble.gbdt import GBDTModel, sigmoid
+from .ensemble.tree import Tree
+from .errors import SizeGuardError
 
 MAX_EXACT_FEATURES = 20
-
-
-@dataclass(frozen=True)
-class FlatTree:
-    """One tree as parallel arrays; children index into the arrays, -1 at leaves."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    cover: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,68 +49,9 @@ class Attribution:
         return rank_features(self.feature_names, self.contributions)
 
 
-def flatten_tree(root: TreeNode) -> FlatTree:
-    """Preorder array form of a tree.
-
-    Raises ModelIntegrityError when any node has nonpositive or
-    non-finite cover (cover is the conditioning weight, so every
-    division below depends on it) or an internal node lacks a child.
-    """
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    cover: list[float] = []
-
-    def visit(node: TreeNode) -> int:
-        cov = float(node.cover)
-        if not math.isfinite(cov) or cov <= 0.0:
-            raise ModelIntegrityError(
-                f"tree node cover must be positive and finite, got {cov!r}")
-        idx = len(feature)
-        if node.is_leaf:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(float(node.value))
-            cover.append(cov)
-            return idx
-        if node.left is None or node.right is None:
-            raise ModelIntegrityError("internal tree node is missing a child")
-        feature.append(int(node.feature))
-        threshold.append(float(node.threshold))
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        cover.append(cov)
-        left[idx] = visit(node.left)
-        right[idx] = visit(node.right)
-        return idx
-
-    visit(root)
-    return FlatTree(feature=np.asarray(feature, dtype=np.int64),
-                    threshold=np.asarray(threshold, dtype=float),
-                    left=np.asarray(left, dtype=np.int64),
-                    right=np.asarray(right, dtype=np.int64),
-                    value=np.asarray(value, dtype=float),
-                    cover=np.asarray(cover, dtype=float))
-
-
-def tree_expected_value(tree: FlatTree) -> float:
-    """Cover-weighted mean leaf value (the tree's output on no information)."""
-    leaves = tree.feature < 0
-    return float(np.dot(tree.value[leaves], tree.cover[leaves]) / tree.cover[0])
-
-
 def expected_margin(model: GBDTModel) -> float:
     """Margin the ensemble predicts with every feature marginalized out."""
-    total = model.base_score
-    lr = model.params.learning_rate
-    for root in model.trees:
-        total += lr * tree_expected_value(flatten_tree(root))
-    return float(total)
+    return model.expected_margin
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +117,7 @@ def _unwound_sum(zero: list, one: list, weight: list, index: int) -> float:
     return total * (last + 1)
 
 
-def _tree_shap(tree: FlatTree, x: np.ndarray, phi: np.ndarray, scale: float) -> None:
+def _tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray, scale: float) -> None:
     def recurse(node: int, feat: list, zero: list, one: list, weight: list,
                 pz: float, po: float, pi: int) -> None:
         feat = list(feat)
@@ -233,12 +167,11 @@ def shap_values(model: GBDTModel, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected samples with {model.n_features} features, "
                          f"got shape {X.shape}")
-    flats = [flatten_tree(root) for root in model.trees]
     lr = model.params.learning_rate
     phi = np.zeros((X.shape[0], model.n_features))
     for r in range(X.shape[0]):
-        for flat in flats:
-            _tree_shap(flat, X[r], phi[r], lr)
+        for tree in model.trees:
+            _tree_shap(tree, X[r], phi[r], lr)
     return phi[0] if single else phi
 
 
@@ -252,14 +185,14 @@ def shap_values(model: GBDTModel, X) -> np.ndarray:
 # coalition at once: coalitions containing the split feature follow the
 # sample's branch, the rest blend both children by cover.
 
-def _used_features(flats: list[FlatTree]) -> list[int]:
+def _used_features(trees: list[Tree]) -> list[int]:
     used: set[int] = set()
-    for flat in flats:
-        used.update(int(f) for f in flat.feature[flat.feature >= 0])
+    for tree in trees:
+        used.update(int(f) for f in tree.feature[tree.feature >= 0])
     return sorted(used)
 
 
-def _coalition_table(tree: FlatTree, x: np.ndarray, position: dict[int, int],
+def _coalition_table(tree: Tree, x: np.ndarray, position: dict[int, int],
                      masks: np.ndarray) -> np.ndarray:
     def visit(node: int) -> np.ndarray:
         split = tree.feature[node]
@@ -289,8 +222,7 @@ def coalition_margins(model: GBDTModel, x) -> tuple[list[int], np.ndarray]:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {x.size}")
-    flats = [flatten_tree(root) for root in model.trees]
-    used = _used_features(flats)
+    used = _used_features(model.trees)
     if len(used) > MAX_EXACT_FEATURES:
         raise SizeGuardError(
             f"coalition enumeration over {len(used)} features exceeds the "
@@ -299,8 +231,8 @@ def coalition_margins(model: GBDTModel, x) -> tuple[list[int], np.ndarray]:
     masks = np.arange(1 << len(used), dtype=np.int64)
     margins = np.full(masks.size, float(model.base_score))
     lr = model.params.learning_rate
-    for flat in flats:
-        margins += lr * _coalition_table(flat, x, position, masks)
+    for tree in model.trees:
+        margins += lr * _coalition_table(tree, x, position, masks)
     return used, margins
 
 
@@ -342,10 +274,9 @@ def explain(model: GBDTModel, x, feature_names) -> Attribution:
         raise ValueError(f"model has {model.n_features} features but "
                          f"{len(names)} names were given")
     phi = shap_values(model, x)
-    margin = float(model.predict_margin(x)[0])
-    probability = float(model.predict_proba(x)[0])
+    margin = model.predict_margin(x)
     return Attribution(feature_names=names,
                        contributions=tuple(float(v) for v in phi),
-                       base_value=expected_margin(model),
-                       margin=margin,
-                       probability=probability)
+                       base_value=model.expected_margin,
+                       margin=float(margin[0]),
+                       probability=float(sigmoid(margin)[0]))

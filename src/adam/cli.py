@@ -44,7 +44,7 @@ from .dataset import (
 )
 from .embedding import OfflineHashEmbedder, RemoteEmbedder
 from .ensemble import evaluate_binary, model_from_dict, model_to_dict
-from .errors import AdamError, FormatError, IntegrityError, SchemaError
+from .errors import AdamError, FormatError, IntegrityError, ModelIntegrityError, SchemaError
 from .evaluation import (
     EvaluationConfig,
     MODEL_TAGS,
@@ -244,7 +244,10 @@ def _load_model_bundle(path):
                 "test_studies"):
         if key not in doc:
             raise FormatError(f"{path}: bundle lacks {key!r}")
-    model = model_from_dict(doc["model"])
+    try:
+        model = model_from_dict(doc["model"])
+    except (FormatError, ModelIntegrityError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     names = tuple(str(n) for n in doc["feature_names"])
     medians = {str(k): float(v) for k, v in doc["medians"].items()}
     if model.n_features != len(names):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-import requests
 
 from .errors import (
     BackendError,
@@ -165,7 +164,10 @@ class RemoteEmbedder(EmbeddingBackend):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self._api_key = api_key
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # imported on first use: mock runs never load it
+            session = requests.Session()
+        self._session = session
         self._sleep = sleeper
         self._gate = threading.BoundedSemaphore(max_concurrency)
 
@@ -181,6 +183,8 @@ class RemoteEmbedder(EmbeddingBackend):
         return key
 
     def _request(self, texts: list[str]) -> list[list[float]]:
+        import requests
+
         payload = {"model": self.model, "input": texts}
         headers = {"Authorization": f"Bearer {self._credential()}"}
         delay = BACKOFF_BASE_SECONDS

@@ -12,7 +12,6 @@ from .gbdt import (
     DEFAULT_PARAMS,
     GBDTModel,
     GBDTParams,
-    TreeNode,
     feature_gains,
     fit_gbdt,
     log_loss,
@@ -26,6 +25,7 @@ from .metrics import (
     evaluate_binary,
     precision_recall_f1,
 )
+from .tree import Tree
 from .tuning import (
     Dimension,
     SearchResult,
@@ -46,7 +46,7 @@ __all__ = [
     "LogisticRegressionModel",
     "RandomForestModel",
     "SearchResult",
-    "TreeNode",
+    "Tree",
     "TrialRecord",
     "accuracy",
     "auc_score",

@@ -8,11 +8,13 @@ deterministic per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..errors import DegenerateFitError, EmptyInputError
+from .gbdt import fit_inputs, sigmoid
+from .tree import Tree, as_matrix, grow_tree, leaf_values, pick_best, presort, stack
 
 RF_DEFAULTS = {"n_trees": 100, "max_depth": 12, "min_samples_leaf": 1}
 LR_DEFAULTS = {"l2_reg": 1e-3, "max_iter": 5000, "tol": 1e-8}
@@ -22,91 +24,57 @@ LR_DEFAULTS = {"l2_reg": 1e-3, "max_iter": 5000, "tol": 1e-8}
 # random forest
 
 @dataclass
-class _CartNode:
-    prob: float  # class-1 fraction of rows here
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_CartNode | None" = None
-    right: "_CartNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass
 class RandomForestModel:
-    trees: list[_CartNode]
+    trees: list[Tree]
     n_features: int
     seed: int
 
+    @cached_property
+    def _stacked(self):
+        return stack(self.trees)
+
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            for i in range(X.shape[0]):
-                cur = tree
-                while not cur.is_leaf:
-                    cur = cur.left if X[i, cur.feature] < cur.threshold else cur.right
-                out[i] += cur.prob
-        return out / len(self.trees)
+        X = as_matrix(X, self.n_features)
+        votes = np.cumsum(leaf_values(self._stacked, X), axis=0)[-1]  # in tree order
+        return votes / len(self.trees)
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)
 
 
-def _gini_best_split(X, y, feature_ids, min_samples_leaf):
-    """Best (feature, threshold) by Gini impurity decrease, or None."""
-    n = y.size
-    total_pos = y.sum()
-    best_score = -np.inf
-    best = None
-    parent_gini = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
-    for j in feature_ids:
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        ys = y[order]
-        pos_left = np.cumsum(ys)[:-1]
+def _grow_cart(X, y, max_depth, min_samples_leaf, mtry, rng) -> Tree:
+    """One CART tree on a bootstrap sample, Gini impurity decrease over
+    mtry features drawn per node (drawn depth-first, left before right)."""
+    n_rows, d = X.shape
+    XT = np.ascontiguousarray(X.T)
+
+    def node_stats(idx):
+        n = idx.size
+        pos = y[idx].sum()  # labels are 0/1: pure means pos is 0 or n
+        return float(pos / n), float(n), n >= 2 * min_samples_leaf and 0.0 < pos < n
+
+    def find_split(idx, order):
+        feature_ids = np.sort(rng.choice(d, size=mtry, replace=False))
+        n = idx.size
+        total_pos = y[idx].sum()
+        parent_gini = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
+        order = order[feature_ids]
+        xs = XT[feature_ids[:, None], order]
+        pos_left = np.cumsum(y[order], axis=1)[:, :-1]
         n_left = np.arange(1, n)
         n_right = n - n_left
         pos_right = total_pos - pos_left
-        valid = xs[1:] != xs[:-1]
+        valid = xs[:, 1:] != xs[:, :-1]
         valid &= n_left >= min_samples_leaf
         valid &= n_right >= min_samples_leaf
-        if not valid.any():
-            continue
         gini_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
         gini_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
         scores = parent_gini - (n_left * gini_left + n_right * gini_right) / n
         scores[~valid] = -np.inf
-        i = int(np.argmax(scores))
-        if scores[i] > best_score and scores[i] > 1e-12:
-            best_score = float(scores[i])
-            best = (j, float(0.5 * (xs[i] + xs[i + 1])))
-    return best
+        return pick_best(scores, xs, 1e-12, feature_ids)
 
-
-def _build_cart(X, y, depth, max_depth, min_samples_leaf, mtry, rng) -> _CartNode:
-    node = _CartNode(prob=float(y.mean()))
-    if depth >= max_depth or y.size < 2 * min_samples_leaf or y.min() == y.max():
-        return node
-    feature_ids = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
-    found = _gini_best_split(X, y, feature_ids, min_samples_leaf)
-    if found is None:
-        return node
-    feature, threshold = found
-    mask = X[:, feature] < threshold
-    if not mask.any() or mask.all():
-        return node
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _build_cart(X[mask], y[mask], depth + 1, max_depth,
-                            min_samples_leaf, mtry, rng)
-    node.right = _build_cart(X[~mask], y[~mask], depth + 1, max_depth,
-                             min_samples_leaf, mtry, rng)
-    return node
+    tree, _ = grow_tree(X, presort(X), np.arange(n_rows), max_depth, node_stats, find_split)
+    return tree
 
 
 def fit_random_forest(X, y, n_trees: int = RF_DEFAULTS["n_trees"],
@@ -114,22 +82,14 @@ def fit_random_forest(X, y, n_trees: int = RF_DEFAULTS["n_trees"],
                       min_samples_leaf: int = RF_DEFAULTS["min_samples_leaf"],
                       seed: int = 0) -> RandomForestModel:
     """Bootstrap-aggregated CART trees with sqrt(d) features per node."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError("need a non-empty 2-d matrix")
-    if np.isnan(X).any():
-        raise DegenerateFitError("feature matrix contains NaN; impute before fitting")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be binary 0/1")
+    X, y = fit_inputs(X, y)
     n, d = X.shape
     mtry = max(1, int(math.sqrt(d)))
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         rows = rng.integers(0, n, size=n)
-        trees.append(_build_cart(X[rows], y[rows], 0, max_depth,
-                                 min_samples_leaf, mtry, rng))
+        trees.append(_grow_cart(X[rows], y[rows], max_depth, min_samples_leaf, mtry, rng))
     return RandomForestModel(trees=trees, n_features=d, seed=seed)
 
 
@@ -146,20 +106,11 @@ class LogisticRegressionModel:
     converged: bool = False
 
     def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        Z = (X - self.feature_means) / self.feature_scales
+        Z = (as_matrix(X) - self.feature_means) / self.feature_scales
         return Z @ self.weights + self.intercept
 
     def predict_proba(self, X) -> np.ndarray:
-        z = self.decision_function(X)
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        return sigmoid(self.decision_function(X))
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)
@@ -174,14 +125,7 @@ def fit_logistic_regression(X, y, l2_reg: float = LR_DEFAULTS["l2_reg"],
     (largest eigenvalue of X^T X / (4n) plus the ridge term), so the
     loss decreases monotonically; the intercept is not penalized.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError("need a non-empty 2-d matrix")
-    if np.isnan(X).any():
-        raise DegenerateFitError("feature matrix contains NaN; impute before fitting")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be binary 0/1")
+    X, y = fit_inputs(X, y)
     n, d = X.shape
     means = X.mean(axis=0)
     scales = X.std(axis=0)
@@ -194,13 +138,7 @@ def fit_logistic_regression(X, y, l2_reg: float = LR_DEFAULTS["l2_reg"],
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        z = Z @ w + b
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
-        err = p - y
+        err = sigmoid(Z @ w + b) - y
         grad_w = Z.T @ err / n + l2_reg * w
         grad_b = float(err.mean())
         w -= step * grad_w

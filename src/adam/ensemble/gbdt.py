@@ -7,12 +7,17 @@ Each tree greedily maximizes the exact split gain
     gain = 1/2 * [GL^2/(HL + lambda) + GR^2/(HR + lambda) - G^2/(H + lambda)]
 
 over every feature and every midpoint between adjacent distinct sorted
-values (no histogram binning). Leaf values are -G/(H + lambda). The
-model's raw score is base_score + learning_rate * sum of tree outputs,
-mapped through the sigmoid for probabilities.
+values (no histogram binning). The search is presorted exact greedy:
+each feature is sorted once per fit, every node scores all features at
+once from cumulative sums along that order, and children inherit the
+order by stable partition (see ``tree``). Leaf values are -G/(H + lambda).
+The model's raw score is base_score + learning_rate * sum of tree
+outputs, mapped through the sigmoid for probabilities.
 
-Every node stores its cover (the hessian mass routed through it), which
-downstream Shapley attribution uses as the conditioning weight.
+Trees are the parallel-array ``Tree`` of ``tree``, the one form that
+fitting, prediction, Shapley attribution and serialization share. Every
+node stores its cover (the hessian mass routed through it), which
+attribution uses as the conditioning weight.
 
 Determinism: split ties resolve to the lowest feature index, then the
 lowest threshold; with subsample_fraction = 1 the fit is a pure
@@ -22,11 +27,23 @@ of (X, y, params, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ..errors import DegenerateFitError, EmptyInputError
+from ..errors import DegenerateFitError, EmptyInputError, FormatError, ModelIntegrityError
+from .tree import (
+    Tree,
+    as_matrix,
+    grow_tree,
+    leaf_values,
+    partition,
+    pick_best,
+    presort,
+    stack,
+)
 
 DEFAULT_PARAMS = {
     "n_trees": 60,
@@ -38,23 +55,6 @@ DEFAULT_PARAMS = {
 }
 
 _PROB_CLIP = 1e-15
-
-
-@dataclass
-class TreeNode:
-    """One node of a regression tree on the logit scale."""
-
-    cover: float
-    value: float = 0.0  # leaf weight before the learning rate
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    gain: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
 
 @dataclass
@@ -84,56 +84,63 @@ class GBDTParams:
 
 @dataclass
 class GBDTModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     params: GBDTParams
     n_features: int
     base_score: float = 0.0
     seed: int = 0
     loss_history: list[float] = field(default_factory=list)
 
-    def predict_margin(self, X) -> np.ndarray:
-        X = _as_matrix(X, self.n_features)
-        out = np.full(X.shape[0], self.base_score, dtype=float)
+    @cached_property
+    def _stacked(self):
+        return stack(self.trees)
+
+    @cached_property
+    def expected_margin(self) -> float:
+        """Margin with every feature marginalized out: base score plus
+        each tree's cover-weighted mean leaf value, in tree order."""
+        total = self.base_score
         lr = self.params.learning_rate
         for tree in self.trees:
-            out += lr * _tree_predict(tree, X)
-        return out
+            total += lr * tree.expected_value()
+        return float(total)
+
+    def predict_margin(self, X) -> np.ndarray:
+        X = as_matrix(X, self.n_features)
+        terms = np.empty((len(self.trees) + 1, X.shape[0]))
+        terms[0] = self.base_score
+        terms[1:] = self.params.learning_rate * leaf_values(self._stacked, X)
+        return np.cumsum(terms, axis=0)[-1]  # trees added one by one, in order
 
     def predict_proba(self, X) -> np.ndarray:
-        return _sigmoid(self.predict_margin(X))
+        return sigmoid(self.predict_margin(X))
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)
 
 
-def _as_matrix(X, n_features: int | None = None) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d feature matrix, got shape {X.shape}")
-    if n_features is not None and X.shape[1] != n_features:
-        raise ValueError(f"model expects {n_features} features, got {X.shape[1]}")
-    return X
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|z|,
+    written as where(z >= 0, -z, z) so that a NaN keeps its sign bit."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=float)
-    for i in range(X.shape[0]):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if X[i, cur.feature] < cur.threshold else cur.right
-        out[i] = cur.value
-    return out
+def fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Float (X, y) checked for fitting: a non-empty 2-d matrix without
+    NaN and one binary 0/1 label per row."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise EmptyInputError("need a non-empty 2-d matrix")
+    if X.shape[0] != y.size:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size}")
+    if np.isnan(X).any():
+        raise DegenerateFitError("feature matrix contains NaN; impute before fitting")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("labels must be binary 0/1")
+    return X, y
 
 
 def log_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -143,55 +150,34 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
 
 
-def _best_split(X, g, h, l2_lambda, min_child_weight):
-    """Exact greedy search; returns (gain, feature, threshold) or None."""
-    g_total = g.sum()
-    h_total = h.sum()
-    parent = g_total * g_total / (h_total + l2_lambda)
-    best_gain = 0.0
-    best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
+def _grow(X, XT, order, rows, g, h, params):
+    """One boosting tree on rows, scoring every feature of a node at once."""
+    lam, mcw = params.l2_lambda, params.min_child_weight
+    features = np.arange(X.shape[1])
+
+    def node_stats(idx):
+        cover = float(h[idx].sum())
+        denom = cover + lam
+        value = 0.0 if denom == 0.0 else -float(g[idx].sum()) / denom
+        return value, cover, idx.size >= 2
+
+    def find_split(idx, order):
+        g_total = g[idx].sum()
+        h_total = h[idx].sum()
+        parent = g_total * g_total / (h_total + lam)
+        gl = np.cumsum(g[order], axis=1)[:, :-1]
+        hl = np.cumsum(h[order], axis=1)[:, :-1]
         gr = g_total - gl
         hr = h_total - hl
-        valid = xs[1:] != xs[:-1]
-        valid &= hl >= min_child_weight
-        valid &= hr >= min_child_weight
-        if not valid.any():
-            continue
-        gains = 0.5 * (gl * gl / (hl + l2_lambda)
-                       + gr * gr / (hr + l2_lambda) - parent)
+        xs = XT[features[:, None], order]
+        valid = xs[:, 1:] != xs[:, :-1]
+        valid &= hl >= mcw
+        valid &= hr >= mcw
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
         gains[~valid] = -np.inf
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            best = (best_gain, j, float(0.5 * (xs[i] + xs[i + 1])))
-    return best
+        return pick_best(gains, xs, 0.0, features)
 
-
-def _build_tree(X, g, h, depth, params) -> TreeNode:
-    node = TreeNode(cover=float(h.sum()))
-    g_total = float(g.sum())
-    denom = node.cover + params.l2_lambda
-    node.value = 0.0 if denom == 0.0 else -g_total / denom
-    if depth >= params.max_depth or X.shape[0] < 2:
-        return node
-    found = _best_split(X, g, h, params.l2_lambda, params.min_child_weight)
-    if found is None:
-        return node
-    gain, feature, threshold = found
-    mask = X[:, feature] < threshold
-    if not mask.any() or mask.all():
-        return node
-    node.feature = feature
-    node.threshold = threshold
-    node.gain = gain
-    node.left = _build_tree(X[mask], g[mask], h[mask], depth + 1, params)
-    node.right = _build_tree(X[~mask], g[~mask], h[~mask], depth + 1, params)
-    return node
+    return grow_tree(X, order, rows, params.max_depth, node_stats, find_split)
 
 
 def fit_gbdt(X, y, params: GBDTParams | dict | None = None, seed: int = 0) -> GBDTModel:
@@ -208,50 +194,37 @@ def fit_gbdt(X, y, params: GBDTParams | dict | None = None, seed: int = 0) -> GB
     elif params is None:
         params = GBDTParams()
     params.validate()
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot fit on an empty matrix")
-    if X.shape[0] != y.size:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size}")
-    if np.isnan(X).any():
-        raise DegenerateFitError("feature matrix contains NaN; impute before fitting")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be binary 0/1")
+    X, y = fit_inputs(X, y)
 
     model = GBDTModel(trees=[], params=params, n_features=X.shape[1], seed=seed)
     margins = np.full(X.shape[0], model.base_score, dtype=float)
     n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
+    order = presort(X)
     for t in range(params.n_trees):
-        p = _sigmoid(margins)
+        p = sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
         if params.subsample_fraction < 1.0:
             rng = np.random.default_rng([seed, t])
             k = max(1, int(round(params.subsample_fraction * n)))
             rows = np.sort(rng.choice(n, size=k, replace=False))
-            tree = _build_tree(X[rows], g[rows], h[rows], 0, params)
+            tree, _ = _grow(X, XT, partition(order, rows, n)[0], rows, g, h, params)
+            fitted = leaf_values(stack([tree]), X)[0]
         else:
-            tree = _build_tree(X, g, h, 0, params)
+            tree, fitted = _grow(X, XT, order, np.arange(n), g, h, params)
         model.trees.append(tree)
-        margins += params.learning_rate * _tree_predict(tree, X)
-        model.loss_history.append(log_loss(y, _sigmoid(margins)))
+        margins += params.learning_rate * fitted
+        model.loss_history.append(log_loss(y, sigmoid(margins)))
     return model
 
 
 def feature_gains(model: GBDTModel) -> np.ndarray:
     """Total split gain accumulated per feature across all trees."""
     gains = np.zeros(model.n_features)
-
-    def walk(node: TreeNode) -> None:
-        if node.is_leaf:
-            return
-        gains[node.feature] += node.gain
-        walk(node.left)
-        walk(node.right)
-
     for tree in model.trees:
-        walk(tree)
+        split = tree.feature >= 0
+        np.add.at(gains, tree.feature[split], tree.gain[split])  # preorder, tree by tree
     return gains
 
 
@@ -262,33 +235,47 @@ def _f17(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _node_to_list(node: TreeNode, out: list) -> None:
-    if node.is_leaf:
-        out.append({"cover": _f17(node.cover), "value": _f17(node.value)})
-        return
-    out.append({"cover": _f17(node.cover), "feature": node.feature,
-                "threshold": _f17(node.threshold), "gain": _f17(node.gain)})
-    _node_to_list(node.left, out)
-    _node_to_list(node.right, out)
+def _tree_to_list(tree: Tree) -> list:
+    out = []
+    for f, thr, value, cover, gain in zip(tree.feature.tolist(), tree.threshold.tolist(),
+                                          tree.value.tolist(), tree.cover.tolist(),
+                                          tree.gain.tolist()):
+        if f < 0:
+            out.append({"cover": _f17(cover), "value": _f17(value)})
+        else:
+            out.append({"cover": _f17(cover), "feature": f,
+                        "threshold": _f17(thr), "gain": _f17(gain)})
+    return out
 
 
-def _node_from_list(items: list, pos: int) -> tuple[TreeNode, int]:
-    entry = items[pos]
-    if "feature" not in entry:
-        return TreeNode(cover=float(entry["cover"]), value=float(entry["value"])), pos + 1
-    node = TreeNode(cover=float(entry["cover"]), feature=int(entry["feature"]),
-                    threshold=float(entry["threshold"]), gain=float(entry["gain"]))
-    node.left, pos = _node_from_list(items, pos + 1)
-    node.right, pos = _node_from_list(items, pos)
-    return node, pos
+def _tree_from_list(items: list) -> Tree:
+    """Tree of a preorder node list: a split's first child is the next
+    entry, its second child follows the first child's subtree."""
+    nodes: list[list] = []
+    pending: list[int] = []  # splits still waiting for their second child
+    for entry in items:
+        if nodes:
+            if nodes[-1][0] >= 0:
+                nodes[-1][2] = len(nodes)
+                pending.append(len(nodes) - 1)
+            elif pending:
+                nodes[pending.pop()][3] = len(nodes)
+            else:
+                raise ModelIntegrityError("trailing nodes in serialized tree")
+        if "feature" not in entry:
+            nodes.append([-1, 0.0, -1, -1, float(entry["value"]), float(entry["cover"]), 0.0])
+            continue
+        feature = int(entry["feature"])
+        if feature < 0:
+            raise ModelIntegrityError(f"negative split feature {feature}")
+        nodes.append([feature, float(entry["threshold"]), -1, -1, 0.0,
+                      float(entry["cover"]), float(entry["gain"])])
+    if not nodes or nodes[-1][0] >= 0 or pending:
+        raise ModelIntegrityError("serialized tree is truncated")
+    return Tree.from_nodes(nodes)
 
 
 def model_to_dict(model: GBDTModel) -> dict:
-    trees = []
-    for tree in model.trees:
-        nodes: list = []
-        _node_to_list(tree, nodes)
-        trees.append(nodes)
     p = model.params
     return {
         "format": "adam-gbdt",
@@ -305,27 +292,42 @@ def model_to_dict(model: GBDTModel) -> dict:
             "subsample_fraction": _f17(p.subsample_fraction),
         },
         "loss_history": [_f17(v) for v in model.loss_history],
-        "trees": trees,
+        "trees": [_tree_to_list(tree) for tree in model.trees],
     }
 
 
 def model_from_dict(doc: dict) -> GBDTModel:
-    from ..errors import FormatError, ModelIntegrityError
-    if not isinstance(doc, dict) or doc.get("format") != "adam-gbdt":
-        raise FormatError("not an adam-gbdt model document")
-    raw = doc["params"]
-    params = GBDTParams(n_trees=int(raw["n_trees"]), max_depth=int(raw["max_depth"]),
-                        learning_rate=float(raw["learning_rate"]),
-                        l2_lambda=float(raw["l2_lambda"]),
-                        min_child_weight=float(raw["min_child_weight"]),
-                        subsample_fraction=float(raw["subsample_fraction"]))
-    trees = []
-    for items in doc["trees"]:
-        tree, end = _node_from_list(items, 0)
-        if end != len(items):
-            raise ModelIntegrityError("trailing nodes in serialized tree")
-        trees.append(tree)
-    model = GBDTModel(trees=trees, params=params, n_features=int(doc["n_features"]),
-                      base_score=float(doc["base_score"]), seed=int(doc.get("seed", 0)),
-                      loss_history=[float(v) for v in doc.get("loss_history", [])])
-    return model
+    """Rebuild a model from ``model_to_dict`` output, checking it once.
+
+    Raises FormatError for anything but a version-1 adam-gbdt document
+    with every field present and of the right type, and
+    ModelIntegrityError for a tree that is truncated, has trailing
+    nodes or fails ``Tree.check``, or a non-finite base score.
+    """
+    if (not isinstance(doc, dict) or doc.get("format") != "adam-gbdt"
+            or doc.get("version", 1) != 1):
+        raise FormatError("not an adam-gbdt version 1 model document")
+    try:
+        raw = doc["params"]
+        params = GBDTParams(n_trees=int(raw["n_trees"]), max_depth=int(raw["max_depth"]),
+                            learning_rate=float(raw["learning_rate"]),
+                            l2_lambda=float(raw["l2_lambda"]),
+                            min_child_weight=float(raw["min_child_weight"]),
+                            subsample_fraction=float(raw["subsample_fraction"]))
+        params.validate()
+        n_features = int(doc["n_features"])
+        base_score = float(doc["base_score"])
+        seed = int(doc.get("seed", 0))
+        loss_history = [float(v) for v in doc.get("loss_history", [])]
+        trees = [_tree_from_list(items) for items in doc["trees"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(
+            f"malformed adam-gbdt model ({type(exc).__name__}: {exc})") from exc
+    if n_features < 0:
+        raise FormatError(f"n_features must be >= 0, got {n_features}")
+    if not math.isfinite(base_score):
+        raise ModelIntegrityError(f"base_score must be finite, got {base_score!r}")
+    for tree in trees:
+        tree.check(n_features)
+    return GBDTModel(trees=trees, params=params, n_features=n_features,
+                     base_score=base_score, seed=seed, loss_history=loss_history)

@@ -9,13 +9,12 @@ from adam.attribution import (
     coalition_margins,
     expected_margin,
     explain,
-    flatten_tree,
     rank_features,
     shap_values,
     shap_values_exact,
-    tree_expected_value,
 )
-from adam.ensemble.gbdt import TreeNode, fit_gbdt
+from adam.ensemble.gbdt import fit_gbdt
+from adam.ensemble.tree import Tree
 from adam.errors import SizeGuardError
 
 
@@ -78,17 +77,20 @@ def test_coalition_margins_endpoints():
 
 def test_single_stump_hand_shapley():
     # one stump: split feature 0 at 0.0, leaves -1 / +1, equal cover
-    root = TreeNode(cover=10.0, feature=0, threshold=0.0, gain=1.0,
-                    left=TreeNode(cover=5.0, value=-1.0),
-                    right=TreeNode(cover=5.0, value=1.0))
+    stump = Tree(feature=np.array([0, -1, -1]), threshold=np.array([0.0, 0.0, 0.0]),
+                 left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                 value=np.array([0.0, -1.0, 1.0]), cover=np.array([10.0, 5.0, 5.0]),
+                 gain=np.array([1.0, 0.0, 0.0]))
+    stump.check(2)
     from adam.ensemble.gbdt import GBDTModel, GBDTParams
-    model = GBDTModel(trees=[root], params=GBDTParams(learning_rate=1.0),
+    model = GBDTModel(trees=[stump], params=GBDTParams(learning_rate=1.0),
                       n_features=2, base_score=0.0)
     phi = shap_values(model, np.array([3.0, 9.9]))
     # expected margin 0; margin +1; feature 0 carries it all
     assert abs(phi[0] - 1.0) < 1e-12
     assert phi[1] == 0.0
-    assert abs(tree_expected_value(flatten_tree(root)) - 0.0) < 1e-12
+    assert abs(stump.expected_value() - 0.0) < 1e-12
+    assert model.predict_margin(np.array([[3.0, 0.0], [-3.0, 0.0]])).tolist() == [1.0, -1.0]
 
 
 def test_size_guard():
@@ -99,8 +101,7 @@ def test_size_guard():
     model = fit_gbdt(X, y, {"n_trees": 40, "max_depth": 4})
     used, _ = (set(), None)
     from adam.attribution import _used_features  # count actually-split features
-    flats = [flatten_tree(t) for t in model.trees]
-    if len(_used_features(flats)) > MAX_EXACT_FEATURES:
+    if len(_used_features(model.trees)) > MAX_EXACT_FEATURES:
         with pytest.raises(SizeGuardError):
             shap_values_exact(model, X[0])
     else:
@@ -138,14 +139,3 @@ def test_shape_guards():
         shap_values(model, X[:, :3])
     with pytest.raises(ValueError):
         shap_values_exact(model, np.zeros(3))
-
-
-def test_flatten_tree_integrity_guards():
-    from adam.errors import ModelIntegrityError
-    bad_cover = TreeNode(cover=0.0, value=1.0)
-    with pytest.raises(ModelIntegrityError):
-        flatten_tree(bad_cover)
-    half = TreeNode(cover=4.0, feature=0, threshold=0.5,
-                    left=TreeNode(cover=2.0, value=1.0), right=None)
-    with pytest.raises(ModelIntegrityError):
-        flatten_tree(half)

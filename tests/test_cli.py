@@ -1,5 +1,6 @@
 """End-to-end command-line walkthrough plus configuration resolution."""
 
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,40 @@ def test_train_bundle_shape(workspace):
     assert set(bundle["medians"]) == set(bundle["feature_names"])
     assert bundle["model"]["format"] == "adam-gbdt"
     assert not set(bundle["train_studies"]) & set(bundle["test_studies"])
+
+
+# sha256 of model.json from `synth --seed 0` + `train --seed 0` as written by
+# the node-based trees (numpy 2.4, x86-64); the array trees must not move a byte.
+NODE_TREE_MODEL_SHA256 = "d507c86211724156f5f1266438dcdd20c32f357a72d02bad5465b58fc23f4fc4"
+
+
+def test_train_model_bytes_unchanged(workspace):
+    data = (workspace["root"] / "train" / "model.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == NODE_TREE_MODEL_SHA256
+
+
+def _split_node(doc):
+    return next(e for e in doc["model"]["trees"][0] if "feature" in e)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["model"].pop("params"), id="no-params"),
+    pytest.param(lambda d: _split_node(d).update(feature=len(d["feature_names"])),
+                 id="feature-out-of-range"),
+    pytest.param(lambda d: d["model"]["trees"][0].pop(), id="truncated-tree"),
+    pytest.param(lambda d: _split_node(d).update(threshold="nan"), id="nan-threshold"),
+])
+def test_classify_rejects_corrupt_model(workspace, tmp_path, capsys, edit):
+    bundle = json.loads((workspace["root"] / "train" / "model.json").read_text())
+    edit(bundle)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(bundle))
+    assert main(["classify", "--dataset", workspace["dataset"],
+                 "--schema", workspace["schema"], "--model", str(bad),
+                 "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
 
 
 def test_classify_rerun_is_byte_identical(workspace):
@@ -345,3 +380,17 @@ def test_evaluate_jobs_2_matches_jobs_1(workspace, tmp_path):
                  "metrics.txt"):
         assert (tmp_path / "1" / name).read_bytes() == \
             (tmp_path / "2" / name).read_bytes()
+
+
+def test_cli_import_does_not_load_requests():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import adam
+    src = str(Path(adam.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, adam.cli; sys.exit(int('requests' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

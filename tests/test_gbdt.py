@@ -15,6 +15,7 @@ from adam.ensemble.gbdt import (
     model_from_dict,
     model_to_dict,
 )
+from adam.ensemble.tree import Tree
 from adam.errors import DegenerateFitError, EmptyInputError, FormatError, ModelIntegrityError
 
 
@@ -74,10 +75,11 @@ def test_margin_is_base_plus_scaled_leaves():
     for row, got in zip(x, margins):
         total = model.base_score
         for tree in model.trees:
-            node = tree
-            while not node.is_leaf:
-                node = node.left if row[node.feature] < node.threshold else node.right
-            total += lr * node.value
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] < tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            total += lr * tree.value[node]
         assert abs(total - got) < 1e-12
     proba = model.predict_proba(x)
     assert np.allclose(proba, 1.0 / (1.0 + np.exp(-margins)), atol=1e-12)
@@ -129,6 +131,76 @@ def test_deserialization_guards():
     broken["trees"][0].append({"cover": "1", "value": "0"})
     with pytest.raises(ModelIntegrityError):
         model_from_dict(broken)
+
+
+def _doc(edit):
+    X, y = _toy(13, n=60, d=3)
+    doc = json.loads(json.dumps(model_to_dict(fit_gbdt(X, y, {"n_trees": 2}))))
+    edit(doc)
+    return doc
+
+
+def _first_split(doc):
+    return next(e for e in doc["trees"][0] if "feature" in e)
+
+
+def _first_leaf(doc):
+    return next(e for e in doc["trees"][0] if "feature" not in e)
+
+
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(lambda d: d.pop("params"), FormatError, id="no-params"),
+    pytest.param(lambda d: d["params"].pop("max_depth"), FormatError, id="no-max-depth"),
+    pytest.param(lambda d: d["params"].update(learning_rate="fast"), FormatError,
+                 id="text-learning-rate"),
+    pytest.param(lambda d: d["params"].update(learning_rate="0"), FormatError,
+                 id="invalid-learning-rate"),
+    pytest.param(lambda d: d.pop("trees"), FormatError, id="no-trees"),
+    pytest.param(lambda d: d.pop("n_features"), FormatError, id="no-n-features"),
+    pytest.param(lambda d: d.update(n_features=-1), FormatError, id="negative-n-features"),
+    pytest.param(lambda d: d.update(version=2), FormatError, id="version-2"),
+    pytest.param(lambda d: d["trees"][0].__setitem__(0, 7), FormatError, id="node-not-object"),
+    pytest.param(lambda d: _first_leaf(d).pop("value"), FormatError, id="leaf-without-value"),
+    pytest.param(lambda d: _first_split(d).update(feature="x"), FormatError,
+                 id="text-feature"),
+    pytest.param(lambda d: d.update(base_score="nan"), ModelIntegrityError,
+                 id="nan-base-score"),
+    pytest.param(lambda d: _first_split(d).update(feature=3), ModelIntegrityError,
+                 id="feature-out-of-range"),
+    pytest.param(lambda d: _first_split(d).update(feature=-2), ModelIntegrityError,
+                 id="negative-feature"),
+    pytest.param(lambda d: d["trees"][0].pop(), ModelIntegrityError, id="truncated"),
+    pytest.param(lambda d: d["trees"].__setitem__(0, []), ModelIntegrityError,
+                 id="empty-tree"),
+    pytest.param(lambda d: _first_split(d).update(threshold="nan"), ModelIntegrityError,
+                 id="nan-threshold"),
+    pytest.param(lambda d: _first_leaf(d).update(value="inf"), ModelIntegrityError,
+                 id="inf-value"),
+    pytest.param(lambda d: _first_split(d).update(gain="nan"), ModelIntegrityError,
+                 id="nan-gain"),
+    pytest.param(lambda d: _first_leaf(d).update(cover="0"), ModelIntegrityError,
+                 id="zero-cover"),
+    pytest.param(lambda d: _first_leaf(d).update(cover="-1"), ModelIntegrityError,
+                 id="negative-cover"),
+    pytest.param(lambda d: _first_split(d).update(cover="nan"), ModelIntegrityError,
+                 id="nan-cover"),
+])
+def test_model_from_dict_rejects(edit, error):
+    with pytest.raises(error):
+        model_from_dict(_doc(edit))
+
+
+def test_tree_check_rejects_bad_children():
+    X, y = _toy(14, n=60, d=3)
+    tree = fit_gbdt(X, y, {"n_trees": 1, "max_depth": 2}).trees[0]
+    tree.check(3)
+    for field, node, target in (("left", 0, 0), ("right", 0, 1), ("right", 0, 99),
+                                ("left", int(np.flatnonzero(tree.feature < 0)[0]), 1)):
+        arrays = {name: getattr(tree, name).copy() for name in (
+            "feature", "threshold", "left", "right", "value", "cover", "gain")}
+        arrays[field][node] = target
+        with pytest.raises(ModelIntegrityError):
+            Tree(**arrays).check(3)
 
 
 def test_param_dict_merges_over_defaults():
