@@ -213,10 +213,10 @@ def _run_stage(ctx, searcher, backend, stage, program, budget, model,
     steps = tuple(program.steps())
     queries = [_step_query(title, instruction, digest)
                for _, title, instruction in steps]
-    step_hits = []
-    for query in queries:
-        hits = tuple(searcher.query(query)) if searcher is not None else ()
-        step_hits.append(list(hits))
+    if searcher is not None:
+        step_hits = [list(hits) for hits in searcher.query_many(queries)]
+    else:
+        step_hits = [[] for _ in queries]
 
     history = list(ctx.history)
     dropped_history = 0

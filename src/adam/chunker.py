@@ -120,6 +120,16 @@ def reconstruct(chunks: list[Chunk], overlap: int = DEFAULT_OVERLAP) -> str:
     return "".join(parts)
 
 
+def _encodable(value) -> bool:
+    """Whether a string (or list of strings) can be written as UTF-8."""
+    try:
+        for item in ([value] if isinstance(value, str) else value):
+            item.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_corpus(path: str | Path) -> list[CorpusDocument]:
     """Read a JSONL corpus: one object per line with keys
     publication_id, text, and optionally title and keywords.
@@ -149,8 +159,14 @@ def read_corpus(path: str | Path) -> list[CorpusDocument]:
             keywords = obj.get("keywords", [])
             if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
                 raise FormatError(f"{path}: line {lineno}: keywords must be a list of strings")
+            title = str(obj.get("title", ""))
+            for field_name, value in (("publication_id", pub), ("title", title),
+                                      ("text", text), ("keywords", keywords)):
+                if not _encodable(value):
+                    raise FormatError(f"{path}: line {lineno}: {field_name} "
+                                      f"is not valid Unicode (lone surrogate)")
             docs.append(CorpusDocument(publication_id=pub,
-                                       title=str(obj.get("title", "")),
+                                       title=title,
                                        text=text,
                                        keywords=tuple(keywords)))
     return docs

@@ -1,17 +1,22 @@
 """Text-to-vector backends and keyword-vector aggregation.
 
 Two backends share one contract (fixed dimension, unit-normalized
-output, batch order preserved):
+output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
 
 * ``OfflineHashEmbedder``: deterministic and dependency-free. Each
   character 3-gram is hashed; the hash picks a coordinate and its
-  parity picks the sign; the accumulated vector is L2-normalized. The
-  gram -> (coordinate, sign) map is memoized per dimension in a bounded
-  LRU cache shared by all instances, so repeated grams hash once. It
-  exists so everything downstream runs without network access; it makes
-  no semantic-quality claims.
+  parity picks the sign; the accumulated vector is L2-normalized (the
+  signed hashing trick of Weinberger et al. 2009). ``embed_many`` does
+  one numpy pass per call: the batch's code points are packed three at
+  a time into uint64 keys (21 bits each) for every gram that lies
+  inside one text, ``np.unique`` finds the distinct grams, each of
+  those is hashed once (through a bounded LRU cache shared by all
+  instances, so grams seen in earlier calls are not rehashed either),
+  and one ``np.bincount`` scatters the signs of all rows. It exists so
+  everything downstream runs without network access; it makes no
+  semantic-quality claims.
 * ``RemoteEmbedder``: POSTs {model, input list} to an HTTP embeddings
-  endpoint, with a bounded concurrent-request cap and exponential
+  endpoint, one request per ``embed_many`` call, with exponential
   backoff (1s base, doubling, 5 attempts). The credential comes from
   the ADAM_EMBED_API_KEY environment variable unless given explicitly.
 
@@ -25,10 +30,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import threading
 import time
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .errors import (
     BackendError,
     DimensionError,
     EmptyInputError,
+    FormatError,
     SizeGuardError,
     WeightError,
 )
@@ -47,6 +51,7 @@ BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
 GRAM_CACHE_SIZE = 1 << 15
+CODE_POINT_BITS = 21  # max code point U+10FFFF < 2**21
 
 
 def _normalize(vector: np.ndarray) -> np.ndarray:
@@ -57,15 +62,19 @@ def _normalize(vector: np.ndarray) -> np.ndarray:
     return (vector / norm).astype(np.float32)
 
 
+def _normalize_rows(rows, dim: int) -> np.ndarray:
+    out = np.zeros((len(rows), dim), dtype=np.float32)
+    for i, row in enumerate(rows):
+        out[i] = _normalize(row)
+    return out
+
+
 class EmbeddingBackend:
-    """Shared behavior: validation, batching, normalization."""
+    """Shared behavior: validation, single-text embedding."""
 
     name: str = "abstract"
     dim: int = 0
     max_chars: int | None = None
-
-    def _raw(self, text: str) -> np.ndarray:
-        raise NotImplementedError
 
     def _check(self, text: str) -> None:
         if not isinstance(text, str) or not text:
@@ -74,19 +83,25 @@ class EmbeddingBackend:
             raise SizeGuardError(
                 f"text of {len(text)} characters exceeds the {self.name} "
                 f"backend limit of {self.max_chars}")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"cannot embed text that is not valid "
+                              f"Unicode: {exc}") from exc
+
+    def _checked(self, texts) -> list[str]:
+        texts = list(texts)
+        for text in texts:
+            self._check(text)
+        return texts
 
     def embed(self, text: str) -> np.ndarray:
         """Unit-normalized float32 vector of length ``dim``."""
-        self._check(text)
-        return _normalize(self._raw(text))
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts) -> np.ndarray:
         """(n, dim) float32 matrix; row order matches input order."""
-        texts = list(texts)
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, text in enumerate(texts):
-            out[i] = self.embed(text)
-        return out
+        raise NotImplementedError
 
 
 @functools.lru_cache(maxsize=GRAM_CACHE_SIZE)
@@ -105,7 +120,9 @@ class OfflineHashEmbedder(EmbeddingBackend):
     Texts shorter than 3 characters contribute themselves as a single
     gram. In the measure-zero case where distinct grams cancel exactly,
     the whole text hashes to a single fallback coordinate so the output
-    stays well defined.
+    stays well defined. Every coordinate is a sum of +-1, an exact
+    integer, so neither the order of the additions nor batching texts
+    together can change a bit of a row.
     """
 
     dim: int = DEFAULT_DIMENSION
@@ -119,30 +136,53 @@ class OfflineHashEmbedder(EmbeddingBackend):
     def name(self) -> str:
         return f"offline-hash-{self.dim}"
 
-    def _raw(self, text: str) -> np.ndarray:
-        if len(text) < 3:
-            grams = [text]
-        else:
-            grams = [text[i:i + 3] for i in range(len(text) - 2)]
-        buckets, signs = zip(*map(_gram_bucket, grams, repeat(self.dim)))
-        # Every partial sum is a small integer, so the order of the
-        # additions cannot change a bit of the result.
-        acc = np.bincount(buckets, weights=signs, minlength=self.dim)
-        if not acc.any():
-            bucket, sign = _gram_bucket("\x00" + text, self.dim)
-            acc[bucket] = sign
-        return acc
+    def embed_many(self, texts) -> np.ndarray:
+        texts = self._checked(texts)
+        n, dim = len(texts), self.dim
+        if not n:
+            return np.zeros((0, dim), dtype=np.float32)
+        joined = "".join(texts)
+        codes = np.frombuffer(joined.encode("utf-32-le"),
+                              dtype="<u4").astype(np.uint64)
+        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=n)
+        owner = np.repeat(np.arange(n, dtype=np.intp), lengths)
+        # A gram starts at p when p and p + 2 lie in the same text.
+        starts = np.flatnonzero(owner[:-2] == owner[2:])
+        keys = ((codes[starts] << np.uint64(2 * CODE_POINT_BITS))
+                | (codes[starts + 1] << np.uint64(CODE_POINT_BITS))
+                | codes[starts + 2])
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        # Any occurrence spells its gram, so no stable sort is needed to
+        # find the first one.
+        where = np.empty(distinct.size, dtype=np.intp)
+        where[inverse] = starts
+        table = [_gram_bucket(joined[p:p + 3], dim) for p in where.tolist()]
+        buckets = np.array([b for b, _ in table], dtype=np.intp)
+        signs = np.array([s for _, s in table], dtype=np.float64)
+        acc = np.bincount(owner[starts] * dim + buckets[inverse],
+                          weights=signs[inverse],
+                          minlength=n * dim).reshape(n, dim)
+        for i, text in enumerate(texts):
+            if len(text) < 3:
+                bucket, sign = _gram_bucket(text, dim)
+                acc[i, bucket] = sign
+        for i in np.flatnonzero(~acc.any(axis=1)).tolist():
+            bucket, sign = _gram_bucket("\x00" + texts[i], dim)
+            acc[i, bucket] = sign
+        return _normalize_rows(acc, dim)
 
 
 class RemoteEmbedder(EmbeddingBackend):
     """HTTP embeddings endpoint client.
+
+    Requests are sequential: each ``embed_many`` call sends one request
+    carrying the whole batch.
 
     :param url: full endpoint URL.
     :param model: model identifier sent with each request.
     :param dim: expected vector dimension; responses of any other
         length raise DimensionError.
     :param api_key: bearer token; falls back to ADAM_EMBED_API_KEY.
-    :param max_concurrency: cap on simultaneous in-flight requests.
     :param sleeper: injectable sleep function (tests pass a recorder).
     """
 
@@ -152,7 +192,6 @@ class RemoteEmbedder(EmbeddingBackend):
                  max_chars: int = DEFAULT_MAX_CHARS,
                  timeout: float = 60.0,
                  max_attempts: int = MAX_ATTEMPTS,
-                 max_concurrency: int = 4,
                  session=None,
                  sleeper=time.sleep):
         if dim < 1:
@@ -169,7 +208,6 @@ class RemoteEmbedder(EmbeddingBackend):
             session = requests.Session()
         self._session = session
         self._sleep = sleeper
-        self._gate = threading.BoundedSemaphore(max_concurrency)
 
     @property
     def name(self) -> str:
@@ -191,10 +229,9 @@ class RemoteEmbedder(EmbeddingBackend):
         last = "no attempt made"
         for attempt in range(1, self.max_attempts + 1):
             try:
-                with self._gate:
-                    response = self._session.post(self.url, json=payload,
-                                                  headers=headers,
-                                                  timeout=self.timeout)
+                response = self._session.post(self.url, json=payload,
+                                              headers=headers,
+                                              timeout=self.timeout)
             except requests.RequestException as exc:
                 last = f"transport error: {exc}"
             else:
@@ -228,20 +265,11 @@ class RemoteEmbedder(EmbeddingBackend):
                     f"backend returned dimension {len(vec)}, expected {self.dim}")
         return vectors
 
-    def _raw(self, text: str) -> np.ndarray:
-        return np.asarray(self._request([text])[0], dtype=np.float64)
-
     def embed_many(self, texts) -> np.ndarray:
-        texts = list(texts)
-        for text in texts:
-            self._check(text)
+        texts = self._checked(texts)
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float32)
-        vectors = self._request(texts)
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, vec in enumerate(vectors):
-            out[i] = _normalize(np.asarray(vec, dtype=np.float64))
-        return out
+        return _normalize_rows(self._request(texts), self.dim)
 
 
 def embed_keywords(backend: EmbeddingBackend, keywords) -> np.ndarray:

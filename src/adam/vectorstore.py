@@ -287,6 +287,30 @@ def save_collections(collections, directory: str | Path) -> list[Path]:
     return [save_collection(coll, directory) for coll in collections]
 
 
+_METADATA_FIELDS = (
+    ("publication_id", lambda v: isinstance(v, str), "a string"),
+    ("segment_index",
+     lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    ("text", lambda v: isinstance(v, str), "a string"),
+    ("topic_keywords",
+     lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
+     "a list of strings"),
+)
+
+
+def _check_metadata(meta, path: Path, offset: int) -> None:
+    if not isinstance(meta, dict):
+        raise IntegrityError(f"{path}: record metadata is not an object",
+                             offset=offset)
+    for key, valid, expected in _METADATA_FIELDS:
+        if key not in meta:
+            raise IntegrityError(f"{path}: record metadata lacks {key!r}",
+                                 offset=offset)
+        if not valid(meta[key]):
+            raise IntegrityError(f"{path}: record metadata {key!r} is not "
+                                 f"{expected}", offset=offset)
+
+
 def load_collection(path: str | Path, expected_dim: int | None = None) -> Collection:
     """Read one ``.advec`` file back into an immutable Collection.
 
@@ -321,10 +345,11 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IntegrityError(f"{path}: bad record metadata: {exc}",
                                  offset=pos) from exc
+        _check_metadata(meta, path, pos)
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=pos + meta_len)
-        records.append(VectorRecord(publication_id=str(meta["publication_id"]),
-                                    segment_index=int(meta["segment_index"]),
-                                    text=str(meta["text"]),
+        records.append(VectorRecord(publication_id=meta["publication_id"],
+                                    segment_index=meta["segment_index"],
+                                    text=meta["text"],
                                     topic_keywords=tuple(meta["topic_keywords"]),
                                     vector=vec))
         pos = end
@@ -355,5 +380,10 @@ class SemanticSearch:
     threshold: float = DEFAULT_THRESHOLD
 
     def query(self, text: str) -> tuple[RetrievalHit, ...]:
-        return search(self.collections, self.backend.embed(text),
-                      k=self.k, threshold=self.threshold)
+        return self.query_many([text])[0]
+
+    def query_many(self, texts) -> list[tuple[RetrievalHit, ...]]:
+        """Hits for each text, in order, from one embedding call."""
+        return [search(self.collections, vector, k=self.k,
+                       threshold=self.threshold)
+                for vector in self.backend.embed_many(texts)]

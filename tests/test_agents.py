@@ -48,7 +48,9 @@ from adam.errors import (
     TokenBudgetError,
     VerdictParseError,
 )
-from adam.vectorstore import RetrievalHit
+from adam.chunker import CorpusDocument
+from adam.embedding import OfflineHashEmbedder
+from adam.vectorstore import RetrievalHit, SemanticSearch, index_corpus
 
 
 # --- reasoning programs ------------------------------------------------------
@@ -491,6 +493,9 @@ class _FixedSearcher:
     def query(self, text):
         return self.hits
 
+    def query_many(self, texts):
+        return [self.hits for _ in texts]
+
 
 def _hit(pub, seg, sim, text="passage text " * 10):
     return RetrievalHit(publication_id=pub, segment_index=seg,
@@ -547,6 +552,46 @@ def test_truncation_drops_weakest_hit_after_history(deployment):
     assert transcript.steps[7].hits[0].publication_id == "PUBA"
     assert len(transcript.steps[0].hits) == 2
 
+
+
+class _PerQuerySearcher:
+    """query_many as one query() per text: the per-step reference."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def query_many(self, texts):
+        return [self.inner.query(text) for text in texts]
+
+
+def _step_store():
+    """Store where two steps per program match many passages, most none."""
+    docs = []
+    for j in range(6):
+        docs.append(CorpusDocument(
+            f"DIV{j}", "", f"{SUMMARIZATION_TITLES[3]}: "
+            f"{SUMMARIZATION_PROGRAM.instructions[3]} Cohort {j}. " * 4,
+            ("alzheimer",)))
+        docs.append(CorpusDocument(
+            f"SHAP{j}", "", f"{CLASSIFICATION_TITLES[5]}: "
+            f"{CLASSIFICATION_PROGRAM.instructions[5]} Model {j}. " * 4,
+            ("microbiome",)))
+    backend = OfflineHashEmbedder(dim=256)
+    collections = index_corpus(docs, backend, segment_length=400, overlap=50)
+    return SemanticSearch(tuple(collections.values()), backend, k=5,
+                          threshold=0.3)
+
+
+def test_batched_step_queries_equal_per_query(deployment):
+    searcher = _step_store()
+    summarizer, classifier = _mocks()
+    batched, single = _context(deployment), _context(deployment)
+    report = run_pipeline(batched, searcher, summarizer, classifier)
+    assert report == run_pipeline(single, _PerQuerySearcher(searcher),
+                                  summarizer, classifier)
+    assert batched.transcripts == single.transcripts
+    counts = [len(step.hits) for t in batched.transcripts for step in t.steps]
+    assert 5 in counts and 0 in counts
 
 def test_token_budget_error_when_nothing_droppable(deployment):
     summarizer, _ = _mocks()

@@ -1,5 +1,6 @@
 """Sliding-window segmentation: closed forms and reconstruction invariants."""
 
+import json
 import math
 import random
 
@@ -116,6 +117,20 @@ def test_read_corpus_rejects_bad_lines(tmp_path):
     with pytest.raises(FormatError):
         read_corpus(path)
 
+
+
+@pytest.mark.parametrize("field", ["publication_id", "title", "text",
+                                   "keywords"])
+def test_read_corpus_rejects_lone_surrogates(tmp_path, field):
+    doc = {"publication_id": "A", "title": "t", "text": "hello",
+           "keywords": ["gut"]}
+    doc[field] = ["g\ud800"] if field == "keywords" else "ab\ud800"
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"publication_id": "Z", "text": "fine"}\n'
+                    + json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_corpus(path)
+    assert str(err.value).startswith(f"{path}: line 2: {field} ")
 
 def test_chunk_is_frozen():
     chunk = Chunk("P", 1, 1, "abc")

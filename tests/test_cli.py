@@ -129,6 +129,43 @@ def test_train_model_bytes_unchanged(workspace):
     assert hashlib.sha256(data).hexdigest() == NODE_TREE_MODEL_SHA256
 
 
+
+# sha256 of the .advec files `index` writes from the three-document fixture
+# corpus, as written by the per-text embedder; the batched pass must not move
+# a byte.
+PER_TEXT_STORE_SHA256 = {
+    "64": {
+        "alzheimers.advec": "1f95ac325535ba10decc7bffd1a7199ce70b8377a214ec0450916e0d18488c27",
+        "microbiome.advec": "390679c174df28d8b399a20c44b05187df7cbf8d970549d825eea16c25e07d4b",
+    },
+    "1536": {
+        "alzheimers.advec": "46a02a8cab4d433d5cedf05d3a15ff4cf35b73c223bb0418f0937f75a8c706db",
+        "microbiome.advec": "758cbf623950f3239b00b2dc8e156b6a9961f02256af9664ac1d132b97753366",
+    },
+}
+
+
+@pytest.mark.parametrize("dim", sorted(PER_TEXT_STORE_SHA256))
+def test_index_store_bytes_unchanged(tmp_path, corpus_path, dim):
+    store = tmp_path / "store"
+    assert main(["index", "--corpus", str(corpus_path), "--store", str(store),
+                 "--embedding-dim", dim]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in store.glob("*.advec")}
+    assert got == PER_TEXT_STORE_SHA256[dim]
+
+
+def test_index_rejects_unencodable_corpus_text(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"publication_id": "P1", "text": "ab\\ud800cd"}\n',
+                      encoding="utf-8")
+    assert main(["index", "--corpus", str(corpus),
+                 "--store", str(tmp_path / "store")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}: line 1: text ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "store").exists()
+
 def _split_node(doc):
     return next(e for e in doc["model"]["trees"][0] if "feature" in e)
 

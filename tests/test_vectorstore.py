@@ -2,13 +2,20 @@
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from adam.chunker import read_corpus
 from adam.embedding import OfflineHashEmbedder
-from adam.errors import DimensionError, DuplicateRecordError, IntegrityError
+from adam.cli import main
+from adam.errors import (
+    AdamError,
+    DimensionError,
+    DuplicateRecordError,
+    IntegrityError,
+)
 from adam.vectorstore import (
     DEFAULT_COLLECTION,
     DEFAULT_ROUTING,
@@ -260,6 +267,66 @@ def test_corruption_offsets(tmp_path):
     assert err.value.offset == len(data)
 
 
+
+def _with_metadata(data, edit):
+    """``data`` with its first record's metadata edited, CRC recomputed."""
+    (meta_len,) = struct.unpack_from("<I", data, 24)
+    meta = json.loads(data[28:28 + meta_len])
+    blob = json.dumps(edit(meta)).encode("utf-8")
+    payload = struct.pack("<I", len(blob)) + blob + data[28 + meta_len:]
+    dim, count, _ = struct.unpack_from("<IQI", data, 8)
+    return MAGIC + struct.pack("<IQI", dim, count, zlib.crc32(payload)) + payload
+
+
+def _drop(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _set(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+METADATA_CORRUPTIONS = [
+    pytest.param(lambda meta: [meta], id="not-an-object"),
+    pytest.param(lambda meta: "text", id="a-string"),
+    *(pytest.param(_drop(key), id=f"no-{key}")
+      for key in ("publication_id", "segment_index", "text", "topic_keywords")),
+    pytest.param(_set("publication_id", 7), id="publication_id-int"),
+    pytest.param(_set("publication_id", None), id="publication_id-null"),
+    pytest.param(_set("text", ["a"]), id="text-list"),
+    pytest.param(_set("segment_index", "x"), id="segment_index-str"),
+    pytest.param(_set("segment_index", 1.5), id="segment_index-float"),
+    pytest.param(_set("segment_index", True), id="segment_index-bool"),
+    pytest.param(_set("topic_keywords", "kw"), id="topic_keywords-str"),
+    pytest.param(_set("topic_keywords", ["kw", 3]), id="topic_keywords-int-item"),
+    pytest.param(_set("topic_keywords", {"kw": 1}), id="topic_keywords-object"),
+]
+
+
+@pytest.mark.parametrize("edit", METADATA_CORRUPTIONS)
+def test_load_rejects_bad_metadata(tmp_path, capsys, edit):
+    coll = _random_collection(7, 3, 4)
+    data = save_collection(coll, tmp_path / "good").read_bytes()
+    store = tmp_path / "store"
+    store.mkdir()
+    bad = _corrupt(store / "bad.advec", _with_metadata(data, edit))
+    with pytest.raises(IntegrityError) as err:
+        load_collection(bad)
+    assert isinstance(err.value, AdamError)
+    assert err.value.offset == 28
+    assert str(err.value).startswith(f"{bad}: record metadata ")
+
+    assert main(["index", "--store", str(store), "--embedding-dim", "4"]) == 1
+    captured = capsys.readouterr().err
+    assert captured == f"error: {err.value}\n"
+
+
+def test_metadata_rewrite_keeps_a_valid_file(tmp_path):
+    coll = _random_collection(7, 3, 4)
+    data = save_collection(coll, tmp_path).read_bytes()
+    same = _corrupt(tmp_path / "same.advec", _with_metadata(data, dict))
+    assert load_collection(same).records == coll.records
+
 def test_record_metadata_survives_round_trip(tmp_path):
     rec = _record("PUBé", 3, np.array([0.5, -1.5], dtype=np.float32),
                   text="café text with \"quotes\" and ✓",
@@ -283,6 +350,20 @@ def test_semantic_search_wrapper(corpus_path):
                     backend.embed("gut bacterial metabolites in aging"),
                     k=3, threshold=-1.0)
     assert hits == manual
+
+
+def test_query_many_equals_query(corpus_path):
+    docs = read_corpus(corpus_path)
+    backend = OfflineHashEmbedder(dim=64)
+    colls = index_corpus(docs, backend)
+    searcher = SemanticSearch(collections=tuple(colls.values()),
+                              backend=backend, k=2, threshold=0.2)
+    texts = ["gut bacterial metabolites in aging", "Alzheimer's disease",
+             "zz", "short-chain fatty acids and cognition"]
+    assert searcher.query_many(texts) == [
+        search(searcher.collections, backend.embed(t), k=2, threshold=0.2)
+        for t in texts]
+    assert searcher.query_many([]) == []
 
 
 def test_default_routing_shape():
