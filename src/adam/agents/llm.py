@@ -18,17 +18,14 @@ enforced by the pipeline before dispatch.
 from __future__ import annotations
 
 import math
-import os
 import re
 import time
 from dataclasses import dataclass
 
 from ..errors import BackendError, VerdictParseError
+from ..http_retry import MAX_ATTEMPTS, post_with_backoff
 
 API_KEY_VARIABLE = "ADAM_LLM_API_KEY"
-MAX_ATTEMPTS = 5
-BACKOFF_BASE_SECONDS = 1.0
-BACKOFF_FACTOR = 2.0
 
 PROBABILITY_PATTERN = re.compile(
     r"^Model probability of AD: [0-9.]+% \(p=([0-9eE+.-]+)\)$", re.MULTILINE)
@@ -137,8 +134,8 @@ class HttpChatBackend(LLMBackend):
 
     Sends {model, messages, max_tokens, temperature}; reads the first
     choice's message content. Credential from ADAM_LLM_API_KEY unless
-    passed explicitly. Retries transport errors and 429/5xx responses
-    with exponential backoff (1s base, doubling, 5 attempts).
+    passed explicitly. Requests go through
+    ``http_retry.post_with_backoff`` (5 attempts by default).
     """
 
     def __init__(self, url: str, model: str,
@@ -162,16 +159,7 @@ class HttpChatBackend(LLMBackend):
     def name(self) -> str:
         return f"http-{self.model}"
 
-    def _credential(self) -> str:
-        key = self._api_key or os.environ.get(API_KEY_VARIABLE, "")
-        if not key:
-            raise BackendError(
-                f"no API key: pass api_key or set {API_KEY_VARIABLE}")
-        return key
-
     def complete(self, request: LLMRequest) -> str:
-        import requests
-
         payload = {
             "model": request.model or self.model,
             "messages": [{"role": "system", "content": request.system},
@@ -179,28 +167,11 @@ class HttpChatBackend(LLMBackend):
             "max_tokens": request.max_output_tokens,
             "temperature": request.temperature,
         }
-        headers = {"Authorization": f"Bearer {self._credential()}"}
-        delay = BACKOFF_BASE_SECONDS
-        last = "no attempt made"
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                response = self._session.post(self.url, json=payload,
-                                              headers=headers,
-                                              timeout=self.timeout)
-            except requests.RequestException as exc:
-                last = f"transport error: {exc}"
-            else:
-                if response.status_code == 200:
-                    return self._parse(response.json())
-                last = f"HTTP {response.status_code}"
-                if response.status_code < 500 and response.status_code != 429:
-                    raise BackendError(
-                        f"chat request rejected after {attempt} attempt(s): {last}")
-            if attempt < self.max_attempts:
-                self._sleep(delay)
-                delay *= BACKOFF_FACTOR
-        raise BackendError(
-            f"chat request failed after {self.max_attempts} attempts: {last}")
+        return self._parse(post_with_backoff(
+            self._session, self.url, payload, what="chat",
+            api_key=self._api_key, key_variable=API_KEY_VARIABLE,
+            timeout=self.timeout, max_attempts=self.max_attempts,
+            sleeper=self._sleep))
 
     @staticmethod
     def _parse(doc) -> str:

@@ -132,7 +132,8 @@ def _encodable(value) -> bool:
 
 def read_corpus(path: str | Path) -> list[CorpusDocument]:
     """Read a JSONL corpus: one object per line with keys
-    publication_id, text, and optionally title and keywords.
+    publication_id, text, and optionally title (a string, default "")
+    and keywords.
     """
     docs = []
     seen = set()
@@ -159,7 +160,9 @@ def read_corpus(path: str | Path) -> list[CorpusDocument]:
             keywords = obj.get("keywords", [])
             if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
                 raise FormatError(f"{path}: line {lineno}: keywords must be a list of strings")
-            title = str(obj.get("title", ""))
+            title = obj.get("title", "")
+            if not isinstance(title, str):
+                raise FormatError(f"{path}: line {lineno}: title must be a string")
             for field_name, value in (("publication_id", pub), ("title", title),
                                       ("text", text), ("keywords", keywords)):
                 if not _encodable(value):

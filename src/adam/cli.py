@@ -34,7 +34,13 @@ from .agents import (
     render_report,
 )
 from .chunker import read_corpus
-from .config import RunConfig, load_config_file, resolve_config, write_resolved_config
+from .config import (
+    FIELD_TYPES,
+    RunConfig,
+    load_config_file,
+    resolve_config,
+    write_resolved_config,
+)
 from .dataset import (
     draw_eval_cohort,
     feature_medians,
@@ -46,7 +52,6 @@ from .embedding import OfflineHashEmbedder, RemoteEmbedder
 from .ensemble import evaluate_binary, model_from_dict, model_to_dict
 from .errors import AdamError, FormatError, IntegrityError, ModelIntegrityError, SchemaError
 from .evaluation import (
-    EvaluationConfig,
     MODEL_TAGS,
     classify_cohort,
     compare_models,
@@ -72,9 +77,64 @@ _MODEL_ALIASES = {
 }
 
 
-def _resolve(args: argparse.Namespace, **flags) -> RunConfig:
+# The RunConfig fields each subcommand exposes as flags. A field's flag is
+# --field-name with dest field_name, except n_seeds (--seeds, dest seeds).
+_CONFIG_FLAGS = {
+    "synth": ("seed",),
+    "ingest": ("dataset", "schema"),
+    "index": ("corpus", "store", "embedding_backend", "embedding_dim",
+              "embedding_url", "segment_length", "overlap"),
+    "train": ("dataset", "schema", "model", "seed", "split_fraction",
+              "n_features", "tuning_trials", "tuning_folds"),
+    "classify": ("dataset", "schema", "model", "store", "seed", "n_pos",
+                 "n_neg", "llm_backend", "llm_url", "embedding_backend",
+                 "embedding_dim", "embedding_url", "top_k", "threshold",
+                 "summarization_budget", "classification_budget",
+                 "fallback_threshold"),
+    "evaluate": ("dataset", "schema", "n_seeds", "seed_base",
+                 "split_fraction", "n_pos", "n_neg", "n_features",
+                 "tuning_trials", "tuning_folds", "fallback_threshold",
+                 "tolerate_failures", "jobs", "llm_backend", "llm_url",
+                 "store", "embedding_backend", "embedding_dim",
+                 "embedding_url", "top_k", "threshold"),
+    "compare": (),
+    "report": (),
+}
+_FLAG_TYPES = {"int": int, "float": float}
+_HELP = {
+    "dataset": "CSV file",
+    "schema": "column-role schema JSON",
+    "corpus": "JSONL corpus file",
+    "store": "directory of .advec collections",
+    "model": "model bundle (train writes OUT/model.json by default)",
+    "n_seeds": "number of consecutive seeds (from --seed-base)",
+    "jobs": "worker processes for independent seeds (default 1)",
+}
+
+
+def _dest(field: str) -> str:
+    return "seeds" if field == "n_seeds" else field
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for field in _CONFIG_FLAGS[command]:
+        flag = "--" + _dest(field).replace("_", "-")
+        kind = FIELD_TYPES[field]
+        if kind == "bool":
+            parser.add_argument(flag, action="store_true", default=None)
+            continue
+        choices = ("mock", "remote") if field.endswith("_backend") else None
+        parser.add_argument(flag, type=_FLAG_TYPES.get(kind), default=None,
+                            choices=choices, help=_HELP.get(field))
+
+
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    """The run configuration from defaults, --config and this command's
+    flags."""
     file_values = load_config_file(args.config) if args.config else None
-    return resolve_config(file_values, **flags)
+    return resolve_config(file_values, **{
+        field: getattr(args, _dest(field))
+        for field in _CONFIG_FLAGS[args.command]})
 
 
 def _echo(config: RunConfig, out, command: str) -> None:
@@ -127,7 +187,7 @@ def _load_sample_set(config: RunConfig, quiet: bool = False):
 # subcommands
 
 def cmd_synth(args) -> int:
-    config = _resolve(args, seed=args.seed)
+    config = _resolve(args)
     out = Path(args.out)
     csv_path, schema_path = write_dataset(out, seed=config.seed)
     result = parse_samples(csv_path, schema_path)
@@ -168,7 +228,7 @@ def _dataset_summary(config: RunConfig, result) -> str:
 
 
 def cmd_ingest(args) -> int:
-    config = _resolve(args, dataset=args.dataset, schema=args.schema)
+    config = _resolve(args)
     result = _load_sample_set(config, quiet=True)
     summary = _dataset_summary(config, result)
     print(summary, end="")
@@ -181,12 +241,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
-    config = _resolve(args, corpus=args.corpus, store=args.store,
-                      embedding_backend=args.embedding_backend,
-                      embedding_dim=args.embedding_dim,
-                      embedding_url=args.embedding_url,
-                      segment_length=args.segment_length,
-                      overlap=args.overlap)
+    config = _resolve(args)
     if config.store is None:
         raise SchemaError("index needs --store (directory for .advec files)")
     store = Path(config.store)
@@ -259,12 +314,7 @@ def _load_model_bundle(path):
 
 
 def cmd_train(args) -> int:
-    config = _resolve(args, dataset=args.dataset, schema=args.schema,
-                      model=args.model, seed=args.seed,
-                      split_fraction=args.split_fraction,
-                      n_features=args.n_features,
-                      tuning_trials=args.tuning_trials,
-                      tuning_folds=args.tuning_folds)
+    config = _resolve(args)
     out = Path(args.out)
     sample_set = _load_sample_set(config).sample_set
     split = split_grouped_stratified(sample_set, config.split_fraction,
@@ -277,10 +327,8 @@ def cmd_train(args) -> int:
                                seed=config.seed)
     names = train.feature_names
     selected_names = tuple(names[j] for j in selected)
-    evaluation_config = EvaluationConfig(tuning_trials=config.tuning_trials,
-                                         tuning_folds=config.tuning_folds)
     model = fit_tuned_gbdt(X_train[:, selected], y_train,
-                           train.study_ids(), evaluation_config, config.seed)
+                           train.study_ids(), config, config.seed)
 
     train_metrics = evaluate_binary(
         y_train, model.predict_proba(X_train[:, selected]))
@@ -311,17 +359,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    config = _resolve(args, dataset=args.dataset, schema=args.schema,
-                      model=args.model, store=args.store, seed=args.seed,
-                      n_pos=args.n_pos, n_neg=args.n_neg,
-                      llm_backend=args.llm_backend, llm_url=args.llm_url,
-                      embedding_backend=args.embedding_backend,
-                      embedding_dim=args.embedding_dim,
-                      embedding_url=args.embedding_url,
-                      top_k=args.top_k, threshold=args.threshold,
-                      summarization_budget=args.summarization_budget,
-                      classification_budget=args.classification_budget,
-                      fallback_threshold=args.fallback_threshold)
+    config = _resolve(args)
     if config.model is None:
         raise SchemaError("classify needs --model (bundle from train)")
     out = Path(args.out)
@@ -345,13 +383,8 @@ def cmd_classify(args) -> int:
     reports_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     yes = 0
-    classified = classify_cohort(
-        cohort, test, deployed, reference, searcher, summarizer, classifier,
-        summarization_budget=config.summarization_budget,
-        classification_budget=config.classification_budget,
-        fallback_threshold=config.fallback_threshold,
-        summarization_model=config.summarization_model,
-        classification_model=config.classification_model)
+    classified = classify_cohort(cohort, test, deployed, reference, searcher,
+                                 summarizer, classifier, config)
     for item in classified:
         sample, report = item.sample, item.report
         report_path = reports_dir / f"{sample.sample_id}.md"
@@ -405,42 +438,18 @@ def _parse_model_tags(text: str) -> tuple[str, ...]:
 
 
 def cmd_evaluate(args) -> int:
-    config = _resolve(args, dataset=args.dataset, schema=args.schema,
-                      n_seeds=args.seeds, seed_base=args.seed_base,
-                      split_fraction=args.split_fraction,
-                      n_pos=args.n_pos, n_neg=args.n_neg,
-                      n_features=args.n_features,
-                      tuning_trials=args.tuning_trials,
-                      tuning_folds=args.tuning_folds,
-                      fallback_threshold=args.fallback_threshold,
-                      tolerate_failures=args.tolerate_failures,
-                      llm_backend=args.llm_backend, llm_url=args.llm_url,
-                      store=args.store,
-                      embedding_backend=args.embedding_backend,
-                      embedding_dim=args.embedding_dim,
-                      embedding_url=args.embedding_url,
-                      top_k=args.top_k, threshold=args.threshold,
-                      jobs=args.jobs)
+    config = _resolve(args)
     out = Path(args.out)
     tags = _parse_model_tags(args.models)
     sample_set = _load_sample_set(config).sample_set
-    evaluation_config = EvaluationConfig(
-        train_fraction=config.split_fraction,
-        n_pos=config.n_pos, n_neg=config.n_neg,
-        n_features=config.n_features,
-        tuning_trials=config.tuning_trials,
-        tuning_folds=config.tuning_folds,
-        fallback_threshold=config.fallback_threshold,
-        tolerate_failures=config.tolerate_failures)
     seeds = range(config.seed_base, config.seed_base + config.n_seeds)
     summarizer = classifier = None
     if "adam" in tags and config.llm_backend == "remote":
         summarizer, classifier = _llm_backends(config)
     searcher = _searcher(config) if "adam" in tags else None
-    run = run_seeded_trials(sample_set, seeds, config=evaluation_config,
-                            models=tags, summarizer=summarizer,
-                            classifier=classifier, searcher=searcher,
-                            jobs=config.jobs)
+    run = run_seeded_trials(sample_set, seeds, config=config, models=tags,
+                            summarizer=summarizer, classifier=classifier,
+                            searcher=searcher)
 
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(run.trials, out / "trials.csv")
@@ -488,34 +497,69 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    config = _resolve(args)
-    with open(args.dossier, encoding="utf-8") as fh:
+# Checks on each report payload of a dossier, by key.
+_REPORT_CHECKS = {
+    "sample_id": lambda v: isinstance(v, str),
+    "verdict": lambda v: v in ("Yes", "No"),
+    "probability": lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool),
+    "sections": lambda v: isinstance(v, list) and all(
+        isinstance(s, list) and len(s) == 2
+        and all(isinstance(t, str) for t in s) for s in v),
+    "summary": lambda v: isinstance(v, str),
+    "step_transcripts": lambda v: isinstance(v, list)
+    and all(isinstance(t, str) for t in v),
+}
+
+
+def read_dossier(path) -> list[ClassificationReport]:
+    """The reports of a dossier written by classify, in file order.
+
+    A malformed dossier raises FormatError naming the file and, for a
+    bad entry, its index in "samples".
+    """
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.dossier}: invalid JSON: {exc}") from exc
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "adam-dossier":
-        raise FormatError(f"{args.dossier}: not a classification dossier")
-    out = Path(args.out)
-    reports_dir = out / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for entry in doc.get("samples", ()):
-        payload = entry["report"]
-        report = ClassificationReport(
+        raise FormatError(f"{path}: not a classification dossier")
+    samples = doc.get("samples", [])
+    if not isinstance(samples, list):
+        raise FormatError(f"{path}: samples is not a list")
+    reports = []
+    for index, entry in enumerate(samples):
+        payload = entry.get("report") if isinstance(entry, dict) else None
+        if not isinstance(payload, dict):
+            raise FormatError(f"{path}: sample {index}: no report object")
+        for key, check in _REPORT_CHECKS.items():
+            if key not in payload:
+                raise FormatError(f"{path}: sample {index}: report lacks {key!r}")
+            if not check(payload[key]):
+                raise FormatError(
+                    f"{path}: sample {index}: report {key!r} is malformed")
+        reports.append(ClassificationReport(
             sample_id=payload["sample_id"],
             verdict=payload["verdict"],
             probability=payload["probability"],
-            sections=tuple((title, body)
-                           for title, body in payload["sections"]),
+            sections=tuple(tuple(section) for section in payload["sections"]),
             summary=payload["summary"],
             step_transcripts=tuple(payload["step_transcripts"]),
-        )
+        ))
+    return reports
+
+
+def cmd_report(args) -> int:
+    config = _resolve(args)
+    reports = read_dossier(args.dossier)
+    out = Path(args.out)
+    reports_dir = out / "reports"
+    reports_dir.mkdir(parents=True, exist_ok=True)
+    for report in reports:
         path = reports_dir / f"{report.sample_id}.md"
         path.write_text(render_report(report), encoding="utf-8")
-        count += 1
-    print(f"rendered {count} report(s) under {reports_dir}")
+    print(f"rendered {len(reports)} report(s) under {reports_dir}")
     _echo(config, out, "report")
     return 0
 
@@ -529,110 +573,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gut-microbiome Alzheimer's screening pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def command(name, func, summary, out="required"):
+        """Subparser with --config, --out unless out is None, and the
+        config flags of _CONFIG_FLAGS[name]."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", required=out_required,
-                       help="output directory for artifacts")
+        if out is not None:
+            p.add_argument("--out", required=out == "required",
+                           help="output directory for artifacts")
+        _add_config_flags(p, name)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="write the seeded synthetic dataset")
-    common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="validate a dataset and summarize it")
-    common(p, out_required=False)
-    p.add_argument("--dataset", help="CSV file")
-    p.add_argument("--schema", help="column-role schema JSON")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("index", help="chunk + embed a corpus into a store")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--corpus", help="JSONL corpus file")
-    p.add_argument("--store", help="directory for .advec collections")
-    p.add_argument("--embedding-backend", choices=("mock", "remote"))
-    p.add_argument("--embedding-dim", type=int, default=None)
-    p.add_argument("--embedding-url")
-    p.add_argument("--segment-length", type=int, default=None)
-    p.add_argument("--overlap", type=int, default=None)
+    command("synth", cmd_synth, "write the seeded synthetic dataset")
+    command("ingest", cmd_ingest, "validate a dataset and summarize it",
+            out="optional")
+    p = command("index", cmd_index, "chunk + embed a corpus into a store",
+                out=None)
     p.add_argument("--verify", action="store_true",
                    help="reload the store and recount records")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("train", help="fit and save the boosted ensemble")
-    common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--schema")
-    p.add_argument("--model", help="model bundle path (default OUT/model.json)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-fraction", type=float, default=None)
-    p.add_argument("--n-features", type=int, default=None)
-    p.add_argument("--tuning-trials", type=int, default=None)
-    p.add_argument("--tuning-folds", type=int, default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("classify",
-                       help="run the agent pipeline over a cohort")
-    common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--schema")
-    p.add_argument("--model", help="model bundle from train")
-    p.add_argument("--store", help="vector store for retrieval (optional)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-pos", type=int, default=None)
-    p.add_argument("--n-neg", type=int, default=None)
-    p.add_argument("--llm-backend", choices=("mock", "remote"))
-    p.add_argument("--llm-url")
-    p.add_argument("--embedding-backend", choices=("mock", "remote"))
-    p.add_argument("--embedding-dim", type=int, default=None)
-    p.add_argument("--embedding-url")
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--summarization-budget", type=int, default=None)
-    p.add_argument("--classification-budget", type=int, default=None)
-    p.add_argument("--fallback-threshold", type=float, default=None)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("evaluate", help="seeded multi-model trial protocol")
-    common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--schema")
-    p.add_argument("--seeds", type=int, default=None,
-                   help="number of consecutive seeds (from --seed-base)")
-    p.add_argument("--seed-base", type=int, default=None)
+    command("train", cmd_train, "fit and save the boosted ensemble")
+    command("classify", cmd_classify, "run the agent pipeline over a cohort")
+    p = command("evaluate", cmd_evaluate, "seeded multi-model trial protocol")
     p.add_argument("--models", default="gbdt,rf,lr,adam",
                    help="comma-separated: gbdt, rf, lr, adam")
-    p.add_argument("--split-fraction", type=float, default=None)
-    p.add_argument("--n-pos", type=int, default=None)
-    p.add_argument("--n-neg", type=int, default=None)
-    p.add_argument("--n-features", type=int, default=None)
-    p.add_argument("--tuning-trials", type=int, default=None)
-    p.add_argument("--tuning-folds", type=int, default=None)
-    p.add_argument("--fallback-threshold", type=float, default=None)
-    p.add_argument("--tolerate-failures", action="store_true", default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for independent seeds (default 1)")
-    p.add_argument("--llm-backend", choices=("mock", "remote"))
-    p.add_argument("--llm-url")
-    p.add_argument("--store", help="vector store for the adam variant")
-    p.add_argument("--embedding-backend", choices=("mock", "remote"))
-    p.add_argument("--embedding-dim", type=int, default=None)
-    p.add_argument("--embedding-url")
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="compare two per-seed trial files")
-    common(p, out_required=False)
+    p = command("compare", cmd_compare, "compare two per-seed trial files",
+                out="optional")
     p.add_argument("--adam", required=True,
                    help="trial CSV for the adam side")
     p.add_argument("--baseline", required=True,
                    help="trial CSV for the baseline side")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("report", help="re-render reports from a dossier")
-    common(p)
+    p = command("report", cmd_report, "re-render reports from a dossier")
     p.add_argument("--dossier", required=True, help="dossier.json from classify")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -105,11 +105,36 @@ class RunConfig:
             raise SchemaError(f"jobs must be >= 1, got {self.jobs}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Each field's declared type, as a string (the module postpones annotations).
+# The CLI derives each flag's type from it and config files are checked
+# against it.
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Per field type: the JSON value types a config file may give, and their name.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+}
+
+
+def _check(values: dict, source) -> None:
+    """Reject unknown keys and values of the wrong JSON type."""
+    unknown = sorted(set(values) - set(FIELD_TYPES))
+    if unknown:
+        raise SchemaError(f"{source}: unknown config keys {unknown}")
+    for key, value in values.items():
+        kind = FIELD_TYPES[key]
+        types, name = _JSON_TYPES[kind]
+        if not isinstance(value, types) or (
+                isinstance(value, bool) and kind != "bool"):
+            raise SchemaError(f"{source}: {key} must be {name}, got {value!r}")
 
 
 def load_config_file(path) -> dict:
-    """JSON object of RunConfig keys; unknown keys are rejected."""
+    """JSON object of RunConfig keys; unknown keys and values of the
+    wrong type are rejected."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -117,9 +142,7 @@ def load_config_file(path) -> dict:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(obj) - set(_FIELD_TYPES))
-    if unknown:
-        raise SchemaError(f"{path}: unknown config keys {unknown}")
+    _check(obj, path)
     return obj
 
 
@@ -128,14 +151,12 @@ def resolve_config(file_values: dict | None = None, **flag_values) -> RunConfig:
 
     Flag values of None mean "not given" and never override.
     """
-    merged: dict = {}
-    if file_values:
-        merged.update(file_values)
-    for key, value in flag_values.items():
-        if key not in _FIELD_TYPES:
-            raise SchemaError(f"unknown config key {key!r}")
-        if value is not None:
-            merged[key] = value
+    merged = dict(file_values or {})
+    _check(merged, "config")
+    flags = {key: value for key, value in flag_values.items()
+             if value is not None}
+    _check(flags, "flags")
+    merged.update(flags)
     config = RunConfig(**merged)
     config.validate()
     return config

@@ -16,9 +16,9 @@ output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
   everything downstream runs without network access; it makes no
   semantic-quality claims.
 * ``RemoteEmbedder``: POSTs {model, input list} to an HTTP embeddings
-  endpoint, one request per ``embed_many`` call, with exponential
-  backoff (1s base, doubling, 5 attempts). The credential comes from
-  the ADAM_EMBED_API_KEY environment variable unless given explicitly.
+  endpoint, one request per ``embed_many`` call, retried through
+  ``http_retry.post_with_backoff``. The credential comes from the
+  ADAM_EMBED_API_KEY environment variable unless given explicitly.
 
 ``embed_keywords`` builds a publication-level vector as the
 weight-normalized sum of its keyword vectors; weights default to
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 
@@ -43,12 +42,10 @@ from .errors import (
     SizeGuardError,
     WeightError,
 )
+from .http_retry import MAX_ATTEMPTS, post_with_backoff
 
 DEFAULT_DIMENSION = 1536
 DEFAULT_MAX_CHARS = 8000
-MAX_ATTEMPTS = 5
-BACKOFF_BASE_SECONDS = 1.0
-BACKOFF_FACTOR = 2.0
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
 GRAM_CACHE_SIZE = 1 << 15
 CODE_POINT_BITS = 21  # max code point U+10FFFF < 2**21
@@ -213,41 +210,13 @@ class RemoteEmbedder(EmbeddingBackend):
     def name(self) -> str:
         return f"remote-{self.model}"
 
-    def _credential(self) -> str:
-        key = self._api_key or os.environ.get(API_KEY_VARIABLE, "")
-        if not key:
-            raise BackendError(
-                f"no API key: pass api_key or set {API_KEY_VARIABLE}")
-        return key
-
     def _request(self, texts: list[str]) -> list[list[float]]:
-        import requests
-
-        payload = {"model": self.model, "input": texts}
-        headers = {"Authorization": f"Bearer {self._credential()}"}
-        delay = BACKOFF_BASE_SECONDS
-        last = "no attempt made"
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                response = self._session.post(self.url, json=payload,
-                                              headers=headers,
-                                              timeout=self.timeout)
-            except requests.RequestException as exc:
-                last = f"transport error: {exc}"
-            else:
-                if response.status_code == 200:
-                    return self._parse(response.json(), len(texts))
-                last = f"HTTP {response.status_code}"
-                retryable = response.status_code >= 500 or response.status_code == 429
-                if not retryable:
-                    raise BackendError(
-                        f"embedding request rejected after {attempt} "
-                        f"attempt(s): {last}")
-            if attempt < self.max_attempts:
-                self._sleep(delay)
-                delay *= BACKOFF_FACTOR
-        raise BackendError(
-            f"embedding request failed after {self.max_attempts} attempts: {last}")
+        doc = post_with_backoff(
+            self._session, self.url, {"model": self.model, "input": texts},
+            what="embedding", api_key=self._api_key,
+            key_variable=API_KEY_VARIABLE, timeout=self.timeout,
+            max_attempts=self.max_attempts, sleeper=self._sleep)
+        return self._parse(doc, len(texts))
 
     def _parse(self, doc, expected: int) -> list[list[float]]:
         try:

@@ -31,6 +31,7 @@ from .agents import (
     run_computational,
     run_pipeline,
 )
+from .config import RunConfig
 from .dataset import (
     Sample,
     SampleSet,
@@ -57,18 +58,6 @@ from .stats import cohens_d, levene_test, mann_whitney_u, variance_f_test
 
 MODEL_TAGS = ("baseline-gbdt", "baseline-rf", "baseline-lr", "adam")
 CSV_FIELDS = ("seed", "model", "accuracy", "auc", "f1")
-
-
-@dataclass(frozen=True)
-class EvaluationConfig:
-    train_fraction: float = 0.75
-    n_pos: int = 15
-    n_neg: int = 15
-    n_features: int = 20
-    tuning_trials: int = 0
-    tuning_folds: int = 3
-    fallback_threshold: float = 0.5
-    tolerate_failures: bool = False
 
 
 @dataclass(frozen=True)
@@ -108,7 +97,7 @@ def select_features(X, y, n_features: int, seed: int = 0) -> np.ndarray:
     return np.sort(order[:n_features])
 
 
-def fit_tuned_gbdt(X, y, groups, config: EvaluationConfig, seed: int):
+def fit_tuned_gbdt(X, y, groups, config: RunConfig, seed: int):
     """GBDT with TPE-tuned parameters when config asks for tuning trials,
     else with the defaults."""
     if config.tuning_trials > 0:
@@ -128,14 +117,15 @@ class ClassifiedSample:
 
 def classify_cohort(cohort, test_set, deployed, reference, searcher,
                     summarizer, classifier,
-                    **pipeline_options) -> Iterator[ClassifiedSample]:
+                    config: RunConfig) -> Iterator[ClassifiedSample]:
     """Run the three-agent pipeline on every cohort sample, in cohort order.
 
     A sample's history is its earlier visits in test_set, keeping the
     first sample of a repeated visit index. The computational agent
     runs once per distinct visit: a visit that is both a cohort sample
     and another sample's history, or in several histories, is computed
-    once. pipeline_options go to run_pipeline unchanged.
+    once. The token budgets, fallback threshold and model names come
+    from config.
     """
     outputs: dict[Sample, ComputationalOutput] = {}
 
@@ -160,8 +150,13 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
                            visit_index=sample.visit_index,
                            computational=output,
                            history=tuple(history))
-        report = run_pipeline(ctx, searcher, summarizer, classifier,
-                              **pipeline_options)
+        report = run_pipeline(
+            ctx, searcher, summarizer, classifier,
+            summarization_budget=config.summarization_budget,
+            classification_budget=config.classification_budget,
+            fallback_threshold=config.fallback_threshold,
+            summarization_model=config.summarization_model,
+            classification_model=config.classification_model)
         yield ClassifiedSample(sample=sample, context=ctx, report=report)
 
 
@@ -171,8 +166,7 @@ def _adam_metrics(cohort, test_set, deployed, reference, config,
     predictions = []
     scores = []
     for item in classify_cohort(cohort, test_set, deployed, reference,
-                                searcher, summarizer, classifier,
-                                fallback_threshold=config.fallback_threshold):
+                                searcher, summarizer, classifier, config):
         labels.append(item.sample.label)
         predictions.append(1.0 if item.report.verdict == "Yes" else 0.0)
         scores.append(item.context.computational.probability)
@@ -183,9 +177,9 @@ def _adam_metrics(cohort, test_set, deployed, reference, config,
                          recall=recall, f1=f1, auc=auc_score(y, scores))
 
 
-def _run_one_seed(sample_set, seed, config, models, summarizer, classifier,
-                  searcher) -> list[TrialResult]:
-    split = split_grouped_stratified(sample_set, config.train_fraction, seed)
+def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,
+                  classifier, searcher) -> list[TrialResult]:
+    split = split_grouped_stratified(sample_set, config.split_fraction, seed)
     train, test = split.train, split.test
     medians = feature_medians(train.feature_matrix())
     X_train = impute(train.feature_matrix(), medians)
@@ -240,16 +234,17 @@ def _run_one_seed(sample_set, seed, config, models, summarizer, classifier,
     return results
 
 
-def run_seeded_trials(sample_set: SampleSet, seeds, config=None,
+def run_seeded_trials(sample_set: SampleSet, seeds,
+                      config: RunConfig | None = None,
                       models=MODEL_TAGS, summarizer=None, classifier=None,
-                      searcher=None, jobs: int = 1) -> EvaluationRun:
+                      searcher=None) -> EvaluationRun:
     """Evaluate every requested model on every seed.
 
     A failing seed aborts the run unless config.tolerate_failures is
     set, in which case it is recorded and skipped in aggregation. The
     adam variant defaults to the deterministic mock backends when no
-    LLM clients are supplied. jobs > 1 fans independent seeds out to
-    worker processes; results are identical to a sequential run.
+    LLM clients are supplied. config.jobs > 1 fans independent seeds
+    out to worker processes; results are identical to a sequential run.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -261,7 +256,7 @@ def run_seeded_trials(sample_set: SampleSet, seeds, config=None,
     if unknown:
         raise ValueError(f"unknown model tags {unknown}; valid: {MODEL_TAGS}")
     if config is None:
-        config = EvaluationConfig()
+        config = RunConfig()
     if "adam" in models:
         summarizer = summarizer if summarizer is not None else TitleEchoMock()
         classifier = classifier if classifier is not None else ThresholdMockLLM()
@@ -278,10 +273,11 @@ def run_seeded_trials(sample_set: SampleSet, seeds, config=None,
             failures.append(SeedFailure(seed=seed, model="setup",
                                         message=str(exc)))
 
-    if jobs > 1 and len(seeds) > 1:
+    if config.jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+        workers = min(config.jobs, len(seeds))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(seed, pool.submit(_run_one_seed, sample_set, seed,
                                           config, models, summarizer,
                                           classifier, searcher))

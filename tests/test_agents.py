@@ -178,6 +178,8 @@ class _Response:
         self._body = body if body is not None else {}
 
     def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
         return self._body
 
 
@@ -245,6 +247,20 @@ def test_http_backend_retry_and_fail_paths():
                              sleeper=lambda s: None)
     with pytest.raises(BackendError, match="malformed"):
         broken.complete(_request("u"))
+
+
+def test_http_backend_non_json_body_keeps_step_transcript(deployment):
+    session = _Session([_Response(200, ValueError("<html>"))])
+    backend = HttpChatBackend("http://x", model="m", api_key="k",
+                              session=session, sleeper=lambda s: None)
+    with pytest.raises(BackendError, match="chat response body is not JSON"):
+        backend.complete(_request("u"))
+    session.script = [_Response(200, ValueError("<html>"))]
+    ctx = _context(deployment)
+    with pytest.raises(AgentError, match="not JSON") as err:
+        run_summarization(ctx, None, backend)
+    assert len(err.value.transcript) == 8
+    assert len(session.calls) == 2
 
 
 def test_http_backend_credential(monkeypatch):

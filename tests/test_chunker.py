@@ -132,6 +132,20 @@ def test_read_corpus_rejects_lone_surrogates(tmp_path, field):
         read_corpus(path)
     assert str(err.value).startswith(f"{path}: line 2: {field} ")
 
+@pytest.mark.parametrize("title", [None, 5, ["t"], {"t": 1}])
+def test_read_corpus_rejects_non_string_title(tmp_path, title):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"publication_id": "Z", "text": "fine"}\n'
+                    + json.dumps({"publication_id": "A", "text": "hello",
+                                  "title": title}) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_corpus(path)
+    assert str(err.value) == f"{path}: line 2: title must be a string"
+    path.write_text('{"publication_id": "Z", "text": "fine"}\n',
+                    encoding="utf-8")
+    assert read_corpus(path)[0].title == ""
+
+
 def test_chunk_is_frozen():
     chunk = Chunk("P", 1, 1, "abc")
     with pytest.raises(AttributeError):

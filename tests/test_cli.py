@@ -5,14 +5,14 @@ import json
 
 import pytest
 
-from adam.cli import main
+from adam.cli import build_parser, main, read_dossier
 from adam.config import (
     RESOLVED_CONFIG_NAME,
     RunConfig,
     load_config_file,
     resolve_config,
 )
-from adam.errors import SchemaError
+from adam.errors import FormatError, SchemaError
 
 EMBED_DIM = "64"
 
@@ -431,3 +431,234 @@ def test_cli_import_does_not_load_requests():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     code = "import sys, adam.cli; sys.exit(int('requests' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# --- the command-line surface ----------------------------------------------------
+
+# Per subcommand and dest: (option strings, type, choices, action, default,
+# required), copied from the hand-written parser the derived flags replaced.
+PARSER_SURFACE = {
+    'synth': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'out': (('--out',), None, None, '_StoreAction', None, True),
+        'seed': (('--seed',), 'int', None, '_StoreAction', None, False),
+    },
+    'ingest': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'out': (('--out',), None, None, '_StoreAction', None, False),
+        'dataset': (('--dataset',), None, None, '_StoreAction', None, False),
+        'schema': (('--schema',), None, None, '_StoreAction', None, False),
+    },
+    'index': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'corpus': (('--corpus',), None, None, '_StoreAction', None, False),
+        'store': (('--store',), None, None, '_StoreAction', None, False),
+        'embedding_backend': (('--embedding-backend',), None, ('mock', 'remote'), '_StoreAction', None, False),
+        'embedding_dim': (('--embedding-dim',), 'int', None, '_StoreAction', None, False),
+        'embedding_url': (('--embedding-url',), None, None, '_StoreAction', None, False),
+        'segment_length': (('--segment-length',), 'int', None, '_StoreAction', None, False),
+        'overlap': (('--overlap',), 'int', None, '_StoreAction', None, False),
+        'verify': (('--verify',), None, None, '_StoreTrueAction', False, False),
+    },
+    'train': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'out': (('--out',), None, None, '_StoreAction', None, True),
+        'dataset': (('--dataset',), None, None, '_StoreAction', None, False),
+        'schema': (('--schema',), None, None, '_StoreAction', None, False),
+        'model': (('--model',), None, None, '_StoreAction', None, False),
+        'seed': (('--seed',), 'int', None, '_StoreAction', None, False),
+        'split_fraction': (('--split-fraction',), 'float', None, '_StoreAction', None, False),
+        'n_features': (('--n-features',), 'int', None, '_StoreAction', None, False),
+        'tuning_trials': (('--tuning-trials',), 'int', None, '_StoreAction', None, False),
+        'tuning_folds': (('--tuning-folds',), 'int', None, '_StoreAction', None, False),
+    },
+    'classify': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'out': (('--out',), None, None, '_StoreAction', None, True),
+        'dataset': (('--dataset',), None, None, '_StoreAction', None, False),
+        'schema': (('--schema',), None, None, '_StoreAction', None, False),
+        'model': (('--model',), None, None, '_StoreAction', None, False),
+        'store': (('--store',), None, None, '_StoreAction', None, False),
+        'seed': (('--seed',), 'int', None, '_StoreAction', None, False),
+        'n_pos': (('--n-pos',), 'int', None, '_StoreAction', None, False),
+        'n_neg': (('--n-neg',), 'int', None, '_StoreAction', None, False),
+        'llm_backend': (('--llm-backend',), None, ('mock', 'remote'), '_StoreAction', None, False),
+        'llm_url': (('--llm-url',), None, None, '_StoreAction', None, False),
+        'embedding_backend': (('--embedding-backend',), None, ('mock', 'remote'), '_StoreAction', None, False),
+        'embedding_dim': (('--embedding-dim',), 'int', None, '_StoreAction', None, False),
+        'embedding_url': (('--embedding-url',), None, None, '_StoreAction', None, False),
+        'top_k': (('--top-k',), 'int', None, '_StoreAction', None, False),
+        'threshold': (('--threshold',), 'float', None, '_StoreAction', None, False),
+        'summarization_budget': (('--summarization-budget',), 'int', None, '_StoreAction', None, False),
+        'classification_budget': (('--classification-budget',), 'int', None, '_StoreAction', None, False),
+        'fallback_threshold': (('--fallback-threshold',), 'float', None, '_StoreAction', None, False),
+    },
+    'evaluate': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'out': (('--out',), None, None, '_StoreAction', None, True),
+        'dataset': (('--dataset',), None, None, '_StoreAction', None, False),
+        'schema': (('--schema',), None, None, '_StoreAction', None, False),
+        'seeds': (('--seeds',), 'int', None, '_StoreAction', None, False),
+        'seed_base': (('--seed-base',), 'int', None, '_StoreAction', None, False),
+        'models': (('--models',), None, None, '_StoreAction', 'gbdt,rf,lr,adam', False),
+        'split_fraction': (('--split-fraction',), 'float', None, '_StoreAction', None, False),
+        'n_pos': (('--n-pos',), 'int', None, '_StoreAction', None, False),
+        'n_neg': (('--n-neg',), 'int', None, '_StoreAction', None, False),
+        'n_features': (('--n-features',), 'int', None, '_StoreAction', None, False),
+        'tuning_trials': (('--tuning-trials',), 'int', None, '_StoreAction', None, False),
+        'tuning_folds': (('--tuning-folds',), 'int', None, '_StoreAction', None, False),
+        'fallback_threshold': (('--fallback-threshold',), 'float', None, '_StoreAction', None, False),
+        'tolerate_failures': (('--tolerate-failures',), None, None, '_StoreTrueAction', None, False),
+        'jobs': (('--jobs',), 'int', None, '_StoreAction', None, False),
+        'llm_backend': (('--llm-backend',), None, ('mock', 'remote'), '_StoreAction', None, False),
+        'llm_url': (('--llm-url',), None, None, '_StoreAction', None, False),
+        'store': (('--store',), None, None, '_StoreAction', None, False),
+        'embedding_backend': (('--embedding-backend',), None, ('mock', 'remote'), '_StoreAction', None, False),
+        'embedding_dim': (('--embedding-dim',), 'int', None, '_StoreAction', None, False),
+        'embedding_url': (('--embedding-url',), None, None, '_StoreAction', None, False),
+        'top_k': (('--top-k',), 'int', None, '_StoreAction', None, False),
+        'threshold': (('--threshold',), 'float', None, '_StoreAction', None, False),
+    },
+    'compare': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'out': (('--out',), None, None, '_StoreAction', None, False),
+        'adam': (('--adam',), None, None, '_StoreAction', None, True),
+        'baseline': (('--baseline',), None, None, '_StoreAction', None, True),
+    },
+    'report': {
+        'config': (('--config',), None, None, '_StoreAction', None, False),
+        'out': (('--out',), None, None, '_StoreAction', None, True),
+        'dossier': (('--dossier',), None, None, '_StoreAction', None, True),
+    },
+}
+
+
+def test_parser_surface_unchanged():
+    import argparse
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {a.dest: (tuple(a.option_strings),
+                        a.type.__name__ if a.type else None, a.choices,
+                        type(a).__name__, a.default, a.required)
+               for a in parser._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, parser in sub.choices.items()}
+    assert surface == PARSER_SURFACE
+
+
+# --- config-file value types -----------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [
+    ("top_k", "5"),
+    ("jobs", 2.5),
+    ("seed", True),
+    ("seed", None),
+    ("tolerate_failures", "no"),
+    ("tolerate_failures", 1),
+    ("threshold", "0.5"),
+    ("threshold", False),
+    ("dataset", 3),
+    ("embedding_model", None),
+    ("embedding_backend", ["mock"]),
+])
+def test_config_file_rejects_wrong_types(tmp_path, capsys, key, value):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({key: value}))
+    with pytest.raises(SchemaError) as err:
+        load_config_file(config_file)
+    assert str(err.value).startswith(f"{config_file}: {key} must be ")
+    with pytest.raises(SchemaError, match=key):
+        resolve_config({key: value})
+    assert main(["synth", "--config", str(config_file),
+                 "--out", str(tmp_path / "x")]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: {config_file}: {key} must be ")
+
+
+def test_config_file_accepts_int_for_float_and_null_for_optional(tmp_path):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"threshold": 1, "dataset": None}))
+    config = resolve_config(load_config_file(config_file))
+    assert config.threshold == 1
+    assert config.dataset is None
+
+
+# --- evaluate applies the agent settings of the config ------------------------------
+
+def test_evaluate_applies_config_budgets(workspace, tmp_path, capsys):
+    config_file = tmp_path / "budget.json"
+    config_file.write_text(json.dumps({"summarization_budget": 1,
+                                       "classification_budget": 1}))
+    data = ["--dataset", workspace["dataset"], "--schema", workspace["schema"],
+            "--config", str(config_file)]
+    assert main(["classify", "--model", workspace["model"], "--seed", "0",
+                 "--out", str(tmp_path / "c")] + data) == 1
+    classify_err = capsys.readouterr().err.splitlines()
+    assert len(classify_err) == 1
+    assert classify_err[0].startswith("error: summarization prompt needs ")
+
+    evaluate = ["evaluate", "--models", "adam", "--seeds", "1"] + data
+    assert main(evaluate + ["--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err.splitlines() == classify_err
+
+    out = tmp_path / "tolerant"
+    assert main(evaluate + ["--out", str(out), "--tolerate-failures"]) == 0
+    failures = (out / "failures.txt").read_text().splitlines()
+    assert failures == [
+        f"seed 0 [setup]: {classify_err[0].removeprefix('error: ')}"]
+    assert (out / "trials.csv").read_text() == "seed,model,accuracy,auc,f1\n"
+
+
+# --- malformed dossiers ------------------------------------------------------------
+
+REPORT_KEYS = ("sample_id", "verdict", "probability", "sections", "summary",
+               "step_transcripts")
+
+
+def _drop(key):
+    return lambda entry: entry["report"].pop(key)
+
+
+def _set(key, value):
+    return lambda entry: entry["report"].update({key: value})
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda entry: entry.pop("report"), id="no-report"),
+    pytest.param(lambda entry: entry.update(report=[1]), id="report-list"),
+    *(pytest.param(_drop(key), id=f"no-{key}") for key in REPORT_KEYS),
+    pytest.param(_set("sample_id", 7), id="sample_id-int"),
+    pytest.param(_set("verdict", "Maybe"), id="verdict-maybe"),
+    pytest.param(_set("probability", "0.5"), id="probability-str"),
+    pytest.param(_set("probability", True), id="probability-bool"),
+    pytest.param(_set("sections", "x"), id="sections-str"),
+    pytest.param(_set("sections", [["title"]]), id="section-single"),
+    pytest.param(_set("sections", [["title", 3]]), id="section-body-int"),
+    pytest.param(_set("summary", None), id="summary-null"),
+    pytest.param(_set("step_transcripts", [1]), id="transcript-int"),
+])
+def test_report_rejects_malformed_dossier(workspace, tmp_path, capsys, edit):
+    doc = json.loads((workspace["first"] / "dossier.json").read_text())
+    edit(doc["samples"][1])
+    bad = tmp_path / "dossier.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as err:
+        read_dossier(bad)
+    assert str(err.value).startswith(f"{bad}: sample 1: ")
+    out = tmp_path / "r"
+    assert main(["report", "--dossier", str(bad), "--out", str(out)]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: {bad}: sample 1: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [{"a": 1}, [3]])
+def test_report_rejects_malformed_samples(tmp_path, samples):
+    bad = tmp_path / "dossier.json"
+    bad.write_text(json.dumps({"format": "adam-dossier", "samples": samples}))
+    with pytest.raises(FormatError, match=str(bad)):
+        read_dossier(bad)

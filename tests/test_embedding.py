@@ -5,7 +5,6 @@ import pytest
 
 from adam.embedding import (
     API_KEY_VARIABLE,
-    BACKOFF_BASE_SECONDS,
     DEFAULT_DIMENSION,
     OfflineHashEmbedder,
     RemoteEmbedder,
@@ -18,6 +17,7 @@ from adam.errors import (
     SizeGuardError,
     WeightError,
 )
+from adam.http_retry import BACKOFF_BASE_SECONDS
 
 
 # --- offline backend --------------------------------------------------------
@@ -81,6 +81,8 @@ class _Response:
         self._body = body if body is not None else {}
 
     def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
         return self._body
 
 
@@ -185,6 +187,14 @@ def test_remote_malformed_and_short_responses():
     backend2, _, _ = _remote([_Response(200, _ok_body([]))])
     with pytest.raises(BackendError, match="expected 1 vectors"):
         backend2.embed("text")
+
+
+def test_remote_rejects_non_json_body():
+    backend, session, sleeps = _remote([_Response(200, ValueError("<html>"))])
+    with pytest.raises(BackendError, match="embedding response body is not JSON"):
+        backend.embed("text")
+    assert len(session.calls) == 1
+    assert sleeps == []
 
 
 def test_remote_requires_credential(monkeypatch):

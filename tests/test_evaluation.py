@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from adam.config import RunConfig
 from adam.ensemble import BinaryMetrics
 from adam.errors import EmptyInputError, StratificationError
 from adam.evaluation import (
     CSV_FIELDS,
     MODEL_TAGS,
     ComparisonSummary,
-    EvaluationConfig,
     EvaluationRun,
     TrialResult,
     aggregate_trials,
@@ -55,7 +55,7 @@ def test_adam_equals_thresholded_ensemble_per_seed(eval_run):
 
 
 def test_parallel_run_matches_sequential(sample_set, eval_run):
-    again = run_seeded_trials(sample_set, SEEDS, jobs=2)
+    again = run_seeded_trials(sample_set, SEEDS, config=RunConfig(jobs=2))
     assert again == eval_run
 
 
@@ -145,7 +145,7 @@ def test_failure_handling(sample_set):
     with pytest.raises(StratificationError):
         run_seeded_trials(tiny, [0], models=("baseline-lr",))
     tolerant = run_seeded_trials(
-        tiny, [0, 1], config=EvaluationConfig(tolerate_failures=True),
+        tiny, [0, 1], config=RunConfig(tolerate_failures=True),
         models=("baseline-lr",))
     assert tolerant.trials == ()
     assert len(tolerant.failures) == 2
@@ -154,15 +154,15 @@ def test_failure_handling(sample_set):
 
 def test_tuned_variant_keeps_equivalence(sample_set):
     run = run_seeded_trials(sample_set, [0],
-                            config=EvaluationConfig(tuning_trials=4),
+                            config=RunConfig(tuning_trials=4),
                             models=("baseline-gbdt", "adam"))
     gbdt_trial, adam_trial = run.trials
     assert gbdt_trial.metrics == adam_trial.metrics
 
 
 def test_config_defaults():
-    config = EvaluationConfig()
-    assert config.train_fraction == 0.75
+    config = RunConfig()
+    assert config.split_fraction == 0.75
     assert (config.n_pos, config.n_neg) == (15, 15)
     assert config.n_features == 20
     assert config.tuning_trials == 0
@@ -279,7 +279,7 @@ def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
     cohort = draw_eval_cohort(test, 15, 15, seed=0)
     items = list(evaluation.classify_cohort(
         cohort, test, deployment["deployed"], deployment["reference"], None,
-        TitleEchoMock(), ThresholdMockLLM()))
+        TitleEchoMock(), ThresholdMockLLM(), RunConfig()))
     assert [i.sample.sample_id for i in items] == \
         [s.sample_id for s in cohort.samples]
     needed = {i.sample.sample_id for i in items} | \
