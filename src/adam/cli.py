@@ -45,6 +45,7 @@ from .dataset import (
     draw_eval_cohort,
     feature_medians,
     impute,
+    is_file_name,
     parse_samples,
     split_grouped_stratified,
 )
@@ -499,7 +500,7 @@ def cmd_compare(args) -> int:
 
 # Checks on each report payload of a dossier, by key.
 _REPORT_CHECKS = {
-    "sample_id": lambda v: isinstance(v, str),
+    "sample_id": lambda v: isinstance(v, str) and is_file_name(v),
     "verdict": lambda v: v in ("Yes", "No"),
     "probability": lambda v: isinstance(v, (int, float))
     and not isinstance(v, bool),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,18 +164,29 @@ def _parse_label(token: str) -> int:
     raise ValueError(f"unrecognized label value {token!r}")
 
 
+def is_file_name(name: str) -> bool:
+    """True if name can name one file inside a directory: not empty, not
+    "." or "..", and free of "/", "\\" and NUL. Sample ids name report
+    files, so ids failing this are rejected wherever they are read."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 def _parse_float(token: str, missing_as: float) -> float:
     t = token.strip().lower()
     if t in _MISSING_TOKENS:
         return missing_as
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token.strip()!r}")
+    return value
 
 
 def parse_samples(path, schema) -> ParseResult:
     """Ingest a CSV under a column-role schema.
 
-    Rows that cannot be interpreted (bad label, unparseable number,
-    negative abundance, duplicate sample id, missing ids) are rejected
+    Rows that cannot be interpreted (bad label, unparseable or infinite
+    number, negative abundance, duplicate sample id, missing ids, a
+    sample id that is not a plain file name) are rejected
     individually and reported with their file line number; the rest
     form the returned SampleSet.
     """
@@ -222,6 +234,9 @@ def parse_samples(path, schema) -> ParseResult:
                 continue
             if sample_id in seen_ids:
                 rejected.append((lineno, f"duplicate sample_id {sample_id!r}"))
+                continue
+            if not is_file_name(sample_id):
+                rejected.append((lineno, f"sample_id {sample_id!r} is not a plain file name"))
                 continue
             try:
                 label = _parse_label(row[label_i])

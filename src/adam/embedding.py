@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 
@@ -220,18 +221,23 @@ class RemoteEmbedder(EmbeddingBackend):
 
     def _parse(self, doc, expected: int) -> list[list[float]]:
         try:
-            rows = doc["data"]
-            rows = sorted(rows, key=lambda r: r.get("index", 0))
+            rows = sorted(doc["data"], key=lambda r: r.get("index", 0))
             vectors = [row["embedding"] for row in rows]
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, AttributeError) as exc:
             raise BackendError(f"malformed embeddings response: {exc}") from exc
         if len(vectors) != expected:
             raise BackendError(
                 f"expected {expected} vectors, response carried {len(vectors)}")
         for vec in vectors:
+            if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
+                raise BackendError("malformed embeddings response: "
+                                   "an embedding is not a list of numbers")
             if len(vec) != self.dim:
                 raise DimensionError(
                     f"backend returned dimension {len(vec)}, expected {self.dim}")
+            if not any(vec) or not all(math.isfinite(v) for v in vec):
+                raise BackendError("malformed embeddings response: "
+                                   "an embedding is zero or not finite")
         return vectors
 
     def embed_many(self, texts) -> np.ndarray:

@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..errors import DegenerateFitError
 from .gbdt import fit_inputs, sigmoid
 from .tree import Tree, as_matrix, grow_tree, leaf_values, pick_best, presort, stack
 
@@ -119,33 +120,32 @@ class LogisticRegressionModel:
 def fit_logistic_regression(X, y, l2_reg: float = LR_DEFAULTS["l2_reg"],
                             max_iter: int = LR_DEFAULTS["max_iter"],
                             tol: float = LR_DEFAULTS["tol"]) -> LogisticRegressionModel:
-    """Full-batch gradient descent on standardized features.
-
-    The step size is 1/L with L the Lipschitz constant of the gradient
-    (largest eigenvalue of X^T X / (4n) plus the ridge term), so the
-    loss decreases monotonically; the intercept is not penalized.
+    """Ridge-penalized logistic regression on standardized features, solved
+    by Newton's method (IRLS): theta = (w, b) on A = [Z, 1] minimizes the
+    mean log-loss plus l2_reg/2 * |w|^2; the intercept is not penalized.
+    It stops once the gradient g has max-norm <= tol, else steps
+    theta -= H^-1 g with the Hessian H; a singular H is a DegenerateFitError.
     """
     X, y = fit_inputs(X, y)
     n, d = X.shape
     means = X.mean(axis=0)
     scales = X.std(axis=0)
     scales[scales == 0.0] = 1.0
-    Z = (X - means) / scales
-    lipschitz = float(np.linalg.norm(Z, 2) ** 2) / (4.0 * n) + l2_reg
-    step = 1.0 / lipschitz
-    w = np.zeros(d)
-    b = 0.0
+    A = np.column_stack([(X - means) / scales, np.ones(n)])
+    ridge = np.append(np.full(d, float(l2_reg)), 0.0)
+    theta = np.zeros(d + 1)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        err = sigmoid(Z @ w + b) - y
-        grad_w = Z.T @ err / n + l2_reg * w
-        grad_b = float(err.mean())
-        w -= step * grad_w
-        b -= step * grad_b
-        if max(float(np.abs(grad_w).max(initial=0.0)), abs(grad_b)) <= tol:
+        p = sigmoid(A @ theta)
+        grad = A.T @ (p - y) / n + ridge * theta
+        if float(np.abs(grad).max()) <= tol:
             converged = True
             break
-    return LogisticRegressionModel(weights=w, intercept=b, feature_means=means,
-                                   feature_scales=scales, n_iterations=it,
-                                   converged=converged)
+        try:
+            theta -= np.linalg.solve((A.T * (p * (1.0 - p))) @ A / n + np.diag(ridge), grad)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateFitError(f"logistic regression Hessian is singular: {exc}") from exc
+    return LogisticRegressionModel(weights=theta[:d], intercept=float(theta[d]),
+                                   feature_means=means, feature_scales=scales,
+                                   n_iterations=it, converged=converged)

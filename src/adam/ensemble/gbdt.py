@@ -128,16 +128,17 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Float (X, y) checked for fitting: a non-empty 2-d matrix without
-    NaN and one binary 0/1 label per row."""
+    """Float (X, y) checked for fitting: a non-empty 2-d matrix of finite
+    values and one binary 0/1 label per row."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyInputError("need a non-empty 2-d matrix")
     if X.shape[0] != y.size:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.size}")
-    if np.isnan(X).any():
-        raise DegenerateFitError("feature matrix contains NaN; impute before fitting")
+    if not np.isfinite(X).all():
+        raise DegenerateFitError("feature matrix contains NaN or infinity; "
+                                 "impute before fitting")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be binary 0/1")
     return X, y

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from adam.config import RunConfig
+from adam.dataset import feature_medians, impute, split_grouped_stratified
 from adam.ensemble.baselines import (
     LR_DEFAULTS,
     RF_DEFAULTS,
@@ -19,6 +21,8 @@ from adam.ensemble.metrics import (
     precision_recall_f1,
 )
 from adam.errors import DegenerateFitError, EmptyInputError
+from adam.evaluation import select_features
+from lr_gd_oracle import fit_logistic_regression_gd
 
 
 def _blobs(seed=0, n=200, d=4, gap=2.0):
@@ -180,3 +184,117 @@ def test_logistic_regression_guards():
     holed[0, 0] = np.nan
     with pytest.raises(DegenerateFitError):
         fit_logistic_regression(holed, y)
+
+
+# --- logistic regression: the Newton/IRLS solver ---------------------------
+
+def _theta_design(model, X):
+    """(theta, A) with theta = (w, b) and A = [standardized X, 1]."""
+    Z = (np.asarray(X, dtype=float) - model.feature_means) / model.feature_scales
+    return (np.append(model.weights, model.intercept),
+            np.column_stack([Z, np.ones(len(Z))]))
+
+
+def _penalized_gradient(model, X, y, l2_reg=LR_DEFAULTS["l2_reg"]):
+    """Gradient of mean log-loss + l2_reg/2 * |w|^2 at the fitted model,
+    with the logistic function written as 0.5 * (1 + tanh(z / 2))."""
+    theta, A = _theta_design(model, X)
+    p = 0.5 * (1.0 + np.tanh(A @ theta / 2.0))
+    ridge = np.append(np.full(len(model.weights), l2_reg), 0.0)
+    return A.T @ (p - np.asarray(y, dtype=float)) / len(A) + ridge * theta
+
+
+def _penalized_loss(model, X, y, l2_reg=LR_DEFAULTS["l2_reg"]):
+    theta, A = _theta_design(model, X)
+    z = A @ theta
+    log_loss = np.logaddexp(0.0, z) - np.asarray(y, dtype=float) * z
+    return float(log_loss.mean() + 0.5 * l2_reg * model.weights @ model.weights)
+
+
+@pytest.fixture(scope="module")
+def protocol_lr_inputs(sample_set):
+    """LR training matrices of protocol seeds 1-10 on synth --seed 0, built
+    by the split, impute and screen path of evaluation._run_one_seed."""
+    config = RunConfig()
+    inputs = []
+    for seed in range(1, 11):
+        train = split_grouped_stratified(sample_set, config.split_fraction, seed).train
+        X = impute(train.feature_matrix(), feature_medians(train.feature_matrix()))
+        y = train.labels()
+        selected = select_features(X, y, config.n_features, seed=seed)
+        inputs.append((seed, X[:, selected], y))
+    return inputs
+
+
+def test_logistic_regression_converges_on_protocol_seeds(protocol_lr_inputs):
+    tol = LR_DEFAULTS["tol"]
+    for seed, X, y in protocol_lr_inputs:
+        model = fit_logistic_regression(X, y)
+        assert model.converged, seed
+        assert model.n_iterations <= 50, (seed, model.n_iterations)
+        assert np.abs(_penalized_gradient(model, X, y)).max() <= tol, seed
+
+
+def test_logistic_regression_beats_gradient_descent(protocol_lr_inputs):
+    for seed, X, y in protocol_lr_inputs:
+        newton = fit_logistic_regression(X, y)
+        descent = fit_logistic_regression_gd(X, y)
+        assert descent.n_iterations == LR_DEFAULTS["max_iter"]
+        assert _penalized_loss(newton, X, y) <= _penalized_loss(descent, X, y), seed
+
+
+def test_logistic_regression_gradient_vanishes_at_solution():
+    for seed, l2_reg in ((20, LR_DEFAULTS["l2_reg"]), (21, 0.5), (22, 1e-6)):
+        X, y = _blobs(seed, n=150, d=6, gap=1.0)
+        X[:, 2] = 40.0 * X[:, 2] + 1e3  # badly scaled input column
+        model = fit_logistic_regression(X, y, l2_reg=l2_reg)
+        assert model.converged
+        gradient = _penalized_gradient(model, X, y, l2_reg=l2_reg)
+        assert np.abs(gradient).max() <= LR_DEFAULTS["tol"]
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_logistic_regression_single_class(label):
+    X, _ = _blobs(23, n=50)
+    y = np.full(50, label)
+    model = fit_logistic_regression(X, y)
+    assert model.converged
+    assert np.isfinite(model.intercept) and np.isfinite(model.weights).all()
+    assert np.sign(model.intercept) == (1 if label else -1)
+    assert (model.predict(X) == label).all()
+
+
+@pytest.mark.parametrize("l2_reg", [LR_DEFAULTS["l2_reg"], 0.0])
+def test_logistic_regression_separable_blobs(l2_reg):
+    X, y = _blobs(24, gap=12.0)
+    assert X[y == 1, 1].min() > X[y == 0, 1].max()  # separable along column 1
+    model = fit_logistic_regression(X, y, l2_reg=l2_reg)
+    # without a penalty the optimum is at infinity: stopping anywhere is
+    # allowed, but the weights must stay finite and classify perfectly
+    assert model.converged or l2_reg == 0.0
+    assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+    assert (model.predict(X) == y).all()
+
+
+def test_logistic_regression_duplicated_column():
+    X, y = _blobs(25)
+    X = np.column_stack([X, X[:, 1]])
+    model = fit_logistic_regression(X, y)
+    assert model.converged
+    assert abs(model.weights[1] - model.weights[-1]) < 1e-9  # the ridge splits evenly
+    assert np.abs(_penalized_gradient(model, X, y)).max() <= LR_DEFAULTS["tol"]
+
+
+def test_logistic_regression_singular_hessian():
+    X, y = _blobs(26, n=60)
+    X[:, 0] = 3.0  # standardizes to an exact zero column, unpenalized
+    with pytest.raises(DegenerateFitError, match="Hessian is singular"):
+        fit_logistic_regression(X, y, l2_reg=0.0)
+
+
+def test_logistic_regression_iteration_cap():
+    X, y = _blobs(27)
+    model = fit_logistic_regression(X, y, max_iter=2)
+    assert model.n_iterations == 2 and not model.converged
+    full = fit_logistic_regression(X, y)
+    assert full.converged and 2 < full.n_iterations <= 50

@@ -1,5 +1,6 @@
 """End-to-end command-line walkthrough plus configuration resolution."""
 
+import csv
 import hashlib
 import json
 
@@ -217,6 +218,39 @@ def test_classify_dossier_contents(workspace):
         assert len(entry["report"]["step_transcripts"]) == 16
         body = (workspace["first"] / entry["report_path"]).read_text()
         assert body.startswith(f"Prediction: {entry['verdict']} - ")
+
+
+def test_classify_rejects_path_like_and_non_finite_rows(workspace, tmp_path, capsys):
+    """A row whose sample id is not a plain file name, or with an infinite
+    value, is rejected at ingest; every report stays under reports/."""
+    dossier = json.loads((workspace["first"] / "dossier.json").read_text())
+    renamed = dossier["samples"][0]["sample_id"]
+    infinite = dossier["samples"][1]["sample_id"]
+    with open(workspace["dataset"], encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    age = rows[0].index("age")
+    for row in rows[1:]:
+        if row[0] == renamed:
+            row[0] = "../escaped"
+        elif row[0] == infinite:
+            row[age] = "inf"
+    data = tmp_path / "data.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "c"
+    assert main(["classify", "--out", str(out), "--dataset", str(data),
+                 "--schema", workspace["schema"], "--model", workspace["model"],
+                 "--store", str(workspace["store"]),
+                 "--embedding-dim", EMBED_DIM, "--seed", "0"]) == 0
+    err = capsys.readouterr().err
+    assert "sample_id '../escaped' is not a plain file name" in err
+    assert "bad clinical value: non-finite value 'inf'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "data.csv"]
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    reports = {name for name in written if name.startswith("reports/")}
+    assert written - reports == {"dossier.json", RESOLVED_CONFIG_NAME}
+    assert len(reports) == 30
+    assert f"reports/{renamed}.md" not in reports
 
 
 def test_evaluate_outputs(workspace):
@@ -631,6 +665,10 @@ def _set(key, value):
     pytest.param(lambda entry: entry.update(report=[1]), id="report-list"),
     *(pytest.param(_drop(key), id=f"no-{key}") for key in REPORT_KEYS),
     pytest.param(_set("sample_id", 7), id="sample_id-int"),
+    *(pytest.param(_set("sample_id", name), id=f"sample_id-{label}")
+      for label, name in (("escaping", "../escaped"), ("dotdot", ".."), ("dot", "."),
+                          ("empty", ""), ("slash", "a/b"), ("backslash", "a\\b"),
+                          ("nul", "a\0b"))),
     pytest.param(_set("verdict", "Maybe"), id="verdict-maybe"),
     pytest.param(_set("probability", "0.5"), id="probability-str"),
     pytest.param(_set("probability", True), id="probability-bool"),
@@ -653,7 +691,7 @@ def test_report_rejects_malformed_dossier(workspace, tmp_path, capsys, edit):
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
     assert err_lines[0].startswith(f"error: {bad}: sample 1: ")
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["dossier.json"]
 
 
 @pytest.mark.parametrize("samples", [{"a": 1}, [3]])

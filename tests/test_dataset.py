@@ -11,6 +11,7 @@ from adam.dataset import (
     draw_eval_cohort,
     feature_medians,
     impute,
+    is_file_name,
     load_schema,
     parse_samples,
     split_grouped_stratified,
@@ -78,6 +79,42 @@ def test_parse_rejects_bad_rows_individually(tmp_path):
     assert "duplicate" in reasons[6]
     assert "empty sample_id" in reasons[7]
     assert "fields" in reasons[9]
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "+inf", "Infinity", "-INFINITY",
+                                   "1e999", "-nan"])
+def test_parse_rejects_non_finite_values(tmp_path, token):
+    path = _write(tmp_path, [
+        "S1,P1,1,yes,70,1.5,2.5,ok",
+        f"S2,P1,2,no,{token},0.5,3.5,clinical",
+        f"S3,P2,1,no,75,{token},1.0,abundance",
+    ])
+    result = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in result.sample_set.samples] == ["S1"]
+    reasons = dict(result.rejected)
+    assert reasons[3].startswith("bad clinical value: non-finite value")
+    assert reasons[4].startswith("bad abundance value: non-finite value")
+
+
+@pytest.mark.parametrize("sample_id", ["..", ".", "../escaped", "a/b", "/abs",
+                                       "a\\b", "..\\up"])
+def test_parse_rejects_path_like_sample_ids(tmp_path, sample_id):
+    path = _write(tmp_path, [
+        "S1,P1,1,yes,70,1.5,2.5,ok",
+        f"{sample_id},P1,2,no,80,0.5,3.5,path",
+        "...,P2,1,no,75,1.0,1.0,dots are a plain name",
+    ])
+    result = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in result.sample_set.samples] == ["S1", "..."]
+    assert result.rejected == (
+        (3, f"sample_id {sample_id!r} is not a plain file name"),)
+
+
+def test_is_file_name():
+    for name in ("S1", "...", "a.b", "P 1-visit_2", "ß"):
+        assert is_file_name(name)
+    for name in ("", ".", "..", "a/b", "a\\b", "a\0b", "/"):
+        assert not is_file_name(name)
 
 
 def test_parse_missing_values(tmp_path):

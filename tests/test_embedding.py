@@ -189,6 +189,31 @@ def test_remote_malformed_and_short_responses():
         backend2.embed("text")
 
 
+@pytest.mark.parametrize("body", [
+    pytest.param({"data": [1]}, id="row-int"),
+    pytest.param({"data": "abc"}, id="data-str"),
+    pytest.param({"data": {"index": 0}}, id="data-dict"),
+    pytest.param({"data": [{"index": "x", "embedding": [1, 0, 0]},
+                           {"index": 0, "embedding": [0, 1, 0]}]}, id="index-mixed"),
+    pytest.param({"data": [{"embedding": 5}]}, id="embedding-int"),
+    pytest.param({"data": [{"embedding": "abc"}]}, id="embedding-str"),
+    pytest.param({"data": [{"embedding": {"a": 1}}]}, id="embedding-dict"),
+    pytest.param({"data": [{"embedding": None}]}, id="embedding-null"),
+    pytest.param({"data": [{"embedding": [1, "x", 0]}]}, id="element-str"),
+    pytest.param({"data": [{"embedding": [True, 0, 0]}]}, id="element-bool"),
+    pytest.param({"data": [{"embedding": [[1], 0, 0]}]}, id="element-list"),
+    pytest.param({"data": [{"embedding": [0, 0, 0]}]}, id="zero-vector"),
+    pytest.param({"data": [{"embedding": [float("nan"), 1, 0]}]}, id="element-nan"),
+    pytest.param({"data": [{"embedding": [float("inf"), 1, 0]}]}, id="element-inf"),
+])
+def test_remote_rejects_malformed_embedding_shapes(body):
+    expected = len(body["data"]) if isinstance(body["data"], list) else 1
+    backend, session, _ = _remote([_Response(200, body)])
+    with pytest.raises(BackendError, match="malformed embeddings response"):
+        backend.embed_many(["text"] * expected)
+    assert len(session.calls) == 1
+
+
 def test_remote_rejects_non_json_body():
     backend, session, sleeps = _remote([_Response(200, ValueError("<html>"))])
     with pytest.raises(BackendError, match="embedding response body is not JSON"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adam.dataset import impute
+from adam.ensemble.baselines import fit_logistic_regression, fit_random_forest
 from adam.ensemble.gbdt import (
     DEFAULT_PARAMS,
     GBDTParams,
@@ -240,6 +241,15 @@ def test_fit_input_guards():
     holed[0, 0] = np.nan
     with pytest.raises(DegenerateFitError):
         fit_gbdt(holed, y)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fit", [fit_gbdt, fit_random_forest, fit_logistic_regression])
+def test_fit_rejects_non_finite_features(fit, value):
+    X, y = _toy(13, n=30)
+    X[4, 2] = value
+    with pytest.raises(DegenerateFitError, match="NaN or infinity"):
+        fit(X, y)
 
 
 def test_log_loss_matches_hand_value():
