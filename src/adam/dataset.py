@@ -175,6 +175,9 @@ def _parse_float(token: str, missing_as: float) -> float:
     t = token.strip().lower()
     if t in _MISSING_TOKENS:
         return missing_as
+    if "_" in t:
+        # float() reads digit-group underscores: "1_5" would become 15.0
+        raise ValueError(f"underscore in number {token.strip()!r}")
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {token.strip()!r}")
@@ -246,7 +249,7 @@ def parse_samples(path, schema) -> ParseResult:
             if visit_i is not None:
                 try:
                     visit = int(row[visit_i].strip())
-                    if visit < 1:
+                    if visit < 1 or "_" in row[visit_i]:
                         raise ValueError
                 except ValueError:
                     rejected.append((lineno, f"visit must be a positive integer, got {row[visit_i]!r}"))

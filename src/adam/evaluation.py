@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -53,7 +54,12 @@ from .ensemble import (
     precision_recall_f1,
     run_search,
 )
-from .errors import AdamError, EmptyInputError
+from .errors import (
+    AdamError,
+    DegenerateStatisticError,
+    EmptyInputError,
+    FormatError,
+)
 from .stats import cohens_d, levene_test, mann_whitney_u, variance_f_test
 
 MODEL_TAGS = ("baseline-gbdt", "baseline-rf", "baseline-lr", "adam")
@@ -307,21 +313,54 @@ def write_trials_csv(trials, path) -> None:
                              f"{m.accuracy:.17g}", auc, f"{m.f1:.17g}"])
 
 
+def _seed_cell(text: str) -> int:
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError
+    return int(text)
+
+
+def _metric_cell(text: str) -> float:
+    """A plain finite number in [0, 1] (nan fails the range check)."""
+    value = float(text)
+    if "_" in text or not 0.0 <= value <= 1.0:
+        raise ValueError
+    return value
+
+
+_TRIAL_CELLS = {
+    "seed": _seed_cell,
+    "model": str,
+    "accuracy": _metric_cell,
+    "auc": lambda text: None if text == "" else _metric_cell(text),
+    "f1": _metric_cell,
+}
+
+
 def read_trials_csv(path) -> list[dict]:
-    """Rows written by write_trials_csv, with typed values."""
+    """Rows written by write_trials_csv, with typed values.
+
+    A wrong header raises ValueError. A row with the wrong field count,
+    a non-integer seed, or an accuracy, auc or f1 that is not a finite
+    number in [0, 1] raises FormatError naming the file and line; an
+    empty auc cell reads as None.
+    """
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(CSV_FIELDS)}")
         for row in reader:
-            rows.append({
-                "seed": int(row["seed"]),
-                "model": row["model"],
-                "accuracy": float(row["accuracy"]),
-                "auc": None if row["auc"] == "" else float(row["auc"]),
-                "f1": float(row["f1"]),
-            })
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise FormatError(f"{where}: expected {len(CSV_FIELDS)} fields")
+            typed = {}
+            for field, parse in _TRIAL_CELLS.items():
+                try:
+                    typed[field] = parse(row[field])
+                except ValueError:
+                    raise FormatError(
+                        f"{where}: bad {field} value {row[field]!r}") from None
+            rows.append(typed)
     return rows
 
 
@@ -374,6 +413,12 @@ def format_metrics_table(trials) -> str:
 
 
 @dataclass(frozen=True)
+class Undefined:
+    """A statistic the inputs leave undefined, with the reason why."""
+    reason: str
+
+
+@dataclass(frozen=True)
 class ComparisonSummary:
     n_adam: int
     n_baseline: int
@@ -381,11 +426,11 @@ class ComparisonSummary:
     baseline_mean_f1: float
     adam_std_f1: float
     baseline_std_f1: float
-    variance_ratio: float  # baseline variance / adam variance
+    variance_ratio: float | Undefined  # baseline variance / adam variance
     mann_whitney: tuple[float, float]  # (U, p)
-    levene: tuple[float, float]  # (W, p)
-    f_test: tuple[float, float]  # (F, p)
-    cohens_d: float
+    levene: tuple[float, float] | Undefined  # (W, p)
+    f_test: tuple[float, float] | Undefined  # (F, p)
+    cohens_d: float | Undefined
 
 
 def _f1_vector(values) -> np.ndarray:
@@ -396,12 +441,36 @@ def _f1_vector(values) -> np.ndarray:
     return np.asarray(out)
 
 
+def _variance_ratio(a: np.ndarray, b: np.ndarray) -> float:
+    """var(b) / var(a), inf when only var(a) is zero."""
+    if a.size < 2 or b.size < 2:
+        raise DegenerateStatisticError("each group needs at least 2 values")
+    var_a = float(np.var(a, ddof=1))
+    var_b = float(np.var(b, ddof=1))
+    if var_a == 0.0:
+        if var_b == 0.0:
+            raise DegenerateStatisticError(
+                "variance ratio undefined: both variances are zero")
+        return math.inf
+    return var_b / var_a
+
+
+def _defined(statistic, *args):
+    """The statistic's value, or Undefined when its inputs rule it out."""
+    try:
+        return statistic(*args)
+    except DegenerateStatisticError as exc:
+        return Undefined(str(exc))
+
+
 def compare_models(adam, baseline) -> ComparisonSummary:
     """Statistical comparison of two per-seed F1 vectors.
 
     Accepts TrialResult sequences or raw F1 sequences. The variance
     ratio and F statistic are oriented baseline over adam, so values
-    above 1 mean the baseline is more variable.
+    above 1 mean the baseline is more variable. A statistic the data
+    leaves undefined (fewer than 2 values, zero variance) is recorded
+    as Undefined with the reason instead of aborting the comparison.
     """
     a = _f1_vector(adam)
     b = _f1_vector(baseline)
@@ -414,36 +483,45 @@ def compare_models(adam, baseline) -> ComparisonSummary:
         baseline_mean_f1=float(np.mean(b)),
         adam_std_f1=math.sqrt(var_a),
         baseline_std_f1=math.sqrt(var_b),
-        variance_ratio=var_b / var_a if var_a > 0 else math.inf,
+        variance_ratio=_defined(_variance_ratio, a, b),
         mann_whitney=mann_whitney_u(a, b),
-        levene=levene_test(a, b, center="mean"),
-        f_test=variance_f_test(b, a),
-        cohens_d=cohens_d(a, b),
+        levene=_defined(levene_test, a, b),
+        f_test=_defined(variance_f_test, b, a),
+        cohens_d=_defined(cohens_d, a, b),
     )
 
 
+def _pair(value) -> tuple:
+    """A (statistic, p) pair, or the same Undefined in both places."""
+    return (value, value) if isinstance(value, Undefined) else value
+
+
 def format_summary(summary: ComparisonSummary) -> str:
-    """Key-value block plus a small table, ready to print or save."""
+    """Key-value block plus a small table, ready to print or save.
+
+    An undefined statistic prints as ``undefined (<reason>)``.
+    """
     u_stat, u_p = summary.mann_whitney
-    w_stat, w_p = summary.levene
-    f_stat, f_p = summary.f_test
+    w_stat, w_p = _pair(summary.levene)
+    f_stat, f_p = _pair(summary.f_test)
     pairs = [
-        ("n_adam", f"{summary.n_adam}"),
-        ("n_baseline", f"{summary.n_baseline}"),
-        ("adam_mean_f1", f"{summary.adam_mean_f1:.17g}"),
-        ("baseline_mean_f1", f"{summary.baseline_mean_f1:.17g}"),
-        ("adam_std_f1", f"{summary.adam_std_f1:.17g}"),
-        ("baseline_std_f1", f"{summary.baseline_std_f1:.17g}"),
-        ("variance_ratio_baseline_over_adam", f"{summary.variance_ratio:.17g}"),
-        ("mann_whitney_u", f"{u_stat:.17g}"),
-        ("mann_whitney_p", f"{u_p:.17g}"),
-        ("levene_w", f"{w_stat:.17g}"),
-        ("levene_p", f"{w_p:.17g}"),
-        ("f_statistic", f"{f_stat:.17g}"),
-        ("f_test_p", f"{f_p:.17g}"),
-        ("cohens_d", f"{summary.cohens_d:.17g}"),
+        ("n_adam", summary.n_adam),
+        ("n_baseline", summary.n_baseline),
+        ("adam_mean_f1", summary.adam_mean_f1),
+        ("baseline_mean_f1", summary.baseline_mean_f1),
+        ("adam_std_f1", summary.adam_std_f1),
+        ("baseline_std_f1", summary.baseline_std_f1),
+        ("variance_ratio_baseline_over_adam", summary.variance_ratio),
+        ("mann_whitney_u", u_stat),
+        ("mann_whitney_p", u_p),
+        ("levene_w", w_stat),
+        ("levene_p", w_p),
+        ("f_statistic", f_stat),
+        ("f_test_p", f_p),
+        ("cohens_d", summary.cohens_d),
     ]
-    lines = [f"{key}: {value}" for key, value in pairs]
+    lines = [f"{key}: undefined ({value.reason})" if isinstance(value, Undefined)
+             else f"{key}: {value:.17g}" for key, value in pairs]
     lines.append("")
     header = f"{'model':<10} {'n':>4} {'mean_f1':>9} {'std_f1':>8} {'var_f1':>8}"
     lines.append(header)

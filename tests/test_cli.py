@@ -274,6 +274,23 @@ def test_compare_identical_models_is_degenerate(workspace):
     assert "mann_whitney_p: 1" in text
 
 
+def test_compare_prints_undefined_statistics(tmp_path, capsys):
+    header = "seed,model,accuracy,auc,f1\n"
+    adam = tmp_path / "trials-adam.csv"
+    adam.write_text(header + "0,adam,0.9,1,0.9\n1,adam,1,1,1\n")
+    flat = tmp_path / "trials-baseline-rf.csv"
+    flat.write_text(header + "0,baseline-rf,1,1,1\n1,baseline-rf,1,1,1\n")
+    assert main(["compare", "--adam", str(adam), "--baseline", str(flat)]) == 0
+    out = capsys.readouterr().out
+    assert "f_test_p: undefined (variance F-test undefined for zero variance)" in out
+    assert "mann_whitney_p: " in out
+
+    short = tmp_path / "short.csv"
+    short.write_text(header + "0,baseline-lr,1\n")
+    assert main(["compare", "--adam", str(adam), "--baseline", str(short)]) == 1
+    assert f"{short}: line 2: expected 5 fields" in capsys.readouterr().err
+
+
 def test_report_rerender_matches_original(workspace):
     original = workspace["first"] / "reports"
     rerendered = workspace["report"] / "reports"

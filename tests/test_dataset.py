@@ -96,6 +96,21 @@ def test_parse_rejects_non_finite_values(tmp_path, token):
     assert reasons[4].startswith("bad abundance value: non-finite value")
 
 
+def test_parse_rejects_digit_group_underscores(tmp_path):
+    path = _write(tmp_path, [
+        "S1,P1,1,yes,70,1.5,2.5,ok",
+        "S2,P1,2,no,1_5,0.5,3.5,clinical",
+        "S3,P2,1,no,75,1_0,1.0,abundance",
+        "S4,P2,1_0,no,75,1.0,1.0,visit",
+    ])
+    result = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in result.sample_set.samples] == ["S1"]
+    reasons = dict(result.rejected)
+    assert reasons[3] == "bad clinical value: underscore in number '1_5'"
+    assert reasons[4] == "bad abundance value: underscore in number '1_0'"
+    assert reasons[5].startswith("visit must be a positive integer")
+
+
 @pytest.mark.parametrize("sample_id", ["..", ".", "../escaped", "a/b", "/abs",
                                        "a\\b", "..\\up"])
 def test_parse_rejects_path_like_sample_ids(tmp_path, sample_id):

@@ -7,13 +7,14 @@ import pytest
 
 from adam.config import RunConfig
 from adam.ensemble import BinaryMetrics
-from adam.errors import EmptyInputError, StratificationError
+from adam.errors import EmptyInputError, FormatError, StratificationError
 from adam.evaluation import (
     CSV_FIELDS,
     MODEL_TAGS,
     ComparisonSummary,
     EvaluationRun,
     TrialResult,
+    Undefined,
     aggregate_trials,
     compare_models,
     format_metrics_table,
@@ -91,6 +92,27 @@ def test_trials_csv_handles_undefined_auc(tmp_path):
     bad.write_text("seed,model,f1\n0,adam,1.0\n")
     with pytest.raises(ValueError, match="header"):
         read_trials_csv(bad)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,baseline-lr,1", "line 3: expected 5 fields"),
+    ("0,adam,1,1,1,1", "line 3: expected 5 fields"),
+    ("0.5,adam,1,1,1", "line 3: bad seed value '0.5'"),
+    ("x,adam,1,1,1", "line 3: bad seed value 'x'"),
+    ("1,adam,1,1,1.7", "line 3: bad f1 value '1.7'"),
+    ("1,adam,1,1,-3", "line 3: bad f1 value '-3'"),
+    ("1,adam,1,1,nan", "line 3: bad f1 value 'nan'"),
+    ("1,adam,1,1,", "line 3: bad f1 value ''"),
+    ("1,adam,inf,1,1", "line 3: bad accuracy value 'inf'"),
+    ("1,adam,1,high,1", "line 3: bad auc value 'high'"),
+    ("1,adam,1,0_5,1", "line 3: bad auc value '0_5'"),
+])
+def test_trials_csv_rejects_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "trials.csv"
+    path.write_text(f"seed,model,accuracy,auc,f1\n0,adam,1,,0.5\n{row}\n")
+    with pytest.raises(FormatError) as err:
+        read_trials_csv(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_aggregate_matches_numpy(eval_run):
@@ -245,6 +267,36 @@ def test_identical_groups_comparison():
     assert summary.variance_ratio == 1.0
     with pytest.raises(EmptyInputError):
         compare_models([], ADAM_F1)
+
+
+def test_comparison_records_undefined_statistics():
+    flat = (1.0,) * 10
+    summary = compare_models(ADAM_F1, flat)
+    zero = "variance F-test undefined for zero variance"
+    assert summary.f_test == Undefined(zero)
+    assert summary.variance_ratio == 0.0
+    assert summary.mann_whitney == mann_whitney_u(ADAM_F1, flat)
+    assert summary.levene == levene_test(ADAM_F1, flat)
+    assert summary.cohens_d == cohens_d(ADAM_F1, flat)
+    text = format_summary(summary)
+    assert f"f_statistic: undefined ({zero})" in text
+    assert f"f_test_p: undefined ({zero})" in text
+    assert f"levene_p: {summary.levene[1]:.17g}" in text
+
+    assert compare_models(flat, ADAM_F1).variance_ratio == math.inf
+    both_flat = compare_models(flat, (0.5,) * 10)
+    assert both_flat.variance_ratio == Undefined(
+        "variance ratio undefined: both variances are zero")
+    assert both_flat.cohens_d == Undefined(
+        "Cohen's d undefined: both variances are zero")
+
+    single = compare_models([1.0], [0.9])
+    short = Undefined("each group needs at least 2 values")
+    assert (single.variance_ratio, single.levene, single.f_test,
+            single.cohens_d) == (short,) * 4
+    assert single.mann_whitney == mann_whitney_u([1.0], [0.9])
+    assert "cohens_d: undefined (each group needs at least 2 values)" in \
+        format_summary(single)
 
 
 def test_format_summary_contents():

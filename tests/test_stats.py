@@ -8,6 +8,10 @@ import pytest
 
 from adam.errors import DegenerateStatisticError, EmptyInputError
 from adam.stats import (
+    _EXACT_WORK_LIMIT,
+    _edgeworth_mwu_p,
+    _exact_mwu_p,
+    _u_arrangement_counts,
     cohens_d,
     f_distribution_sf,
     levene_test,
@@ -128,6 +132,69 @@ def test_mwu_exact_against_enumeration():
         b = pool[m:].tolist()
         u, p = mann_whitney_u(a, b)
         assert abs(p - _mwu_enumeration_oracle(a, b)) < 1e-12
+
+
+def _untied_groups(m, n, seed):
+    """Distinct values, group a shifted up by a fraction of the pool."""
+    pool = np.random.default_rng(seed).permutation(m + n).astype(float)
+    return pool[:m] + (m + n) // 8 + 0.5, pool[m:]
+
+
+# Untied shapes and the route each takes; the first six were once served
+# by enumeration, closed forms, FFT inversion or the saddlepoint tail.
+MWU_ROUTES = [
+    (1, 40, "exact"),
+    (2, 40, "exact"),
+    (9, 9, "exact"),
+    (20, 20, "exact"),
+    (3, 7000, "exact"),
+    (50, 50, "exact"),
+    (20, 500, "exact"),  # min(m, n) * m * n == _EXACT_WORK_LIMIT
+    (20, 501, "edgeworth"),  # first shape past it
+]
+
+
+@pytest.mark.parametrize("m, n, route", MWU_ROUTES)
+def test_mwu_untied_route_table(m, n, route):
+    a, b = _untied_groups(m, n, seed=m * n)
+    u, p = mann_whitney_u(a, b)
+    assert mann_whitney_u(b, a)[1] == p
+    if route == "exact":
+        assert min(m, n) * m * n <= _EXACT_WORK_LIMIT
+        assert p == _exact_mwu_p(min(m, n), max(m, n), u)
+        if math.comb(m + n, min(m, n)) <= 50_000:
+            assert abs(p - _mwu_enumeration_oracle(a.tolist(), b.tolist())) <= 1e-12
+    else:
+        assert min(m, n) * m * n > _EXACT_WORK_LIMIT
+        assert p == _edgeworth_mwu_p(m, n, u, 0.0)
+
+
+@pytest.mark.parametrize("size", [60, 80])
+def test_mwu_edgeworth_close_to_exact_past_the_limit(size):
+    mn = size * size
+    assert size * mn > _EXACT_WORK_LIMIT
+    counts = _u_arrangement_counts(size, size)
+    total = sum(counts)
+    below = worst = 0
+    for u in range(mn // 2):
+        # 2u < mn: the two tails are disjoint mirror images
+        below += counts[u]
+        exact = min(1.0, 2 * below / total)
+        worst = max(worst, abs(exact - _edgeworth_mwu_p(size, size, float(u), 0.0)))
+        if u == mn // 4:
+            assert exact == _exact_mwu_p(size, size, float(u))
+    assert worst <= 5e-5
+
+
+def test_mwu_tied_data_takes_edgeworth_route():
+    from test_evaluation import ADAM_F1, BASELINE_F1
+    u, p = mann_whitney_u(ADAM_F1, BASELINE_F1)
+    assert p == 0.04181451227581941
+    _, tie_sum = midranks(ADAM_F1 + BASELINE_F1)
+    assert p == _edgeworth_mwu_p(30, 30, u, tie_sum)
+    # ties leave the exact route even for tiny groups
+    u, p = mann_whitney_u([1.0, 2.0, 2.0], [3.0, 4.0])
+    assert p == _edgeworth_mwu_p(3, 2, u, 6.0)
 
 
 def test_mwu_rank_transform_invariance():
