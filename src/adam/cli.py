@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -41,41 +43,35 @@ from .config import (
     resolve_config,
     write_resolved_config,
 )
-from .dataset import (
-    draw_eval_cohort,
-    feature_medians,
-    impute,
-    is_file_name,
-    parse_samples,
-    split_grouped_stratified,
-)
+from .dataset import draw_eval_cohort, is_file_name, parse_samples
 from .embedding import OfflineHashEmbedder, RemoteEmbedder
 from .ensemble import evaluate_binary, model_from_dict, model_to_dict
-from .errors import AdamError, FormatError, IntegrityError, ModelIntegrityError, SchemaError
+from .errors import (
+    AdamError,
+    AlignmentError,
+    FormatError,
+    IntegrityError,
+    ModelIntegrityError,
+    SchemaError,
+)
 from .evaluation import (
     MODEL_TAGS,
     classify_cohort,
     compare_models,
-    fit_tuned_gbdt,
+    fit_seed,
     format_metrics_table,
     format_summary,
+    healthy_reference,
     read_trials_csv,
     run_seeded_trials,
-    select_features,
     write_trials_csv,
 )
 from .synthetic import write_dataset
 from .vectorstore import SemanticSearch, index_corpus, load_collections, save_collections
 
-_MODEL_ALIASES = {
-    "gbdt": "baseline-gbdt",
-    "rf": "baseline-rf",
-    "lr": "baseline-lr",
-    "adam": "adam",
-    "baseline-gbdt": "baseline-gbdt",
-    "baseline-rf": "baseline-rf",
-    "baseline-lr": "baseline-lr",
-}
+# Each model tag by its full name and by its name without "baseline-".
+_MODEL_ALIASES = {alias: tag for tag in MODEL_TAGS
+                  for alias in (tag, tag.removeprefix("baseline-"))}
 
 
 # The RunConfig fields each subcommand exposes as flags. A field's flag is
@@ -138,11 +134,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         for field in _CONFIG_FLAGS[args.command]})
 
 
-def _echo(config: RunConfig, out, command: str) -> None:
-    if out is not None:
-        write_resolved_config(config, out, command)
-
-
 def _embedder(config: RunConfig):
     if config.embedding_backend == "mock":
         return OfflineHashEmbedder(dim=config.embedding_dim)
@@ -197,19 +188,15 @@ def cmd_synth(args) -> int:
     print(f"wrote {csv_path}")
     print(f"wrote {schema_path}")
     print(f"samples: {n} ({positives} positive, {100.0 * positives / n:.2f}%)")
-    _echo(replace(config, dataset=str(csv_path), schema=str(schema_path)),
-          out, "synth")
+    write_resolved_config(replace(config, dataset=str(csv_path),
+                                  schema=str(schema_path)), out, "synth")
     return 0
 
 
 def _dataset_summary(config: RunConfig, result) -> str:
     ss = result.sample_set
-    labels = ss.labels()
-    positives = int(labels.sum())
-    visits_per_study: dict[str, int] = {}
-    for sample in ss.samples:
-        visits_per_study[sample.study_id] = visits_per_study.get(
-            sample.study_id, 0) + 1
+    positives = int(ss.labels().sum())
+    visits_per_study = Counter(sample.study_id for sample in ss.samples)
     counts = sorted(visits_per_study.values())
     lines = [
         f"dataset: {config.dataset}",
@@ -237,7 +224,7 @@ def cmd_ingest(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "dataset-summary.txt").write_text(summary, encoding="utf-8")
-        _echo(config, out, "ingest")
+        write_resolved_config(config, out, "ingest")
     return 0
 
 
@@ -272,90 +259,108 @@ def cmd_index(args) -> int:
                         "save/load round trip")
         print(f"verified {total} record(s) across {len(loaded)} "
               f"collection(s) in {store}")
-    _echo(config, store, "index")
+    write_resolved_config(config, store, "index")
     return 0
 
 
-def _model_bundle(model, feature_names, medians, split) -> dict:
+def _model_bundle(deployed: DeployedModel, split) -> dict:
     return {
         "format": "adam-model-bundle",
-        "model": model_to_dict(model),
-        "feature_names": list(feature_names),
-        "medians": {name: float(value)
-                    for name, value in medians.items()},
+        "model": model_to_dict(deployed.model),
+        "feature_names": list(deployed.feature_names),
+        "medians": dict(deployed.medians),
         "train_studies": list(split.train_studies),
         "test_studies": list(split.test_studies),
     }
 
 
-def _load_model_bundle(path):
+def _read_document(path, fmt: str, what: str) -> dict:
+    """The JSON object in path, which must declare "format": fmt."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "adam-model-bundle":
-        raise FormatError(f"{path}: not a model bundle")
-    for key in ("model", "feature_names", "medians", "train_studies",
-                "test_studies"):
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise FormatError(f"{path}: not a {what}")
+    return doc
+
+
+def _check_fields(doc: dict, checks: dict, where: str) -> None:
+    """FormatError at the first key of checks that doc lacks or whose
+    value fails the check; checks maps each key to (check, shape)."""
+    for key, (check, shape) in checks.items():
         if key not in doc:
-            raise FormatError(f"{path}: bundle lacks {key!r}")
+            raise FormatError(f"{where} lacks {key!r}")
+        if not check(doc[key]):
+            raise FormatError(f"{where} {key!r} must be {shape}")
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# model_from_dict checks the "model" document itself.
+_BUNDLE_CHECKS = {
+    "model": (lambda v: isinstance(v, dict), "an object"),
+    "feature_names": (_string_list, "a list of strings"),
+    "medians": (lambda v: isinstance(v, dict) and all(
+        _number(x) and math.isfinite(x) for x in v.values()),
+        "an object of finite numbers"),
+    "train_studies": (_string_list, "a list of strings"),
+    "test_studies": (_string_list, "a list of strings"),
+}
+
+
+def _load_model_bundle(path):
+    """(deployed model, train study ids, test study ids) from a bundle
+    written by train; anything malformed raises an AdamError naming path."""
+    doc = _read_document(path, "adam-model-bundle", "model bundle")
+    _check_fields(doc, _BUNDLE_CHECKS, f"{path}: bundle")
     try:
-        model = model_from_dict(doc["model"])
+        deployed = DeployedModel(
+            model=model_from_dict(doc["model"]),
+            feature_names=tuple(doc["feature_names"]),
+            medians={k: float(v) for k, v in doc["medians"].items()})
     except (FormatError, ModelIntegrityError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    names = tuple(str(n) for n in doc["feature_names"])
-    medians = {str(k): float(v) for k, v in doc["medians"].items()}
-    if model.n_features != len(names):
-        raise FormatError(
-            f"{path}: model expects {model.n_features} features but the "
-            f"bundle names {len(names)}")
-    return (model, names, medians,
-            tuple(doc["train_studies"]), tuple(doc["test_studies"]))
+    except AlignmentError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return deployed, tuple(doc["train_studies"]), tuple(doc["test_studies"])
 
 
 def cmd_train(args) -> int:
     config = _resolve(args)
     out = Path(args.out)
     sample_set = _load_sample_set(config).sample_set
-    split = split_grouped_stratified(sample_set, config.split_fraction,
-                                     config.seed)
-    train, test = split.train, split.test
-    medians = feature_medians(train.feature_matrix())
-    X_train = impute(train.feature_matrix(), medians)
-    y_train = train.labels()
-    selected = select_features(X_train, y_train, config.n_features,
-                               seed=config.seed)
-    names = train.feature_names
-    selected_names = tuple(names[j] for j in selected)
-    model = fit_tuned_gbdt(X_train[:, selected], y_train,
-                           train.study_ids(), config, config.seed)
+    fit = fit_seed(sample_set, config, config.seed)
+    split, model = fit.split, fit.deployed.model
+    train_metrics = evaluate_binary(fit.y_train,
+                                    model.predict_proba(fit.X_train))
+    test_metrics = evaluate_binary(split.test.labels(),
+                                   model.predict_proba(fit.screened(split.test)))
 
-    train_metrics = evaluate_binary(
-        y_train, model.predict_proba(X_train[:, selected]))
-    X_test = impute(test.feature_matrix(), medians)[:, selected]
-    test_metrics = evaluate_binary(test.labels(), model.predict_proba(X_test))
-
-    bundle = _model_bundle(model, selected_names,
-                           {name: float(value)
-                            for name, value in zip(names, medians)
-                            if name in selected_names}, split)
     model_path = Path(config.model) if config.model else out / "model.json"
     out.mkdir(parents=True, exist_ok=True)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True)
+        json.dump(_model_bundle(fit.deployed, split), fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
-    print(f"trained on {len(train)} sample(s) from "
+    print(f"trained on {len(split.train)} sample(s) from "
           f"{len(split.train_studies)} study(ies); "
-          f"{len(selected_names)} feature(s)")
+          f"{len(fit.selected)} feature(s)")
     print(f"training accuracy: {train_metrics.accuracy:.4f}  "
           f"f1: {train_metrics.f1:.4f}")
     print(f"holdout accuracy: {test_metrics.accuracy:.4f}  "
           f"f1: {test_metrics.f1:.4f}  "
-          f"({len(test)} sample(s), {len(split.test_studies)} study(ies))")
+          f"({len(split.test)} sample(s), {len(split.test_studies)} study(ies))")
     print(f"wrote {model_path}")
-    _echo(replace(config, model=str(model_path)), out, "train")
+    write_resolved_config(replace(config, model=str(model_path)), out, "train")
     return 0
 
 
@@ -364,18 +369,11 @@ def cmd_classify(args) -> int:
     if config.model is None:
         raise SchemaError("classify needs --model (bundle from train)")
     out = Path(args.out)
-    model, names, medians, train_studies, test_studies = _load_model_bundle(
-        config.model)
+    deployed, train_studies, test_studies = _load_model_bundle(config.model)
     sample_set = _load_sample_set(config).sample_set
-    train = sample_set.restrict_to_studies(train_studies)
+    reference = healthy_reference(
+        sample_set.restrict_to_studies(train_studies))
     test = sample_set.restrict_to_studies(test_studies)
-    healthy_ids = [s.sample_id for s in train.samples if s.label == 0]
-    if not healthy_ids:
-        raise SchemaError("training partition has no healthy samples to "
-                          "serve as the beta-diversity reference")
-    reference = train.subset(healthy_ids)
-    deployed = DeployedModel(model=model, feature_names=names,
-                             medians=medians)
     cohort = draw_eval_cohort(test, config.n_pos, config.n_neg, config.seed)
     searcher = _searcher(config)
     summarizer, classifier = _llm_backends(config)
@@ -416,7 +414,7 @@ def cmd_classify(args) -> int:
           f"{len(entries) - yes} No")
     print(f"wrote {out / 'dossier.json'} and {len(entries)} report(s) "
           f"under {reports_dir}")
-    _echo(config, out, "classify")
+    write_resolved_config(config, out, "classify")
     return 0
 
 
@@ -444,9 +442,8 @@ def cmd_evaluate(args) -> int:
     tags = _parse_model_tags(args.models)
     sample_set = _load_sample_set(config).sample_set
     seeds = range(config.seed_base, config.seed_base + config.n_seeds)
-    summarizer = classifier = None
-    if "adam" in tags and config.llm_backend == "remote":
-        summarizer, classifier = _llm_backends(config)
+    summarizer, classifier = (_llm_backends(config) if "adam" in tags
+                              else (None, None))
     searcher = _searcher(config) if "adam" in tags else None
     run = run_seeded_trials(sample_set, seeds, config=config, models=tags,
                             summarizer=summarizer, classifier=classifier,
@@ -469,7 +466,7 @@ def cmd_evaluate(args) -> int:
         print(f"failures: {len(run.failures)} seed(s) skipped "
               f"(see {out / 'failures.txt'})", file=sys.stderr)
     print(f"wrote {out / 'trials.csv'} and per-model trial files")
-    _echo(config, out, "evaluate")
+    write_resolved_config(config, out, "evaluate")
     return 0
 
 
@@ -494,22 +491,21 @@ def cmd_compare(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "comparison.txt").write_text(text, encoding="utf-8")
-        _echo(config, out, "compare")
+        write_resolved_config(config, out, "compare")
     return 0
 
 
 # Checks on each report payload of a dossier, by key.
 _REPORT_CHECKS = {
-    "sample_id": lambda v: isinstance(v, str) and is_file_name(v),
-    "verdict": lambda v: v in ("Yes", "No"),
-    "probability": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool),
-    "sections": lambda v: isinstance(v, list) and all(
-        isinstance(s, list) and len(s) == 2
-        and all(isinstance(t, str) for t in s) for s in v),
-    "summary": lambda v: isinstance(v, str),
-    "step_transcripts": lambda v: isinstance(v, list)
-    and all(isinstance(t, str) for t in v),
+    "sample_id": (lambda v: isinstance(v, str) and is_file_name(v),
+                  "a plain file name"),
+    "verdict": (lambda v: v in ("Yes", "No"), "Yes or No"),
+    "probability": (_number, "a number"),
+    "sections": (lambda v: isinstance(v, list) and all(
+        _string_list(s) and len(s) == 2 for s in v),
+        "a list of [title, text] pairs"),
+    "summary": (lambda v: isinstance(v, str), "a string"),
+    "step_transcripts": (_string_list, "a list of strings"),
 }
 
 
@@ -519,13 +515,7 @@ def read_dossier(path) -> list[ClassificationReport]:
     A malformed dossier raises FormatError naming the file and, for a
     bad entry, its index in "samples".
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "adam-dossier":
-        raise FormatError(f"{path}: not a classification dossier")
+    doc = _read_document(path, "adam-dossier", "classification dossier")
     samples = doc.get("samples", [])
     if not isinstance(samples, list):
         raise FormatError(f"{path}: samples is not a list")
@@ -534,12 +524,7 @@ def read_dossier(path) -> list[ClassificationReport]:
         payload = entry.get("report") if isinstance(entry, dict) else None
         if not isinstance(payload, dict):
             raise FormatError(f"{path}: sample {index}: no report object")
-        for key, check in _REPORT_CHECKS.items():
-            if key not in payload:
-                raise FormatError(f"{path}: sample {index}: report lacks {key!r}")
-            if not check(payload[key]):
-                raise FormatError(
-                    f"{path}: sample {index}: report {key!r} is malformed")
+        _check_fields(payload, _REPORT_CHECKS, f"{path}: sample {index}: report")
         reports.append(ClassificationReport(
             sample_id=payload["sample_id"],
             verdict=payload["verdict"],
@@ -561,7 +546,7 @@ def cmd_report(args) -> int:
         path = reports_dir / f"{report.sample_id}.md"
         path.write_text(render_report(report), encoding="utf-8")
     print(f"rendered {len(reports)} report(s) under {reports_dir}")
-    _echo(config, out, "report")
+    write_resolved_config(config, out, "report")
     return 0
 
 
@@ -615,13 +600,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AdamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (AdamError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,9 +12,22 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .agents.pipeline import (
+    CLASSIFICATION_TOKEN_BUDGET,
+    DEFAULT_CLASSIFICATION_MODEL,
+    DEFAULT_FALLBACK_THRESHOLD,
+    DEFAULT_SUMMARIZATION_MODEL,
+    SUMMARIZATION_TOKEN_BUDGET,
+)
+from .chunker import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LENGTH
+from .embedding import DEFAULT_DIMENSION, DEFAULT_EMBEDDING_MODEL
 from .errors import FormatError, SchemaError
+from .vectorstore import DEFAULT_THRESHOLD, DEFAULT_TOP_K
 
 RESOLVED_CONFIG_NAME = "resolved-config.json"
+# Integer fields with a lower bound, and the bound.
+_MINIMUMS = {"embedding_dim": 1, "segment_length": 1, "top_k": 1,
+             "tuning_trials": 0, "tuning_folds": 2, "n_seeds": 1, "jobs": 1}
 
 
 @dataclass(frozen=True)
@@ -29,21 +42,21 @@ class RunConfig:
     embedding_backend: str = "mock"  # mock | remote
     llm_backend: str = "mock"  # mock | remote
     embedding_url: str | None = None
-    embedding_model: str = "text-embedding-ada-002"
-    embedding_dim: int = 1536
+    embedding_model: str = DEFAULT_EMBEDDING_MODEL
+    embedding_dim: int = DEFAULT_DIMENSION
     llm_url: str | None = None
-    summarization_model: str = "gpt-4o"
-    classification_model: str = "gpt-4o-mini"
+    summarization_model: str = DEFAULT_SUMMARIZATION_MODEL
+    classification_model: str = DEFAULT_CLASSIFICATION_MODEL
     # chunking
-    segment_length: int = 2000
-    overlap: int = 400
+    segment_length: int = DEFAULT_SEGMENT_LENGTH
+    overlap: int = DEFAULT_OVERLAP
     # retrieval
-    top_k: int = 5
-    threshold: float = 0.8
+    top_k: int = DEFAULT_TOP_K
+    threshold: float = DEFAULT_THRESHOLD
     # agent budgets
-    summarization_budget: int = 100_000
-    classification_budget: int = 50_000
-    fallback_threshold: float = 0.5
+    summarization_budget: int = SUMMARIZATION_TOKEN_BUDGET
+    classification_budget: int = CLASSIFICATION_TOKEN_BUDGET
+    fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD
     # protocol
     split_fraction: float = 0.75
     n_pos: int = 15
@@ -58,27 +71,21 @@ class RunConfig:
     tolerate_failures: bool = False
 
     def validate(self) -> None:
-        if self.embedding_backend not in ("mock", "remote"):
-            raise SchemaError(
-                f"embedding_backend must be mock or remote, "
-                f"got {self.embedding_backend!r}")
-        if self.llm_backend not in ("mock", "remote"):
-            raise SchemaError(
-                f"llm_backend must be mock or remote, got {self.llm_backend!r}")
-        if self.embedding_backend == "remote" and not self.embedding_url:
-            raise SchemaError("embedding_backend=remote requires embedding_url")
-        if self.llm_backend == "remote" and not self.llm_url:
-            raise SchemaError("llm_backend=remote requires llm_url")
-        if self.embedding_dim < 1:
-            raise SchemaError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if self.segment_length < 1:
-            raise SchemaError(
-                f"segment_length must be >= 1, got {self.segment_length}")
+        for service in ("embedding", "llm"):
+            backend = getattr(self, f"{service}_backend")
+            if backend not in ("mock", "remote"):
+                raise SchemaError(
+                    f"{service}_backend must be mock or remote, got {backend!r}")
+            if backend == "remote" and not getattr(self, f"{service}_url"):
+                raise SchemaError(
+                    f"{service}_backend=remote requires {service}_url")
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise SchemaError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0 <= self.overlap < self.segment_length:
             raise SchemaError(
                 f"overlap must lie in [0, segment_length), got {self.overlap}")
-        if self.top_k < 1:
-            raise SchemaError(f"top_k must be >= 1, got {self.top_k}")
         if not -1.0 <= self.threshold <= 1.0:
             raise SchemaError(
                 f"threshold must lie in [-1, 1], got {self.threshold}")
@@ -93,16 +100,6 @@ class RunConfig:
                 f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if self.n_pos < 1 or self.n_neg < 1:
             raise SchemaError("cohort sizes must be >= 1")
-        if self.tuning_trials < 0:
-            raise SchemaError(
-                f"tuning_trials must be >= 0, got {self.tuning_trials}")
-        if self.tuning_folds < 2:
-            raise SchemaError(
-                f"tuning_folds must be >= 2, got {self.tuning_folds}")
-        if self.n_seeds < 1:
-            raise SchemaError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.jobs < 1:
-            raise SchemaError(f"jobs must be >= 1, got {self.jobs}")
 
 
 # Each field's declared type, as a string (the module postpones annotations).

@@ -46,6 +46,7 @@ from .errors import (
 from .http_retry import MAX_ATTEMPTS, post_with_backoff
 
 DEFAULT_DIMENSION = 1536
+DEFAULT_EMBEDDING_MODEL = "text-embedding-ada-002"
 DEFAULT_MAX_CHARS = 8000
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
 GRAM_CACHE_SIZE = 1 << 15
@@ -184,7 +185,7 @@ class RemoteEmbedder(EmbeddingBackend):
     :param sleeper: injectable sleep function (tests pass a recorder).
     """
 
-    def __init__(self, url: str, model: str = "text-embedding-ada-002",
+    def __init__(self, url: str, model: str = DEFAULT_EMBEDDING_MODEL,
                  dim: int = DEFAULT_DIMENSION,
                  api_key: str | None = None,
                  max_chars: int = DEFAULT_MAX_CHARS,

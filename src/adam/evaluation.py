@@ -19,6 +19,7 @@ import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .config import RunConfig
 from .dataset import (
     Sample,
     SampleSet,
+    SplitResult,
     draw_eval_cohort,
     feature_medians,
     impute,
@@ -115,6 +117,60 @@ def fit_tuned_gbdt(X, y, groups, config: RunConfig, seed: int):
 
 
 @dataclass(frozen=True)
+class SeedFit:
+    """One seed's training side: the split, the training median of every
+    column, the screened column indices (ascending), the imputed screened
+    training matrix, and the deployed tuned GBDT (None if not fitted)."""
+
+    split: SplitResult
+    medians: np.ndarray
+    selected: np.ndarray
+    X_train: np.ndarray
+    y_train: np.ndarray
+    deployed: DeployedModel | None
+
+    def screened(self, samples: SampleSet) -> np.ndarray:
+        """The samples' matrix imputed with the training medians, restricted
+        to the screened columns."""
+        return impute(samples.feature_matrix(), self.medians)[:, self.selected]
+
+
+def fit_seed(sample_set: SampleSet, config: RunConfig, seed: int,
+             with_gbdt: bool = True) -> SeedFit:
+    """The per-seed recipe shared by train and evaluate: group-disjoint
+    split, training medians, imputation, feature screen, and (when
+    with_gbdt) the tuned GBDT deployed on the screened columns."""
+    split = split_grouped_stratified(sample_set, config.split_fraction, seed)
+    train = split.train
+    raw = train.feature_matrix()
+    medians = feature_medians(raw)
+    X_train = impute(raw, medians)
+    y_train = train.labels()
+    selected = select_features(X_train, y_train, config.n_features, seed=seed)
+    X_train = X_train[:, selected]
+    deployed = None
+    if with_gbdt:
+        names = train.feature_names
+        deployed = DeployedModel(
+            model=fit_tuned_gbdt(X_train, y_train, train.study_ids(), config,
+                                 seed),
+            feature_names=tuple(names[j] for j in selected),
+            medians={names[j]: float(medians[j]) for j in selected})
+    return SeedFit(split=split, medians=medians, selected=selected,
+                   X_train=X_train, y_train=y_train, deployed=deployed)
+
+
+def healthy_reference(train: SampleSet) -> SampleSet:
+    """The healthy (label 0) samples of a training set, the reference
+    community for beta diversity."""
+    healthy = [s.sample_id for s in train.samples if s.label == 0]
+    if not healthy:
+        raise EmptyInputError("training partition has no healthy samples "
+                              "to serve as the beta-diversity reference")
+    return train.subset(healthy)
+
+
+@dataclass(frozen=True)
 class ClassifiedSample:
     sample: Sample
     context: AgentContext  # computational output, history and transcripts
@@ -166,75 +222,39 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
         yield ClassifiedSample(sample=sample, context=ctx, report=report)
 
 
-def _adam_metrics(cohort, test_set, deployed, reference, config,
-                  summarizer, classifier, searcher) -> BinaryMetrics:
-    labels = []
-    predictions = []
-    scores = []
-    for item in classify_cohort(cohort, test_set, deployed, reference,
-                                searcher, summarizer, classifier, config):
-        labels.append(item.sample.label)
-        predictions.append(1.0 if item.report.verdict == "Yes" else 0.0)
-        scores.append(item.context.computational.probability)
-    y = np.asarray(labels, dtype=float)
-    yhat = np.asarray(predictions, dtype=float)
-    precision, recall, f1 = precision_recall_f1(y, yhat)
-    return BinaryMetrics(accuracy=accuracy(y, yhat), precision=precision,
-                         recall=recall, f1=f1, auc=auc_score(y, scores))
-
-
 def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,
                   classifier, searcher) -> list[TrialResult]:
-    split = split_grouped_stratified(sample_set, config.split_fraction, seed)
-    train, test = split.train, split.test
-    medians = feature_medians(train.feature_matrix())
-    X_train = impute(train.feature_matrix(), medians)
-    y_train = train.labels()
-    selected = select_features(X_train, y_train, config.n_features, seed=seed)
-    names = train.feature_names
-    selected_names = tuple(names[j] for j in selected)
-    X_train = X_train[:, selected]
-
+    fit = fit_seed(sample_set, config, seed,
+                   with_gbdt="baseline-gbdt" in models or "adam" in models)
+    test = fit.split.test
     cohort = draw_eval_cohort(test, config.n_pos, config.n_neg, seed)
-    X_cohort = impute(cohort.feature_matrix(), medians)[:, selected]
-    y_cohort = cohort.labels()
-    threshold = config.fallback_threshold
-
-    gbdt_model = None
-    if "baseline-gbdt" in models or "adam" in models:
-        gbdt_model = fit_tuned_gbdt(X_train, y_train, train.study_ids(),
-                                    config, seed)
-
+    y, X_cohort = cohort.labels(), fit.screened(cohort)
+    baselines = {
+        "baseline-gbdt": lambda: fit.deployed.model,
+        "baseline-rf": lambda: fit_random_forest(fit.X_train, fit.y_train,
+                                                 seed=seed),
+        "baseline-lr": lambda: fit_logistic_regression(fit.X_train,
+                                                       fit.y_train),
+    }
     results = []
     for tag in models:
-        if tag == "baseline-gbdt":
-            metrics = evaluate_binary(y_cohort,
-                                      gbdt_model.predict_proba(X_cohort),
-                                      threshold=threshold)
-        elif tag == "baseline-rf":
-            forest = fit_random_forest(X_train, y_train, seed=seed)
-            metrics = evaluate_binary(y_cohort, forest.predict_proba(X_cohort),
-                                      threshold=threshold)
-        elif tag == "baseline-lr":
-            linear = fit_logistic_regression(X_train, y_train)
-            metrics = evaluate_binary(y_cohort, linear.predict_proba(X_cohort),
-                                      threshold=threshold)
+        if tag != "adam":
+            metrics = evaluate_binary(
+                y, baselines[tag]().predict_proba(X_cohort),
+                threshold=config.fallback_threshold)
         else:
-            deployed = DeployedModel(
-                model=gbdt_model,
-                feature_names=selected_names,
-                medians={name: float(value)
-                         for name, value in zip(names, medians)
-                         if name in selected_names},
-            )
-            healthy_ids = [s.sample_id for s in train.samples if s.label == 0]
-            if not healthy_ids:
-                raise EmptyInputError(
-                    f"seed {seed}: training partition has no healthy samples "
-                    "to serve as the beta-diversity reference")
-            reference = train.subset(healthy_ids)
-            metrics = _adam_metrics(cohort, test, deployed, reference, config,
-                                    summarizer, classifier, searcher)
+            # verdicts score accuracy and F1; probabilities score the AUC
+            items = list(classify_cohort(
+                cohort, test, fit.deployed, healthy_reference(fit.split.train),
+                searcher, summarizer, classifier, config))
+            yhat = np.asarray([item.report.verdict == "Yes" for item in items],
+                              dtype=float)
+            precision, recall, f1 = precision_recall_f1(y, yhat)
+            metrics = BinaryMetrics(
+                accuracy=accuracy(y, yhat), precision=precision,
+                recall=recall, f1=f1, auc=auc_score(
+                    y, [item.context.computational.probability
+                        for item in items]))
         results.append(TrialResult(seed=seed, model=tag, metrics=metrics,
                                    cohort_size=len(cohort.samples)))
     return results
@@ -279,22 +299,19 @@ def run_seeded_trials(sample_set: SampleSet, seeds,
             failures.append(SeedFailure(seed=seed, model="setup",
                                         message=str(exc)))
 
+    one_seed = partial(_run_one_seed, sample_set, config=config, models=models,
+                       summarizer=summarizer, classifier=classifier,
+                       searcher=searcher)
     if config.jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(config.jobs, len(seeds))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(seed, pool.submit(_run_one_seed, sample_set, seed,
-                                          config, models, summarizer,
-                                          classifier, searcher))
-                       for seed in seeds]
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(seeds))) as pool:
+            futures = [(seed, pool.submit(one_seed, seed)) for seed in seeds]
             for seed, future in futures:
                 record(seed, future.result)
     else:
         for seed in seeds:
-            record(seed, lambda: _run_one_seed(sample_set, seed, config,
-                                               models, summarizer, classifier,
-                                               searcher))
+            record(seed, partial(one_seed, seed))
     return EvaluationRun(trials=tuple(trials), failures=tuple(failures))
 
 
@@ -424,8 +441,8 @@ class ComparisonSummary:
     n_baseline: int
     adam_mean_f1: float
     baseline_mean_f1: float
-    adam_std_f1: float
-    baseline_std_f1: float
+    adam_std_f1: float | Undefined
+    baseline_std_f1: float | Undefined
     variance_ratio: float | Undefined  # baseline variance / adam variance
     mann_whitney: tuple[float, float]  # (U, p)
     levene: tuple[float, float] | Undefined  # (W, p)
@@ -441,12 +458,19 @@ def _f1_vector(values) -> np.ndarray:
     return np.asarray(out)
 
 
+def _variance(x: np.ndarray) -> float:
+    if x.size < 2:
+        raise DegenerateStatisticError("each group needs at least 2 values")
+    return float(np.var(x, ddof=1))
+
+
+def _std(x: np.ndarray) -> float:
+    return math.sqrt(_variance(x))
+
+
 def _variance_ratio(a: np.ndarray, b: np.ndarray) -> float:
     """var(b) / var(a), inf when only var(a) is zero."""
-    if a.size < 2 or b.size < 2:
-        raise DegenerateStatisticError("each group needs at least 2 values")
-    var_a = float(np.var(a, ddof=1))
-    var_b = float(np.var(b, ddof=1))
+    var_a, var_b = _variance(a), _variance(b)
     if var_a == 0.0:
         if var_b == 0.0:
             raise DegenerateStatisticError(
@@ -474,15 +498,13 @@ def compare_models(adam, baseline) -> ComparisonSummary:
     """
     a = _f1_vector(adam)
     b = _f1_vector(baseline)
-    var_a = float(np.var(a, ddof=1)) if a.size > 1 else 0.0
-    var_b = float(np.var(b, ddof=1)) if b.size > 1 else 0.0
     return ComparisonSummary(
         n_adam=a.size,
         n_baseline=b.size,
         adam_mean_f1=float(np.mean(a)),
         baseline_mean_f1=float(np.mean(b)),
-        adam_std_f1=math.sqrt(var_a),
-        baseline_std_f1=math.sqrt(var_b),
+        adam_std_f1=_defined(_std, a),
+        baseline_std_f1=_defined(_std, b),
         variance_ratio=_defined(_variance_ratio, a, b),
         mann_whitney=mann_whitney_u(a, b),
         levene=_defined(levene_test, a, b),
@@ -526,12 +548,13 @@ def format_summary(summary: ComparisonSummary) -> str:
     header = f"{'model':<10} {'n':>4} {'mean_f1':>9} {'std_f1':>8} {'var_f1':>8}"
     lines.append(header)
     lines.append("-" * len(header))
-    lines.append(f"{'adam':<10} {summary.n_adam:>4} "
-                 f"{summary.adam_mean_f1:>9.4f} {summary.adam_std_f1:>8.4f} "
-                 f"{summary.adam_std_f1 ** 2:>8.4f}")
-    lines.append(f"{'baseline':<10} {summary.n_baseline:>4} "
-                 f"{summary.baseline_mean_f1:>9.4f} "
-                 f"{summary.baseline_std_f1:>8.4f} "
-                 f"{summary.baseline_std_f1 ** 2:>8.4f}")
+    for name, n, mean, std in (
+            ("adam", summary.n_adam, summary.adam_mean_f1, summary.adam_std_f1),
+            ("baseline", summary.n_baseline, summary.baseline_mean_f1,
+             summary.baseline_std_f1)):
+        spread = (f"{'undefined':>8} {'undefined':>8}"
+                  if isinstance(std, Undefined)
+                  else f"{std:>8.4f} {std ** 2:>8.4f}")
+        lines.append(f"{name:<10} {n:>4} {mean:>9.4f} {spread}")
     lines.append("")
     return "\n".join(lines)

@@ -250,6 +250,14 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # variance tests and effect size
 
+def _two_groups(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both groups checked by _check_group, each with at least 2 values."""
+    a, b = _check_group("a", a), _check_group("b", b)
+    if a.size < 2 or b.size < 2:
+        raise DegenerateStatisticError("each group needs at least 2 values")
+    return a, b
+
+
 def levene_test(a, b, center: str = "mean") -> tuple[float, float]:
     """Levene's test for equality of variances of two groups.
 
@@ -257,10 +265,7 @@ def levene_test(a, b, center: str = "mean") -> tuple[float, float]:
         for the Brown-Forsythe variant.
     :returns: (W, p) with W ~ F(1, N - 2) under the null.
     """
-    a = _check_group("a", a)
-    b = _check_group("b", b)
-    if a.size < 2 or b.size < 2:
-        raise DegenerateStatisticError("each group needs at least 2 values")
+    a, b = _two_groups(a, b)
     if center not in ("mean", "median"):
         raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
     locate = np.mean if center == "mean" else np.median
@@ -284,10 +289,7 @@ def variance_f_test(a, b) -> tuple[float, float]:
     F = var(a) / var(b) with n-1 denominators; the p-value doubles the
     smaller tail of F(n_a - 1, n_b - 1).
     """
-    a = _check_group("a", a)
-    b = _check_group("b", b)
-    if a.size < 2 or b.size < 2:
-        raise DegenerateStatisticError("each group needs at least 2 values")
+    a, b = _two_groups(a, b)
     va = float(a.var(ddof=1))
     vb = float(b.var(ddof=1))
     if va == 0.0 or vb == 0.0:
@@ -300,10 +302,7 @@ def variance_f_test(a, b) -> tuple[float, float]:
 
 def cohens_d(a, b) -> float:
     """Cohen's d with the pooled (n-1) standard deviation."""
-    a = _check_group("a", a)
-    b = _check_group("b", b)
-    if a.size < 2 or b.size < 2:
-        raise DegenerateStatisticError("each group needs at least 2 values")
+    a, b = _two_groups(a, b)
     va = float(a.var(ddof=1))
     vb = float(b.var(ddof=1))
     pooled = ((a.size - 1) * va + (b.size - 1) * vb) / (a.size + b.size - 2)

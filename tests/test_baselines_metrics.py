@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from adam.config import RunConfig
-from adam.dataset import feature_medians, impute, split_grouped_stratified
 from adam.ensemble.baselines import (
     LR_DEFAULTS,
     RF_DEFAULTS,
@@ -21,7 +20,7 @@ from adam.ensemble.metrics import (
     precision_recall_f1,
 )
 from adam.errors import DegenerateFitError, EmptyInputError
-from adam.evaluation import select_features
+from adam.evaluation import fit_seed
 from lr_gd_oracle import fit_logistic_regression_gd
 
 
@@ -214,15 +213,11 @@ def _penalized_loss(model, X, y, l2_reg=LR_DEFAULTS["l2_reg"]):
 @pytest.fixture(scope="module")
 def protocol_lr_inputs(sample_set):
     """LR training matrices of protocol seeds 1-10 on synth --seed 0, built
-    by the split, impute and screen path of evaluation._run_one_seed."""
-    config = RunConfig()
+    by the per-seed recipe that evaluate uses."""
     inputs = []
     for seed in range(1, 11):
-        train = split_grouped_stratified(sample_set, config.split_fraction, seed).train
-        X = impute(train.feature_matrix(), feature_medians(train.feature_matrix()))
-        y = train.labels()
-        selected = select_features(X, y, config.n_features, seed=seed)
-        inputs.append((seed, X[:, selected], y))
+        fit = fit_seed(sample_set, RunConfig(), seed, with_gbdt=False)
+        inputs.append((seed, fit.X_train, fit.y_train))
     return inputs
 
 

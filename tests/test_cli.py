@@ -14,6 +14,7 @@ from adam.config import (
     resolve_config,
 )
 from adam.errors import FormatError, SchemaError
+from adam.evaluation import read_trials_csv
 
 EMBED_DIM = "64"
 
@@ -191,6 +192,80 @@ def test_classify_rejects_corrupt_model(workspace, tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+def _first_name(doc):
+    return doc["feature_names"][0]
+
+
+def _edited(change):
+    """An edit that applies change to the parsed bundle and returns it."""
+    def edit(doc):
+        change(doc)
+        return doc
+    return edit
+
+
+# (id, edit of the parsed bundle, text the error names); the edited bundle
+# is written back with json.dumps, which writes a non-finite float as NaN.
+MALFORMED_BUNDLES = [
+    *((f"no-{key}", _edited(lambda d, k=key: d.pop(k)), text)
+      for key, text in (("format", "not a model bundle"),
+                        ("model", "'model'"),
+                        ("feature_names", "'feature_names'"),
+                        ("medians", "'medians'"),
+                        ("train_studies", "'train_studies'"),
+                        ("test_studies", "'test_studies'"))),
+    ("not-an-object", lambda d: [d], "not a model bundle"),
+    ("model-list", _edited(lambda d: d.update(model=[1])), "'model'"),
+    ("feature_names-int", _edited(lambda d: d.update(feature_names=3)),
+     "'feature_names'"),
+    ("feature_names-int-item",
+     _edited(lambda d: d["feature_names"].__setitem__(0, 7)), "'feature_names'"),
+    ("feature_names-short", _edited(lambda d: d["feature_names"].pop()),
+     "model consumes 20 features but 19 names"),
+    ("medians-list", _edited(lambda d: d.update(medians=[0.5])), "'medians'"),
+    *((f"medians-{label}-value",
+       _edited(lambda d, v=value: d["medians"].update({_first_name(d): v})),
+       "'medians'")
+      for label, value in (("null", None), ("str", "0.5"), ("bool", True),
+                           ("nan", float("nan")), ("inf", float("inf")))),
+    ("medians-missing-name", _edited(lambda d: d["medians"].pop(_first_name(d))),
+     "no imputation median for"),
+    ("train_studies-int", _edited(lambda d: d.update(train_studies=4)),
+     "'train_studies'"),
+    ("train_studies-int-item", _edited(lambda d: d["train_studies"].append(4)),
+     "'train_studies'"),
+    ("test_studies-int", _edited(lambda d: d.update(test_studies=4)),
+     "'test_studies'"),
+    ("test_studies-object", _edited(lambda d: d.update(test_studies={"a": 1})),
+     "'test_studies'"),
+]
+
+
+@pytest.mark.parametrize("edit, text", [
+    pytest.param(edit, text, id=case) for case, edit, text in MALFORMED_BUNDLES
+] + [pytest.param(None, "invalid JSON", id="truncated")])
+def test_classify_rejects_malformed_bundle(workspace, tmp_path, capsys, edit, text):
+    from adam import cli
+
+    raw = (workspace["root"] / "train" / "model.json").read_text()
+    bad = tmp_path / "model.json"
+    if edit is None:
+        bad.write_text(raw[:len(raw) // 2])
+    else:
+        bad.write_text(json.dumps(edit(json.loads(raw))))
+    with pytest.raises(FormatError) as err:
+        cli._load_model_bundle(bad)
+    assert str(err.value).startswith(f"{bad}: ")
+    assert text in str(err.value)
+    assert main(["classify", "--dataset", workspace["dataset"],
+                 "--schema", workspace["schema"], "--model", str(bad),
+                 "--out", str(tmp_path / "c")]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: {bad}: ")
+    assert text in err_lines[0]
+
+
 def test_classify_rerun_is_byte_identical(workspace):
     first, second = workspace["first"], workspace["second"]
     assert (first / "dossier.json").read_bytes() == \
@@ -284,6 +359,17 @@ def test_compare_prints_undefined_statistics(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "f_test_p: undefined (variance F-test undefined for zero variance)" in out
     assert "mann_whitney_p: " in out
+
+    one = tmp_path / "one.csv"
+    one.write_text(header + "0,adam,1,1,1\n")
+    assert main(["compare", "--adam", str(one), "--baseline", str(flat)]) == 0
+    out = capsys.readouterr().out
+    assert "adam_std_f1: undefined (each group needs at least 2 values)" in out
+    assert "baseline_std_f1: 0\n" in out
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+            if line.startswith(("adam ", "baseline "))}
+    assert rows["adam"] == ["1", "1.0000", "undefined", "undefined"]
+    assert rows["baseline"] == ["2", "1.0000", "0.0000", "0.0000"]
 
     short = tmp_path / "short.csv"
     short.write_text(header + "0,baseline-lr,1\n")
@@ -407,27 +493,24 @@ def test_classify_matches_per_visit_recompute(workspace):
     from adam import cli
     from adam.agents import (
         AgentContext,
-        DeployedModel,
         render_report,
         run_computational,
         run_pipeline,
     )
     from adam.dataset import draw_eval_cohort
+    from adam.evaluation import healthy_reference
 
     config = resolve_config(None, dataset=workspace["dataset"],
                             schema=workspace["schema"],
                             model=workspace["model"],
                             store=str(workspace["store"]),
                             embedding_dim=int(EMBED_DIM), seed=0)
-    model, names, medians, train_studies, test_studies = \
+    deployed, train_studies, test_studies = \
         cli._load_model_bundle(config.model)
     sample_set = cli._load_sample_set(config).sample_set
-    train = sample_set.restrict_to_studies(train_studies)
+    reference = healthy_reference(
+        sample_set.restrict_to_studies(train_studies))
     test = sample_set.restrict_to_studies(test_studies)
-    reference = train.subset([s.sample_id for s in train.samples
-                              if s.label == 0])
-    deployed = DeployedModel(model=model, feature_names=names,
-                             medians=medians)
     cohort = draw_eval_cohort(test, config.n_pos, config.n_neg, config.seed)
     searcher = cli._searcher(config)
     summarizer, classifier = cli._llm_backends(config)
@@ -454,6 +537,52 @@ def test_classify_matches_per_visit_recompute(workspace):
         assert written.read_text(encoding="utf-8") == render_report(report)
         assert entry["probability"] == output.probability
         assert entry["report"] == json.loads(json.dumps(asdict(report)))
+
+
+def test_train_and_classify_reproduce_an_evaluate_seed(workspace, tmp_path,
+                                                       monkeypatch):
+    """train --seed s deploys the GBDT that evaluate fits for seed s, and
+    classify --seed s scores that seed's adam row; rf and lr never fit it."""
+    from adam import evaluation
+    from adam.ensemble import accuracy, model_to_dict, precision_recall_f1
+
+    seed = "3"
+    data = ["--dataset", workspace["dataset"], "--schema", workspace["schema"]]
+    assert main(["train", "--out", str(tmp_path / "t"), "--seed", seed]
+                + data) == 0
+    model_path = str(tmp_path / "t" / "model.json")
+    assert main(["classify", "--out", str(tmp_path / "c"), "--seed", seed,
+                 "--model", model_path] + data) == 0
+
+    fitted = []
+    fit_tuned_gbdt = evaluation.fit_tuned_gbdt
+
+    def recording(*args, **kwargs):
+        fitted.append(fit_tuned_gbdt(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(evaluation, "fit_tuned_gbdt", recording)
+    evaluate = ["evaluate", "--seed-base", seed, "--seeds", "1"] + data
+    assert main(evaluate + ["--out", str(tmp_path / "e"),
+                            "--models", "gbdt,adam"]) == 0
+    assert len(fitted) == 1
+    bundle = json.loads((tmp_path / "t" / "model.json").read_text())
+    assert bundle["model"] == json.loads(json.dumps(model_to_dict(fitted[0])))
+
+    samples = json.loads((tmp_path / "c" / "dossier.json").read_text())["samples"]
+    y = [entry["label"] for entry in samples]
+    yhat = [float(entry["verdict"] == "Yes") for entry in samples]
+    (row,) = read_trials_csv(tmp_path / "e" / "trials-adam.csv")
+    assert row["seed"] == int(seed)
+    assert (row["accuracy"], row["f1"]) == \
+        (accuracy(y, yhat), precision_recall_f1(y, yhat)[2])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluate --models rf,lr fitted the tuned GBDT")
+
+    monkeypatch.setattr(evaluation, "fit_tuned_gbdt", forbidden)
+    assert main(evaluate + ["--out", str(tmp_path / "rf-lr"),
+                            "--models", "rf,lr"]) == 0
 
 
 def test_evaluate_jobs_2_matches_jobs_1(workspace, tmp_path):
