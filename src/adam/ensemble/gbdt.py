@@ -160,7 +160,11 @@ def _grow(X, XT, order, rows, g, h, params):
         cover = float(h[idx].sum())
         denom = cover + lam
         value = 0.0 if denom == 0.0 else -float(g[idx].sum()) / denom
-        return value, cover, idx.size >= 2
+        # A node with cover < 2 * mcw has no valid split, so it is not
+        # searched. cover is find_split's h_total; a prefix sum hl >= mcw
+        # then has h_total / 2 < hl <= 2 * h_total, so hr = h_total - hl
+        # is exact (Sterbenz) and hr <= h_total - mcw < mcw.
+        return value, cover, idx.size >= 2 and cover >= 2.0 * mcw
 
     def find_split(idx, order):
         g_total = g[idx].sum()

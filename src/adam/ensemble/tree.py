@@ -7,12 +7,14 @@ left and right -1; internal nodes have value 0. ``cover`` is the weight
 routed through a node (hessian mass for boosting, row count for the
 forest) and ``gain`` the split gain of an internal node.
 
-Fitting is presorted exact greedy (Chen & Guestrin 2016, XGBoost, 3.1):
-every feature is stably sorted once, and each split hands its children
-the parent's order filtered by side. Filtering a stable order gives the
-same sequence as stably sorting the child's rows, so split scores sum
-the same values in the same order as a per-node sort would. Prediction
-walks all trees at once, one level per numpy step.
+Boosting fits by presorted exact greedy (Chen & Guestrin 2016, XGBoost,
+3.1): every feature is stably sorted once, and each split hands its
+children the parent's order filtered by side. Filtering a stable order
+gives the same sequence as stably sorting the child's rows, so split
+scores sum the same values in the same order as a per-node sort would.
+The forest sorts its nodes' rows batch by batch instead (see
+``baselines``). Prediction walks all trees at once, one level per numpy
+step.
 """
 
 from __future__ import annotations

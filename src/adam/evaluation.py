@@ -384,7 +384,8 @@ def read_trials_csv(path) -> list[dict]:
 def aggregate_trials(trials) -> dict[str, dict[str, tuple[float, float, int]]]:
     """Per model tag, (mean, sample std, n) for accuracy, auc, and f1.
 
-    Trials whose AUC is undefined are skipped in the auc aggregate.
+    Trials whose AUC is undefined are skipped in the auc aggregate. The
+    sample std of one value is undefined and reported as nan.
     """
     by_tag: dict[str, list[TrialResult]] = {}
     for trial in trials:
@@ -399,14 +400,15 @@ def aggregate_trials(trials) -> dict[str, dict[str, tuple[float, float, int]]]:
                 stats[metric] = (math.nan, math.nan, 0)
                 continue
             arr = np.asarray(values, dtype=float)
-            std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+            std = float(np.std(arr, ddof=1)) if arr.size > 1 else math.nan
             stats[metric] = (float(arr.mean()), std, arr.size)
         out[tag] = stats
     return out
 
 
 def format_metrics_table(trials) -> str:
-    """Mean +- std per metric per model, one row per model tag."""
+    """Mean +- std per metric per model, one row per model tag; n/a
+    stands for a statistic with too few values."""
     trials = list(trials)
     if not trials:
         raise EmptyInputError("no trials to tabulate")
@@ -422,7 +424,8 @@ def format_metrics_table(trials) -> str:
         cells = [f"{tag:<14}"]
         for metric in ("accuracy", "auc", "f1"):
             mean, std, n = aggregates[tag][metric]
-            cell = "n/a" if n == 0 else f"{mean:.4f} +- {std:.4f}"
+            spread = f"{std:.4f}" if n > 1 else "n/a"
+            cell = "n/a" if n == 0 else f"{mean:.4f} +- {spread}"
             cells.append(f"{cell:>17}")
         lines.append(" ".join(cells))
     lines.append("")

@@ -143,6 +143,21 @@ def test_aggregate_skips_undefined_auc():
         format_metrics_table([])
 
 
+def test_one_seed_std_is_undefined():
+    """A sample std needs two values: one seed gives nan and prints n/a,
+    as compare reports the same statistic undefined."""
+    metrics = BinaryMetrics(accuracy=1.0, precision=1.0, recall=1.0,
+                            f1=1.0, auc=None)
+    trials = [TrialResult(seed=0, model="baseline-lr", metrics=metrics,
+                          cohort_size=2)]
+    stats = aggregate_trials(trials)["baseline-lr"]
+    assert stats["f1"][0] == 1.0 and stats["f1"][2] == 1
+    assert math.isnan(stats["f1"][1])
+    row = format_metrics_table(trials).splitlines()[-1]
+    assert row.split() == ["baseline-lr", "1.0000", "+-", "n/a",
+                           "n/a", "1.0000", "+-", "n/a"]
+
+
 def test_metrics_table_layout(eval_run):
     table = format_metrics_table(eval_run.trials)
     lines = table.splitlines()

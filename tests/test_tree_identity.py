@@ -2,7 +2,9 @@
 
 Every case must give the same bytes as ``tree_oracle`` (the tree code
 before trees became parallel arrays): serialized models, margins,
-probabilities, split gains and Shapley values.
+probabilities, split gains and Shapley values. Forests must also give
+the seven arrays of every tree that one-tree-at-a-time depth-first
+growth gave.
 """
 
 import numpy as np
@@ -10,9 +12,12 @@ import pytest
 
 import tree_oracle as oracle
 from adam.attribution import explain, expected_margin, shap_values
+from adam.config import RunConfig
 from adam.dataset import feature_medians, impute
+from adam.ensemble import baselines
 from adam.ensemble.baselines import fit_logistic_regression, fit_random_forest
 from adam.ensemble.gbdt import feature_gains, fit_gbdt, model_to_dict, sigmoid
+from adam.evaluation import fit_seed
 
 
 def _data(kind, seed=0):
@@ -131,6 +136,99 @@ def test_forest_matches_node_reference(kind, kwargs):
         assert nodes == oracle.forest_nodes(root)
     P = _probe(X)
     assert new.predict_proba(P).tobytes() == oracle.forest_predict_proba(old, P).tobytes()
+
+
+def test_gbdt_skips_roots_too_light_to_split():
+    """Once the hessian mass of a root falls below 2 * min_child_weight
+    no split is valid, and the tree is a single leaf."""
+    X, y = _data("normal", 0)
+    params = {"n_trees": 12, "min_child_weight": 15.0}
+    _assert_gbdt_identical(X, y, params, 0)
+    trees = fit_gbdt(X, y, params).trees
+    light = [tree.cover[0] < 2 * 15.0 for tree in trees]
+    assert any(light) and not all(light)
+    assert all(tree.feature.size == 1 for tree, skip in zip(trees, light) if skip)
+
+
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "cover", "gain")
+
+
+def _assert_forest_identical(X, y, **kwargs):
+    new = fit_random_forest(X, y, **kwargs).trees
+    old = oracle.fit_forest_trees(X, y, **kwargs)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        for field in TREE_FIELDS:
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    return new
+
+
+def _depth(tree):
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return int(depth.max())
+
+
+def test_forest_matches_depth_first_growth_on_protocol_matrix(sample_set):
+    """The evaluation protocol's screened training matrix, 100 trees: the
+    root step alone spans several capped batches."""
+    fit = fit_seed(sample_set, RunConfig(), 3, with_gbdt=False)
+    n, d = fit.X_train.shape
+    assert 100 * int(np.sqrt(d)) * n > 2 * baselines._BATCH_ELEMENTS
+    _assert_forest_identical(fit.X_train, fit.y_train, seed=3)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("ties", {"n_trees": 20, "min_samples_leaf": 3}),
+    ("duplicate-rows", {"n_trees": 20, "min_samples_leaf": 3}),
+    ("constant-column", {"n_trees": 10, "max_depth": 3}),
+    ("one-row", {"n_trees": 3}),
+    ("two-rows", {"n_trees": 6}),
+])
+def test_forest_matches_depth_first_growth(kind, kwargs):
+    X, y = _data(kind, 2)
+    _assert_forest_identical(X, y, seed=5, **kwargs)
+
+
+def test_forest_trees_finishing_at_different_depths():
+    """Alternating labels below the middle, positives above: some
+    bootstraps are pure after one split, others reach max_depth."""
+    X = np.arange(16, dtype=float).reshape(-1, 1)
+    y = np.where(np.arange(16) < 8, np.arange(16) % 2, 1).astype(float)
+    trees = _assert_forest_identical(X, y, n_trees=40, max_depth=6, seed=0)
+    depths = [_depth(tree) for tree in trees]
+    assert min(depths) <= 1 and max(depths) == 6
+
+
+def test_forest_gain_floor():
+    """Every value holds one row of each label, so no split changes the
+    class fraction: only rounding gives scores above 0, and a split must
+    beat 1e-12."""
+    X = np.repeat(np.arange(40.0), 2).reshape(-1, 1)
+    y = np.tile([0.0, 1.0], 40)
+    _assert_forest_identical(X, y, n_trees=30, seed=0)
+
+
+def test_forest_node_larger_than_a_batch():
+    """A root whose mtry x rows exceeds the batch cap is a batch alone."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(3000, 36)).round(1)
+    y = (X[:, 0] + X[:, 5] + rng.normal(size=3000) > 0).astype(float)
+    assert 6 * 3000 > baselines._BATCH_ELEMENTS
+    _assert_forest_identical(X, y, n_trees=3, max_depth=3, seed=1)
+
+
+def test_sorted_positions_without_packed_keys():
+    """Keys too wide for one int64 fall back to a lexsort, same order."""
+    rng = np.random.default_rng(0)
+    segment = np.repeat(np.arange(5), 8)
+    rank = rng.integers(0, 3, size=40)
+    position = np.tile(rng.permutation(8), 5)
+    expected = position[np.lexsort((position, rank, segment))]
+    packed = baselines._sorted_positions(segment, rank, position, 3, 8)
+    wide = baselines._sorted_positions(segment, rank, position, 2 ** 31, 2 ** 31)
+    assert packed.tolist() == wide.tolist() == expected.tolist()
 
 
 def test_sigmoid_bits_match_masked_forms():

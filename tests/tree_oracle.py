@@ -1,10 +1,14 @@
-"""Frozen node-based reference for the tree code: GBDT and random-forest
-fit and predict, serialization and Shapley values as they were while
-trees were linked nodes (TreeNode, _CartNode) flattened per call.
+"""Frozen references for the tree code.
 
-The bit-identity tests compare the array-based implementation in src/
-with these functions using ``==``. Keep this file as it is: its only
-job is to preserve the old behavior.
+GBDT and random-forest fit and predict, serialization and Shapley
+values as they were while trees were linked nodes (TreeNode, _CartNode)
+flattened per call; and ``fit_forest_trees``, the array forest as it
+was grown one tree at a time, depth first, before the trees were grown
+in lockstep.
+
+The bit-identity tests compare the implementation in src/ with these
+functions using ``==``. Keep this file as it is: its only job is to
+preserve the old behavior.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from adam.ensemble.gbdt import GBDTParams
+from adam.ensemble.tree import Tree, grow_tree, pick_best, presort
 from adam.errors import ModelIntegrityError
 
 _PROB_CLIP = 1e-15
@@ -525,3 +530,52 @@ def lr_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     p[~pos] = ez / (1.0 + ez)
     return p
+
+
+def _grow_cart(X, y, max_depth, min_samples_leaf, mtry, rng) -> Tree:
+    """One CART tree on a bootstrap sample, Gini impurity decrease over
+    mtry features drawn per node (drawn depth-first, left before right)."""
+    n_rows, d = X.shape
+    XT = np.ascontiguousarray(X.T)
+
+    def node_stats(idx):
+        n = idx.size
+        pos = y[idx].sum()  # labels are 0/1: pure means pos is 0 or n
+        return float(pos / n), float(n), n >= 2 * min_samples_leaf and 0.0 < pos < n
+
+    def find_split(idx, order):
+        feature_ids = np.sort(rng.choice(d, size=mtry, replace=False))
+        n = idx.size
+        total_pos = y[idx].sum()
+        parent_gini = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
+        order = order[feature_ids]
+        xs = XT[feature_ids[:, None], order]
+        pos_left = np.cumsum(y[order], axis=1)[:, :-1]
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        pos_right = total_pos - pos_left
+        valid = xs[:, 1:] != xs[:, :-1]
+        valid &= n_left >= min_samples_leaf
+        valid &= n_right >= min_samples_leaf
+        gini_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
+        gini_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
+        scores = parent_gini - (n_left * gini_left + n_right * gini_right) / n
+        scores[~valid] = -np.inf
+        return pick_best(scores, xs, 1e-12, feature_ids)
+
+    tree, _ = grow_tree(X, presort(X), np.arange(n_rows), max_depth, node_stats, find_split)
+    return tree
+
+
+def fit_forest_trees(X, y, n_trees=100, max_depth=12, min_samples_leaf=1, seed=0) -> list:
+    """The array forest's trees, grown one after another, each depth first."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    n, d = X.shape
+    mtry = max(1, int(math.sqrt(d)))
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        rows = rng.integers(0, n, size=n)
+        trees.append(_grow_cart(X[rows], y[rows], max_depth, min_samples_leaf, mtry, rng))
+    return trees
