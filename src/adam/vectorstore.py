@@ -1,9 +1,21 @@
 """Multi-collection vector database with exact thresholded top-k search.
 
 Collections are immutable snapshots of (chunk metadata, float32 vector)
-records. Search is an exhaustive cosine scan: results are provably
+records. Search is an exact, exhaustive cosine scan: results are provably
 identical to a brute-force linear pass, which keeps every retrieval
 oracle-testable. No approximate index, no in-place mutation.
+
+``search_many`` scores a batch of queries (a pipeline stage's step
+queries) in one pass over each collection. The float64 scan matrix is
+walked in blocks of ``_SCAN_BLOCK_ROWS`` rows, small enough to stay in
+cache while every query of the batch takes its matrix-vector product
+with the block. Each similarity has the bits that one product of the
+whole matrix per query gives at one BLAS thread. OpenBLAS scores rows in
+groups of 4 and sums leftover rows in another order, and numpy gives a
+one-row product the bits of a dot product; so every block starts at a
+multiple of 16 rows, and a tail shorter than 16 rows joins the block
+before it. A matrix-matrix product would be faster still but is not
+bit-equal: its sums depend on the batch width.
 
 On disk each collection is one ``<name>.advec`` file:
 
@@ -13,6 +25,9 @@ On disk each collection is one ``<name>.advec`` file:
     bytes 20-23  CRC-32 of the records payload, little-endian
     bytes 24-    records: [metadata length u32 LE][metadata UTF-8 JSON]
                  [dimension x float32 LE], repeated count times
+
+A vector holding NaN or an infinity is rejected at load, since it has no
+cosine similarity.
 
 Writes go to a temporary file renamed into place, so readers only ever
 observe complete stores.
@@ -152,56 +167,104 @@ class Collection:
                 and self.records == other.records)
 
 
+# Rows per block of the blocked scan: 128 float64 rows of 1536 dimensions
+# are 1.5 MB, which a 2 MB L2 cache holds. Keep it a multiple of 16.
+_SCAN_BLOCK_ROWS = 128
+# A last block shorter than this joins the block before it.
+_MIN_TAIL_ROWS = 16
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of the blocked scan of an ``n``-row matrix."""
+    starts = list(range(0, n, _SCAN_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _MIN_TAIL_ROWS:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _blocked_dots(matrix: np.ndarray, queries) -> np.ndarray:
+    """(queries x rows) products of every row with every query.
+
+    Each block of rows is read once for the whole batch; each product
+    has the bits of ``matrix @ q`` (see the module docstring).
+    """
+    dots = np.empty((len(queries), matrix.shape[0]))
+    for rows in _row_blocks(matrix.shape[0]):
+        block = matrix[rows]
+        for q, out in zip(queries, dots):
+            out[rows] = block @ q
+    return dots
+
+
 def _as_query(query, dim: int) -> np.ndarray:
     q = np.asarray(query, dtype=np.float64).ravel()
     if q.size != dim:
         raise DimensionError(f"query has dimension {q.size}, expected {dim}")
+    if not np.isfinite(q).all():
+        raise ValueError("query vector holds a non-finite value")
     norm = float(np.linalg.norm(q))
     if norm == 0.0:
         raise ValueError("query vector has zero norm")
     return q / norm
 
 
-def search(collections, query, k: int = DEFAULT_TOP_K,
-           threshold: float = DEFAULT_THRESHOLD) -> tuple[RetrievalHit, ...]:
-    """Thresholded cosine top-k across one or more collections.
+def search_many(collections, queries, k: int = DEFAULT_TOP_K,
+                threshold: float = DEFAULT_THRESHOLD,
+                ) -> list[tuple[RetrievalHit, ...]]:
+    """Thresholded cosine top-k across one or more collections, per query.
 
-    Fans out, merges, keeps similarity >= threshold, returns the k best
-    in descending similarity; exact ties order by (publication_id,
-    segment_index, collection) ascending.
+    For each query: fans out, merges, keeps similarity >= threshold,
+    returns the k best in descending similarity; exact ties order by
+    (publication_id, segment_index, collection) ascending. Every
+    collection's rows are scanned once for the whole batch, and each
+    query gets the hits it would get alone.
     """
     if isinstance(collections, Collection):
         collections = (collections,)
     collections = tuple(collections)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [-1, 1], got {threshold}")
-    hits: list[RetrievalHit] = []
+    queries = list(queries)
+    hits: list[list[RetrievalHit]] = [[] for _ in queries]
     for coll in collections:
-        if coll.count == 0:
+        if coll.count == 0 or not queries:
             continue
-        q = _as_query(query, coll.dim)
+        qs = [_as_query(query, coll.dim) for query in queries]
         rows, matrix, norms = coll._scan
-        sims = np.zeros(coll.count)
-        sims[rows] = (matrix @ q) / norms
-        candidates = np.flatnonzero(sims >= threshold)
-        if candidates.size > k:
-            # Only rows at or above this collection's k-th best similarity
-            # can reach the merged top k; ties at that value all stay.
-            kth = np.partition(sims[candidates], candidates.size - k)[
-                candidates.size - k]
-            candidates = candidates[sims[candidates] >= kth]
-        for i in candidates:
-            rec = coll.records[i]
-            hits.append(RetrievalHit(publication_id=rec.publication_id,
-                                     segment_index=rec.segment_index,
-                                     similarity=float(sims[i]),
-                                     collection=coll.name,
-                                     text=rec.text))
-    hits.sort(key=lambda h: (-h.similarity, h.publication_id,
-                             h.segment_index, h.collection))
-    return tuple(hits[:k])
+        sims = np.zeros((len(qs), coll.count))
+        sims[:, rows] = _blocked_dots(matrix, qs) / norms
+        passing = sims >= threshold
+        for query_sims, query_passing, query_hits in zip(sims, passing, hits):
+            candidates = np.flatnonzero(query_passing)
+            if candidates.size > k:
+                # Only rows at or above this collection's k-th best
+                # similarity can reach the merged top k; ties at that
+                # value all stay.
+                kth = np.partition(query_sims[candidates],
+                                   candidates.size - k)[candidates.size - k]
+                candidates = candidates[query_sims[candidates] >= kth]
+            for i in candidates:
+                rec = coll.records[i]
+                query_hits.append(RetrievalHit(
+                    publication_id=rec.publication_id,
+                    segment_index=rec.segment_index,
+                    similarity=float(query_sims[i]),
+                    collection=coll.name,
+                    text=rec.text))
+    for query_hits in hits:
+        query_hits.sort(key=lambda h: (-h.similarity, h.publication_id,
+                                       h.segment_index, h.collection))
+    return [tuple(query_hits[:k]) for query_hits in hits]
+
+
+def search(collections, query, k: int = DEFAULT_TOP_K,
+           threshold: float = DEFAULT_THRESHOLD) -> tuple[RetrievalHit, ...]:
+    """``search_many`` for one query."""
+    return search_many(collections, [query], k=k, threshold=threshold)[0]
 
 
 def route_document(keywords, routing=None, default: str = DEFAULT_COLLECTION) -> str:
@@ -331,6 +394,7 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
         raise DimensionError(
             f"{path}: store dimension {dim}, session expects {expected_dim}")
     records = []
+    vector_offsets = []
     pos = 24
     for _ in range(count):
         if pos + 4 > len(data):
@@ -346,6 +410,7 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
             raise IntegrityError(f"{path}: bad record metadata: {exc}",
                                  offset=pos) from exc
         _check_metadata(meta, path, pos)
+        vector_offsets.append(pos + meta_len)
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=pos + meta_len)
         records.append(VectorRecord(publication_id=meta["publication_id"],
                                     segment_index=meta["segment_index"],
@@ -356,7 +421,16 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
     if pos != len(data):
         raise IntegrityError(f"{path}: {len(data) - pos} trailing bytes",
                              offset=pos)
-    return Collection(name=path.stem, dim=int(dim), records=tuple(records))
+    collection = Collection(name=path.stem, dim=int(dim), records=tuple(records))
+    # One pass over all vectors; the offending record is located only on failure.
+    finite = np.isfinite(collection._matrix)
+    if not finite.all():
+        row, component = np.argwhere(~finite)[0]
+        raise IntegrityError(
+            f"{path}: record vector component {component} is "
+            f"{collection._matrix[row, component]}",
+            offset=vector_offsets[row])
+    return collection
 
 
 def load_collections(directory: str | Path,
@@ -372,7 +446,7 @@ def load_collections(directory: str | Path,
 
 @dataclass(frozen=True)
 class SemanticSearch:
-    """Text-in, hits-out convenience wrapper over search()."""
+    """Text-in, hits-out convenience wrapper over search_many()."""
 
     collections: tuple[Collection, ...]
     backend: EmbeddingBackend
@@ -383,7 +457,7 @@ class SemanticSearch:
         return self.query_many([text])[0]
 
     def query_many(self, texts) -> list[tuple[RetrievalHit, ...]]:
-        """Hits for each text, in order, from one embedding call."""
-        return [search(self.collections, vector, k=self.k,
-                       threshold=self.threshold)
-                for vector in self.backend.embed_many(texts)]
+        """Hits for each text, in order, from one embedding call and one
+        scan of the store."""
+        return search_many(self.collections, self.backend.embed_many(texts),
+                           k=self.k, threshold=self.threshold)

@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -190,6 +192,33 @@ def test_classify_rejects_corrupt_model(workspace, tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_classify_rejects_non_finite_store_vector(workspace, tmp_path, capsys,
+                                                  value):
+    store = tmp_path / "store"
+    store.mkdir()
+    for path in sorted(workspace["store"].glob("*.advec")):
+        (store / path.name).write_bytes(path.read_bytes())
+    path = sorted(store.glob("*.advec"))[-1]
+    data = path.read_bytes()
+    dim, count, _ = struct.unpack_from("<IQI", data, 8)
+    (meta_len,) = struct.unpack_from("<I", data, 24)
+    edited = bytearray(data)
+    struct.pack_into("<f", edited, 28 + meta_len + 4 * (dim - 1), value)
+    payload = bytes(edited[24:])
+    path.write_bytes(data[:8] + struct.pack("<IQI", dim, count,
+                                            zlib.crc32(payload)) + payload)
+    out = tmp_path / "c"
+    assert main(["classify", "--out", str(out), "--dataset", workspace["dataset"],
+                 "--schema", workspace["schema"], "--model", workspace["model"],
+                 "--store", str(store), "--embedding-dim", EMBED_DIM,
+                 "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: record vector component {dim - 1} is "
+                   f"{float(value)}\n")
+    assert not out.exists()
 
 
 def _first_name(doc):

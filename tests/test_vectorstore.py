@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -31,6 +32,7 @@ from adam.vectorstore import (
     save_collection,
     save_collections,
     search,
+    search_many,
 )
 
 
@@ -133,6 +135,28 @@ def test_search_input_guards():
     with pytest.raises(ValueError):
         search(coll, np.zeros(8))
     assert search((), q) == ()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_search_rejects_non_finite_query(bad):
+    coll = _random_collection(5, 10, 8)
+    q = np.ones(8)
+    q[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            search(coll, q, threshold=-1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            search_many(coll, [np.ones(8), q], threshold=-1.0)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "3", None])
+def test_search_rejects_k_that_is_not_an_integer(k):
+    coll = _random_collection(5, 10, 8)
+    with pytest.raises(TypeError, match="k must be an integer"):
+        search(coll, np.ones(8), k=k, threshold=-1.0)
+    with pytest.raises(TypeError, match="k must be an integer"):
+        search_many(coll, [], k=k)
 
 
 def test_collection_guards():
@@ -319,6 +343,43 @@ def test_load_rejects_bad_metadata(tmp_path, capsys, edit):
     assert main(["index", "--store", str(store), "--embedding-dim", "4"]) == 1
     captured = capsys.readouterr().err
     assert captured == f"error: {err.value}\n"
+
+
+def _with_vector_value(data, record, component, value):
+    """``data`` with one float32 of a record's vector set, CRC recomputed.
+
+    :returns: the edited bytes and the byte offset of that record's vector.
+    """
+    dim, count, _ = struct.unpack_from("<IQI", data, 8)
+    pos = 24
+    for _ in range(record):
+        (meta_len,) = struct.unpack_from("<I", data, pos)
+        pos += 4 + meta_len + 4 * dim
+    (meta_len,) = struct.unpack_from("<I", data, pos)
+    vector_at = pos + 4 + meta_len
+    edited = bytearray(data)
+    struct.pack_into("<f", edited, vector_at + 4 * component, value)
+    payload = bytes(edited[24:])
+    header = MAGIC + struct.pack("<IQI", dim, count, zlib.crc32(payload))
+    return header + payload, vector_at
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_load_rejects_non_finite_vector(tmp_path, capsys, value):
+    coll = _random_collection(7, 3, 4)
+    data = save_collection(coll, tmp_path / "good").read_bytes()
+    edited, vector_at = _with_vector_value(data, 1, 2, value)
+    store = tmp_path / "store"
+    store.mkdir()
+    bad = _corrupt(store / "bad.advec", edited)
+    with pytest.raises(IntegrityError) as err:
+        load_collection(bad)
+    assert err.value.offset == vector_at
+    assert str(err.value) == \
+        f"{bad}: record vector component 2 is {np.float32(value)}"
+
+    assert main(["index", "--store", str(store), "--embedding-dim", "4"]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_metadata_rewrite_keeps_a_valid_file(tmp_path):
