@@ -13,6 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..config import (
+    CLASSIFICATION_TOKEN_BUDGET,
+    DEFAULT_CLASSIFICATION_MODEL,
+    DEFAULT_FALLBACK_THRESHOLD,
+    DEFAULT_SUMMARIZATION_MODEL,
+    SUMMARIZATION_TOKEN_BUDGET,
+)
 from ..errors import AgentError, BackendError, TokenBudgetError
 from .computational import ComputationalOutput
 from .llm import (
@@ -30,11 +37,6 @@ from .report import (
 )
 from .steps import CLASSIFICATION_PROGRAM, SUMMARIZATION_PROGRAM, CoTProgram
 
-SUMMARIZATION_TOKEN_BUDGET = 100_000
-CLASSIFICATION_TOKEN_BUDGET = 50_000
-DEFAULT_FALLBACK_THRESHOLD = 0.5
-DEFAULT_SUMMARIZATION_MODEL = "gpt-4o"
-DEFAULT_CLASSIFICATION_MODEL = "gpt-4o-mini"
 STEP_CONTEXT_CHARS = 500
 HIT_EXCERPT_CHARS = 400
 NO_HISTORY_MARKER = "No prior visits"

@@ -27,14 +27,6 @@ from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .agents import (
-    ClassificationReport,
-    DeployedModel,
-    HttpChatBackend,
-    ThresholdMockLLM,
-    TitleEchoMock,
-    render_report,
-)
 from .chunker import read_corpus
 from .config import (
     FIELD_TYPES,
@@ -43,9 +35,7 @@ from .config import (
     resolve_config,
     write_resolved_config,
 )
-from .dataset import draw_eval_cohort, is_file_name, parse_samples
 from .embedding import OfflineHashEmbedder, RemoteEmbedder
-from .ensemble import evaluate_binary, model_from_dict, model_to_dict
 from .errors import (
     AdamError,
     AlignmentError,
@@ -54,24 +44,11 @@ from .errors import (
     ModelIntegrityError,
     SchemaError,
 )
-from .evaluation import (
-    MODEL_TAGS,
-    classify_cohort,
-    compare_models,
-    fit_seed,
-    format_metrics_table,
-    format_summary,
-    healthy_reference,
-    read_trials_csv,
-    run_seeded_trials,
-    write_trials_csv,
-)
-from .synthetic import write_dataset
 from .vectorstore import SemanticSearch, index_corpus, load_collections, save_collections
 
-# Each model tag by its full name and by its name without "baseline-".
-_MODEL_ALIASES = {alias: tag for tag in MODEL_TAGS
-                  for alias in (tag, tag.removeprefix("baseline-"))}
+# Modules that only some subcommands run are imported inside the functions
+# that use them, so index, synth and ingest never load the ensemble, the
+# agents or the statistics.
 
 
 # The RunConfig fields each subcommand exposes as flags. A field's flag is
@@ -143,6 +120,8 @@ def _embedder(config: RunConfig):
 
 
 def _llm_backends(config: RunConfig):
+    from .agents import HttpChatBackend, ThresholdMockLLM, TitleEchoMock
+
     if config.llm_backend == "mock":
         return TitleEchoMock(), ThresholdMockLLM()
     return (HttpChatBackend(url=config.llm_url,
@@ -163,6 +142,8 @@ def _searcher(config: RunConfig):
 
 
 def _load_sample_set(config: RunConfig, quiet: bool = False):
+    from .dataset import parse_samples
+
     if config.dataset is None or config.schema is None:
         raise SchemaError("this command needs --dataset and --schema")
     result = parse_samples(config.dataset, config.schema)
@@ -179,6 +160,9 @@ def _load_sample_set(config: RunConfig, quiet: bool = False):
 # subcommands
 
 def cmd_synth(args) -> int:
+    from .dataset import parse_samples
+    from .synthetic import write_dataset
+
     config = _resolve(args)
     out = Path(args.out)
     csv_path, schema_path = write_dataset(out, seed=config.seed)
@@ -263,7 +247,9 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _model_bundle(deployed: DeployedModel, split) -> dict:
+def _model_bundle(deployed, split) -> dict:
+    from .ensemble import model_to_dict
+
     return {
         "format": "adam-model-bundle",
         "model": model_to_dict(deployed.model),
@@ -319,6 +305,9 @@ _BUNDLE_CHECKS = {
 def _load_model_bundle(path):
     """(deployed model, train study ids, test study ids) from a bundle
     written by train; anything malformed raises an AdamError naming path."""
+    from .agents import DeployedModel
+    from .ensemble import model_from_dict
+
     doc = _read_document(path, "adam-model-bundle", "model bundle")
     _check_fields(doc, _BUNDLE_CHECKS, f"{path}: bundle")
     try:
@@ -334,6 +323,9 @@ def _load_model_bundle(path):
 
 
 def cmd_train(args) -> int:
+    from .ensemble import evaluate_binary
+    from .evaluation import fit_seed
+
     config = _resolve(args)
     out = Path(args.out)
     sample_set = _load_sample_set(config).sample_set
@@ -365,6 +357,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .agents import render_report
+    from .dataset import draw_eval_cohort
+    from .evaluation import classify_cohort, healthy_reference
+
     config = _resolve(args)
     if config.model is None:
         raise SchemaError("classify needs --model (bundle from train)")
@@ -419,16 +415,20 @@ def cmd_classify(args) -> int:
 
 
 def _parse_model_tags(text: str) -> tuple[str, ...]:
+    from .evaluation import MODEL_TAGS
+
+    # Each model tag by its full name and by its name without "baseline-".
+    aliases = {alias: tag for tag in MODEL_TAGS
+               for alias in (tag, tag.removeprefix("baseline-"))}
     tags = []
     for token in text.split(","):
         token = token.strip().lower()
         if not token:
             continue
-        if token not in _MODEL_ALIASES:
+        if token not in aliases:
             raise SchemaError(
-                f"unknown model {token!r}; choose from "
-                f"{sorted(set(_MODEL_ALIASES))}")
-        tag = _MODEL_ALIASES[token]
+                f"unknown model {token!r}; choose from {sorted(aliases)}")
+        tag = aliases[token]
         if tag not in tags:
             tags.append(tag)
     if not tags:
@@ -437,6 +437,8 @@ def _parse_model_tags(text: str) -> tuple[str, ...]:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import format_metrics_table, run_seeded_trials, write_trials_csv
+
     config = _resolve(args)
     out = Path(args.out)
     tags = _parse_model_tags(args.models)
@@ -471,6 +473,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _f1_column(path) -> list[float]:
+    from .evaluation import read_trials_csv
+
     rows = read_trials_csv(path)
     if not rows:
         raise FormatError(f"{path}: no trial rows")
@@ -483,6 +487,8 @@ def _f1_column(path) -> list[float]:
 
 
 def cmd_compare(args) -> int:
+    from .evaluation import compare_models, format_summary
+
     config = _resolve(args)
     summary = compare_models(_f1_column(args.adam), _f1_column(args.baseline))
     text = format_summary(summary)
@@ -495,10 +501,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _plain_file_name(value) -> bool:
+    from .dataset import is_file_name
+
+    return isinstance(value, str) and is_file_name(value)
+
+
 # Checks on each report payload of a dossier, by key.
 _REPORT_CHECKS = {
-    "sample_id": (lambda v: isinstance(v, str) and is_file_name(v),
-                  "a plain file name"),
+    "sample_id": (_plain_file_name, "a plain file name"),
     "verdict": (lambda v: v in ("Yes", "No"), "Yes or No"),
     "probability": (_number, "a number"),
     "sections": (lambda v: isinstance(v, list) and all(
@@ -509,12 +520,15 @@ _REPORT_CHECKS = {
 }
 
 
-def read_dossier(path) -> list[ClassificationReport]:
-    """The reports of a dossier written by classify, in file order.
+def read_dossier(path) -> list:
+    """The ``ClassificationReport`` of each entry of a dossier written by
+    classify, in file order.
 
     A malformed dossier raises FormatError naming the file and, for a
     bad entry, its index in "samples".
     """
+    from .agents import ClassificationReport
+
     doc = _read_document(path, "adam-dossier", "classification dossier")
     samples = doc.get("samples", [])
     if not isinstance(samples, list):
@@ -537,6 +551,8 @@ def read_dossier(path) -> list[ClassificationReport]:
 
 
 def cmd_report(args) -> int:
+    from .agents import render_report
+
     config = _resolve(args)
     reports = read_dossier(args.dossier)
     out = Path(args.out)

@@ -12,19 +12,19 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .agents.pipeline import (
-    CLASSIFICATION_TOKEN_BUDGET,
-    DEFAULT_CLASSIFICATION_MODEL,
-    DEFAULT_FALLBACK_THRESHOLD,
-    DEFAULT_SUMMARIZATION_MODEL,
-    SUMMARIZATION_TOKEN_BUDGET,
-)
 from .chunker import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LENGTH
 from .embedding import DEFAULT_DIMENSION, DEFAULT_EMBEDDING_MODEL
 from .errors import FormatError, SchemaError
 from .vectorstore import DEFAULT_THRESHOLD, DEFAULT_TOP_K
 
 RESOLVED_CONFIG_NAME = "resolved-config.json"
+# Agent defaults. They live here rather than in the agents package so
+# that reading the configuration loads no agent or ensemble code.
+SUMMARIZATION_TOKEN_BUDGET = 100_000
+CLASSIFICATION_TOKEN_BUDGET = 50_000
+DEFAULT_FALLBACK_THRESHOLD = 0.5
+DEFAULT_SUMMARIZATION_MODEL = "gpt-4o"
+DEFAULT_CLASSIFICATION_MODEL = "gpt-4o-mini"
 # Integer fields with a lower bound, and the bound.
 _MINIMUMS = {"embedding_dim": 1, "segment_length": 1, "top_k": 1,
              "tuning_trials": 0, "tuning_folds": 2, "n_seeds": 1, "jobs": 1}

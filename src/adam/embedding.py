@@ -9,10 +9,12 @@ output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
   signed hashing trick of Weinberger et al. 2009). ``embed_many`` does
   one numpy pass per call: the batch's code points are packed three at
   a time into uint64 keys (21 bits each) for every gram that lies
-  inside one text, ``np.unique`` finds the distinct grams, each of
-  those is hashed once (through a bounded LRU cache shared by all
-  instances, so grams seen in earlier calls are not rehashed either),
-  and one ``np.bincount`` scatters the signs of all rows. It exists so
+  inside one text, ``np.unique`` finds the distinct grams, one
+  ``np.searchsorted`` looks them up in a sorted table of the grams
+  already hashed in this process (one table per dimension, shared by
+  all instances, reset once it would pass ``GRAM_CACHE_SIZE`` entries),
+  only the grams not found there are hashed and merged in, and one
+  ``np.bincount`` scatters the signs of all rows. It exists so
   everything downstream runs without network access; it makes no
   semantic-quality claims.
 * ``RemoteEmbedder``: POSTs {model, input list} to an HTTP embeddings
@@ -27,7 +29,6 @@ uniform when callers pass bare strings.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import time
@@ -103,13 +104,65 @@ class EmbeddingBackend:
         raise NotImplementedError
 
 
-@functools.lru_cache(maxsize=GRAM_CACHE_SIZE)
 def _gram_bucket(piece: str, dim: int) -> tuple[int, float]:
     """(coordinate, sign) of one gram: blake2b-64, low bit is the sign."""
     digest = hashlib.blake2b(piece.encode("utf-8"), digest_size=8).digest()
     h = int.from_bytes(digest, "little")
     sign = 1.0 if (h & 1) == 0 else -1.0
     return (h >> 1) % dim, sign
+
+
+# Per dimension: the sorted keys of the grams hashed so far in this
+# process, with each key's coordinate and sign beside it. The last key is
+# a sentinel above every gram key (those use 63 bits), so a lookup never
+# runs off the end of a table. A table is never changed in place, only
+# replaced whole, so a reader in another thread always sees a consistent
+# one; an update lost to such a race only means those grams are hashed
+# again.
+_NO_GRAM = np.uint64(2**64 - 1)
+_EMPTY_TABLE = (np.array([_NO_GRAM]), np.zeros(1, dtype=np.intp),
+                np.zeros(1))
+_gram_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _key_grams(keys: np.ndarray) -> list[str]:
+    """The 3-character gram each packed key spells."""
+    mask = np.uint64((1 << CODE_POINT_BITS) - 1)
+    codes = np.stack([keys >> np.uint64(2 * CODE_POINT_BITS),
+                      (keys >> np.uint64(CODE_POINT_BITS)) & mask,
+                      keys & mask], axis=1)
+    text = codes.astype("<u4").tobytes().decode("utf-32-le")
+    return [text[i:i + 3] for i in range(0, len(text), 3)]
+
+
+def _lookup_grams(distinct: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coordinates, signs) of sorted distinct gram keys at ``dim``.
+
+    One binary search finds the keys already in the table; only the
+    others are hashed, then merged in. A table that would pass
+    ``GRAM_CACHE_SIZE`` entries starts over with this call's grams.
+    """
+    keys, buckets, signs = _gram_tables.get(dim, _EMPTY_TABLE)
+    at = np.searchsorted(keys, distinct)
+    found_buckets, found_signs = buckets[at], signs[at]
+    miss = np.flatnonzero(keys[at] != distinct)
+    if not miss.size:
+        return found_buckets, found_signs
+    new = [_gram_bucket(gram, dim) for gram in _key_grams(distinct[miss])]
+    new_buckets = np.array([b for b, _ in new], dtype=np.intp)
+    new_signs = np.array([s for _, s in new])
+    found_buckets[miss] = new_buckets
+    found_signs[miss] = new_signs
+    if keys.size - 1 + miss.size <= GRAM_CACHE_SIZE:
+        _gram_tables[dim] = (np.insert(keys, at[miss], distinct[miss]),
+                             np.insert(buckets, at[miss], new_buckets),
+                             np.insert(signs, at[miss], new_signs))
+    else:
+        keep = slice(0, GRAM_CACHE_SIZE)
+        _gram_tables[dim] = (np.append(distinct[keep], _NO_GRAM),
+                             np.append(found_buckets[keep], 0),
+                             np.append(found_signs[keep], 0.0))
+    return found_buckets, found_signs
 
 
 @dataclass(frozen=True)
@@ -151,13 +204,7 @@ class OfflineHashEmbedder(EmbeddingBackend):
                 | (codes[starts + 1] << np.uint64(CODE_POINT_BITS))
                 | codes[starts + 2])
         distinct, inverse = np.unique(keys, return_inverse=True)
-        # Any occurrence spells its gram, so no stable sort is needed to
-        # find the first one.
-        where = np.empty(distinct.size, dtype=np.intp)
-        where[inverse] = starts
-        table = [_gram_bucket(joined[p:p + 3], dim) for p in where.tolist()]
-        buckets = np.array([b for b, _ in table], dtype=np.intp)
-        signs = np.array([s for _, s in table], dtype=np.float64)
+        buckets, signs = _lookup_grams(distinct, dim)
         acc = np.bincount(owner[starts] * dim + buckets[inverse],
                           weights=signs[inverse],
                           minlength=n * dim).reshape(n, dim)

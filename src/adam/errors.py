@@ -67,6 +67,11 @@ class DimensionError(AdamError):
     """A vector's dimension does not match the collection/store dimension."""
 
 
+class NonFiniteVectorError(AdamError):
+    """A record vector holds NaN or an infinity, which has no cosine
+    similarity."""
+
+
 class DuplicateRecordError(AdamError):
     """Two records share the same (publication, segment) identity."""
 

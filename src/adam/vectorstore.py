@@ -26,8 +26,9 @@ On disk each collection is one ``<name>.advec`` file:
     bytes 24-    records: [metadata length u32 LE][metadata UTF-8 JSON]
                  [dimension x float32 LE], repeated count times
 
-A vector holding NaN or an infinity is rejected at load, since it has no
-cosine similarity.
+A vector holding NaN or an infinity has no cosine similarity: a
+Collection refuses one, and loading a file holding one raises
+IntegrityError at that vector's offset.
 
 Writes go to a temporary file renamed into place, so readers only ever
 observe complete stores.
@@ -56,6 +57,7 @@ from .errors import (
     DimensionError,
     DuplicateRecordError,
     IntegrityError,
+    NonFiniteVectorError,
 )
 
 MAGIC = b"ADAMVEC1"
@@ -138,6 +140,14 @@ class Collection:
                     f"duplicate record {rec.key} in collection {self.name!r}")
             seen.add(rec.key)
             matrix[i] = rec.vector
+        # One pass over all vectors; the offending record is located only
+        # on failure.
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            row, component = np.argwhere(~finite)[0]
+            raise NonFiniteVectorError(
+                f"record {records[row].key} in collection {self.name!r}: "
+                f"vector component {component} is {matrix[row, component]}")
         matrix.flags.writeable = False
         object.__setattr__(self, "_matrix", matrix)
 
@@ -317,14 +327,14 @@ def index_corpus(documents, backend: EmbeddingBackend,
 # ---------------------------------------------------------------------------
 # persistence
 
-def _record_bytes(rec: VectorRecord) -> bytes:
+def _record_bytes(rec: VectorRecord, vector: np.ndarray) -> bytes:
     meta = json.dumps({"publication_id": rec.publication_id,
                        "segment_index": rec.segment_index,
                        "text": rec.text,
                        "topic_keywords": list(rec.topic_keywords)},
                       sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     blob = meta.encode("utf-8")
-    return struct.pack("<I", len(blob)) + blob + rec.vector.astype("<f4").tobytes()
+    return struct.pack("<I", len(blob)) + blob + vector.astype("<f4").tobytes()
 
 
 def save_collection(collection: Collection, directory: str | Path) -> Path:
@@ -334,7 +344,10 @@ def save_collection(collection: Collection, directory: str | Path) -> Path:
                          f"usable file name")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = b"".join(_record_bytes(rec) for rec in collection.records)
+    # The vectors come from the matrix checked when the collection was
+    # built, not from the records, whose arrays a caller may still share.
+    payload = b"".join(_record_bytes(rec, vector) for rec, vector
+                       in zip(collection.records, collection._matrix))
     header = MAGIC + struct.pack("<IQI", collection.dim, collection.count,
                                  zlib.crc32(payload))
     path = directory / f"{collection.name}{STORE_SUFFIX}"
@@ -421,16 +434,14 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
     if pos != len(data):
         raise IntegrityError(f"{path}: {len(data) - pos} trailing bytes",
                              offset=pos)
-    collection = Collection(name=path.stem, dim=int(dim), records=tuple(records))
-    # One pass over all vectors; the offending record is located only on failure.
-    finite = np.isfinite(collection._matrix)
-    if not finite.all():
-        row, component = np.argwhere(~finite)[0]
+    try:
+        return Collection(name=path.stem, dim=int(dim), records=tuple(records))
+    except NonFiniteVectorError as exc:
+        vectors = np.stack([rec.vector for rec in records])
+        row, component = np.argwhere(~np.isfinite(vectors))[0]
         raise IntegrityError(
             f"{path}: record vector component {component} is "
-            f"{collection._matrix[row, component]}",
-            offset=vector_offsets[row])
-    return collection
+            f"{vectors[row, component]}", offset=vector_offsets[row]) from exc
 
 
 def load_collections(directory: str | Path,

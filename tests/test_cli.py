@@ -642,6 +642,50 @@ def test_cli_import_does_not_load_requests():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+# Modules that only train, classify, evaluate, compare and report run.
+HEAVY_MODULES = ("adam.ensemble", "adam.attribution", "adam.agents",
+                 "adam.stats", "adam.evaluation")
+
+
+def test_light_commands_do_not_load_the_ensemble(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import adam
+    src = str(Path(adam.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    # Runs argv, then prints which of HEAVY_MODULES are loaded.
+    code = ("import sys, adam.cli\n"
+            "status = adam.cli.main({argv!r})\n"
+            f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])\n"
+            "sys.exit(status)\n")
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus)
+    data = tmp_path / "data"
+    commands = {
+        "synth": ["synth", "--out", str(data)],
+        "ingest": ["ingest", "--dataset", str(data / "synthetic.csv"),
+                   "--schema", str(data / "synthetic.schema.json")],
+        "index": ["index", "--corpus", str(corpus), "--store",
+                  str(tmp_path / "store"), "--embedding-dim", EMBED_DIM,
+                  "--verify"],
+    }
+    for name, argv in commands.items():
+        run = subprocess.run(
+            [sys.executable, "-c", code.format(argv=argv)],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (name, run.stderr)
+        assert run.stdout.splitlines()[-1] == "[]", name
+    config_only = ("import sys, adam.config\n"
+                   f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", config_only], env=env,
+                         capture_output=True, text=True)
+    assert run.stdout == "[]\n", run.stderr
+
+
 # --- the command-line surface ----------------------------------------------------
 
 # Per subcommand and dest: (option strings, type, choices, action, default,

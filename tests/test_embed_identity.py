@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import embed_oracle as oracle
+from adam import embedding
 from adam.chunker import segment_text
 from adam.embedding import OfflineHashEmbedder, RemoteEmbedder
 from adam.errors import FormatError
@@ -140,3 +141,120 @@ def test_unencodable_text_is_rejected_before_embedding():
                             session=object(), sleeper=lambda s: None)
     with pytest.raises(FormatError):
         remote.embed_many(texts)
+
+
+# --- the process-wide gram table ------------------------------------------------
+
+MASK = (1 << embedding.CODE_POINT_BITS) - 1
+
+
+@pytest.fixture()
+def fresh_tables(monkeypatch):
+    """An empty gram table for the test, restored afterwards."""
+    tables = {}
+    monkeypatch.setattr(embedding, "_gram_tables", tables)
+    return tables
+
+
+def _table_grams(tables, dim):
+    """Each gram of the table at ``dim`` with its (coordinate, sign),
+    decoded from the keys independently of the embedder."""
+    keys, buckets, signs = tables[dim]
+    assert keys[-1] == np.uint64(2**64 - 1)  # the sentinel
+    keys = [int(k) for k in keys[:-1]]
+    assert keys == sorted(set(keys))
+    grams = [chr(k >> 2 * embedding.CODE_POINT_BITS)
+             + chr(k >> embedding.CODE_POINT_BITS & MASK) + chr(k & MASK)
+             for k in keys]
+    return dict(zip(grams, zip(buckets[:-1].tolist(), signs[:-1].tolist())))
+
+
+def _run_calls(tables, dim, batches):
+    """Each batch embedded in turn equals the oracle; returns the grams
+    of 3 or more characters the table should now hold."""
+    backend = OfflineHashEmbedder(dim=dim)
+    seen = set()
+    for batch in batches:
+        _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+        seen.update(g for text in batch if len(text) >= 3
+                    for g in oracle.grams(text))
+        table = _table_grams(tables, dim) if seen else {}
+        assert table == {g: oracle.gram_bucket(g, dim) for g in seen}
+    return seen
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_table_grows_across_calls(fresh_tables, dim):
+    # every call after the first finds some of its grams in the table
+    batches = [["gut microbiome"], ["microbiome diversity", "gut"],
+               ["diversity of the gut microbiome"] * 2,
+               _seeded_corpus(documents=5)[:2], ["gut microbiome"]]
+    seen = _run_calls(fresh_tables, dim, batches)
+    assert len(_table_grams(fresh_tables, dim)) == len(seen) > 100
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_table_holds_astral_grams(fresh_tables, dim):
+    astral = "\U0001F9A0\U0010FFFF\U0001F9A0 gut \U00020000\U0001F9A0"
+    _run_calls(fresh_tables, dim, [[astral], [astral[::-1], astral],
+                                   ["\U0010FFFF" * 4, astral]])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_short_texts_bypass_the_table(fresh_tables, dim):
+    _run_calls(fresh_tables, dim, [["a", "ab", "\U0001F9A0"], ["ab"]])
+    assert dim not in fresh_tables
+    _run_calls(fresh_tables, dim, [["ab", "abc", "b"], ["abc", "a"]])
+    assert list(_table_grams(fresh_tables, dim)) == ["abc"]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_cancelling_grams_from_the_table_take_the_fallback(fresh_tables, dim):
+    text = _cancelling(dim)
+    _run_calls(fresh_tables, dim, [[text], [text, "microbiome"], [text]])
+
+
+def test_tables_per_dimension_interleaved(fresh_tables):
+    batches = [["gut microbiome"], ["microbiome diversity"],
+               ["gut \U0001F9A0 microbiome", "ab"]]
+    backends = {dim: OfflineHashEmbedder(dim=dim) for dim in (7, 64, 1536)}
+    for batch in batches:
+        for dim, backend in backends.items():
+            _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+    grams = {g for batch in batches for text in batch if len(text) >= 3
+             for g in oracle.grams(text)}
+    for dim in backends:
+        assert _table_grams(fresh_tables, dim) == {
+            g: oracle.gram_bucket(g, dim) for g in grams}
+
+
+@pytest.mark.parametrize("bound", [1, 16, 40])
+def test_table_starts_over_past_its_bound(fresh_tables, monkeypatch, bound):
+    monkeypatch.setattr(embedding, "GRAM_CACHE_SIZE", bound)
+    dim = 64
+    backend = OfflineHashEmbedder(dim=dim)
+    batches = [["gut microbiome"], ["microbiome diversity"],
+               ["diversity of the gut microbiome", "abc"], ["abc", "gut"],
+               _seeded_corpus(documents=5)[:1], ["gut microbiome"]]
+    for batch in batches:
+        _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+        table = _table_grams(fresh_tables, dim)
+        assert 0 < len(table) <= bound
+        assert table == {g: oracle.gram_bucket(g, dim) for g in table}
+
+
+def test_table_never_passes_gram_cache_size(fresh_tables):
+    # one call with more distinct grams than the bound, then one that
+    # looks up what the table kept
+    rng = random.Random(5)
+    alphabet = string.ascii_letters + string.digits + " .,-\U0001F9A0"
+    text = "".join(rng.choice(alphabet) for _ in range(45_000))
+    dim = 7
+    backend = OfflineHashEmbedder(dim=dim)
+    assert len(set(oracle.grams(text))) > embedding.GRAM_CACHE_SIZE
+    for batch in ([text], [text[::-1], text[:3000]]):
+        _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+        table = _table_grams(fresh_tables, dim)
+        assert len(table) == embedding.GRAM_CACHE_SIZE
+        assert all(table[g] == oracle.gram_bucket(g, dim)
+                   for g in list(table)[::97])

@@ -16,6 +16,7 @@ from adam.errors import (
     DimensionError,
     DuplicateRecordError,
     IntegrityError,
+    NonFiniteVectorError,
 )
 from adam.vectorstore import (
     DEFAULT_COLLECTION,
@@ -380,6 +381,62 @@ def test_load_rejects_non_finite_vector(tmp_path, capsys, value):
 
     assert main(["index", "--store", str(store), "--embedding-dim", "4"]) == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def _with_bad_record(value):
+    """Records of a 3-dim collection whose second vector holds value."""
+    return (_record("PUB1", 0, [1.0, 0.0, 0.0]),
+            _record("PUB2", 4, [0.5, value, 0.5]),
+            _record("PUB3", 0, [0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_collection_rejects_non_finite_vector(tmp_path, value):
+    with pytest.raises(NonFiniteVectorError) as err:
+        Collection(name="col", dim=3, records=_with_bad_record(value))
+    assert isinstance(err.value, AdamError)
+    assert str(err.value) == (f"record ('PUB2', 4) in collection 'col': "
+                              f"vector component 1 is {np.float32(value)}")
+    # save_collection can only be handed a collection that was built, so
+    # no file is written
+    with pytest.raises(NonFiniteVectorError):
+        save_collection(Collection(name="col", dim=3,
+                                   records=_with_bad_record(value)), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_save_writes_the_vectors_the_collection_checked(tmp_path, value):
+    # A float32 array is not copied into its record, so the caller can
+    # still change it after the collection is built.
+    vector = np.array([0.5, 0.5, 0.5], dtype=np.float32)
+    rec = VectorRecord(publication_id="PUB1", segment_index=0, text="t",
+                       topic_keywords=("kw",), vector=vector)
+    coll = Collection(name="col", dim=3, records=(rec,))
+    vector[1] = value
+    loaded = load_collection(save_collection(coll, tmp_path))
+    assert loaded.records[0].vector.tolist() == [0.5, 0.5, 0.5]
+    hits = search(coll, [0.0, 1.0, 0.0], k=1, threshold=-1.0)
+    assert [h.similarity for h in hits] == [pytest.approx(3 ** -0.5)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_index_rejects_non_finite_embedding(tmp_path, capsys, monkeypatch,
+                                            corpus_path, value):
+    def embed_many(self, texts):
+        rows = np.full((len(list(texts)), self.dim), 0.125, dtype=np.float32)
+        rows[-1, 2] = value
+        return rows
+
+    monkeypatch.setattr(OfflineHashEmbedder, "embed_many", embed_many)
+    store = tmp_path / "store"
+    assert main(["index", "--corpus", str(corpus_path), "--store", str(store),
+                 "--embedding-dim", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: record ('PUB")
+    assert err.endswith(f"vector component 2 is {np.float32(value)}\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not store.exists()
 
 
 def test_metadata_rewrite_keeps_a_valid_file(tmp_path):
