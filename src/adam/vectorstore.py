@@ -6,16 +6,53 @@ identical to a brute-force linear pass, which keeps every retrieval
 oracle-testable. No approximate index, no in-place mutation.
 
 ``search_many`` scores a batch of queries (a pipeline stage's step
-queries) in one pass over each collection. The float64 scan matrix is
-walked in blocks of ``_SCAN_BLOCK_ROWS`` rows, small enough to stay in
-cache while every query of the batch takes its matrix-vector product
-with the block. Each similarity has the bits that one product of the
-whole matrix per query gives at one BLAS thread. OpenBLAS scores rows in
-groups of 4 and sums leftover rows in another order, and numpy gives a
-one-row product the bits of a dot product; so every block starts at a
-multiple of 16 rows, and a tail shorter than 16 rows joins the block
-before it. A matrix-matrix product would be faster still but is not
-bit-equal: its sums depend on the batch width.
+queries) against each collection in two passes, and every similarity it
+reports is the float64 value ``(M @ q) / norm`` that one matrix-vector
+product of the collection's nonzero float64 rows M per query gives at
+one BLAS thread.
+
+The screen is one float32 matrix product of the stored float32 rows with
+the batch of queries, each normalised in float64 and then rounded to
+float32, divided in float64 by the float64 row norms. Its error against
+the float64 similarity is at most
+
+    eps(d) = (1 + g(d + 2, u64)) * (u32 + g(d, u32) * (1 + u32) + g(d, u64))
+             + 2 * (d + 1) * 2**-126 / _SAFE_NORM_MIN + 8 * u64
+
+with g(n, u) = n u / (1 - n u), u32 = 2**-24 and u64 = 2**-53 (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1).
+g(d, u32) bounds the float32 sum of d products for any summation order,
+with or without fused multiply-adds, relative to sum |q_i m_i|, which is
+at most |q| |m| <= |m| (1 + g(d + 2, u64)) for a normalised query; u32
+is the rounding of the query to float32 and g(d, u64) the float64 sum
+the reported value comes from. The second term is the float32 and
+float64 underflow of rows whose norm is at least ``_SAFE_NORM_MIN``,
+also where a kernel flushes subnormal numbers to zero, and the last
+covers the float64 divisions and the subtractions of the candidate
+test. eps(1536) is about 9.2e-5.
+
+A row is a candidate for a query when its screen value reaches both the
+threshold minus eps and the query's k-th largest screen value minus 2 eps
+(taken over the collection's nonzero rows; minus infinity when k is at
+least their count). Any other row is strictly below the threshold or
+strictly below the k-th largest similarity, so it cannot be a hit. A row
+whose norm lies outside [_SAFE_NORM_MIN, _SAFE_NORM_MAX], where float32
+products could overflow or underflow, or whose screen value is not
+finite, is a candidate for every query and takes no part in the k-th
+screen value.
+
+The second pass re-scores in float64 only the blocks of rows that hold a
+candidate: ``_row_blocks`` cuts the nonzero rows into 16-row blocks, a
+last block shorter than 16 rows joining the one before it, and each
+block is upcast and takes one matrix-vector product per query that needs
+it. Each such product has the bits of the whole-matrix product: OpenBLAS
+scores rows in groups of 4 and sums leftover rows in another order, and
+numpy gives a one-row product the bits of a dot product, so every block
+starts at a multiple of 16 rows and none is a lone leftover. The
+threshold, the ties-kept top-k cut and the sort then run on the
+re-scored rows, and give what a full float64 scan gives. Zero-norm rows
+score exactly 0.0. Only the nonzero row ids and the float64 norms are
+cached per collection; no float64 copy of the matrix is kept.
 
 On disk each collection is one ``<name>.advec`` file:
 
@@ -73,6 +110,13 @@ DEFAULT_ROUTING = {
 DEFAULT_COLLECTION = "alzheimers"
 
 
+def _immutable(array: np.ndarray) -> bool:
+    """True for a view of a ``bytes`` object, which nothing can change."""
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        array = array.base
+    return isinstance(array, bytes)
+
+
 @dataclass(frozen=True, eq=False)
 class VectorRecord:
     """One embedded chunk."""
@@ -85,6 +129,9 @@ class VectorRecord:
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=np.float32).ravel()
+        if not _immutable(vec):
+            # The caller may still hold this array, or the one it views.
+            vec = vec.copy()
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "topic_keywords", tuple(self.topic_keywords))
@@ -156,19 +203,22 @@ class Collection:
         return len(self.records)
 
     @functools.cached_property
-    def _scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row indices, float64 rows, row norms) of the nonzero records.
+    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row indices, float64 row norms) of the nonzero records.
 
         Built on the first search and kept; a collection never changes,
-        so neither does its scan matrix.
+        so neither do its norms. Each block of rows is upcast on its own,
+        and every norm has the bits of the norm of the whole float64
+        matrix's row.
         """
-        matrix = self._matrix.astype(np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
+        norms = np.empty(self.count)
+        for rows in _row_blocks(self.count):
+            norms[rows] = np.linalg.norm(
+                self._matrix[rows].astype(np.float64), axis=1)
         nonzero = norms > 0.0
-        if not nonzero.all():
-            matrix = matrix[nonzero]
-        matrix.flags.writeable = False
-        return np.flatnonzero(nonzero), matrix, norms[nonzero]
+        rows, norms = np.flatnonzero(nonzero), norms[nonzero]
+        rows.flags.writeable = norms.flags.writeable = False
+        return rows, norms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Collection):
@@ -177,33 +227,78 @@ class Collection:
                 and self.records == other.records)
 
 
-# Rows per block of the blocked scan: 128 float64 rows of 1536 dimensions
-# are 1.5 MB, which a 2 MB L2 cache holds. Keep it a multiple of 16.
-_SCAN_BLOCK_ROWS = 128
+# Rows per re-scored block: a multiple of 16 (see the module docstring).
+_SCAN_BLOCK_ROWS = 16
 # A last block shorter than this joins the block before it.
 _MIN_TAIL_ROWS = 16
+# Row norms inside this range keep every float32 product and partial sum
+# of the screen clear of overflow, and its underflow inside eps.
+_SAFE_NORM_MIN = 2.0 ** -64
+_SAFE_NORM_MAX = 2.0 ** 64
 
 
 def _row_blocks(n: int) -> list[slice]:
-    """Row slices of the blocked scan of an ``n``-row matrix."""
+    """Row slices of the re-scored blocks of an ``n``-row matrix."""
     starts = list(range(0, n, _SCAN_BLOCK_ROWS))
     if len(starts) > 1 and n - starts[-1] < _MIN_TAIL_ROWS:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _blocked_dots(matrix: np.ndarray, queries) -> np.ndarray:
-    """(queries x rows) products of every row with every query.
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n: the relative error bound of n roundings at u."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else np.inf
 
-    Each block of rows is read once for the whole batch; each product
-    has the bits of ``matrix @ q`` (see the module docstring).
+
+def _screen_error_bound(d: int) -> float:
+    """eps(d): the most a screen value can differ from the float64
+    similarity of a row with a norm in the safe range (see the module
+    docstring)."""
+    u32, u64 = 2.0 ** -24, 2.0 ** -53
+    relative = (u32 + _gamma(d, u32) * (1.0 + u32) + _gamma(d, u64))
+    return ((1.0 + _gamma(d + 2, u64)) * relative
+            + 2.0 * (d + 1) * 2.0 ** -126 / _SAFE_NORM_MIN + 8.0 * u64)
+
+
+def _screen(coll: Collection, queries: np.ndarray) -> np.ndarray:
+    """(nonzero rows x queries) float32 screen values, divided in float64
+    by the row norms; not finite where the float32 product overflowed."""
+    rows, norms = coll._scan
+    # Rows x queries: the product reads the stored matrix as it lies.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((coll._matrix @ queries.T.astype(np.float32))[rows]
+                / norms[:, None])
+
+
+def _similarities(coll: Collection, queries: np.ndarray, k: int,
+                  threshold: float) -> np.ndarray:
+    """(queries x records) float64 similarities of every row that can be
+    a hit; minus infinity for every other nonzero row, 0.0 for zero rows.
     """
-    dots = np.empty((len(queries), matrix.shape[0]))
-    for rows in _row_blocks(matrix.shape[0]):
-        block = matrix[rows]
-        for q, out in zip(queries, dots):
-            out[rows] = block @ q
-    return dots
+    rows, norms = coll._scan
+    sims = np.zeros((len(queries), coll.count))
+    sims[:, rows] = -np.inf
+    if rows.size == 0:
+        return sims
+    screen = _screen(coll, queries)
+    unsafe = ~np.isfinite(screen) | ((norms < _SAFE_NORM_MIN)
+                                     | (norms > _SAFE_NORM_MAX))[:, None]
+    screen[unsafe] = -np.inf
+    eps = _screen_error_bound(coll.dim)
+    floor = np.full(len(queries), float(threshold))
+    if k < rows.size:
+        kth = np.partition(screen, rows.size - k, axis=0)[rows.size - k]
+        floor = np.maximum(floor, kth - eps)
+    candidates = unsafe | (screen >= floor - eps)
+    blocks = _row_blocks(rows.size)
+    needed = np.logical_or.reduceat(candidates, [b.start for b in blocks])
+    for b in np.flatnonzero(needed.any(axis=1)):
+        block = blocks[b]
+        ids = rows[block]
+        matrix = coll._matrix[ids].astype(np.float64)
+        for j in np.flatnonzero(needed[b]):
+            sims[j, ids] = (matrix @ queries[j]) / norms[block]
+    return sims
 
 
 def _as_query(query, dim: int) -> np.ndarray:
@@ -227,7 +322,9 @@ def search_many(collections, queries, k: int = DEFAULT_TOP_K,
     returns the k best in descending similarity; exact ties order by
     (publication_id, segment_index, collection) ascending. Every
     collection's rows are scanned once for the whole batch, and each
-    query gets the hits it would get alone.
+    query gets the hits it would get alone. Rows are screened in float32
+    and only those that can be hits are re-scored in float64 (see the
+    module docstring).
     """
     if isinstance(collections, Collection):
         collections = (collections,)
@@ -240,13 +337,14 @@ def search_many(collections, queries, k: int = DEFAULT_TOP_K,
         raise ValueError(f"threshold must lie in [-1, 1], got {threshold}")
     queries = list(queries)
     hits: list[list[RetrievalHit]] = [[] for _ in queries]
+    normalised: dict[int, np.ndarray] = {}
     for coll in collections:
         if coll.count == 0 or not queries:
             continue
-        qs = [_as_query(query, coll.dim) for query in queries]
-        rows, matrix, norms = coll._scan
-        sims = np.zeros((len(qs), coll.count))
-        sims[:, rows] = _blocked_dots(matrix, qs) / norms
+        if coll.dim not in normalised:
+            normalised[coll.dim] = np.stack(
+                [_as_query(query, coll.dim) for query in queries])
+        sims = _similarities(coll, normalised[coll.dim], k, threshold)
         passing = sims >= threshold
         for query_sims, query_passing, query_hits in zip(sims, passing, hits):
             candidates = np.flatnonzero(query_passing)

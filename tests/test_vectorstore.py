@@ -407,8 +407,7 @@ def test_collection_rejects_non_finite_vector(tmp_path, value):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_save_writes_the_vectors_the_collection_checked(tmp_path, value):
-    # A float32 array is not copied into its record, so the caller can
-    # still change it after the collection is built.
+    # The caller changes its array after the collection is built.
     vector = np.array([0.5, 0.5, 0.5], dtype=np.float32)
     rec = VectorRecord(publication_id="PUB1", segment_index=0, text="t",
                        topic_keywords=("kw",), vector=vector)
@@ -418,6 +417,27 @@ def test_save_writes_the_vectors_the_collection_checked(tmp_path, value):
     assert loaded.records[0].vector.tolist() == [0.5, 0.5, 0.5]
     hits = search(coll, [0.0, 1.0, 0.0], k=1, threshold=-1.0)
     assert [h.similarity for h in hits] == [pytest.approx(3 ** -0.5)]
+
+
+def test_record_is_not_changed_through_the_callers_array(tmp_path):
+    vector = np.ones(4, dtype=np.float32)
+    view = vector[:]
+    view.flags.writeable = False
+    records = [_record("PUB1", 0, vector), _record("PUB2", 0, view)]
+    twins = [_record("PUB1", 0, np.ones(4)), _record("PUB2", 0, np.ones(4))]
+    coll = Collection(name="col", dim=4, records=tuple(records))
+    query = [0.0, 1.0, 0.0, 0.0]
+    before = search(coll, query, k=2, threshold=-1.0)
+    vector[1] = np.nan
+    assert [r.vector.tolist() for r in records] == [[1.0] * 4] * 2
+    assert records == twins
+    assert coll == Collection(name="col", dim=4, records=tuple(twins))
+    assert search(coll, query, k=2, threshold=-1.0) == before
+    loaded = load_collection(save_collection(coll, tmp_path))
+    assert loaded == coll
+    # A loaded record views the bytes read from the file, which nothing
+    # can change, so it is not copied.
+    assert not loaded.records[0].vector.flags.owndata
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -564,10 +584,10 @@ def test_scan_cache_is_reused_and_invisible():
     fresh = _random_collection(8, 50, 12)
     q = np.random.default_rng(9).normal(size=12)
     first = search(coll, q, k=7, threshold=-1.0)
-    scan = coll._scan
+    rows, norms = scan = coll._scan
     assert search(coll, q, k=7, threshold=-1.0) == first
     assert coll._scan is scan
-    assert not scan[1].flags.writeable
+    assert not rows.flags.writeable and not norms.flags.writeable
     assert coll == fresh and fresh == coll
     for c in (coll, fresh):
         with pytest.raises(TypeError):
