@@ -22,7 +22,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from ..errors import BackendError, VerdictParseError
+from ..errors import OBJECT, STRING, BackendError, VerdictParseError, check_fields
 from ..http_retry import MAX_ATTEMPTS, post_with_backoff
 
 API_KEY_VARIABLE = "ADAM_LLM_API_KEY"
@@ -175,10 +175,11 @@ class HttpChatBackend(LLMBackend):
 
     @staticmethod
     def _parse(doc) -> str:
-        try:
-            content = doc["choices"][0]["message"]["content"]
-        except (TypeError, KeyError, IndexError) as exc:
-            raise BackendError(f"malformed chat response: {exc}") from exc
-        if not isinstance(content, str):
-            raise BackendError("chat response content is not text")
-        return content
+        where = "malformed chat response"
+        check_fields(doc, {"choices": (lambda v: isinstance(v, list) and v != [],
+                                       "a non-empty list")}, where, BackendError)
+        choice = doc["choices"][0]
+        check_fields(choice, {"message": OBJECT}, f"{where}: choices[0]", BackendError)
+        check_fields(choice["message"], {"content": STRING},
+                     f"{where}: choices[0].message", BackendError)
+        return choice["message"]["content"]

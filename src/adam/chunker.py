@@ -14,12 +14,13 @@ the original text exactly.
 
 from __future__ import annotations
 
-import json
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyInputError, FormatError, WindowError
+from .errors import (STRINGS, EmptyInputError, FormatError, WindowError, check_fields,
+                     parse_object, read_text)
 
 DEFAULT_SEGMENT_LENGTH = 2000
 DEFAULT_OVERLAP = 400
@@ -121,13 +122,23 @@ def reconstruct(chunks: list[Chunk], overlap: int = DEFAULT_OVERLAP) -> str:
 
 
 def _encodable(value) -> bool:
-    """Whether a string (or list of strings) can be written as UTF-8."""
+    """Whether a string (or list of strings) can be written as UTF-8: a
+    JSON escape can decode to a lone surrogate, which cannot."""
     try:
         for item in ([value] if isinstance(value, str) else value):
             item.encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True
+
+
+_NON_EMPTY = (lambda v: isinstance(v, str) and v != "" and _encodable(v),
+              "a non-empty string of valid Unicode")
+_LINE_FIELDS = {
+    "publication_id": _NON_EMPTY, "text": _NON_EMPTY,
+    "title": (lambda v: isinstance(v, str) and _encodable(v), "a string of valid Unicode"),
+    "keywords": (lambda v: STRINGS[0](v) and _encodable(v),
+                 "a list of strings of valid Unicode")}
 
 
 def read_corpus(path: str | Path) -> list[CorpusDocument]:
@@ -137,39 +148,20 @@ def read_corpus(path: str | Path) -> list[CorpusDocument]:
     """
     docs = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{path}: line {lineno}: expected an object")
-            pub = obj.get("publication_id")
-            text = obj.get("text")
-            if not pub or not isinstance(pub, str):
-                raise FormatError(f"{path}: line {lineno}: missing publication_id")
-            if not text or not isinstance(text, str):
-                raise FormatError(f"{path}: line {lineno}: missing or empty text")
-            if pub in seen:
-                raise FormatError(f"{path}: line {lineno}: duplicate publication_id {pub!r}")
-            seen.add(pub)
-            keywords = obj.get("keywords", [])
-            if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-                raise FormatError(f"{path}: line {lineno}: keywords must be a list of strings")
-            title = obj.get("title", "")
-            if not isinstance(title, str):
-                raise FormatError(f"{path}: line {lineno}: title must be a string")
-            for field_name, value in (("publication_id", pub), ("title", title),
-                                      ("text", text), ("keywords", keywords)):
-                if not _encodable(value):
-                    raise FormatError(f"{path}: line {lineno}: {field_name} "
-                                      f"is not valid Unicode (lone surrogate)")
-            docs.append(CorpusDocument(publication_id=pub,
-                                       title=title,
-                                       text=text,
-                                       keywords=tuple(keywords)))
+    # Lines split as a file opened in text mode splits them; str.splitlines
+    # would also split at characters JSON strings may hold, such as U+2028.
+    lines = io.StringIO(read_text(path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}: line {lineno}"
+        obj = {"title": "", "keywords": [], **parse_object(line, where)}
+        check_fields(obj, _LINE_FIELDS, where)
+        pub = obj["publication_id"]
+        if pub in seen:
+            raise FormatError(f"{where}: duplicate publication_id {pub!r}")
+        seen.add(pub)
+        docs.append(CorpusDocument(pub, obj["title"], obj["text"],
+                                   tuple(obj["keywords"])))
     return docs

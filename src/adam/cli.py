@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
 from collections import Counter
@@ -36,14 +35,9 @@ from .config import (
     write_resolved_config,
 )
 from .embedding import OfflineHashEmbedder, RemoteEmbedder
-from .errors import (
-    AdamError,
-    AlignmentError,
-    FormatError,
-    IntegrityError,
-    ModelIntegrityError,
-    SchemaError,
-)
+from .errors import (FINITE, NUMBER, OBJECT, STRING, STRINGS, AdamError, AlignmentError,
+                     FormatError, IntegrityError, ModelIntegrityError, SchemaError,
+                     check_fields, parse_object, read_text)
 from .vectorstore import SemanticSearch, index_corpus, load_collections, save_collections
 
 # Modules that only some subcommands run are imported inside the functions
@@ -151,8 +145,6 @@ def _load_sample_set(config: RunConfig, quiet: bool = False):
         print(f"rejected {len(result.rejected)} row(s):", file=sys.stderr)
         for line_number, reason in result.rejected:
             print(f"  line {line_number}: {reason}", file=sys.stderr)
-    if len(result.sample_set) == 0:
-        raise FormatError(f"{config.dataset}: no usable rows")
     return result
 
 
@@ -260,45 +252,15 @@ def _model_bundle(deployed, split) -> dict:
     }
 
 
-def _read_document(path, fmt: str, what: str) -> dict:
-    """The JSON object in path, which must declare "format": fmt."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise FormatError(f"{path}: not a {what}")
-    return doc
-
-
-def _check_fields(doc: dict, checks: dict, where: str) -> None:
-    """FormatError at the first key of checks that doc lacks or whose
-    value fails the check; checks maps each key to (check, shape)."""
-    for key, (check, shape) in checks.items():
-        if key not in doc:
-            raise FormatError(f"{where} lacks {key!r}")
-        if not check(doc[key]):
-            raise FormatError(f"{where} {key!r} must be {shape}")
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 # model_from_dict checks the "model" document itself.
-_BUNDLE_CHECKS = {
-    "model": (lambda v: isinstance(v, dict), "an object"),
-    "feature_names": (_string_list, "a list of strings"),
-    "medians": (lambda v: isinstance(v, dict) and all(
-        _number(x) and math.isfinite(x) for x in v.values()),
-        "an object of finite numbers"),
-    "train_studies": (_string_list, "a list of strings"),
-    "test_studies": (_string_list, "a list of strings"),
+_BUNDLE_FIELDS = {
+    "format": (lambda v: v == "adam-model-bundle", "'adam-model-bundle'"),
+    "model": OBJECT,
+    "feature_names": STRINGS,
+    "medians": (lambda v: isinstance(v, dict) and all(FINITE[0](x) for x in v.values()),
+                "an object of finite numbers"),
+    "train_studies": STRINGS,
+    "test_studies": STRINGS,
 }
 
 
@@ -308,8 +270,8 @@ def _load_model_bundle(path):
     from .agents import DeployedModel
     from .ensemble import model_from_dict
 
-    doc = _read_document(path, "adam-model-bundle", "model bundle")
-    _check_fields(doc, _BUNDLE_CHECKS, f"{path}: bundle")
+    doc = parse_object(read_text(path), path)
+    check_fields(doc, _BUNDLE_FIELDS, path)
     try:
         deployed = DeployedModel(
             model=model_from_dict(doc["model"]),
@@ -507,16 +469,18 @@ def _plain_file_name(value) -> bool:
     return isinstance(value, str) and is_file_name(value)
 
 
-# Checks on each report payload of a dossier, by key.
-_REPORT_CHECKS = {
+_DOSSIER_FIELDS = {"format": (lambda v: v == "adam-dossier", "'adam-dossier'"),
+                   "samples": (lambda v: isinstance(v, list), "a list")}
+# The shape of each report payload of a dossier, by key.
+_REPORT_FIELDS = {
     "sample_id": (_plain_file_name, "a plain file name"),
     "verdict": (lambda v: v in ("Yes", "No"), "Yes or No"),
-    "probability": (_number, "a number"),
+    "probability": NUMBER,
     "sections": (lambda v: isinstance(v, list) and all(
-        _string_list(s) and len(s) == 2 for s in v),
+        STRINGS[0](s) and len(s) == 2 for s in v),
         "a list of [title, text] pairs"),
-    "summary": (lambda v: isinstance(v, str), "a string"),
-    "step_transcripts": (_string_list, "a list of strings"),
+    "summary": STRING,
+    "step_transcripts": STRINGS,
 }
 
 
@@ -529,24 +493,17 @@ def read_dossier(path) -> list:
     """
     from .agents import ClassificationReport
 
-    doc = _read_document(path, "adam-dossier", "classification dossier")
-    samples = doc.get("samples", [])
-    if not isinstance(samples, list):
-        raise FormatError(f"{path}: samples is not a list")
+    doc = parse_object(read_text(path), path)
+    check_fields(doc, _DOSSIER_FIELDS, path)
     reports = []
-    for index, entry in enumerate(samples):
-        payload = entry.get("report") if isinstance(entry, dict) else None
-        if not isinstance(payload, dict):
-            raise FormatError(f"{path}: sample {index}: no report object")
-        _check_fields(payload, _REPORT_CHECKS, f"{path}: sample {index}: report")
-        reports.append(ClassificationReport(
-            sample_id=payload["sample_id"],
-            verdict=payload["verdict"],
-            probability=payload["probability"],
-            sections=tuple(tuple(section) for section in payload["sections"]),
-            summary=payload["summary"],
-            step_transcripts=tuple(payload["step_transcripts"]),
-        ))
+    for index, entry in enumerate(doc["samples"]):
+        check_fields(entry, {"report": OBJECT}, f"{path}: sample {index}")
+        payload = entry["report"]
+        check_fields(payload, _REPORT_FIELDS, f"{path}: sample {index}: report")
+        reports.append(ClassificationReport(**{
+            **{key: payload[key] for key in _REPORT_FIELDS},
+            "sections": tuple(tuple(section) for section in payload["sections"]),
+            "step_transcripts": tuple(payload["step_transcripts"])}))
     return reports
 
 

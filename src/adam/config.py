@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .chunker import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LENGTH
 from .embedding import DEFAULT_DIMENSION, DEFAULT_EMBEDDING_MODEL
-from .errors import FormatError, SchemaError
+from .errors import (INTEGER, NUMBER, STRING, SchemaError, check_fields, parse_object,
+                     read_text)
 from .vectorstore import DEFAULT_THRESHOLD, DEFAULT_TOP_K
 
 RESOLVED_CONFIG_NAME = "resolved-config.json"
@@ -26,8 +27,19 @@ DEFAULT_FALLBACK_THRESHOLD = 0.5
 DEFAULT_SUMMARIZATION_MODEL = "gpt-4o"
 DEFAULT_CLASSIFICATION_MODEL = "gpt-4o-mini"
 # Integer fields with a lower bound, and the bound.
-_MINIMUMS = {"embedding_dim": 1, "segment_length": 1, "top_k": 1,
-             "tuning_trials": 0, "tuning_folds": 2, "n_seeds": 1, "jobs": 1}
+_MINIMUMS = {"embedding_dim": 1, "segment_length": 1, "top_k": 1, "tuning_trials": 0,
+             "tuning_folds": 2, "n_seeds": 1, "jobs": 1, "summarization_budget": 1,
+             "classification_budget": 1, "n_pos": 1, "n_neg": 1}
+_BACKEND = (lambda v: v in ("mock", "remote"), "mock or remote")
+# The values each field may take beyond its type's.
+_LIMITS = {
+    "embedding_backend": _BACKEND, "llm_backend": _BACKEND,
+    **{name: (lambda v, least=least: v >= least, f">= {least}")
+       for name, least in _MINIMUMS.items()},
+    "threshold": (lambda v: -1.0 <= v <= 1.0, "in [-1, 1]"),
+    "fallback_threshold": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "split_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+}
 
 
 @dataclass(frozen=True)
@@ -71,76 +83,41 @@ class RunConfig:
     tolerate_failures: bool = False
 
     def validate(self) -> None:
+        check_fields(vars(self), _LIMITS, "config", SchemaError)
         for service in ("embedding", "llm"):
-            backend = getattr(self, f"{service}_backend")
-            if backend not in ("mock", "remote"):
-                raise SchemaError(
-                    f"{service}_backend must be mock or remote, got {backend!r}")
-            if backend == "remote" and not getattr(self, f"{service}_url"):
+            if (getattr(self, f"{service}_backend") == "remote"
+                    and not getattr(self, f"{service}_url")):
                 raise SchemaError(
                     f"{service}_backend=remote requires {service}_url")
-        for name, least in _MINIMUMS.items():
-            if getattr(self, name) < least:
-                raise SchemaError(
-                    f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0 <= self.overlap < self.segment_length:
             raise SchemaError(
                 f"overlap must lie in [0, segment_length), got {self.overlap}")
-        if not -1.0 <= self.threshold <= 1.0:
-            raise SchemaError(
-                f"threshold must lie in [-1, 1], got {self.threshold}")
-        if self.summarization_budget < 1 or self.classification_budget < 1:
-            raise SchemaError("token budgets must be >= 1")
-        if not 0.0 <= self.fallback_threshold <= 1.0:
-            raise SchemaError(
-                f"fallback_threshold must lie in [0, 1], "
-                f"got {self.fallback_threshold}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise SchemaError(
-                f"split_fraction must lie in (0, 1), got {self.split_fraction}")
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise SchemaError("cohort sizes must be >= 1")
 
 
 # Each field's declared type, as a string (the module postpones annotations).
 # The CLI derives each flag's type from it and config files are checked
 # against it.
 FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-# Per field type: the JSON value types a config file may give, and their name.
-_JSON_TYPES = {
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
-}
+# Per field type: the shape a config-file value must have.
+_SHAPES = {"str": STRING, "int": INTEGER, "float": NUMBER,
+           "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+           "bool": (lambda v: isinstance(v, bool), "true or false")}
 
 
-def _check(values: dict, source) -> None:
-    """Reject unknown keys and values of the wrong JSON type."""
+def _check(values, source) -> dict:
+    """values, once checked for wrong JSON types and unknown keys."""
+    check_fields(values, {key: _SHAPES[kind] for key, kind in FIELD_TYPES.items()
+                          if key in values}, source, SchemaError)
     unknown = sorted(set(values) - set(FIELD_TYPES))
     if unknown:
         raise SchemaError(f"{source}: unknown config keys {unknown}")
-    for key, value in values.items():
-        kind = FIELD_TYPES[key]
-        types, name = _JSON_TYPES[kind]
-        if not isinstance(value, types) or (
-                isinstance(value, bool) and kind != "bool"):
-            raise SchemaError(f"{source}: {key} must be {name}, got {value!r}")
+    return values
 
 
 def load_config_file(path) -> dict:
     """JSON object of RunConfig keys; unknown keys and values of the
     wrong type are rejected."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
-    _check(obj, path)
-    return obj
+    return _check(parse_object(read_text(path), path, SchemaError), path)
 
 
 def resolve_config(file_values: dict | None = None, **flag_values) -> RunConfig:
@@ -148,12 +125,9 @@ def resolve_config(file_values: dict | None = None, **flag_values) -> RunConfig:
 
     Flag values of None mean "not given" and never override.
     """
-    merged = dict(file_values or {})
-    _check(merged, "config")
-    flags = {key: value for key, value in flag_values.items()
-             if value is not None}
-    _check(flags, "flags")
-    merged.update(flags)
+    merged = _check(dict(file_values or {}), "config")
+    merged.update(_check({key: value for key, value in flag_values.items()
+                          if value is not None}, "flags"))
     config = RunConfig(**merged)
     config.validate()
     return config

@@ -16,8 +16,6 @@ sides, and stratified by each study's majority label.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -25,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CohortError, EmptyInputError, FormatError, SchemaError, StratificationError
+from .errors import (OBJECT, CohortError, EmptyInputError, SchemaError, StratificationError,
+                     check_fields, parse_object, read_csv, read_text)
 
 ROLES = ("sample_id", "study_id", "visit", "label", "clinical", "taxon", "ignore")
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -114,44 +113,37 @@ class Schema:
     columns: dict[str, str]
     default_role: str | None = None
 
-    def role_of(self, column: str) -> str:
+    def role_of(self, column: str, where="dataset") -> str:
         if column in self.columns:
             return self.columns[column]
         if self.default_role is not None:
             return self.default_role
-        raise SchemaError(f"column {column!r} has no role and the schema sets no default_role")
+        raise SchemaError(f"{where}: column {column!r} has no role and no default_role")
+
+
+_ROLE = (lambda v: v in ROLES, "one of " + ", ".join(ROLES))
+_SCHEMA_FIELDS = {"columns": OBJECT,
+                  "default_role": (lambda v: v is None or v in ROLES, "null or " + _ROLE[1])}
 
 
 def load_schema(source) -> Schema:
     """Build a Schema from a dict or a JSON file path."""
     if isinstance(source, Schema):
         return source
+    where = "schema"
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{source}: invalid JSON: {exc}") from exc
-    else:
-        obj = source
-    if not isinstance(obj, dict) or "columns" not in obj:
-        raise SchemaError("schema must be an object with a 'columns' mapping")
-    columns = obj["columns"]
-    if not isinstance(columns, dict):
-        raise SchemaError("'columns' must map column names to roles")
-    default_role = obj.get("default_role")
-    for col, role in columns.items():
-        if role not in ROLES:
-            raise SchemaError(f"column {col!r} has unknown role {role!r}; valid roles: {ROLES}")
-    if default_role is not None and default_role not in ROLES:
-        raise SchemaError(f"unknown default_role {default_role!r}")
-    for unique_role in ("sample_id", "study_id", "label", "visit"):
-        hits = [c for c, r in columns.items() if r == unique_role]
-        if len(hits) > 1:
-            raise SchemaError(f"role {unique_role!r} assigned to multiple columns: {hits}")
-    for required in ("sample_id", "study_id", "label"):
-        if required not in columns.values():
-            raise SchemaError(f"schema assigns no column to required role {required!r}")
+        where, source = source, parse_object(read_text(source), source, SchemaError)
+    obj = {"default_role": None, **source} if isinstance(source, dict) else source
+    check_fields(obj, _SCHEMA_FIELDS, where, SchemaError)
+    columns, default_role = obj["columns"], obj["default_role"]
+    check_fields(columns, dict.fromkeys(columns, _ROLE), f"{where}: columns",
+                 SchemaError)
+    # Each id and label role needs one column; the visit role may have none.
+    for role in ("sample_id", "study_id", "label", "visit"):
+        hits = [c for c, r in columns.items() if r == role]
+        if len(hits) > 1 or not hits and role != "visit":
+            raise SchemaError(f"{where}: role {role!r} is assigned to {len(hits)} "
+                              f"columns {hits}")
     return Schema(columns=dict(columns), default_role=default_role)
 
 
@@ -166,9 +158,11 @@ def _parse_label(token: str) -> int:
 
 def is_file_name(name: str) -> bool:
     """True if name can name one file inside a directory: not empty, not
-    "." or "..", and free of "/", "\\" and NUL. Sample ids name report
-    files, so ids failing this are rejected wherever they are read."""
-    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+    "." or "..", and free of "/", "\\", NUL and lone surrogates (which a
+    JSON escape can make and no UTF-8 file name holds). Sample ids name
+    report files, so ids failing this are rejected wherever they are read."""
+    return name not in ("", ".", "..") and not any(
+        c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name)
 
 
 def _parse_float(token: str, missing_as: float) -> float:
@@ -194,87 +188,82 @@ def parse_samples(path, schema) -> ParseResult:
     form the returned SampleSet.
     """
     schema = load_schema(schema)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        roles = [schema.role_of(col) for col in header]
-        for required in ("sample_id", "study_id", "label"):
-            if required not in roles:
-                raise SchemaError(f"{path}: no column plays role {required!r}")
-        clinical_cols = sorted(header[i] for i, r in enumerate(roles) if r == "clinical")
-        taxon_cols = sorted(header[i] for i, r in enumerate(roles) if r == "taxon")
-        col_index = {col: i for i, col in enumerate(header)}
-        if len(col_index) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header")
-        id_i = header.index(next(c for c, r in zip(header, roles) if r == "sample_id"))
-        study_i = header.index(next(c for c, r in zip(header, roles) if r == "study_id"))
-        label_i = header.index(next(c for c, r in zip(header, roles) if r == "label"))
-        visit_i = None
-        for c, r in zip(header, roles):
-            if r == "visit":
-                visit_i = header.index(c)
+    reader = read_csv(path)
+    try:
+        _, header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"{path}: file is empty") from None
+    roles = [schema.role_of(col, path) for col in header]
+    for required in ("sample_id", "study_id", "label"):
+        if required not in roles:
+            raise SchemaError(f"{path}: no column plays role {required!r}")
+    clinical_cols = sorted(header[i] for i, r in enumerate(roles) if r == "clinical")
+    taxon_cols = sorted(header[i] for i, r in enumerate(roles) if r == "taxon")
+    col_index = {col: i for i, col in enumerate(header)}
+    if len(col_index) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header")
+    id_i, study_i, label_i = map(roles.index, ("sample_id", "study_id", "label"))
+    # The last visit column, if several take the schema's default role.
+    visit_i = max((i for i, r in enumerate(roles) if r == "visit"), default=None)
 
-        samples: list[Sample] = []
-        rejected: list[tuple[int, str]] = []
-        seen_ids: set[str] = set()
-        visit_counter: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                rejected.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
-                continue
-            sample_id = row[id_i].strip()
-            study_id = row[study_i].strip()
-            if not sample_id:
-                rejected.append((lineno, "empty sample_id"))
-                continue
-            if not study_id:
-                rejected.append((lineno, "empty study_id"))
-                continue
-            if sample_id in seen_ids:
-                rejected.append((lineno, f"duplicate sample_id {sample_id!r}"))
-                continue
-            if not is_file_name(sample_id):
-                rejected.append((lineno, f"sample_id {sample_id!r} is not a plain file name"))
-                continue
+    samples: list[Sample] = []
+    rejected: list[tuple[int, str]] = []
+    seen_ids: set[str] = set()
+    visit_counter: dict[str, int] = {}
+    for lineno, row in reader:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            rejected.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
+            continue
+        sample_id = row[id_i].strip()
+        study_id = row[study_i].strip()
+        if not sample_id:
+            rejected.append((lineno, "empty sample_id"))
+            continue
+        if not study_id:
+            rejected.append((lineno, "empty study_id"))
+            continue
+        if sample_id in seen_ids:
+            rejected.append((lineno, f"duplicate sample_id {sample_id!r}"))
+            continue
+        if not is_file_name(sample_id):
+            rejected.append((lineno, f"sample_id {sample_id!r} is not a plain file name"))
+            continue
+        try:
+            label = _parse_label(row[label_i])
+        except ValueError as exc:
+            rejected.append((lineno, str(exc)))
+            continue
+        if visit_i is not None:
             try:
-                label = _parse_label(row[label_i])
-            except ValueError as exc:
-                rejected.append((lineno, str(exc)))
+                visit = int(row[visit_i].strip())
+                if visit < 1 or "_" in row[visit_i]:
+                    raise ValueError
+            except ValueError:
+                rejected.append((lineno, f"visit must be a positive integer, got {row[visit_i]!r}"))
                 continue
-            if visit_i is not None:
-                try:
-                    visit = int(row[visit_i].strip())
-                    if visit < 1 or "_" in row[visit_i]:
-                        raise ValueError
-                except ValueError:
-                    rejected.append((lineno, f"visit must be a positive integer, got {row[visit_i]!r}"))
-                    continue
-            else:
-                visit = visit_counter.get(study_id, 0) + 1
-            try:
-                clinical = tuple(_parse_float(row[col_index[c]], float("nan"))
-                                 for c in clinical_cols)
-            except ValueError as exc:
-                rejected.append((lineno, f"bad clinical value: {exc}"))
-                continue
-            try:
-                taxa = tuple(_parse_float(row[col_index[c]], 0.0) for c in taxon_cols)
-            except ValueError as exc:
-                rejected.append((lineno, f"bad abundance value: {exc}"))
-                continue
-            if any(v < 0 for v in taxa):
-                rejected.append((lineno, "negative abundance"))
-                continue
-            seen_ids.add(sample_id)
-            visit_counter[study_id] = visit if visit_i is not None else visit_counter.get(study_id, 0) + 1
-            samples.append(Sample(sample_id=sample_id, study_id=study_id,
-                                  visit_index=visit, label=label,
-                                  clinical=clinical, taxa=taxa))
+        else:
+            visit = visit_counter.get(study_id, 0) + 1
+        try:
+            clinical = tuple(_parse_float(row[col_index[c]], float("nan"))
+                             for c in clinical_cols)
+        except ValueError as exc:
+            rejected.append((lineno, f"bad clinical value: {exc}"))
+            continue
+        try:
+            taxa = tuple(_parse_float(row[col_index[c]], 0.0) for c in taxon_cols)
+        except ValueError as exc:
+            rejected.append((lineno, f"bad abundance value: {exc}"))
+            continue
+        if any(v < 0 for v in taxa):
+            rejected.append((lineno, "negative abundance"))
+            continue
+        seen_ids.add(sample_id)
+        visit_counter[study_id] = visit if visit_i is not None else visit_counter.get(study_id, 0) + 1
+        samples.append(Sample(sample_id=sample_id, study_id=study_id,
+                              visit_index=visit, label=label,
+                              clinical=clinical, taxa=taxa))
     if not samples:
         raise EmptyInputError(f"{path}: no usable rows")
     return ParseResult(SampleSet(tuple(clinical_cols), tuple(taxon_cols), tuple(samples)),

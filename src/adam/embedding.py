@@ -37,12 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    INTEGER,
     BackendError,
     DimensionError,
     EmptyInputError,
     FormatError,
     SizeGuardError,
     WeightError,
+    check_fields,
 )
 from .http_retry import MAX_ATTEMPTS, post_with_backoff
 
@@ -218,6 +220,12 @@ class OfflineHashEmbedder(EmbeddingBackend):
         return _normalize_rows(acc, dim)
 
 
+_REPLY_FIELDS = {"data": (lambda v: isinstance(v, list) and all(
+    isinstance(row, dict) for row in v), "a list of objects")}
+_ROW_FIELDS = {"index": INTEGER, "embedding": (lambda v: isinstance(v, list) and all(
+    type(x) in (int, float) for x in v), "a list of numbers")}
+
+
 class RemoteEmbedder(EmbeddingBackend):
     """HTTP embeddings endpoint client.
 
@@ -268,18 +276,19 @@ class RemoteEmbedder(EmbeddingBackend):
         return self._parse(doc, len(texts))
 
     def _parse(self, doc, expected: int) -> list[list[float]]:
-        try:
-            rows = sorted(doc["data"], key=lambda r: r.get("index", 0))
-            vectors = [row["embedding"] for row in rows]
-        except (TypeError, KeyError, AttributeError) as exc:
-            raise BackendError(f"malformed embeddings response: {exc}") from exc
-        if len(vectors) != expected:
-            raise BackendError(
-                f"expected {expected} vectors, response carried {len(vectors)}")
+        """The vectors by row index: 0..n-1 on every row, or none (file order)."""
+        where = "malformed embeddings response"
+        check_fields(doc, _REPLY_FIELDS, where, BackendError)
+        rows = doc["data"]
+        if not any("index" in row for row in rows):
+            rows = [{"index": i, **row} for i, row in enumerate(rows)]
+        for i, row in enumerate(rows):
+            check_fields(row, _ROW_FIELDS, f"{where}: data[{i}]", BackendError)
+        if sorted(row["index"] for row in rows) != list(range(expected)):
+            raise BackendError(f"{where}: expected {expected} vectors, one per index "
+                               f"0 to {expected - 1}; response carried {len(rows)}")
+        vectors = [row["embedding"] for row in sorted(rows, key=lambda r: r["index"])]
         for vec in vectors:
-            if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
-                raise BackendError("malformed embeddings response: "
-                                   "an embedding is not a list of numbers")
             if len(vec) != self.dim:
                 raise DimensionError(
                     f"backend returned dimension {len(vec)}, expected {self.dim}")

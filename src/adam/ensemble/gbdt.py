@@ -33,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import DegenerateFitError, EmptyInputError, FormatError, ModelIntegrityError
+from ..errors import (INTEGER, OBJECT, DegenerateFitError, EmptyInputError, FormatError,
+                      ModelIntegrityError, check_fields)
 from .tree import (
     Tree,
     as_matrix,
@@ -236,6 +237,24 @@ def feature_gains(model: GBDTModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization: trees stored pre-order, floats as 17-significant-digit text
 
+# A float field holds _f17 text; a JSON number is read as well.
+_DECIMAL = (lambda v: isinstance(v, (str, int, float)) and not isinstance(v, bool),
+            "a number or its decimal text")
+_FLOAT_PARAMS = ("learning_rate", "l2_lambda", "min_child_weight", "subsample_fraction")
+_MODEL_FIELDS = {
+    "format": (lambda v: v == "adam-gbdt", "'adam-gbdt'"), "version": (lambda v: v == 1, "1"),
+    "n_features": (lambda v: INTEGER[0](v) and v >= 0, "an integer >= 0"),
+    "base_score": _DECIMAL, "seed": INTEGER, "params": OBJECT,
+    "loss_history": (lambda v: isinstance(v, list) and all(map(_DECIMAL[0], v)),
+                     "a list of decimals"),
+    "trees": (lambda v: isinstance(v, list) and all(isinstance(t, list) for t in v),
+              "a list of node lists")}
+_PARAMS_FIELDS = {"n_trees": INTEGER, "max_depth": INTEGER,
+                  **dict.fromkeys(_FLOAT_PARAMS, _DECIMAL)}
+_LEAF_FIELDS = {"value": _DECIMAL, "cover": _DECIMAL}
+_SPLIT_FIELDS = {"feature": INTEGER, "threshold": _DECIMAL, "cover": _DECIMAL, "gain": _DECIMAL}
+
+
 def _f17(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -253,12 +272,12 @@ def _tree_to_list(tree: Tree) -> list:
     return out
 
 
-def _tree_from_list(items: list) -> Tree:
+def _tree_from_list(items: list, where: str) -> Tree:
     """Tree of a preorder node list: a split's first child is the next
     entry, its second child follows the first child's subtree."""
     nodes: list[list] = []
     pending: list[int] = []  # splits still waiting for their second child
-    for entry in items:
+    for i, entry in enumerate(items):
         if nodes:
             if nodes[-1][0] >= 0:
                 nodes[-1][2] = len(nodes)
@@ -267,10 +286,12 @@ def _tree_from_list(items: list) -> Tree:
                 nodes[pending.pop()][3] = len(nodes)
             else:
                 raise ModelIntegrityError("trailing nodes in serialized tree")
-        if "feature" not in entry:
+        split = isinstance(entry, dict) and "feature" in entry
+        check_fields(entry, _SPLIT_FIELDS if split else _LEAF_FIELDS, f"{where} node {i}")
+        if not split:
             nodes.append([-1, 0.0, -1, -1, float(entry["value"]), float(entry["cover"]), 0.0])
             continue
-        feature = int(entry["feature"])
+        feature = entry["feature"]
         if feature < 0:
             raise ModelIntegrityError(f"negative split feature {feature}")
         nodes.append([feature, float(entry["threshold"]), -1, -1, 0.0,
@@ -309,30 +330,26 @@ def model_from_dict(doc: dict) -> GBDTModel:
     ModelIntegrityError for a tree that is truncated, has trailing
     nodes or fails ``Tree.check``, or a non-finite base score.
     """
-    if (not isinstance(doc, dict) or doc.get("format") != "adam-gbdt"
-            or doc.get("version", 1) != 1):
-        raise FormatError("not an adam-gbdt version 1 model document")
+    if isinstance(doc, dict):
+        doc = {"version": 1, "seed": 0, "loss_history": [], **doc}
+    check_fields(doc, _MODEL_FIELDS, "model")
+    raw = doc["params"]
+    check_fields(raw, _PARAMS_FIELDS, "model params")
     try:
-        raw = doc["params"]
-        params = GBDTParams(n_trees=int(raw["n_trees"]), max_depth=int(raw["max_depth"]),
-                            learning_rate=float(raw["learning_rate"]),
-                            l2_lambda=float(raw["l2_lambda"]),
-                            min_child_weight=float(raw["min_child_weight"]),
-                            subsample_fraction=float(raw["subsample_fraction"]))
+        params = GBDTParams(n_trees=raw["n_trees"], max_depth=raw["max_depth"],
+                            **{name: float(raw[name]) for name in _FLOAT_PARAMS})
         params.validate()
-        n_features = int(doc["n_features"])
         base_score = float(doc["base_score"])
-        seed = int(doc.get("seed", 0))
-        loss_history = [float(v) for v in doc.get("loss_history", [])]
-        trees = [_tree_from_list(items) for items in doc["trees"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        loss_history = [float(v) for v in doc["loss_history"]]
+        trees = [_tree_from_list(items, f"model tree {t}")
+                 for t, items in enumerate(doc["trees"])]
+    except (ValueError, OverflowError) as exc:
         raise FormatError(
             f"malformed adam-gbdt model ({type(exc).__name__}: {exc})") from exc
-    if n_features < 0:
-        raise FormatError(f"n_features must be >= 0, got {n_features}")
+    n_features = doc["n_features"]
     if not math.isfinite(base_score):
         raise ModelIntegrityError(f"base_score must be finite, got {base_score!r}")
     for tree in trees:
         tree.check(n_features)
     return GBDTModel(trees=trees, params=params, n_features=n_features,
-                     base_score=base_score, seed=seed, loss_history=loss_history)
+                     base_score=base_score, seed=doc["seed"], loss_history=loss_history)

@@ -1,10 +1,16 @@
-"""Exception hierarchy shared by every module in the package.
+"""Exception hierarchy shared by every module in the package, and the
+reading and shape checks that every reader of outside input uses.
 
 All errors raised by this package derive from AdamError so callers can
 catch one type at the CLI boundary.
 """
 
 from __future__ import annotations
+
+import json
+import math
+import reprlib
+from pathlib import Path
 
 
 class AdamError(Exception):
@@ -106,3 +112,67 @@ class AgentError(AdamError):
 
 class DegenerateStatisticError(AdamError):
     """A statistic is undefined for the given input (e.g. zero variance)."""
+
+
+# ---------------------------------------------------------------------------
+# Shapes used by several readers, as (predicate, shape) entries of a spec:
+STRING = (lambda v: isinstance(v, str), "a string")
+INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+FINITE = (lambda v: NUMBER[0](v) and math.isfinite(v), "a finite number")
+STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+           "a list of strings")
+OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+# Shows a value in a message: nested containers elided, long ones cut.
+_shown = reprlib.Repr()
+_shown.maxlevel = 1
+
+
+def check_fields(doc, spec: dict, where, error=FormatError) -> None:
+    """Raise error (a type, or a callable making the exception from the
+    message) unless doc is a JSON object holding each key of spec with a
+    value its predicate accepts. spec maps each required key to
+    (predicate, shape); a reader merges optional keys' defaults in first.
+    where names the document's place: file, line, sample or record."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object, got {_shown.repr(doc)}")
+    for key, (valid, shape) in spec.items():
+        if key not in doc:
+            raise error(f"{where}: {key!r} must be {shape}, but it is missing")
+        if not valid(doc[key]):
+            raise error(f"{where}: {key!r} must be {shape}, got {_shown.repr(doc[key])}")
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file path, line endings as written."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: line {line}: byte {exc.start} is not "
+                          f"UTF-8 ({exc.reason})") from None
+
+
+def parse_object(text: str, where, error=FormatError) -> dict:
+    """The JSON object in text (FormatError if not JSON, error if no object)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+    check_fields(doc, {}, where, error)
+    return doc
+
+
+def read_csv(path):
+    """Yield (line number, record) for each record of a UTF-8 CSV file as
+    csv reads it; a record over several lines has the number of its last."""
+    import csv
+    import io
+
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        for record in reader:
+            yield reader.line_num, record
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc

@@ -61,6 +61,7 @@ from .errors import (
     DegenerateStatisticError,
     EmptyInputError,
     FormatError,
+    read_csv,
 )
 from .stats import cohens_d, levene_test, mann_whitney_u, variance_f_test
 
@@ -356,28 +357,28 @@ _TRIAL_CELLS = {
 def read_trials_csv(path) -> list[dict]:
     """Rows written by write_trials_csv, with typed values.
 
-    A wrong header raises ValueError. A row with the wrong field count,
-    a non-integer seed, or an accuracy, auc or f1 that is not a finite
-    number in [0, 1] raises FormatError naming the file and line; an
-    empty auc cell reads as None.
+    A wrong header, a row with the wrong field count, a non-integer
+    seed, or an accuracy, auc or f1 that is not a finite number in
+    [0, 1] raises FormatError naming the file (and line); an empty auc
+    cell reads as None.
     """
+    records = read_csv(path)
+    if next(records, (1, None))[1] != list(CSV_FIELDS):
+        raise FormatError(f"{path}: expected header {','.join(CSV_FIELDS)}")
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(CSV_FIELDS)}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if None in row or None in row.values():
-                raise FormatError(f"{where}: expected {len(CSV_FIELDS)} fields")
-            typed = {}
-            for field, parse in _TRIAL_CELLS.items():
-                try:
-                    typed[field] = parse(row[field])
-                except ValueError:
-                    raise FormatError(
-                        f"{where}: bad {field} value {row[field]!r}") from None
-            rows.append(typed)
+    for line, record in records:
+        if not record:
+            continue
+        if len(record) != len(CSV_FIELDS):
+            raise FormatError(f"{path}: line {line}: expected {len(CSV_FIELDS)} fields")
+        typed = {}
+        for (field, parse), text in zip(_TRIAL_CELLS.items(), record):
+            try:
+                typed[field] = parse(text)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {line}: bad {field} value {text!r}") from None
+        rows.append(typed)
     return rows
 
 

@@ -91,10 +91,14 @@ from .chunker import (
 )
 from .embedding import EmbeddingBackend
 from .errors import (
+    INTEGER,
+    STRING,
+    STRINGS,
     DimensionError,
     DuplicateRecordError,
     IntegrityError,
     NonFiniteVectorError,
+    check_fields,
 )
 
 MAGIC = b"ADAMVEC1"
@@ -461,28 +465,8 @@ def save_collections(collections, directory: str | Path) -> list[Path]:
     return [save_collection(coll, directory) for coll in collections]
 
 
-_METADATA_FIELDS = (
-    ("publication_id", lambda v: isinstance(v, str), "a string"),
-    ("segment_index",
-     lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    ("text", lambda v: isinstance(v, str), "a string"),
-    ("topic_keywords",
-     lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
-     "a list of strings"),
-)
-
-
-def _check_metadata(meta, path: Path, offset: int) -> None:
-    if not isinstance(meta, dict):
-        raise IntegrityError(f"{path}: record metadata is not an object",
-                             offset=offset)
-    for key, valid, expected in _METADATA_FIELDS:
-        if key not in meta:
-            raise IntegrityError(f"{path}: record metadata lacks {key!r}",
-                                 offset=offset)
-        if not valid(meta[key]):
-            raise IntegrityError(f"{path}: record metadata {key!r} is not "
-                                 f"{expected}", offset=offset)
+_METADATA = {"publication_id": STRING, "segment_index": INTEGER, "text": STRING,
+             "topic_keywords": STRINGS}
 
 
 def load_collection(path: str | Path, expected_dim: int | None = None) -> Collection:
@@ -506,6 +490,7 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
             f"{path}: store dimension {dim}, session expects {expected_dim}")
     records = []
     vector_offsets = []
+    where = f"{path}: record metadata"
     pos = 24
     for _ in range(count):
         if pos + 4 > len(data):
@@ -520,7 +505,8 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IntegrityError(f"{path}: bad record metadata: {exc}",
                                  offset=pos) from exc
-        _check_metadata(meta, path, pos)
+        check_fields(meta, _METADATA, where,
+                     lambda message, at=pos: IntegrityError(message, offset=at))
         vector_offsets.append(pos + meta_len)
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=pos + meta_len)
         records.append(VectorRecord(publication_id=meta["publication_id"],

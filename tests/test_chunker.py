@@ -130,7 +130,7 @@ def test_read_corpus_rejects_lone_surrogates(tmp_path, field):
                     + json.dumps(doc) + "\n", encoding="utf-8")
     with pytest.raises(FormatError) as err:
         read_corpus(path)
-    assert str(err.value).startswith(f"{path}: line 2: {field} ")
+    assert str(err.value).startswith(f"{path}: line 2: {field!r} must be ")
 
 @pytest.mark.parametrize("title", [None, 5, ["t"], {"t": 1}])
 def test_read_corpus_rejects_non_string_title(tmp_path, title):
@@ -140,7 +140,8 @@ def test_read_corpus_rejects_non_string_title(tmp_path, title):
                                   "title": title}) + "\n", encoding="utf-8")
     with pytest.raises(FormatError) as err:
         read_corpus(path)
-    assert str(err.value) == f"{path}: line 2: title must be a string"
+    assert str(err.value) == \
+        f"{path}: line 2: 'title' must be a string of valid Unicode, got {title!r}"
     path.write_text('{"publication_id": "Z", "text": "fine"}\n',
                     encoding="utf-8")
     assert read_corpus(path)[0].title == ""

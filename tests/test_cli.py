@@ -166,7 +166,7 @@ def test_index_rejects_unencodable_corpus_text(tmp_path, capsys):
     assert main(["index", "--corpus", str(corpus),
                  "--store", str(tmp_path / "store")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {corpus}: line 1: text ")
+    assert err.startswith(f"error: {corpus}: line 1: 'text' must be ")
     assert "Traceback" not in err
     assert not (tmp_path / "store").exists()
 
@@ -237,13 +237,13 @@ def _edited(change):
 # is written back with json.dumps, which writes a non-finite float as NaN.
 MALFORMED_BUNDLES = [
     *((f"no-{key}", _edited(lambda d, k=key: d.pop(k)), text)
-      for key, text in (("format", "not a model bundle"),
+      for key, text in (("format", "'format' must be 'adam-model-bundle'"),
                         ("model", "'model'"),
                         ("feature_names", "'feature_names'"),
                         ("medians", "'medians'"),
                         ("train_studies", "'train_studies'"),
                         ("test_studies", "'test_studies'"))),
-    ("not-an-object", lambda d: [d], "not a model bundle"),
+    ("not-an-object", lambda d: [d], "expected a JSON object, got ["),
     ("model-list", _edited(lambda d: d.update(model=[1])), "'model'"),
     ("feature_names-int", _edited(lambda d: d.update(feature_names=3)),
      "'feature_names'"),
@@ -821,14 +821,14 @@ def test_config_file_rejects_wrong_types(tmp_path, capsys, key, value):
     config_file.write_text(json.dumps({key: value}))
     with pytest.raises(SchemaError) as err:
         load_config_file(config_file)
-    assert str(err.value).startswith(f"{config_file}: {key} must be ")
+    assert str(err.value).startswith(f"{config_file}: {key!r} must be ")
     with pytest.raises(SchemaError, match=key):
         resolve_config({key: value})
     assert main(["synth", "--config", str(config_file),
                  "--out", str(tmp_path / "x")]) == 1
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
-    assert err_lines[0].startswith(f"error: {config_file}: {key} must be ")
+    assert err_lines[0].startswith(f"error: {config_file}: {key!r} must be ")
 
 
 def test_config_file_accepts_int_for_float_and_null_for_optional(tmp_path):

@@ -81,6 +81,17 @@ def test_parse_rejects_bad_rows_individually(tmp_path):
     assert "fields" in reasons[9]
 
 
+def test_rejected_rows_carry_their_file_line_after_a_multi_line_field(tmp_path):
+    path = _write(tmp_path, [
+        'S1,P1,1,yes,70,1.5,2.5,"a note over',
+        'two lines"',
+        "S2,P1,2,maybe,80,0.5,3.5,bad label",
+    ])
+    result = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in result.sample_set.samples] == ["S1"]
+    assert result.rejected == ((4, "unrecognized label value 'maybe'"),)
+
+
 @pytest.mark.parametrize("token", ["inf", "-inf", "+inf", "Infinity", "-INFINITY",
                                    "1e999", "-nan"])
 def test_parse_rejects_non_finite_values(tmp_path, token):
@@ -128,7 +139,7 @@ def test_parse_rejects_path_like_sample_ids(tmp_path, sample_id):
 def test_is_file_name():
     for name in ("S1", "...", "a.b", "P 1-visit_2", "ß"):
         assert is_file_name(name)
-    for name in ("", ".", "..", "a/b", "a\\b", "a\0b", "/"):
+    for name in ("", ".", "..", "a/b", "a\\b", "a\0b", "/", "a\ud800"):
         assert not is_file_name(name)
 
 

@@ -137,6 +137,14 @@ def test_remote_resorts_by_index():
     assert np.allclose(matrix[1], [0, 1, 0])
 
 
+def test_remote_keeps_file_order_without_indices():
+    body = {"data": [{"embedding": [0, 1, 0]}, {"embedding": [1, 0, 0]}]}
+    backend, _, _ = _remote([_Response(200, body)])
+    matrix = backend.embed_many(["a", "b"])
+    assert np.allclose(matrix[0], [0, 1, 0])
+    assert np.allclose(matrix[1], [1, 0, 0])
+
+
 def test_remote_retries_on_5xx_with_backoff():
     backend, session, sleeps = _remote([
         _Response(500), _Response(503),
@@ -195,6 +203,15 @@ def test_remote_malformed_and_short_responses():
     pytest.param({"data": {"index": 0}}, id="data-dict"),
     pytest.param({"data": [{"index": "x", "embedding": [1, 0, 0]},
                            {"index": 0, "embedding": [0, 1, 0]}]}, id="index-mixed"),
+    # indices are 0..n-1 on every row, or on none
+    pytest.param({"data": [{"index": 0, "embedding": [1, 0, 0]},
+                           {"index": 0, "embedding": [0, 1, 0]}]}, id="index-repeated"),
+    pytest.param({"data": [{"index": 7, "embedding": [1, 0, 0]}]},
+                 id="index-out-of-range"),
+    pytest.param({"data": [{"index": True, "embedding": [1, 0, 0]},
+                           {"index": False, "embedding": [0, 1, 0]}]}, id="index-bool"),
+    pytest.param({"data": [{"embedding": [1, 0, 0]},
+                           {"index": 1, "embedding": [0, 1, 0]}]}, id="index-on-some-rows"),
     pytest.param({"data": [{"embedding": 5}]}, id="embedding-int"),
     pytest.param({"data": [{"embedding": "abc"}]}, id="embedding-str"),
     pytest.param({"data": [{"embedding": {"a": 1}}]}, id="embedding-dict"),

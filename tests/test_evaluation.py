@@ -90,8 +90,9 @@ def test_trials_csv_handles_undefined_auc(tmp_path):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("seed,model,f1\n0,adam,1.0\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(FormatError) as err:
         read_trials_csv(bad)
+    assert str(err.value) == f"{bad}: expected header seed,model,accuracy,auc,f1"
 
 
 @pytest.mark.parametrize("row, message", [

@@ -164,6 +164,20 @@ def _first_leaf(doc):
     pytest.param(lambda d: _first_leaf(d).pop("value"), FormatError, id="leaf-without-value"),
     pytest.param(lambda d: _first_split(d).update(feature="x"), FormatError,
                  id="text-feature"),
+    # integers are read as JSON integers only, never truncated or parsed
+    pytest.param(lambda d: _first_split(d).update(feature=1.9), FormatError,
+                 id="float-feature"),
+    pytest.param(lambda d: _first_split(d).update(feature=True), FormatError,
+                 id="bool-feature"),
+    pytest.param(lambda d: _first_split(d).update(feature="1"), FormatError,
+                 id="digit-text-feature"),
+    pytest.param(lambda d: d["params"].update(n_trees=2.7), FormatError,
+                 id="float-n-trees"),
+    pytest.param(lambda d: d["params"].update(max_depth=True), FormatError,
+                 id="bool-max-depth"),
+    pytest.param(lambda d: d.update(n_features=3.0), FormatError, id="float-n-features"),
+    pytest.param(lambda d: d.update(seed=4.5), FormatError, id="float-seed"),
+    pytest.param(lambda d: d.update(seed="4"), FormatError, id="text-seed"),
     pytest.param(lambda d: d.update(base_score="nan"), ModelIntegrityError,
                  id="nan-base-score"),
     pytest.param(lambda d: _first_split(d).update(feature=3), ModelIntegrityError,

@@ -311,25 +311,39 @@ def _set(key, value):
     return lambda meta: {**meta, key: value}
 
 
+def _key(key):
+    """The start of the message that names key of the record metadata."""
+    return f"record metadata: {key!r} must be "
+
+
+NOT_AN_OBJECT = "record metadata: expected a JSON object, got "
 METADATA_CORRUPTIONS = [
-    pytest.param(lambda meta: [meta], id="not-an-object"),
-    pytest.param(lambda meta: "text", id="a-string"),
-    *(pytest.param(_drop(key), id=f"no-{key}")
+    pytest.param(lambda meta: [meta], NOT_AN_OBJECT, id="not-an-object"),
+    pytest.param(lambda meta: "text", NOT_AN_OBJECT, id="a-string"),
+    *(pytest.param(_drop(key), _key(key), id=f"no-{key}")
       for key in ("publication_id", "segment_index", "text", "topic_keywords")),
-    pytest.param(_set("publication_id", 7), id="publication_id-int"),
-    pytest.param(_set("publication_id", None), id="publication_id-null"),
-    pytest.param(_set("text", ["a"]), id="text-list"),
-    pytest.param(_set("segment_index", "x"), id="segment_index-str"),
-    pytest.param(_set("segment_index", 1.5), id="segment_index-float"),
-    pytest.param(_set("segment_index", True), id="segment_index-bool"),
-    pytest.param(_set("topic_keywords", "kw"), id="topic_keywords-str"),
-    pytest.param(_set("topic_keywords", ["kw", 3]), id="topic_keywords-int-item"),
-    pytest.param(_set("topic_keywords", {"kw": 1}), id="topic_keywords-object"),
+    pytest.param(_set("publication_id", 7), _key("publication_id"),
+                 id="publication_id-int"),
+    pytest.param(_set("publication_id", None), _key("publication_id"),
+                 id="publication_id-null"),
+    pytest.param(_set("text", ["a"]), _key("text"), id="text-list"),
+    pytest.param(_set("segment_index", "x"), _key("segment_index"),
+                 id="segment_index-str"),
+    pytest.param(_set("segment_index", 1.5), _key("segment_index"),
+                 id="segment_index-float"),
+    pytest.param(_set("segment_index", True), _key("segment_index"),
+                 id="segment_index-bool"),
+    pytest.param(_set("topic_keywords", "kw"), _key("topic_keywords"),
+                 id="topic_keywords-str"),
+    pytest.param(_set("topic_keywords", ["kw", 3]), _key("topic_keywords"),
+                 id="topic_keywords-int-item"),
+    pytest.param(_set("topic_keywords", {"kw": 1}), _key("topic_keywords"),
+                 id="topic_keywords-object"),
 ]
 
 
-@pytest.mark.parametrize("edit", METADATA_CORRUPTIONS)
-def test_load_rejects_bad_metadata(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, text", METADATA_CORRUPTIONS)
+def test_load_rejects_bad_metadata(tmp_path, capsys, edit, text):
     coll = _random_collection(7, 3, 4)
     data = save_collection(coll, tmp_path / "good").read_bytes()
     store = tmp_path / "store"
@@ -339,7 +353,7 @@ def test_load_rejects_bad_metadata(tmp_path, capsys, edit):
         load_collection(bad)
     assert isinstance(err.value, AdamError)
     assert err.value.offset == 28
-    assert str(err.value).startswith(f"{bad}: record metadata ")
+    assert str(err.value).startswith(f"{bad}: {text}")
 
     assert main(["index", "--store", str(store), "--embedding-dim", "4"]) == 1
     captured = capsys.readouterr().err
