@@ -8,14 +8,13 @@ here is exactly what the deployed ensemble predicts for this sample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..attribution import Attribution, expected_margin, explain
+from ..attribution import Attribution, expected_margin, explain_rows
 from ..dataset import Sample
-from ..diversity import DiversityProfile, diversity_profile
+from ..diversity import DiversityProfile, diversity_profiles
 from ..ensemble.gbdt import GBDTModel
 from ..errors import AlignmentError
 
@@ -65,47 +64,79 @@ class ComputationalOutput:
     taxa_highlights: tuple[tuple[str, float], ...]
 
 
+def feature_matrix(samples, clinical_names, taxon_names,
+                   deployed: DeployedModel) -> np.ndarray:
+    """Model input per sample, assembled by name; a missing value takes
+    the stored training median."""
+    names = tuple(clinical_names) + tuple(taxon_names)
+    column = {name: i for i, name in enumerate(names)}  # a taxon shadows a clinical name
+    missing = [n for n in deployed.feature_names if n not in column]
+    if missing:
+        raise AlignmentError(f"model feature {missing[0]!r} is not a column of the dataset")
+    values = np.empty((len(samples), len(names)))
+    for row, sample in zip(values, samples):
+        if len(sample.clinical) + len(sample.taxa) != len(names):
+            raise AlignmentError(
+                f"sample {sample.sample_id} does not align with the dataset's columns")
+        row[:] = sample.clinical + sample.taxa
+    X = values[:, [column[n] for n in deployed.feature_names]]
+    medians = np.array([deployed.medians[n] for n in deployed.feature_names], dtype=float)
+    return np.where(np.isnan(X), medians, X)
+
+
 def feature_vector(sample: Sample, clinical_names, taxon_names,
                    deployed: DeployedModel) -> np.ndarray:
-    """Assemble the model input by name, imputing missing values."""
-    values = dict(zip(clinical_names, sample.clinical))
-    values.update(zip(taxon_names, sample.taxa))
-    out = np.empty(len(deployed.feature_names))
-    for i, name in enumerate(deployed.feature_names):
-        if name not in values:
-            raise AlignmentError(f"sample {sample.sample_id} has no feature {name!r}")
-        v = float(values[name])
-        out[i] = deployed.medians[name] if math.isnan(v) else v
-    return out
+    """Model input of one sample: the one-row case of ``feature_matrix``."""
+    return feature_matrix([sample], clinical_names, taxon_names, deployed)[0]
 
 
-def run_computational(sample: Sample, clinical_names, taxon_names,
-                      deployed: DeployedModel, reference) -> ComputationalOutput:
-    """Probability, diversity profile, and attribution for one sample.
+def run_computational_many(samples, clinical_names, taxon_names,
+                           deployed: DeployedModel, reference) -> list[ComputationalOutput]:
+    """Probability, diversity profile, and attribution for each sample.
+
+    One feature matrix, one ``shap_values`` and one ``predict_margin``
+    call, and one diversity pass against the reference serve every
+    sample; each output is bit-identical to computing its sample alone.
 
     :param reference: SampleSet of healthy training samples; its taxa
         rows anchor the beta-diversity distances.
     """
+    samples = list(samples)
     clinical_names = tuple(clinical_names)
     taxon_names = tuple(taxon_names)
-    x = feature_vector(sample, clinical_names, taxon_names, deployed)
-    attribution = explain(deployed.model, x, deployed.feature_names)
     if tuple(reference.taxon_names) != taxon_names:
         raise AlignmentError("reference taxon axis differs from the sample's")
-    profile = diversity_profile(np.asarray(sample.taxa, dtype=float),
-                                reference.taxa_matrix())
-    clinical = tuple(zip(clinical_names,
-                         (float(v) for v in sample.clinical)))
-    taxa_ranked = sorted(zip(taxon_names, (float(v) for v in sample.taxa)),
-                         key=lambda kv: (-kv[1], kv[0]))
-    return ComputationalOutput(
-        sample_id=sample.sample_id,
-        study_id=sample.study_id,
-        visit_index=sample.visit_index,
-        probability=attribution.probability,
-        diversity=profile,
-        attribution=attribution,
-        top_features=attribution.ranked()[:TOP_FEATURE_COUNT],
-        clinical_highlights=clinical,
-        taxa_highlights=tuple(taxa_ranked[:TOP_TAXA_COUNT]),
-    )
+    X = feature_matrix(samples, clinical_names, taxon_names, deployed)
+    attributions = explain_rows(deployed.model, X, deployed.feature_names)
+    taxa = np.array([s.taxa for s in samples], dtype=float).reshape(
+        len(samples), len(taxon_names))
+    profiles = diversity_profiles(
+        taxa, reference.taxa_matrix(),
+        names=[f"sample {s.sample_id}" for s in samples],
+        reference_names=[f"reference sample {s.sample_id}" for s in reference.samples])
+    outputs = []
+    for sample, attribution, profile in zip(samples, attributions, profiles):
+        clinical = tuple(zip(clinical_names,
+                             (float(v) for v in sample.clinical)))
+        taxa_ranked = sorted(zip(taxon_names, (float(v) for v in sample.taxa)),
+                             key=lambda kv: (-kv[1], kv[0]))
+        outputs.append(ComputationalOutput(
+            sample_id=sample.sample_id,
+            study_id=sample.study_id,
+            visit_index=sample.visit_index,
+            probability=attribution.probability,
+            diversity=profile,
+            attribution=attribution,
+            top_features=attribution.ranked()[:TOP_FEATURE_COUNT],
+            clinical_highlights=clinical,
+            taxa_highlights=tuple(taxa_ranked[:TOP_TAXA_COUNT]),
+        ))
+    return outputs
+
+
+def run_computational(sample: Sample, clinical_names, taxon_names,
+                      deployed: DeployedModel, reference) -> ComputationalOutput:
+    """Probability, diversity profile, and attribution for one sample:
+    the one-sample case of ``run_computational_many``."""
+    return run_computational_many([sample], clinical_names, taxon_names,
+                                  deployed, reference)[0]

@@ -55,7 +55,7 @@ def expected_margin(model: GBDTModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast route: subset-weight propagation along paths
+# fast route: subset-weight propagation along paths, all rows at once
 #
 # The path state is four parallel lists, one entry per distinct feature
 # encountered from the root. Each entry holds the feature index, the
@@ -64,16 +64,23 @@ def expected_margin(model: GBDTModel) -> float:
 # onto the path; _unwind removes one, redistributing its weight; the
 # leaf sums, for each path feature, the total weight the path would
 # carry without that entry.
+#
+# Every row walks the whole tree, so the path's features and zero
+# fractions (cover ratios) are the same for all rows; only the one
+# fractions, which follow each row's branch, and the weights are
+# (rows,) arrays. Each element does the arithmetic of a one-row walk in
+# the same order, and where that walk branches on ``one != 0`` both arms
+# are computed and np.where picks; the arm not taken may divide by zero.
 
 def _extend(feat: list, zero: list, one: list, weight: list,
-            pz: float, po: float, pi: int) -> None:
+            pz: float, po: np.ndarray, pi: int) -> None:
     d = len(feat)
     feat.append(pi)
     zero.append(pz)
     one.append(po)
     weight.append(1.0 if d == 0 else 0.0)
     for i in range(d - 1, -1, -1):
-        weight[i + 1] += po * weight[i] * (i + 1) / (d + 1)
+        weight[i + 1] = weight[i + 1] + po * weight[i] * (i + 1) / (d + 1)
         weight[i] = pz * weight[i] * (d - i) / (d + 1)
 
 
@@ -82,83 +89,102 @@ def _unwind(feat: list, zero: list, one: list, weight: list, index: int) -> None
     o = one[index]
     z = zero[index]
     n = weight[last]
-    if o != 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(last - 1, -1, -1):
             t = weight[i]
-            weight[i] = n * (last + 1) / ((i + 1) * o)
-            n = t - weight[i] * z * (last - i) / (last + 1)
-    else:
-        for i in range(last - 1, -1, -1):
-            weight[i] = weight[i] * (last + 1) / (z * (last - i))
-    for i in range(index, last):
-        feat[i] = feat[i + 1]
-        zero[i] = zero[i + 1]
-        one[i] = one[i + 1]
-    feat.pop()
-    zero.pop()
-    one.pop()
+            w = n * (last + 1) / ((i + 1) * o)
+            n = t - w * z * (last - i) / (last + 1)
+            weight[i] = np.where(o != 0.0, w, t * (last + 1) / (z * (last - i)))
+    del feat[index], zero[index], one[index]
     weight.pop()
 
 
-def _unwound_sum(zero: list, one: list, weight: list, index: int) -> float:
+def _unwound_sum(zero: list, one: list, weight: list, index: int) -> np.ndarray:
     last = len(weight) - 1
     o = one[index]
     z = zero[index]
-    total = 0.0
-    if o != 0.0:
-        n = weight[last]
+    on = off = 0.0
+    n = weight[last]
+    with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(last - 1, -1, -1):
             t = n / ((i + 1) * o)
-            total += t
+            on = on + t
             n = weight[i] - t * z * (last - i)
-    else:
-        for i in range(last - 1, -1, -1):
-            total += weight[i] / (z * (last - i))
-    return total * (last + 1)
+            off = off + weight[i] / (z * (last - i))
+    return np.where(o != 0.0, on, off) * (last + 1)
 
 
-def _tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray, scale: float) -> None:
+def _leaf_counts(tree: Tree) -> np.ndarray:
+    """Leaves under each node (children follow their parent in preorder)."""
+    count = np.ones(tree.feature.size, dtype=np.int64)
+    for node in np.flatnonzero(tree.feature >= 0)[::-1]:
+        count[node] = count[tree.left[node]] + count[tree.right[node]]
+    return count
+
+
+def _tree_shap(tree: Tree, X: np.ndarray, phi: np.ndarray, scale: float) -> None:
+    """Add one tree's contributions to every row of phi.
+
+    A one-row walk visits the child the row takes (hot) before the
+    other (cold), and adds each leaf's terms to phi as it goes; a
+    feature's terms from several leaves are summed in that order. Here
+    every leaf's terms are kept with the leaf's position in each row's
+    hot-first order, and each feature's terms are added in it.
+    """
+    rows = X.shape[0]
+    leaves = _leaf_counts(tree)
+    terms: dict[int, list] = {}  # feature -> [(position per row, term per row)]
+
     def recurse(node: int, feat: list, zero: list, one: list, weight: list,
-                pz: float, po: float, pi: int) -> None:
+                pz: float, po: np.ndarray, pi: int, position: np.ndarray) -> None:
         feat = list(feat)
         zero = list(zero)
         one = list(one)
         weight = list(weight)
         _extend(feat, zero, one, weight, pz, po, pi)
-        split = tree.feature[node]
+        split = int(tree.feature[node])
         if split < 0:
             v = tree.value[node] * scale
             for i in range(1, len(feat)):
                 w = _unwound_sum(zero, one, weight, i)
-                phi[feat[i]] += w * (one[i] - zero[i]) * v
+                terms.setdefault(feat[i], []).append(
+                    (position, w * (one[i] - zero[i]) * v))
             return
         lo = int(tree.left[node])
         hi = int(tree.right[node])
-        hot, cold = (lo, hi) if x[split] < tree.threshold[node] else (hi, lo)
-        hot_frac = tree.cover[hot] / tree.cover[node]
-        cold_frac = tree.cover[cold] / tree.cover[node]
+        left = X[:, split] < tree.threshold[node]
         iz = 1.0
         io = 1.0
-        k = -1
-        for i, f in enumerate(feat):
-            if f == split:
-                k = i
-                break
-        if k >= 0:
+        if split in feat:
+            k = feat.index(split)
             iz = zero[k]
             io = one[k]
             _unwind(feat, zero, one, weight, k)
-        recurse(hot, feat, zero, one, weight, hot_frac * iz, io, int(split))
-        recurse(cold, feat, zero, one, weight, cold_frac * iz, 0.0, int(split))
+        lo_frac = tree.cover[lo] / tree.cover[node]
+        hi_frac = tree.cover[hi] / tree.cover[node]
+        recurse(lo, feat, zero, one, weight, lo_frac * iz,
+                np.where(left, io, 0.0), split,
+                np.where(left, position, position + leaves[hi]))
+        recurse(hi, feat, zero, one, weight, hi_frac * iz,
+                np.where(left, 0.0, io), split,
+                np.where(left, position + leaves[lo], position))
 
-    recurse(0, [], [], [], [], 1.0, 1.0, -1)
+    recurse(0, [], [], [], [], 1.0, np.ones(rows), -1,
+            np.zeros(rows, dtype=np.int64))
+    for f, pairs in terms.items():
+        positions = np.stack([p for p, _ in pairs], axis=1)
+        values = np.stack([v for _, v in pairs], axis=1)
+        ordered = np.take_along_axis(values, np.argsort(positions, axis=1), axis=1)
+        # cumsum adds left to right, one term after another
+        phi[:, f] = np.cumsum(np.column_stack([phi[:, f], ordered]), axis=1)[:, -1]
 
 
 def shap_values(model: GBDTModel, X) -> np.ndarray:
     """Per-feature margin contributions for each row of X.
 
     :returns: array shaped like X (a single sample gives a 1-d vector)
-        whose rows sum to ``predict_margin - expected_margin``.
+        whose rows sum to ``predict_margin - expected_margin``. Each row
+        is bit-identical to computing that row alone.
     """
     X = np.asarray(X, dtype=float)
     single = X.ndim == 1
@@ -169,9 +195,8 @@ def shap_values(model: GBDTModel, X) -> np.ndarray:
                          f"got shape {X.shape}")
     lr = model.params.learning_rate
     phi = np.zeros((X.shape[0], model.n_features))
-    for r in range(X.shape[0]):
-        for tree in model.trees:
-            _tree_shap(tree, X[r], phi[r], lr)
+    for tree in model.trees:
+        _tree_shap(tree, X, phi, lr)
     return phi[0] if single else phi
 
 
@@ -266,17 +291,29 @@ def rank_features(names, contributions) -> tuple[tuple[str, float], ...]:
     return tuple((names[i], values[i]) for i in order)
 
 
-def explain(model: GBDTModel, x, feature_names) -> Attribution:
-    """Full attribution record for one sample."""
-    x = np.asarray(x, dtype=float).ravel()
+def explain_rows(model: GBDTModel, X, feature_names) -> list[Attribution]:
+    """Attribution record for each row of X, from one ``shap_values`` and
+    one ``predict_margin`` call; each is the record of its row alone."""
+    X = np.asarray(X, dtype=float)
     names = tuple(str(n) for n in feature_names)
     if len(names) != model.n_features:
         raise ValueError(f"model has {model.n_features} features but "
                          f"{len(names)} names were given")
-    phi = shap_values(model, x)
-    margin = model.predict_margin(x)
-    return Attribution(feature_names=names,
-                       contributions=tuple(float(v) for v in phi),
-                       base_value=model.expected_margin,
-                       margin=float(margin[0]),
-                       probability=float(sigmoid(margin)[0]))
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-d block of samples, got shape {X.shape}")
+    phi = shap_values(model, X)
+    margins = model.predict_margin(X)
+    probabilities = sigmoid(margins)
+    return [Attribution(feature_names=names,
+                        contributions=tuple(float(v) for v in row),
+                        base_value=model.expected_margin,
+                        margin=float(margin),
+                        probability=float(probability))
+            for row, margin, probability in zip(phi, margins, probabilities)]
+
+
+def explain(model: GBDTModel, x, feature_names) -> Attribution:
+    """Full attribution record for one sample: the one-row case of
+    ``explain_rows``."""
+    return explain_rows(model, np.asarray(x, dtype=float).reshape(1, -1),
+                        feature_names)[0]

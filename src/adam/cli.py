@@ -331,6 +331,11 @@ def cmd_classify(args) -> int:
     sample_set = _load_sample_set(config).sample_set
     reference = healthy_reference(
         sample_set.restrict_to_studies(train_studies))
+    columns = set(sample_set.clinical_names) | set(sample_set.taxon_names)
+    missing = [n for n in deployed.feature_names if n not in columns]
+    if missing:
+        raise AlignmentError(f"{config.model}: model feature {missing[0]!r} "
+                             f"is not a column of {config.dataset}")
     test = sample_set.restrict_to_studies(test_studies)
     cohort = draw_eval_cohort(test, config.n_pos, config.n_neg, config.seed)
     searcher = _searcher(config)

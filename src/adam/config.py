@@ -105,12 +105,15 @@ _SHAPES = {"str": STRING, "int": INTEGER, "float": NUMBER,
 
 
 def _check(values, source) -> dict:
-    """values, once checked for wrong JSON types and unknown keys."""
+    """values, once checked for wrong JSON types, unknown keys and values
+    out of their range; errors name source (the file, or flags)."""
     check_fields(values, {key: _SHAPES[kind] for key, kind in FIELD_TYPES.items()
                           if key in values}, source, SchemaError)
     unknown = sorted(set(values) - set(FIELD_TYPES))
     if unknown:
         raise SchemaError(f"{source}: unknown config keys {unknown}")
+    check_fields(values, {key: limit for key, limit in _LIMITS.items()
+                          if key in values}, source, SchemaError)
     return values
 
 

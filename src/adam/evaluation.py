@@ -26,11 +26,10 @@ import numpy as np
 from .agents import (
     AgentContext,
     ClassificationReport,
-    ComputationalOutput,
     DeployedModel,
     ThresholdMockLLM,
     TitleEchoMock,
-    run_computational,
+    run_computational_many,
     run_pipeline,
 )
 from .config import RunConfig
@@ -184,35 +183,34 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
     """Run the three-agent pipeline on every cohort sample, in cohort order.
 
     A sample's history is its earlier visits in test_set, keeping the
-    first sample of a repeated visit index. The computational agent
-    runs once per distinct visit: a visit that is both a cohort sample
-    and another sample's history, or in several histories, is computed
-    once. The token budgets, fallback threshold and model names come
-    from config.
+    first sample of a repeated visit index. Before the first sample is
+    yielded, the computational agent runs once on every distinct visit
+    the cohort needs (its samples and their histories, in first-use
+    order), so a visit it rejects stops the run before any report. The
+    token budgets, fallback threshold and model names come from config.
     """
-    outputs: dict[Sample, ComputationalOutput] = {}
-
-    def computed(sample: Sample) -> ComputationalOutput:
-        if sample not in outputs:
-            outputs[sample] = run_computational(
-                sample, cohort.clinical_names, cohort.taxon_names,
-                deployed, reference)
-        return outputs[sample]
-
+    histories = []
     for sample in cohort.samples:
-        output = computed(sample)
         history = []
         last_visit = 0
         for prior in test_set.prior_visits(sample):
             if prior.visit_index <= last_visit:
                 continue  # duplicate visit index: keep the first sample
-            history.append(computed(prior))
+            history.append(prior)
             last_visit = prior.visit_index
+        histories.append(history)
+    visits = list(dict.fromkeys(
+        visit for sample, history in zip(cohort.samples, histories)
+        for visit in (sample, *history)))
+    outputs = dict(zip(visits, run_computational_many(
+        visits, cohort.clinical_names, cohort.taxon_names, deployed, reference)))
+
+    for sample, history in zip(cohort.samples, histories):
         ctx = AgentContext(sample_id=sample.sample_id,
                            study_id=sample.study_id,
                            visit_index=sample.visit_index,
-                           computational=output,
-                           history=tuple(history))
+                           computational=outputs[sample],
+                           history=tuple(outputs[prior] for prior in history))
         report = run_pipeline(
             ctx, searcher, summarizer, classifier,
             summarization_budget=config.summarization_budget,

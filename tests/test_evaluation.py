@@ -336,13 +336,15 @@ def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
     from adam.dataset import draw_eval_cohort
 
     calls = Counter()
-    compute = evaluation.run_computational
+    batches = []
+    compute = evaluation.run_computational_many
 
-    def counting(sample, *args):
-        calls[sample.sample_id] += 1
-        return compute(sample, *args)
+    def counting(samples, *args):
+        batches.append(len(samples))
+        calls.update(sample.sample_id for sample in samples)
+        return compute(samples, *args)
 
-    monkeypatch.setattr(evaluation, "run_computational", counting)
+    monkeypatch.setattr(evaluation, "run_computational_many", counting)
     test = deployment["test"]
     cohort = draw_eval_cohort(test, 15, 15, seed=0)
     items = list(evaluation.classify_cohort(
@@ -356,6 +358,7 @@ def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
     assert set(calls.values()) == {1}
     uses = len(items) + sum(len(i.context.history) for i in items)
     assert len(calls) < uses  # some visits serve more than one sample
+    assert batches == [len(calls)]  # every visit in one call
     for item in items:
         assert item.report.verdict == \
             ("Yes" if item.context.computational.probability >= 0.5 else "No")

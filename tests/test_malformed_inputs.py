@@ -162,9 +162,9 @@ SCHEMA_CASES.update(_json_cases(
 
 CONFIG = {"seed": 3, "threshold": 0.5, "dataset": None, "embedding_model": "m",
           "tolerate_failures": False}
-# Every config key is optional, so no case drops one; values out of their
-# range are checked once file and flags are merged, so those errors name
-# the key, not the file.
+# Every config key is optional, so no case drops one; a value out of its
+# range is checked where the file is read, so the error names the file and
+# the key.
 CONFIG_CASES = _json_cases(
     "config.json", lambda fx: CONFIG, drop=(),
     wrong=(("seed", "3"), ("threshold", "0.5"), ("dataset", 3),
@@ -493,12 +493,12 @@ def test_reader_rejects_malformed_input(row_name, case, tmp_path, fx, capsys,
                                         monkeypatch):
     row = ROW_BY_NAME[row_name]
     bad = row.cases[case](tmp_path, fx)
-    names = _names(row, bad)
+    names = [_names(row, bad)]
     if row_name == "config" and case in OUT_OF_RANGE:
-        names = repr(OUT_OF_RANGE[case][0])
+        names.append(repr(OUT_OF_RANGE[case][0]))
     with pytest.raises(AdamError) as err:
         row.read(bad, fx)
-    assert names in str(err.value)
+    assert all(name in str(err.value) for name in names)
 
     if not isinstance(bad, Path):
         import requests
@@ -510,7 +510,7 @@ def test_reader_rejects_malformed_input(row_name, case, tmp_path, fx, capsys,
     err_lines = stderr.splitlines()
     assert len(err_lines) == 1, err_lines
     assert err_lines[0].startswith("error: ")
-    assert names in err_lines[0]
+    assert all(name in err_lines[0] for name in names)
 
 
 @pytest.mark.parametrize("row_name", sorted(ROW_BY_NAME))
@@ -532,6 +532,71 @@ def test_row_accepts_its_valid_input(row_name, tmp_path, fx):
         "chat-reply": lambda: ROW_BY_NAME["chat-reply"].read(CHAT_REPLY, fx),
     }
     assert valid[row_name]()
+
+
+# --- inputs each file accepts alone but not together ---------------------------------
+
+def _classify(fx, tmp_path, bundle, dataset):
+    model = _write(tmp_path / "model.json", json.dumps(bundle))
+    return model, ["classify", "--dataset", str(dataset), "--schema", str(fx["dataset"][1]),
+                   "--model", str(model), "--n-pos", "1", "--n-neg", "1",
+                   "--out", str(tmp_path / "c")]
+
+
+def _one_error_line(capsys) -> str:
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("zeroed, named", [
+    ("every label-1 row", "sample"),
+    ("one healthy training row", "reference sample"),
+])
+def test_classify_names_a_visit_with_no_positive_taxon(zeroed, named, tmp_path, fx,
+                                                       capsys):
+    """Ingest reads missing taxa as 0, so a row with every taxon 0 is
+    accepted; the computational pass rejects it by sample id before any
+    report is written, whether it is a cohort visit or a reference row."""
+    csv_path, schema_path = fx["dataset"]
+    bundle = _bundle(fx)
+    taxa = {c for c, role in json.loads(schema_path.read_text())["columns"].items()
+            if role == "taxon"}
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    study, label = header.index("study_id"), header.index("label")
+    zeroed_ids = []
+    rows = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        if (cells[label] == "1" if zeroed == "every label-1 row" else
+                not zeroed_ids and cells[label] == "0"
+                and cells[study] in bundle["train_studies"]):
+            zeroed_ids.append(cells[0])
+            cells = ["0" if name in taxa else c for name, c in zip(header, cells)]
+        rows.append(",".join(cells))
+    dataset = _write(tmp_path / "zeroed.csv", "\n".join(rows) + "\n")
+    _, argv = _classify(fx, tmp_path, bundle, dataset)
+    assert main(argv) == 1
+    line = _one_error_line(capsys)
+    prefix = f"error: {named} "
+    suffix = ": abundance vector has no positive entries"
+    assert line.startswith(prefix) and line.endswith(suffix)
+    assert line[len(prefix):-len(suffix)] in zeroed_ids
+    assert not any((tmp_path / "c" / "reports").iterdir())
+
+
+def test_classify_names_bundle_and_dataset_for_a_missing_feature(tmp_path, fx, capsys):
+    bundle = _bundle(fx)
+    old = bundle["feature_names"][0]
+    bundle["feature_names"][0] = "zzz"
+    bundle["medians"]["zzz"] = bundle["medians"].pop(old)
+    model, argv = _classify(fx, tmp_path, bundle, fx["dataset"][0])
+    assert main(argv) == 1
+    line = _one_error_line(capsys)
+    assert str(model) in line and str(fx["dataset"][0]) in line and "'zzz'" in line
 
 
 # --- every reader has a row -----------------------------------------------------------
