@@ -10,7 +10,8 @@ Subpackages and modules:
   embedding    offline-hash and remote embedding backends
   vectorstore  persisted unit-vector collections with exact cosine search
   agents       computational, summarization, and classification agents
-  evaluation   seeded trial protocol and model comparison statistics
+  evaluation   seeded trial protocol
+  comparison   per-seed trial files and model comparison statistics
   stats        rank and variance tests with exact special functions
   cli          operator command line (python3 -m adam ...)
 """

@@ -9,6 +9,7 @@ here is exactly what the deployed ensemble predicts for this sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class DeployedModel:
         return expected_margin(self.model)
 
 
-@dataclass(frozen=True)
-class ComputationalOutput:
+class ComputationalOutput(NamedTuple):
     """All numeric evidence for one sample."""
 
     sample_id: str

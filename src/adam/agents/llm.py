@@ -21,6 +21,7 @@ import math
 import re
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import OBJECT, STRING, BackendError, VerdictParseError, check_fields
 from ..http_retry import MAX_ATTEMPTS, post_with_backoff
@@ -63,8 +64,7 @@ def parse_verdict(text: str) -> str:
     return match.group(1)
 
 
-@dataclass(frozen=True)
-class LLMRequest:
+class LLMRequest(NamedTuple):
     model: str
     system: str
     user: str
@@ -92,12 +92,11 @@ class StaticMock(LLMBackend):
         return self.reply
 
 
-@dataclass(frozen=True)
 class TitleEchoMock(LLMBackend):
     """Summarization mock: echoes every step title found in the prompt,
     in prompt order, one acknowledgment line per step."""
 
-    name: str = "title-echo-mock"
+    name = "title-echo-mock"
 
     def complete(self, request: LLMRequest) -> str:
         titles = STEP_TITLE_PATTERN.findall(request.user)
@@ -107,7 +106,6 @@ class TitleEchoMock(LLMBackend):
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class ThresholdMockLLM(LLMBackend):
     """Classification mock: verdict = (probability >= threshold).
 
@@ -116,7 +114,7 @@ class ThresholdMockLLM(LLMBackend):
     exactly a hard threshold on the deployed ensemble.
     """
 
-    name: str = "threshold-mock"
+    name = "threshold-mock"
 
     def complete(self, request: LLMRequest) -> str:
         prob = PROBABILITY_PATTERN.search(request.user)

@@ -12,6 +12,7 @@ pipeline is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..config import (
     CLASSIFICATION_TOKEN_BUDGET,
@@ -57,8 +58,7 @@ _SYSTEM_PROMPTS = {
 }
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One reasoning step after retrieval: what was asked and what came back."""
 
     index: int
@@ -67,8 +67,7 @@ class StepRecord:
     hits: tuple
 
 
-@dataclass(frozen=True)
-class StageTranscript:
+class StageTranscript(NamedTuple):
     stage: str
     steps: tuple[StepRecord, ...]
     prompt: str

@@ -24,7 +24,7 @@ per-feature contributions equals ``model.predict_margin(x)`` exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .errors import SizeGuardError
 MAX_EXACT_FEATURES = 20
 
 
-@dataclass(frozen=True)
-class Attribution:
+class Attribution(NamedTuple):
     """Per-feature margin contributions for one sample."""
 
     feature_names: tuple[str, ...]

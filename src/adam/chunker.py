@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (STRINGS, EmptyInputError, FormatError, WindowError, check_fields,
                      parse_object, read_text)
@@ -26,8 +26,7 @@ DEFAULT_SEGMENT_LENGTH = 2000
 DEFAULT_OVERLAP = 400
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """One segment of a publication's text."""
 
     publication_id: str
@@ -37,8 +36,7 @@ class Chunk:
     topic_keywords: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CorpusDocument:
+class CorpusDocument(NamedTuple):
     """One publication read from a JSONL corpus file."""
 
     publication_id: str

@@ -140,12 +140,12 @@ def _load_sample_set(config: RunConfig, quiet: bool = False):
 
     if config.dataset is None or config.schema is None:
         raise SchemaError("this command needs --dataset and --schema")
-    result = parse_samples(config.dataset, config.schema)
-    if result.rejected and not quiet:
-        print(f"rejected {len(result.rejected)} row(s):", file=sys.stderr)
-        for line_number, reason in result.rejected:
+    sample_set, rejected = parse_samples(config.dataset, config.schema)
+    if rejected and not quiet:
+        print(f"rejected {len(rejected)} row(s):", file=sys.stderr)
+        for line_number, reason in rejected:
             print(f"  line {line_number}: {reason}", file=sys.stderr)
-    return result
+    return sample_set, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +158,9 @@ def cmd_synth(args) -> int:
     config = _resolve(args)
     out = Path(args.out)
     csv_path, schema_path = write_dataset(out, seed=config.seed)
-    result = parse_samples(csv_path, schema_path)
-    n = len(result.sample_set)
-    positives = int(result.sample_set.labels().sum())
+    sample_set, _ = parse_samples(csv_path, schema_path)
+    n = len(sample_set)
+    positives = int(sample_set.labels().sum())
     print(f"wrote {csv_path}")
     print(f"wrote {schema_path}")
     print(f"samples: {n} ({positives} positive, {100.0 * positives / n:.2f}%)")
@@ -169,8 +169,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _dataset_summary(config: RunConfig, result) -> str:
-    ss = result.sample_set
+def _dataset_summary(config: RunConfig, ss, rejected) -> str:
     positives = int(ss.labels().sum())
     visits_per_study = Counter(sample.study_id for sample in ss.samples)
     counts = sorted(visits_per_study.values())
@@ -184,17 +183,16 @@ def _dataset_summary(config: RunConfig, result) -> str:
         f"median {statistics.median(counts):g}, max {counts[-1]}",
         f"clinical columns: {len(ss.clinical_names)}",
         f"taxon columns: {len(ss.taxon_names)}",
-        f"rejected rows: {len(result.rejected)}",
+        f"rejected rows: {len(rejected)}",
     ]
     lines.extend(f"  line {line_number}: {reason}"
-                 for line_number, reason in result.rejected)
+                 for line_number, reason in rejected)
     return "\n".join(lines) + "\n"
 
 
 def cmd_ingest(args) -> int:
     config = _resolve(args)
-    result = _load_sample_set(config, quiet=True)
-    summary = _dataset_summary(config, result)
+    summary = _dataset_summary(config, *_load_sample_set(config, quiet=True))
     print(summary, end="")
     if args.out is not None:
         out = Path(args.out)
@@ -240,15 +238,18 @@ def cmd_index(args) -> int:
 
 
 def _model_bundle(deployed, split) -> dict:
+    """The model.json document of a deployed model and its (train, test)
+    split."""
     from .ensemble import model_to_dict
 
+    train, test = split
     return {
         "format": "adam-model-bundle",
         "model": model_to_dict(deployed.model),
         "feature_names": list(deployed.feature_names),
         "medians": dict(deployed.medians),
-        "train_studies": list(split.train_studies),
-        "test_studies": list(split.test_studies),
+        "train_studies": list(train.study_ids()),
+        "test_studies": list(test.study_ids()),
     }
 
 
@@ -290,29 +291,29 @@ def cmd_train(args) -> int:
 
     config = _resolve(args)
     out = Path(args.out)
-    sample_set = _load_sample_set(config).sample_set
+    sample_set, _ = _load_sample_set(config)
     fit = fit_seed(sample_set, config, config.seed)
-    split, model = fit.split, fit.deployed.model
+    train, test, model = fit.train, fit.test, fit.deployed.model
     train_metrics = evaluate_binary(fit.y_train,
                                     model.predict_proba(fit.X_train))
-    test_metrics = evaluate_binary(split.test.labels(),
-                                   model.predict_proba(fit.screened(split.test)))
+    test_metrics = evaluate_binary(test.labels(),
+                                   model.predict_proba(fit.screened(test)))
 
     model_path = Path(config.model) if config.model else out / "model.json"
     out.mkdir(parents=True, exist_ok=True)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(_model_bundle(fit.deployed, split), fh, indent=2,
+        json.dump(_model_bundle(fit.deployed, (train, test)), fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
-    print(f"trained on {len(split.train)} sample(s) from "
-          f"{len(split.train_studies)} study(ies); "
+    print(f"trained on {len(train)} sample(s) from "
+          f"{len(train.study_ids())} study(ies); "
           f"{len(fit.selected)} feature(s)")
     print(f"training accuracy: {train_metrics.accuracy:.4f}  "
           f"f1: {train_metrics.f1:.4f}")
     print(f"holdout accuracy: {test_metrics.accuracy:.4f}  "
           f"f1: {test_metrics.f1:.4f}  "
-          f"({len(split.test)} sample(s), {len(split.test_studies)} study(ies))")
+          f"({len(test)} sample(s), {len(test.study_ids())} study(ies))")
     print(f"wrote {model_path}")
     write_resolved_config(replace(config, model=str(model_path)), out, "train")
     return 0
@@ -328,7 +329,7 @@ def cmd_classify(args) -> int:
         raise SchemaError("classify needs --model (bundle from train)")
     out = Path(args.out)
     deployed, train_studies, test_studies = _load_model_bundle(config.model)
-    sample_set = _load_sample_set(config).sample_set
+    sample_set, _ = _load_sample_set(config)
     reference = healthy_reference(
         sample_set.restrict_to_studies(train_studies))
     columns = set(sample_set.clinical_names) | set(sample_set.taxon_names)
@@ -347,8 +348,7 @@ def cmd_classify(args) -> int:
     yes = 0
     classified = classify_cohort(cohort, test, deployed, reference, searcher,
                                  summarizer, classifier, config)
-    for item in classified:
-        sample, report = item.sample, item.report
+    for sample, context, report in classified:
         report_path = reports_dir / f"{sample.sample_id}.md"
         report_path.write_text(render_report(report), encoding="utf-8")
         yes += report.verdict == "Yes"
@@ -357,11 +357,11 @@ def cmd_classify(args) -> int:
             "study_id": sample.study_id,
             "visit_index": sample.visit_index,
             "label": sample.label,
-            "probability": item.context.computational.probability,
+            "probability": context.computational.probability,
             "verdict": report.verdict,
             "report_path": str(report_path.relative_to(out)),
             "prompt_tokens": {t.stage: t.prompt_tokens
-                              for t in item.context.transcripts},
+                              for t in context.transcripts},
             "report": asdict(report),
         })
     dossier = {
@@ -404,35 +404,35 @@ def _parse_model_tags(text: str) -> tuple[str, ...]:
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluation import format_metrics_table, run_seeded_trials, write_trials_csv
+    from .comparison import write_trials_csv
+    from .evaluation import format_metrics_table, run_seeded_trials
 
     config = _resolve(args)
     out = Path(args.out)
     tags = _parse_model_tags(args.models)
-    sample_set = _load_sample_set(config).sample_set
+    sample_set, _ = _load_sample_set(config)
     seeds = range(config.seed_base, config.seed_base + config.n_seeds)
     summarizer, classifier = (_llm_backends(config) if "adam" in tags
                               else (None, None))
     searcher = _searcher(config) if "adam" in tags else None
-    run = run_seeded_trials(sample_set, seeds, config=config, models=tags,
-                            summarizer=summarizer, classifier=classifier,
-                            searcher=searcher)
+    trials, failures = run_seeded_trials(
+        sample_set, seeds, config=config, models=tags, summarizer=summarizer,
+        classifier=classifier, searcher=searcher)
 
     out.mkdir(parents=True, exist_ok=True)
-    write_trials_csv(run.trials, out / "trials.csv")
+    write_trials_csv(trials, out / "trials.csv")
     for tag in tags:
-        rows = [t for t in run.trials if t.model == tag]
+        rows = [t for t in trials if t.model == tag]
         if rows:
             write_trials_csv(rows, out / f"trials-{tag}.csv")
-    table = format_metrics_table(run.trials) if run.trials else "no trials\n"
+    table = format_metrics_table(trials) if trials else "no trials\n"
     (out / "metrics.txt").write_text(table, encoding="utf-8")
     print(table, end="")
-    if run.failures:
-        lines = [f"seed {f.seed} [{f.model}]: {f.message}"
-                 for f in run.failures]
+    if failures:
+        lines = [f"seed {seed}: {message}" for seed, message in failures]
         (out / "failures.txt").write_text("\n".join(lines) + "\n",
                                           encoding="utf-8")
-        print(f"failures: {len(run.failures)} seed(s) skipped "
+        print(f"failures: {len(failures)} seed(s) skipped "
               f"(see {out / 'failures.txt'})", file=sys.stderr)
     print(f"wrote {out / 'trials.csv'} and per-model trial files")
     write_resolved_config(config, out, "evaluate")
@@ -440,7 +440,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _f1_column(path) -> list[float]:
-    from .evaluation import read_trials_csv
+    from .comparison import read_trials_csv
 
     rows = read_trials_csv(path)
     if not rows:
@@ -454,7 +454,7 @@ def _f1_column(path) -> list[float]:
 
 
 def cmd_compare(args) -> int:
-    from .evaluation import compare_models, format_summary
+    from .comparison import compare_models, format_summary
 
     config = _resolve(args)
     summary = compare_models(_f1_column(args.adam), _f1_column(args.baseline))

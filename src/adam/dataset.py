@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ _TRUE_TOKENS = {"1", "yes", "true", "y"}
 _FALSE_TOKENS = {"0", "no", "false", "n"}
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One per-visit observation; value tuples align to the owning set's names."""
 
     sample_id: str
@@ -100,14 +100,7 @@ class SampleSet:
         return tuple(sorted(hist, key=lambda s: (s.visit_index, s.sample_id)))
 
 
-@dataclass(frozen=True)
-class ParseResult:
-    sample_set: SampleSet
-    rejected: tuple[tuple[int, str], ...]  # (file line number, reason)
-
-
-@dataclass(frozen=True)
-class Schema:
+class Schema(NamedTuple):
     """Column-to-role mapping for CSV ingestion."""
 
     columns: dict[str, str]
@@ -178,14 +171,14 @@ def _parse_float(token: str, missing_as: float) -> float:
     return value
 
 
-def parse_samples(path, schema) -> ParseResult:
-    """Ingest a CSV under a column-role schema.
+def parse_samples(path, schema) -> tuple[SampleSet, tuple[tuple[int, str], ...]]:
+    """Ingest a CSV under a column-role schema: (sample set, rejected rows).
 
     Rows that cannot be interpreted (bad label, unparseable or infinite
     number, negative abundance, duplicate sample id, missing ids, a
     sample id that is not a plain file name) are rejected
-    individually and reported with their file line number; the rest
-    form the returned SampleSet.
+    individually and reported as (file line number, reason) pairs; the
+    rest form the returned SampleSet.
     """
     schema = load_schema(schema)
     reader = read_csv(path)
@@ -266,22 +259,14 @@ def parse_samples(path, schema) -> ParseResult:
                               clinical=clinical, taxa=taxa))
     if not samples:
         raise EmptyInputError(f"{path}: no usable rows")
-    return ParseResult(SampleSet(tuple(clinical_cols), tuple(taxon_cols), tuple(samples)),
-                       tuple(rejected))
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    train: SampleSet
-    test: SampleSet
-    train_studies: tuple[str, ...]
-    test_studies: tuple[str, ...]
+    return (SampleSet(tuple(clinical_cols), tuple(taxon_cols), tuple(samples)),
+            tuple(rejected))
 
 
 def split_grouped_stratified(sample_set: SampleSet,
                              train_fraction: float = 0.75,
-                             seed: int = 0) -> SplitResult:
-    """Group-disjoint train/test split of studies, stratified by label.
+                             seed: int = 0) -> tuple[SampleSet, SampleSet]:
+    """Group-disjoint (train, test) split of studies, stratified by label.
 
     Each study is assigned its majority sample label (ties count as
     positive). Within each label stratum the study ids are sorted,
@@ -312,10 +297,8 @@ def split_grouped_stratified(sample_set: SampleSet,
         k = min(max(k, 1), len(ids) - 1)
         train_ids.extend(ids[:k])
         test_ids.extend(ids[k:])
-    return SplitResult(train=sample_set.restrict_to_studies(train_ids),
-                       test=sample_set.restrict_to_studies(test_ids),
-                       train_studies=tuple(sorted(train_ids)),
-                       test_studies=tuple(sorted(test_ids)))
+    return (sample_set.restrict_to_studies(train_ids),
+            sample_set.restrict_to_studies(test_ids))
 
 
 def draw_eval_cohort(sample_set: SampleSet,

@@ -11,7 +11,7 @@ alpha metrics normalize to proportions internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +115,7 @@ def beta_metrics(x, y) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class DiversityProfile:
+class DiversityProfile(NamedTuple):
     """Alpha metrics of a sample plus its mean beta distance to a reference set."""
 
     shannon: float

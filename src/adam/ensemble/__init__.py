@@ -28,7 +28,6 @@ from .metrics import (
 from .tree import Tree
 from .tuning import (
     Dimension,
-    SearchResult,
     TrialRecord,
     default_space,
     grouped_kfold,
@@ -45,7 +44,6 @@ __all__ = [
     "GBDTParams",
     "LogisticRegressionModel",
     "RandomForestModel",
-    "SearchResult",
     "Tree",
     "TrialRecord",
     "accuracy",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class RandomForestModel:
 _BATCH_ELEMENTS = 16_384
 
 
-@dataclass(frozen=True)
-class _Bootstraps:
+class _Bootstraps(NamedTuple):
     """What every split search of one forest fit reads."""
     XT: np.ndarray  # (features, rows) fit matrix
     ranks: np.ndarray  # (features, rows) dense rank of each value in its column

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import EmptyInputError
 
 
-@dataclass(frozen=True)
-class BinaryMetrics:
+class BinaryMetrics(NamedTuple):
     accuracy: float
     precision: float
     recall: float

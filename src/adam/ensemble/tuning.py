@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ N_TPE_CANDIDATES = 24
 GOOD_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Dimension(NamedTuple):
     """One search dimension. kind: 'int', 'float', or 'log' (log-uniform float)."""
 
     name: str
@@ -64,19 +63,11 @@ def default_space() -> tuple[Dimension, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     index: int
     params: dict[str, float]
     score: float
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best_params: dict[str, float]
-    best_score: float
-    trials: tuple[TrialRecord, ...]
 
 
 def grouped_kfold(groups, n_folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -158,12 +149,13 @@ def _tpe_propose(space, records: list[TrialRecord], rng: random.Random) -> dict[
 
 def run_search(X, y, groups, n_trials: int, seed: int = 0,
                n_folds: int = 3,
-               space: tuple[Dimension, ...] | None = None) -> SearchResult:
+               space: tuple[Dimension, ...] | None = None,
+               ) -> tuple[TrialRecord, tuple[TrialRecord, ...]]:
     """Search GBDT hyperparameters against grouped-CV mean F1.
 
     :param groups: per-row group (study) labels; folds are group-disjoint.
-    :returns: best parameters (ties to the earliest trial) plus the
-        full trial log. Trials whose fit raises score 0.
+    :returns: (best trial, ties to the earliest; the full trial log).
+        Trials whose fit raises score 0.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -184,6 +176,4 @@ def run_search(X, y, groups, n_trials: int, seed: int = 0,
         except Exception as exc:  # a failed configuration scores zero
             records.append(TrialRecord(index=index, params=params, score=0.0,
                                        error=str(exc)))
-    best = max(records, key=lambda r: (r.score, -r.index))
-    return SearchResult(best_params=dict(best.params), best_score=best.score,
-                        trials=tuple(records))
+    return max(records, key=lambda r: (r.score, -r.index)), tuple(records)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,13 +69,6 @@ _MISSING_RATE = 0.01
 _MISSING_ELIGIBLE = ("age", "med_count", "hypertension", "cardiovascular_disease")
 
 
-@dataclass(frozen=True)
-class SyntheticDataset:
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    schema: dict
-
-
 def _expand_counts(table: dict[int, int]) -> list[int]:
     out: list[int] = []
     for visits in sorted(table):
@@ -118,8 +110,9 @@ def _visit_taxa(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
     return np.round(raw * (100.0 / raw.sum()), 5)
 
 
-def generate_rows(seed: int = 0) -> SyntheticDataset:
-    """Deterministic synthetic table plus the matching column schema."""
+def generate_rows(seed: int = 0) -> tuple[tuple[str, ...], tuple, dict]:
+    """Deterministic synthetic table plus the matching column schema:
+    (header, rows, schema)."""
     rng = np.random.default_rng(seed)
     counts = ([(1, c) for c in _expand_counts(_POSITIVE_VISIT_COUNTS)]
               + [(0, c) for c in _expand_counts(_NEGATIVE_VISIT_COUNTS)])
@@ -152,7 +145,7 @@ def generate_rows(seed: int = 0) -> SyntheticDataset:
                           "visit": "visit", "label": "label",
                           **{c: "clinical" for c in CLINICAL},
                           **{t: "taxon" for t in TAXA}}}
-    return SyntheticDataset(header=header, rows=tuple(rows), schema=schema)
+    return header, tuple(rows), schema
 
 
 def write_dataset(directory, seed: int = 0,
@@ -160,14 +153,14 @@ def write_dataset(directory, seed: int = 0,
     """Write ``<stem>.csv`` and ``<stem>.schema.json``; returns both paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    dataset = generate_rows(seed)
+    header, rows, schema = generate_rows(seed)
     csv_path = directory / f"{stem}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(dataset.header)
-        writer.writerows(dataset.rows)
+        writer.writerow(header)
+        writer.writerows(rows)
     schema_path = directory / f"{stem}.schema.json"
     with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(dataset.schema, fh, indent=2, sort_keys=True)
+        json.dump(schema, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, schema_path

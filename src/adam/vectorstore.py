@@ -80,6 +80,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +158,7 @@ class VectorRecord:
         return hash(self.key)
 
 
-@dataclass(frozen=True)
-class RetrievalHit:
+class RetrievalHit(NamedTuple):
     publication_id: str
     segment_index: int
     similarity: float
@@ -539,8 +539,7 @@ def load_collections(directory: str | Path,
     return out
 
 
-@dataclass(frozen=True)
-class SemanticSearch:
+class SemanticSearch(NamedTuple):
     """Text-in, hits-out convenience wrapper over search_many()."""
 
     collections: tuple[Collection, ...]

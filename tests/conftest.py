@@ -25,16 +25,16 @@ def dataset_paths(tmp_path_factory):
 @pytest.fixture(scope="session")
 def sample_set(dataset_paths):
     csv_path, schema_path = dataset_paths
-    result = parse_samples(csv_path, schema_path)
-    assert not result.rejected
-    return result.sample_set
+    sample_set, rejected = parse_samples(csv_path, schema_path)
+    assert not rejected
+    return sample_set
 
 
 @pytest.fixture(scope="session")
 def deployment(sample_set):
     """Trained model + healthy reference + held-out test partition."""
     split = split_grouped_stratified(sample_set, 0.75, seed=0)
-    train, test = split.train, split.test
+    train, test = split
     medians = feature_medians(train.feature_matrix())
     X_train = impute(train.feature_matrix(), medians)
     model = fit_gbdt(X_train, train.labels(),

@@ -27,10 +27,10 @@ from adam.agents import (
 from adam.attribution import expected_margin, shap_values, shap_values_exact
 from adam.chunker import reconstruct, segment_count, segment_start, segment_text
 from adam.cli import main
+from adam.comparison import read_trials_csv
 from adam.config import RESOLVED_CONFIG_NAME
 from adam.diversity import ALPHA_METRICS, BETA_METRICS, alpha_metrics, beta_metrics
 from adam.ensemble import GBDTParams, accuracy, fit_gbdt, model_to_dict
-from adam.evaluation import read_trials_csv
 from adam.stats import _approx_mwu_p, _u_arrangement_counts, cohens_d, \
     levene_test, mann_whitney_u, variance_f_test
 from adam.vectorstore import (

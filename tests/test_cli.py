@@ -9,6 +9,7 @@ import zlib
 import pytest
 
 from adam.cli import build_parser, main, read_dossier
+from adam.comparison import read_trials_csv
 from adam.config import (
     RESOLVED_CONFIG_NAME,
     RunConfig,
@@ -16,7 +17,6 @@ from adam.config import (
     resolve_config,
 )
 from adam.errors import FormatError, SchemaError
-from adam.evaluation import read_trials_csv
 
 EMBED_DIM = "64"
 
@@ -536,7 +536,7 @@ def test_classify_matches_per_visit_recompute(workspace):
                             embedding_dim=int(EMBED_DIM), seed=0)
     deployed, train_studies, test_studies = \
         cli._load_model_bundle(config.model)
-    sample_set = cli._load_sample_set(config).sample_set
+    sample_set, _ = cli._load_sample_set(config)
     reference = healthy_reference(
         sample_set.restrict_to_studies(train_studies))
     test = sample_set.restrict_to_studies(test_studies)
@@ -657,14 +657,16 @@ def test_light_commands_do_not_load_the_ensemble(tmp_path):
     src = str(Path(adam.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    # Runs argv, then prints which of HEAVY_MODULES are loaded.
+    # Runs argv, then prints which of the given heavy modules are loaded.
     code = ("import sys, adam.cli\n"
             "status = adam.cli.main({argv!r})\n"
-            f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])\n"
+            "print([m for m in {heavy!r} if m in sys.modules])\n"
             "sys.exit(status)\n")
     corpus = tmp_path / "corpus.jsonl"
     _write_corpus(corpus)
     data = tmp_path / "data"
+    trials = tmp_path / "trials.csv"
+    trials.write_text("seed,model,accuracy,auc,f1\n0,adam,1,1,1\n1,adam,0.9,,0.8\n")
     commands = {
         "synth": ["synth", "--out", str(data)],
         "ingest": ["ingest", "--dataset", str(data / "synthetic.csv"),
@@ -672,10 +674,14 @@ def test_light_commands_do_not_load_the_ensemble(tmp_path):
         "index": ["index", "--corpus", str(corpus), "--store",
                   str(tmp_path / "store"), "--embedding-dim", EMBED_DIM,
                   "--verify"],
+        "compare": ["compare", "--adam", str(trials), "--baseline", str(trials)],
     }
+    # compare runs the statistics, but nothing that fits or explains a model.
+    heavy = dict.fromkeys(commands, HEAVY_MODULES)
+    heavy["compare"] = tuple(m for m in HEAVY_MODULES if m != "adam.stats")
     for name, argv in commands.items():
         run = subprocess.run(
-            [sys.executable, "-c", code.format(argv=argv)],
+            [sys.executable, "-c", code.format(argv=argv, heavy=heavy[name])],
             env=env, capture_output=True, text=True)
         assert run.returncode == 0, (name, run.stderr)
         assert run.stdout.splitlines()[-1] == "[]", name
@@ -861,7 +867,7 @@ def test_evaluate_applies_config_budgets(workspace, tmp_path, capsys):
     assert main(evaluate + ["--out", str(out), "--tolerate-failures"]) == 0
     failures = (out / "failures.txt").read_text().splitlines()
     assert failures == [
-        f"seed 0 [setup]: {classify_err[0].removeprefix('error: ')}"]
+        f"seed 0: {classify_err[0].removeprefix('error: ')}"]
     assert (out / "trials.csv").read_text() == "seed,model,accuracy,auc,f1\n"
 
 

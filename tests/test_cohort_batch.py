@@ -73,7 +73,7 @@ def _with_threshold_rows(model: GBDTModel, X) -> np.ndarray:
 @pytest.fixture(scope="module")
 def protocol_model(sample_set):
     fit = fit_seed(sample_set, RunConfig(), 100)
-    return fit.deployed.model, fit.screened(fit.split.test)
+    return fit.deployed.model, fit.screened(fit.test)
 
 
 def _deep_model():
@@ -220,11 +220,9 @@ def test_run_computational_is_its_row_of_the_batch(deployment):
 
 
 def test_run_computational_many_names_a_degenerate_visit(deployment):
-    from dataclasses import replace
-
     test = deployment["test"]
     visits = list(test.samples[:5])
-    visits[3] = replace(visits[3], taxa=(0.0,) * len(visits[3].taxa))
+    visits[3] = visits[3]._replace(taxa=(0.0,) * len(visits[3].taxa))
     with pytest.raises(DegenerateCommunityError,
                        match=f"^sample {visits[3].sample_id}: "):
         run_computational_many(visits, test.clinical_names, test.taxon_names,

@@ -44,9 +44,8 @@ def test_parse_clean_rows(tmp_path):
         "S2,P1,2,no,80,0.5,3.5,world",
         "S3,P2,1,1,75,2.0,0.0,",
     ])
-    result = parse_samples(path, SCHEMA)
-    assert result.rejected == ()
-    ss = result.sample_set
+    ss, rejected = parse_samples(path, SCHEMA)
+    assert rejected == ()
     assert len(ss) == 3
     assert ss.clinical_names == ("age",)
     assert ss.taxon_names == ("TaxA", "TaxB")
@@ -69,9 +68,9 @@ def test_parse_rejects_bad_rows_individually(tmp_path):
         "S5,P3,1,no,75,1.0,1.0,ok",
         "S6,P3,2,no,75,1.0",
     ])
-    result = parse_samples(path, SCHEMA)
-    assert len(result.sample_set) == 2
-    reasons = {line: reason for line, reason in result.rejected}
+    sample_set, rejected = parse_samples(path, SCHEMA)
+    assert len(sample_set) == 2
+    reasons = {line: reason for line, reason in rejected}
     assert set(reasons) == {3, 4, 5, 6, 7, 9}
     assert "label" in reasons[3]
     assert "clinical" in reasons[4]
@@ -87,9 +86,9 @@ def test_rejected_rows_carry_their_file_line_after_a_multi_line_field(tmp_path):
         'two lines"',
         "S2,P1,2,maybe,80,0.5,3.5,bad label",
     ])
-    result = parse_samples(path, SCHEMA)
-    assert [s.sample_id for s in result.sample_set.samples] == ["S1"]
-    assert result.rejected == ((4, "unrecognized label value 'maybe'"),)
+    sample_set, rejected = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in sample_set.samples] == ["S1"]
+    assert rejected == ((4, "unrecognized label value 'maybe'"),)
 
 
 @pytest.mark.parametrize("token", ["inf", "-inf", "+inf", "Infinity", "-INFINITY",
@@ -100,9 +99,9 @@ def test_parse_rejects_non_finite_values(tmp_path, token):
         f"S2,P1,2,no,{token},0.5,3.5,clinical",
         f"S3,P2,1,no,75,{token},1.0,abundance",
     ])
-    result = parse_samples(path, SCHEMA)
-    assert [s.sample_id for s in result.sample_set.samples] == ["S1"]
-    reasons = dict(result.rejected)
+    sample_set, rejected = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in sample_set.samples] == ["S1"]
+    reasons = dict(rejected)
     assert reasons[3].startswith("bad clinical value: non-finite value")
     assert reasons[4].startswith("bad abundance value: non-finite value")
 
@@ -114,9 +113,9 @@ def test_parse_rejects_digit_group_underscores(tmp_path):
         "S3,P2,1,no,75,1_0,1.0,abundance",
         "S4,P2,1_0,no,75,1.0,1.0,visit",
     ])
-    result = parse_samples(path, SCHEMA)
-    assert [s.sample_id for s in result.sample_set.samples] == ["S1"]
-    reasons = dict(result.rejected)
+    sample_set, rejected = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in sample_set.samples] == ["S1"]
+    reasons = dict(rejected)
     assert reasons[3] == "bad clinical value: underscore in number '1_5'"
     assert reasons[4] == "bad abundance value: underscore in number '1_0'"
     assert reasons[5].startswith("visit must be a positive integer")
@@ -130,9 +129,9 @@ def test_parse_rejects_path_like_sample_ids(tmp_path, sample_id):
         f"{sample_id},P1,2,no,80,0.5,3.5,path",
         "...,P2,1,no,75,1.0,1.0,dots are a plain name",
     ])
-    result = parse_samples(path, SCHEMA)
-    assert [s.sample_id for s in result.sample_set.samples] == ["S1", "..."]
-    assert result.rejected == (
+    sample_set, rejected = parse_samples(path, SCHEMA)
+    assert [s.sample_id for s in sample_set.samples] == ["S1", "..."]
+    assert rejected == (
         (3, f"sample_id {sample_id!r} is not a plain file name"),)
 
 
@@ -148,7 +147,7 @@ def test_parse_missing_values(tmp_path):
         "S1,P1,1,yes,,1.5,na,x",
         "S2,P1,2,no,NA,nan,2.0,x",
     ])
-    ss = parse_samples(path, SCHEMA).sample_set
+    ss, _ = parse_samples(path, SCHEMA)
     assert math.isnan(ss.samples[0].clinical[0])
     assert math.isnan(ss.samples[1].clinical[0])
     # missing abundances read as zero, not NaN
@@ -168,7 +167,7 @@ def test_parse_without_visit_column_counts_visits(tmp_path):
         parse_samples(path, schema)
     schema["columns"]["ignored"] = "ignore"
     schema["columns"]["extra"] = "ignore"
-    ss = parse_samples(path, schema).sample_set
+    ss, _ = parse_samples(path, schema)
     assert [s.visit_index for s in ss.samples] == [1, 2, 1]
 
 
@@ -198,23 +197,23 @@ def test_schema_validation():
 
 def test_split_is_group_disjoint_and_stratified(sample_set):
     for seed in range(8):
-        split = split_grouped_stratified(sample_set, 0.75, seed=seed)
-        train_studies = set(split.train_studies)
-        test_studies = set(split.test_studies)
+        train, test = split_grouped_stratified(sample_set, 0.75, seed=seed)
+        train_studies = set(train.study_ids())
+        test_studies = set(test.study_ids())
         assert not train_studies & test_studies
-        assert {s.study_id for s in split.train.samples} == train_studies
-        assert {s.study_id for s in split.test.samples} == test_studies
-        assert len(split.train) + len(split.test) == len(sample_set)
+        assert {s.study_id for s in train.samples} == train_studies
+        assert {s.study_id for s in test.samples} == test_studies
+        assert len(train) + len(test) == len(sample_set)
         # at least one study of each label stratum on both sides
-        for part in (split.train, split.test):
+        for part in (train, test):
             labels = part.labels()
             assert labels.min() == 0 and labels.max() == 1
     # determinism and seed sensitivity
-    again = split_grouped_stratified(sample_set, 0.75, seed=3)
-    assert again.train_studies == \
-        split_grouped_stratified(sample_set, 0.75, seed=3).train_studies
-    other = split_grouped_stratified(sample_set, 0.75, seed=4)
-    assert other.train_studies != again.train_studies
+    again, _ = split_grouped_stratified(sample_set, 0.75, seed=3)
+    assert again.study_ids() == \
+        split_grouped_stratified(sample_set, 0.75, seed=3)[0].study_ids()
+    other, _ = split_grouped_stratified(sample_set, 0.75, seed=4)
+    assert other.study_ids() != again.study_ids()
 
 
 def test_split_fraction_bounds(sample_set):

@@ -5,24 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from adam.comparison import (
+    CSV_FIELDS,
+    ComparisonSummary,
+    TrialResult,
+    Undefined,
+    compare_models,
+    format_summary,
+    read_trials_csv,
+    write_trials_csv,
+)
 from adam.config import RunConfig
 from adam.ensemble import BinaryMetrics
 from adam.errors import EmptyInputError, FormatError, StratificationError
 from adam.evaluation import (
-    CSV_FIELDS,
     MODEL_TAGS,
-    ComparisonSummary,
-    EvaluationRun,
-    TrialResult,
-    Undefined,
     aggregate_trials,
-    compare_models,
     format_metrics_table,
-    format_summary,
-    read_trials_csv,
     run_seeded_trials,
     select_features,
-    write_trials_csv,
 )
 from adam.stats import cohens_d, levene_test, mann_whitney_u, variance_f_test
 
@@ -35,11 +36,12 @@ def eval_run(sample_set):
 
 
 def test_trial_grid_counts_and_order(eval_run):
-    assert not eval_run.failures
-    assert [(t.seed, t.model) for t in eval_run.trials] == \
+    trials, failures = eval_run
+    assert not failures
+    assert [(t.seed, t.model) for t in trials] == \
         [(seed, tag) for seed in SEEDS for tag in MODEL_TAGS]
-    assert all(t.cohort_size == 30 for t in eval_run.trials)
-    for trial in eval_run.trials:
+    assert all(t.cohort_size == 30 for t in trials)
+    for trial in trials:
         m = trial.metrics
         for value in (m.accuracy, m.precision, m.recall, m.f1):
             assert 0.0 <= value <= 1.0
@@ -47,8 +49,9 @@ def test_trial_grid_counts_and_order(eval_run):
 
 
 def test_adam_equals_thresholded_ensemble_per_seed(eval_run):
+    trials, _ = eval_run
     by_tag = {}
-    for trial in eval_run.trials:
+    for trial in trials:
         by_tag.setdefault(trial.model, []).append(trial)
     for gbdt_trial, adam_trial in zip(by_tag["baseline-gbdt"], by_tag["adam"]):
         assert gbdt_trial.seed == adam_trial.seed
@@ -61,20 +64,21 @@ def test_parallel_run_matches_sequential(sample_set, eval_run):
 
 
 def test_trials_csv_round_trip(eval_run, tmp_path):
+    trials, _ = eval_run
     path = tmp_path / "trials.csv"
-    write_trials_csv(eval_run.trials, path)
+    write_trials_csv(trials, path)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_FIELDS)
     rows = read_trials_csv(path)
-    assert len(rows) == len(eval_run.trials)
-    for trial, row in zip(eval_run.trials, rows):
+    assert len(rows) == len(trials)
+    for trial, row in zip(trials, rows):
         assert row["seed"] == trial.seed
         assert row["model"] == trial.model
         assert row["accuracy"] == trial.metrics.accuracy
         assert row["auc"] == trial.metrics.auc
         assert row["f1"] == trial.metrics.f1
     twin = tmp_path / "again.csv"
-    write_trials_csv(eval_run.trials, twin)
+    write_trials_csv(trials, twin)
     assert path.read_bytes() == twin.read_bytes()
 
 
@@ -117,10 +121,11 @@ def test_trials_csv_rejects_malformed_rows(tmp_path, row, message):
 
 
 def test_aggregate_matches_numpy(eval_run):
-    aggregates = aggregate_trials(eval_run.trials)
+    trials, _ = eval_run
+    aggregates = aggregate_trials(trials)
     assert set(aggregates) == set(MODEL_TAGS)
     for tag in MODEL_TAGS:
-        rows = [t for t in eval_run.trials if t.model == tag]
+        rows = [t for t in trials if t.model == tag]
         for metric in ("accuracy", "auc", "f1"):
             values = np.array([getattr(t.metrics, metric) for t in rows])
             mean, std, n = aggregates[tag][metric]
@@ -160,7 +165,8 @@ def test_one_seed_std_is_undefined():
 
 
 def test_metrics_table_layout(eval_run):
-    table = format_metrics_table(eval_run.trials)
+    trials, _ = eval_run
+    table = format_metrics_table(trials)
     lines = table.splitlines()
     assert lines[0] == f"Model performance averaged across {len(SEEDS)} random seeds"
     rows = lines[4:8]
@@ -180,21 +186,20 @@ def test_run_validation(sample_set):
 def test_failure_handling(sample_set):
     studies = sorted({s.study_id for s in sample_set.samples})[:3]
     tiny = sample_set.restrict_to_studies(studies)
-    with pytest.raises(StratificationError):
+    with pytest.raises(StratificationError) as err:
         run_seeded_trials(tiny, [0], models=("baseline-lr",))
-    tolerant = run_seeded_trials(
+    trials, failures = run_seeded_trials(
         tiny, [0, 1], config=RunConfig(tolerate_failures=True),
         models=("baseline-lr",))
-    assert tolerant.trials == ()
-    assert len(tolerant.failures) == 2
-    assert all(f.model == "setup" for f in tolerant.failures)
+    assert trials == ()
+    assert len(failures) == 2
+    assert all(message == str(err.value) for _, message in failures)
 
 
 def test_tuned_variant_keeps_equivalence(sample_set):
-    run = run_seeded_trials(sample_set, [0],
-                            config=RunConfig(tuning_trials=4),
-                            models=("baseline-gbdt", "adam"))
-    gbdt_trial, adam_trial = run.trials
+    (gbdt_trial, adam_trial), _ = run_seeded_trials(
+        sample_set, [0], config=RunConfig(tuning_trials=4),
+        models=("baseline-gbdt", "adam"))
     assert gbdt_trial.metrics == adam_trial.metrics
 
 
@@ -265,8 +270,9 @@ def test_comparison_components_match_stats_module():
 
 
 def test_comparison_accepts_trials(eval_run):
-    adam = [t for t in eval_run.trials if t.model == "adam"]
-    gbdt = [t for t in eval_run.trials if t.model == "baseline-gbdt"]
+    trials, _ = eval_run
+    adam = [t for t in trials if t.model == "adam"]
+    gbdt = [t for t in trials if t.model == "baseline-gbdt"]
     from_trials = compare_models(adam, gbdt)
     from_floats = compare_models([t.metrics.f1 for t in adam],
                                  [t.metrics.f1 for t in gbdt])
@@ -350,15 +356,15 @@ def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
     items = list(evaluation.classify_cohort(
         cohort, test, deployment["deployed"], deployment["reference"], None,
         TitleEchoMock(), ThresholdMockLLM(), RunConfig()))
-    assert [i.sample.sample_id for i in items] == \
+    assert [sample.sample_id for sample, _, _ in items] == \
         [s.sample_id for s in cohort.samples]
-    needed = {i.sample.sample_id for i in items} | \
-        {h.sample_id for i in items for h in i.context.history}
+    needed = {sample.sample_id for sample, _, _ in items} | \
+        {h.sample_id for _, ctx, _ in items for h in ctx.history}
     assert set(calls) == needed
     assert set(calls.values()) == {1}
-    uses = len(items) + sum(len(i.context.history) for i in items)
+    uses = len(items) + sum(len(ctx.history) for _, ctx, _ in items)
     assert len(calls) < uses  # some visits serve more than one sample
     assert batches == [len(calls)]  # every visit in one call
-    for item in items:
-        assert item.report.verdict == \
-            ("Yes" if item.context.computational.probability >= 0.5 else "No")
+    for _, ctx, report in items:
+        assert report.verdict == \
+            ("Yes" if ctx.computational.probability >= 0.5 else "No")

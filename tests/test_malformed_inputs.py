@@ -30,11 +30,11 @@ from adam import cli
 from adam.agents.llm import HttpChatBackend
 from adam.chunker import read_corpus
 from adam.cli import main, read_dossier
+from adam.comparison import read_trials_csv
 from adam.config import load_config_file, resolve_config
 from adam.dataset import parse_samples
 from adam.embedding import RemoteEmbedder
 from adam.errors import AdamError
-from adam.evaluation import read_trials_csv
 from adam.vectorstore import Collection, VectorRecord, load_collection, save_collection
 
 
@@ -617,7 +617,7 @@ READERS = {
     "adam.agents.llm.HttpChatBackend._parse": "chat-reply",
     "adam.ensemble.gbdt._tree_from_list": "bundle",
     "adam.ensemble.gbdt.model_from_dict": "bundle",
-    "adam.evaluation.read_trials_csv": "trials",
+    "adam.comparison.read_trials_csv": "trials",
     "adam.vectorstore.load_collection": "advec",
 }
 

@@ -21,15 +21,14 @@ from adam.synthetic import (
 
 
 def test_row_and_participant_counts():
-    ds = generate_rows(seed=0)
-    assert len(ds.rows) == N_SAMPLES == 335
-    header = ds.header
+    header, rows, _ = generate_rows(seed=0)
+    assert len(rows) == N_SAMPLES == 335
     label_i = header.index("label")
     study_i = header.index("study_id")
-    labels = [int(r[label_i]) for r in ds.rows]
+    labels = [int(r[label_i]) for r in rows]
     assert sum(labels) == N_POSITIVE_SAMPLES == 110
     by_study = {}
-    for row, label in zip(ds.rows, labels):
+    for row, label in zip(rows, labels):
         by_study.setdefault(row[study_i], []).append(label)
     assert len(by_study) == N_PARTICIPANTS == 100
     # labels are constant within a participant
@@ -38,27 +37,27 @@ def test_row_and_participant_counts():
 
 
 def test_visit_distribution():
-    ds = generate_rows(seed=0)
-    study_i = ds.header.index("study_id")
-    counts = Counter(r[study_i] for r in ds.rows)
+    header, rows, _ = generate_rows(seed=0)
+    study_i = header.index("study_id")
+    counts = Counter(r[study_i] for r in rows)
     per_participant = sorted(counts.values())
     assert min(per_participant) == 1
     assert max(per_participant) == 12
     assert float(np.median(per_participant)) == 3.0
     # visit numbers run 1..n within each participant
-    visit_i = ds.header.index("visit")
+    visit_i = header.index("visit")
     seen = {}
-    for r in ds.rows:
+    for r in rows:
         seen.setdefault(r[study_i], []).append(int(r[visit_i]))
     assert all(v == list(range(1, len(v) + 1)) for v in seen.values())
 
 
 def test_columns_and_abundance_normalization():
-    ds = generate_rows(seed=0)
-    assert ds.header == ("sample_id", "study_id", "visit", "label") + CLINICAL + TAXA
+    header, rows, _ = generate_rows(seed=0)
+    assert header == ("sample_id", "study_id", "visit", "label") + CLINICAL + TAXA
     assert len(TAXA) == 64 and len(CLINICAL) == 9
     taxa_start = 4 + len(CLINICAL)
-    for row in ds.rows[:50]:
+    for row in rows[:50]:
         total = sum(float(v) for v in row[taxa_start:])
         assert abs(total - 100.0) < 0.01
 
@@ -74,9 +73,8 @@ def test_write_dataset_deterministic(tmp_path):
 
 def test_generated_file_parses(tmp_path):
     csv_path, schema_path = write_dataset(tmp_path, seed=0)
-    result = parse_samples(csv_path, schema_path)
-    assert result.rejected == ()
-    ss = result.sample_set
+    ss, rejected = parse_samples(csv_path, schema_path)
+    assert rejected == ()
     assert len(ss) == N_SAMPLES
     assert ss.taxon_names == tuple(sorted(TAXA))
     assert ss.clinical_names == tuple(sorted(CLINICAL))

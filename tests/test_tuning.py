@@ -79,26 +79,26 @@ def test_dimension_sampling_types_and_bounds():
 
 def test_run_search_deterministic_and_typed():
     X, y, groups = _grouped_data(1)
-    a = run_search(X, y, groups, n_trials=8, seed=3)
-    b = run_search(X, y, groups, n_trials=8, seed=3)
-    assert a.best_params == b.best_params
-    assert a.best_score == b.best_score
-    assert [t.params for t in a.trials] == [t.params for t in b.trials]
-    assert len(a.trials) == 8
-    assert all(t.error is None for t in a.trials)
-    assert isinstance(a.best_params["n_trees"], int)
-    assert isinstance(a.best_params["max_depth"], int)
-    assert a.best_score > 0.9  # separable data tunes well
+    best_a, trials_a = run_search(X, y, groups, n_trials=8, seed=3)
+    best_b, trials_b = run_search(X, y, groups, n_trials=8, seed=3)
+    assert best_a.params == best_b.params
+    assert best_a.score == best_b.score
+    assert [t.params for t in trials_a] == [t.params for t in trials_b]
+    assert len(trials_a) == 8
+    assert all(t.error is None for t in trials_a)
+    assert isinstance(best_a.params["n_trees"], int)
+    assert isinstance(best_a.params["max_depth"], int)
+    assert best_a.score > 0.9  # separable data tunes well
     names = {d.name for d in default_space()}
-    assert set(a.best_params) == names
+    assert set(best_a.params) == names
 
 
 def test_run_search_ties_to_earliest():
     X, y, groups = _grouped_data(2)
-    result = run_search(X, y, groups, n_trials=6, seed=0)
-    best = max(result.trials, key=lambda t: (t.score, -t.index))
-    assert result.best_params == best.params
-    assert result.best_score == best.score
+    best, trials = run_search(X, y, groups, n_trials=6, seed=0)
+    earliest = max(trials, key=lambda t: (t.score, -t.index))
+    assert best.params == earliest.params
+    assert best.score == earliest.score
 
 
 def test_run_search_guards():
@@ -111,6 +111,6 @@ def test_run_search_custom_space():
     X, y, groups = _grouped_data(4)
     space = (Dimension("n_trees", "int", 5, 10),
              Dimension("max_depth", "int", 2, 3))
-    result = run_search(X, y, groups, n_trials=5, seed=1, space=space)
-    assert set(result.best_params) == {"n_trees", "max_depth"}
-    assert 5 <= result.best_params["n_trees"] <= 10
+    best, _ = run_search(X, y, groups, n_trials=5, seed=1, space=space)
+    assert set(best.params) == {"n_trees", "max_depth"}
+    assert 5 <= best.params["n_trees"] <= 10
