@@ -38,7 +38,8 @@ from .embedding import OfflineHashEmbedder, RemoteEmbedder
 from .errors import (FINITE, NUMBER, OBJECT, STRING, STRINGS, AdamError, AlignmentError,
                      FormatError, IntegrityError, ModelIntegrityError, SchemaError,
                      check_fields, parse_object, read_text)
-from .vectorstore import SemanticSearch, index_corpus, load_collections, save_collections
+from .vectorstore import (STORE_SUFFIX, SemanticSearch, index_corpus, load_collections,
+                          save_collections)
 
 # Modules that only some subcommands run are imported inside the functions
 # that use them, so index, synth and ingest never load the ensemble, the
@@ -213,6 +214,14 @@ def cmd_index(args) -> int:
         built = index_corpus(documents, _embedder(config),
                              segment_length=config.segment_length,
                              overlap=config.overlap)
+        # A collection the corpus no longer fills would stay in the store
+        # and still be searched; refuse before writing anything.
+        for path in sorted(store.glob(f"*{STORE_SUFFIX}")):
+            if path.stem not in built:
+                raise IntegrityError(
+                    f"{path}: the corpus routes no document to collection "
+                    f"{path.stem!r}; remove the file or index into another "
+                    "--store")
         save_collections(built, store)
         for name in sorted(built):
             print(f"collection {name}: {built[name].count} record(s)")
@@ -220,6 +229,8 @@ def cmd_index(args) -> int:
               f"from {len(documents)} document(s) into {store}")
     if args.verify or config.corpus is None:
         loaded = load_collections(store, expected_dim=config.embedding_dim)
+        if built is None and not loaded:
+            raise FormatError(f"{store}: no collections found")
         total = sum(c.count for c in loaded.values())
         if built is not None:
             if set(loaded) != set(built):

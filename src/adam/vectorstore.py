@@ -1,9 +1,13 @@
 """Multi-collection vector database with exact thresholded top-k search.
 
-Collections are immutable snapshots of (chunk metadata, float32 vector)
-records. Search is an exact, exhaustive cosine scan: results are provably
-identical to a brute-force linear pass, which keeps every retrieval
-oracle-testable. No approximate index, no in-place mutation.
+A collection is an immutable snapshot of chunk metadata records and one
+read-only float32 matrix whose row i is the vector of record i. The
+matrix is the only place a vector lives: records hold only metadata, the
+collection copies the matrix it is given once, and loading a file reads
+each vector from the file's bytes into the matrix and then lets the
+bytes go. Search is an exact, exhaustive cosine scan: results are
+provably identical to a brute-force linear pass, which keeps every
+retrieval oracle-testable. No approximate index, no in-place mutation.
 
 ``search_many`` scores a batch of queries (a pipeline stage's step
 queries) against each collection in two passes, and every similarity it
@@ -115,47 +119,18 @@ DEFAULT_ROUTING = {
 DEFAULT_COLLECTION = "alzheimers"
 
 
-def _immutable(array: np.ndarray) -> bool:
-    """True for a view of a ``bytes`` object, which nothing can change."""
-    while isinstance(array, np.ndarray) and not array.flags.writeable:
-        array = array.base
-    return isinstance(array, bytes)
-
-
-@dataclass(frozen=True, eq=False)
-class VectorRecord:
-    """One embedded chunk."""
+class VectorRecord(NamedTuple):
+    """The metadata of one embedded chunk. Its vector is the row of the
+    collection's matrix at the record's position."""
 
     publication_id: str
     segment_index: int
     text: str
     topic_keywords: tuple[str, ...]
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float32).ravel()
-        if not _immutable(vec):
-            # The caller may still hold this array, or the one it views.
-            vec = vec.copy()
-        vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
-        object.__setattr__(self, "topic_keywords", tuple(self.topic_keywords))
 
     @property
     def key(self) -> tuple[str, int]:
         return (self.publication_id, self.segment_index)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorRecord):
-            return NotImplemented
-        return (self.publication_id == other.publication_id
-                and self.segment_index == other.segment_index
-                and self.text == other.text
-                and self.topic_keywords == other.topic_keywords
-                and self.vector.tobytes() == other.vector.tobytes())
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
 
 class RetrievalHit(NamedTuple):
@@ -168,29 +143,30 @@ class RetrievalHit(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Collection:
-    """Immutable named set of records sharing one dimension."""
+    """Immutable named set of records and their (records x dim) float32
+    matrix, row i for record i."""
 
     name: str
-    dim: int
     records: tuple[VectorRecord, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"dimension must be >= 1, got {self.dim}")
         records = tuple(self.records)
-        object.__setattr__(self, "records", records)
+        # The one copy: a later write to the caller's array changes nothing.
+        matrix = np.array(self.matrix, dtype=np.float32, order="C")
+        if matrix.ndim != 2 or len(matrix) != len(records):
+            raise DimensionError(
+                f"collection {self.name!r} has {len(records)} record(s) and "
+                f"a vector matrix of shape {matrix.shape}")
+        if matrix.shape[1] < 1:
+            raise DimensionError(
+                f"dimension must be >= 1, got {matrix.shape[1]}")
         seen = set()
-        matrix = np.zeros((len(records), self.dim), dtype=np.float32)
-        for i, rec in enumerate(records):
-            if rec.vector.size != self.dim:
-                raise DimensionError(
-                    f"record {rec.key} has dimension {rec.vector.size}, "
-                    f"collection {self.name!r} expects {self.dim}")
+        for rec in records:
             if rec.key in seen:
                 raise DuplicateRecordError(
                     f"duplicate record {rec.key} in collection {self.name!r}")
             seen.add(rec.key)
-            matrix[i] = rec.vector
         # One pass over all vectors; the offending record is located only
         # on failure.
         finite = np.isfinite(matrix)
@@ -200,7 +176,12 @@ class Collection:
                 f"record {records[row].key} in collection {self.name!r}: "
                 f"vector component {component} is {matrix[row, component]}")
         matrix.flags.writeable = False
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def count(self) -> int:
@@ -218,7 +199,7 @@ class Collection:
         norms = np.empty(self.count)
         for rows in _row_blocks(self.count):
             norms[rows] = np.linalg.norm(
-                self._matrix[rows].astype(np.float64), axis=1)
+                self.matrix[rows].astype(np.float64), axis=1)
         nonzero = norms > 0.0
         rows, norms = np.flatnonzero(nonzero), norms[nonzero]
         rows.flags.writeable = norms.flags.writeable = False
@@ -227,8 +208,10 @@ class Collection:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Collection):
             return NotImplemented
-        return (self.name == other.name and self.dim == other.dim
-                and self.records == other.records)
+        # Vectors compare bit for bit, so 0.0 and -0.0 differ.
+        return (self.name == other.name and self.records == other.records
+                and np.array_equal(self.matrix.view(np.uint32),
+                                   other.matrix.view(np.uint32)))
 
 
 # Rows per re-scored block: a multiple of 16 (see the module docstring).
@@ -270,7 +253,7 @@ def _screen(coll: Collection, queries: np.ndarray) -> np.ndarray:
     rows, norms = coll._scan
     # Rows x queries: the product reads the stored matrix as it lies.
     with np.errstate(over="ignore", invalid="ignore"):
-        return ((coll._matrix @ queries.T.astype(np.float32))[rows]
+        return ((coll.matrix @ queries.T.astype(np.float32))[rows]
                 / norms[:, None])
 
 
@@ -299,7 +282,7 @@ def _similarities(coll: Collection, queries: np.ndarray, k: int,
     for b in np.flatnonzero(needed.any(axis=1)):
         block = blocks[b]
         ids = rows[block]
-        matrix = coll._matrix[ids].astype(np.float64)
+        matrix = coll.matrix[ids].astype(np.float64)
         for j in np.flatnonzero(needed[b]):
             sims[j, ids] = (matrix @ queries[j]) / norms[block]
     return sims
@@ -406,7 +389,7 @@ def index_corpus(documents, backend: EmbeddingBackend,
         yields an empty mapping. Total record count always equals the
         sum of per-document segment counts.
     """
-    buckets: dict[str, list[VectorRecord]] = {}
+    buckets: dict[str, tuple[list[VectorRecord], list[np.ndarray]]] = {}
     for doc in documents:
         if not isinstance(doc, CorpusDocument):
             raise TypeError(f"expected CorpusDocument, got {type(doc).__name__}")
@@ -414,16 +397,13 @@ def index_corpus(documents, backend: EmbeddingBackend,
         chunks = segment_text(doc.text, segment_length, overlap,
                               publication_id=doc.publication_id,
                               keywords=doc.keywords)
-        vectors = backend.embed_many([c.text for c in chunks])
-        bucket = buckets.setdefault(target, [])
-        for chunk, vec in zip(chunks, vectors):
-            bucket.append(VectorRecord(publication_id=chunk.publication_id,
-                                       segment_index=chunk.segment_index,
-                                       text=chunk.text,
-                                       topic_keywords=chunk.topic_keywords,
-                                       vector=vec))
-    return {name: Collection(name=name, dim=backend.dim, records=tuple(recs))
-            for name, recs in sorted(buckets.items())}
+        records, blocks = buckets.setdefault(target, ([], []))
+        records.extend(VectorRecord(chunk.publication_id, chunk.segment_index,
+                                    chunk.text, chunk.topic_keywords)
+                       for chunk in chunks)
+        blocks.append(backend.embed_many([chunk.text for chunk in chunks]))
+    return {name: Collection(name, tuple(records), np.concatenate(blocks))
+            for name, (records, blocks) in sorted(buckets.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +426,8 @@ def save_collection(collection: Collection, directory: str | Path) -> Path:
                          f"usable file name")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # The vectors come from the matrix checked when the collection was
-    # built, not from the records, whose arrays a caller may still share.
     payload = b"".join(_record_bytes(rec, vector) for rec, vector
-                       in zip(collection.records, collection._matrix))
+                       in zip(collection.records, collection.matrix))
     header = MAGIC + struct.pack("<IQI", collection.dim, collection.count,
                                  zlib.crc32(payload))
     path = directory / f"{collection.name}{STORE_SUFFIX}"
@@ -482,17 +460,21 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
     if data[:8] != MAGIC:
         raise IntegrityError(f"{path}: bad magic {data[:8]!r}", offset=0)
     dim, count, checksum = struct.unpack_from("<IQI", data, 8)
-    payload = data[24:]
-    if zlib.crc32(payload) != checksum:
+    # A memoryview slice checksums the payload without copying it.
+    if zlib.crc32(memoryview(data)[24:]) != checksum:
         raise IntegrityError(f"{path}: checksum mismatch", offset=20)
     if expected_dim is not None and dim != expected_dim:
         raise DimensionError(
             f"{path}: store dimension {dim}, session expects {expected_dim}")
+    # Each record takes at least 4 + 4 * dim bytes, so a count the file
+    # cannot hold runs out of bytes, and raises, before it runs out of rows.
+    matrix = np.empty((min(count, (len(data) - 24) // (4 + 4 * dim)), dim),
+                      dtype=np.float32)
     records = []
     vector_offsets = []
     where = f"{path}: record metadata"
     pos = 24
-    for _ in range(count):
+    for row in range(count):
         if pos + 4 > len(data):
             raise IntegrityError(f"{path}: truncated record header", offset=pos)
         (meta_len,) = struct.unpack_from("<I", data, pos)
@@ -508,24 +490,23 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
         check_fields(meta, _METADATA, where,
                      lambda message, at=pos: IntegrityError(message, offset=at))
         vector_offsets.append(pos + meta_len)
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=pos + meta_len)
-        records.append(VectorRecord(publication_id=meta["publication_id"],
-                                    segment_index=meta["segment_index"],
-                                    text=meta["text"],
-                                    topic_keywords=tuple(meta["topic_keywords"]),
-                                    vector=vec))
+        matrix[row] = np.frombuffer(data, dtype="<f4", count=dim,
+                                    offset=pos + meta_len)
+        records.append(VectorRecord(meta["publication_id"],
+                                    meta["segment_index"], meta["text"],
+                                    tuple(meta["topic_keywords"])))
         pos = end
     if pos != len(data):
         raise IntegrityError(f"{path}: {len(data) - pos} trailing bytes",
                              offset=pos)
+    del data  # every vector is in the matrix now
     try:
-        return Collection(name=path.stem, dim=int(dim), records=tuple(records))
+        return Collection(path.stem, tuple(records), matrix)
     except NonFiniteVectorError as exc:
-        vectors = np.stack([rec.vector for rec in records])
-        row, component = np.argwhere(~np.isfinite(vectors))[0]
+        row, component = np.argwhere(~np.isfinite(matrix))[0]
         raise IntegrityError(
             f"{path}: record vector component {component} is "
-            f"{vectors[row, component]}", offset=vector_offsets[row]) from exc
+            f"{matrix[row, component]}", offset=vector_offsets[row]) from exc
 
 
 def load_collections(directory: str | Path,

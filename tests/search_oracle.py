@@ -53,7 +53,7 @@ def _as_query(query, dim: int) -> np.ndarray:
 def _scan_matrix(coll):
     """(row indices, float64 rows, row norms) of the nonzero records, as
     the collection cached them before the float32 screen."""
-    matrix = coll._matrix.astype(np.float64)
+    matrix = coll.matrix.astype(np.float64)
     norms = np.linalg.norm(matrix, axis=1)
     nonzero = norms > 0.0
     if not nonzero.all():
@@ -95,11 +95,20 @@ def search_full_scan(collections, query, k, threshold):
     return tuple(hits[:k])
 
 
+def collection(name, dim, entries):
+    """A Collection of (record, vector) pairs: the records in order, and
+    their vectors as the rows of one (len(entries), dim) matrix."""
+    entries = tuple(entries)
+    matrix = np.empty((len(entries), dim), dtype=np.float32)
+    for row, (_, vector) in zip(matrix, entries):
+        row[:] = np.ravel(vector)
+    return Collection(name, tuple(record for record, _ in entries), matrix)
+
+
 def _collection(name, vectors):
-    return Collection(name=name, dim=vectors.shape[1], records=tuple(
-        VectorRecord(publication_id=f"PUB{i:05d}", segment_index=i % 5,
-                     text=f"{name}/{i}", topic_keywords=("kw",),
-                     vector=v)
+    return collection(name, vectors.shape[1], (
+        (VectorRecord(publication_id=f"PUB{i:05d}", segment_index=i % 5,
+                      text=f"{name}/{i}", topic_keywords=("kw",)), v)
         for i, v in enumerate(vectors)))
 
 

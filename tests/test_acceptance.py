@@ -34,12 +34,12 @@ from adam.ensemble import GBDTParams, accuracy, fit_gbdt, model_to_dict
 from adam.stats import _approx_mwu_p, _u_arrangement_counts, cohens_d, \
     levene_test, mann_whitney_u, variance_f_test
 from adam.vectorstore import (
-    Collection,
     VectorRecord,
     load_collections,
     save_collections,
     search,
 )
+from search_oracle import collection
 
 
 def criterion(number, label, limit=None):
@@ -186,21 +186,20 @@ def test_criterion_4_retrieval(tmp_path):
         for i in range(count):
             vec = rng.standard_normal(dim)
             vec /= np.linalg.norm(vec)
-            records.append(VectorRecord(
+            records.append((VectorRecord(
                 publication_id=f"PUB{offset + i:05d}",
                 segment_index=1 + (i % 4),
                 text=f"segment {i} of {name}",
-                topic_keywords=("k",),
-                vector=vec.astype(np.float32)))
-        return Collection(name=name, dim=dim, records=tuple(records))
+                topic_keywords=("k",)), vec.astype(np.float32)))
+        return collection(name, dim, records)
 
     collections = (build("alpha", 6000, 0), build("beta", 4000, 6000))
 
     scored = []  # (key tuple, float32-exact vector) per record
     for coll in collections:
-        for rec in coll.records:
+        for rec, vector in zip(coll.records, coll.matrix):
             scored.append((rec.publication_id, rec.segment_index, coll.name,
-                           rec.vector.astype(np.float64)))
+                           vector.astype(np.float64)))
 
     def oracle(query, k, threshold):
         eligible = []

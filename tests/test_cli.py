@@ -159,6 +159,53 @@ def test_index_store_bytes_unchanged(tmp_path, corpus_path, dim):
     assert got == PER_TEXT_STORE_SHA256[dim]
 
 
+def _files(directory):
+    """Every file under directory, by relative path, with its bytes."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("setup", ["missing", "empty", "no-advec-file"])
+def test_index_without_corpus_rejects_a_store_with_no_collections(
+        tmp_path, capsys, setup):
+    store = tmp_path / "store"
+    if setup != "missing":
+        store.mkdir()
+    if setup == "no-advec-file":
+        (store / "notes.txt").write_text("kept\n", encoding="utf-8")
+    before = _files(tmp_path)
+    assert main(["index", "--store", str(store)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {store}: no collections found\n"
+    assert "verified" not in captured.out
+    assert _files(tmp_path) == before
+    assert store.exists() == (setup != "missing")
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+def test_index_refuses_to_leave_a_stale_collection(tmp_path, capsys,
+                                                    corpus_path, verify):
+    store = tmp_path / "store"
+    assert main(["index", "--corpus", str(corpus_path), "--store", str(store),
+                 "--embedding-dim", EMBED_DIM]) == 0
+    assert sorted(p.name for p in store.glob("*.advec")) == \
+        ["alzheimers.advec", "microbiome.advec"]
+    # A second corpus that routes only to alzheimers.
+    first = corpus_path.read_text(encoding="utf-8").splitlines()[0]
+    assert json.loads(first)["keywords"] == ["alzheimer", "diversity"]
+    smaller = tmp_path / "smaller.jsonl"
+    smaller.write_text(first + "\n", encoding="utf-8")
+    before = _files(store)
+    capsys.readouterr()
+    argv = ["index", "--corpus", str(smaller), "--store", str(store),
+            "--embedding-dim", EMBED_DIM] + (["--verify"] if verify else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store / 'microbiome.advec'}: ")
+    assert "'microbiome'" in err and err.count("\n") == 1
+    assert _files(store) == before
+
+
 def test_index_rejects_unencodable_corpus_text(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"publication_id": "P1", "text": "ab\\ud800cd"}\n',

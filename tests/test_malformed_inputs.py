@@ -36,6 +36,7 @@ from adam.dataset import parse_samples
 from adam.embedding import RemoteEmbedder
 from adam.errors import AdamError
 from adam.vectorstore import Collection, VectorRecord, load_collection, save_collection
+from search_oracle import collection
 
 
 @dataclass(frozen=True)
@@ -249,11 +250,10 @@ METADATA_KEYS = ("publication_id", "segment_index", "text", "topic_keywords")
 
 
 def _store_collection() -> Collection:
-    records = tuple(
-        VectorRecord(publication_id=f"P{i}", segment_index=1, text=f"text {i}",
-                     topic_keywords=("gut",), vector=np.full(4, i + 1.0))
-        for i in range(3))
-    return Collection(name="col", dim=4, records=records)
+    return collection("col", 4, (
+        (VectorRecord(publication_id=f"P{i}", segment_index=1, text=f"text {i}",
+                      topic_keywords=("gut",)), np.full(4, i + 1.0))
+        for i in range(3)))
 
 
 def _store_case(change_meta=None, raw=None):

@@ -35,20 +35,22 @@ from adam.vectorstore import (
     search,
     search_many,
 )
+from search_oracle import collection
 
 
 def _record(pub, seg, vec, text=None, keywords=("kw",)):
-    return VectorRecord(publication_id=pub, segment_index=seg,
-                        text=text if text is not None else f"{pub}/{seg}",
-                        topic_keywords=keywords,
-                        vector=np.asarray(vec, dtype=np.float32))
+    """A (record, vector) pair for ``collection``."""
+    return (VectorRecord(publication_id=pub, segment_index=seg,
+                         text=text if text is not None else f"{pub}/{seg}",
+                         topic_keywords=keywords),
+            np.asarray(vec, dtype=np.float32))
 
 
 def _random_collection(seed, n, dim, name="col"):
     rng = np.random.default_rng(seed)
     recs = [_record(f"PUB{i:05d}", i % 7, rng.normal(size=dim))
             for i in range(n)]
-    return Collection(name=name, dim=dim, records=tuple(recs))
+    return collection(name, dim, recs)
 
 
 def _linear_scan(collections, query, k, threshold):
@@ -58,8 +60,8 @@ def _linear_scan(collections, query, k, threshold):
     q = q / math.sqrt(math.fsum(float(x) * float(x) for x in q))
     out = []
     for coll in collections:
-        for rec in coll.records:
-            v = rec.vector.astype(np.float64)
+        for rec, vector in zip(coll.records, coll.matrix):
+            v = vector.astype(np.float64)
             norm = math.sqrt(math.fsum(float(x) * float(x) for x in v))
             if norm == 0:
                 continue
@@ -113,9 +115,9 @@ def test_search_threshold_and_k_monotonicity():
 
 def test_search_tie_ordering():
     v = np.array([1.0, 0.0, 0.0], dtype=np.float32)
-    coll_b = Collection(name="b", dim=3, records=(
+    coll_b = collection("b", 3, (
         _record("PUBB", 0, v), _record("PUBA", 1, v)))
-    coll_a = Collection(name="a", dim=3, records=(
+    coll_a = collection("a", 3, (
         _record("PUBA", 2, v), _record("PUBA", 0, 2 * v)))
     hits = search((coll_b, coll_a), np.array([1.0, 0, 0]), k=10, threshold=0.5)
     keys = [(h.publication_id, h.segment_index, h.collection) for h in hits]
@@ -163,12 +165,14 @@ def test_search_rejects_k_that_is_not_an_integer(k):
 def test_collection_guards():
     v = np.ones(4, dtype=np.float32)
     with pytest.raises(DuplicateRecordError):
-        Collection(name="x", dim=4,
-                   records=(_record("P", 0, v), _record("P", 0, 2 * v)))
+        collection("x", 4, (_record("P", 0, v), _record("P", 0, 2 * v)))
+    record, _ = _record("P", 0, v)
     with pytest.raises(DimensionError):
-        Collection(name="x", dim=4, records=(_record("P", 0, np.ones(3)),))
+        Collection("x", (record,), np.ones((2, 4)))  # two vectors, one record
     with pytest.raises(DimensionError):
-        Collection(name="x", dim=0, records=())
+        Collection("x", (record,), v)  # not a (records x dim) matrix
+    with pytest.raises(DimensionError):
+        Collection("x", (), np.zeros((0, 0)))
 
 
 def test_routing_first_match_wins():
@@ -198,7 +202,7 @@ def test_index_corpus_segment_counts(corpus_path):
     rec = colls["alzheimers"].records[0]
     assert rec.publication_id == "PUB0001"
     assert rec.segment_index == 1
-    assert abs(float(np.linalg.norm(rec.vector)) - 1.0) < 1e-6
+    assert abs(float(np.linalg.norm(colls["alzheimers"].matrix[0])) - 1.0) < 1e-6
     with pytest.raises(TypeError):
         index_corpus([{"publication_id": "X"}], backend)
     assert index_corpus([], backend) == {}
@@ -230,8 +234,7 @@ def test_load_expected_dim_guard(tmp_path):
 
 
 def test_save_name_guard(tmp_path):
-    coll = Collection(name="bad/name", dim=2,
-                      records=(_record("P", 0, np.ones(2)),))
+    coll = collection("bad/name", 2, (_record("P", 0, np.ones(2)),))
     with pytest.raises(ValueError):
         save_collection(coll, tmp_path)
 
@@ -407,51 +410,66 @@ def _with_bad_record(value):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_collection_rejects_non_finite_vector(tmp_path, value):
     with pytest.raises(NonFiniteVectorError) as err:
-        Collection(name="col", dim=3, records=_with_bad_record(value))
+        collection("col", 3, _with_bad_record(value))
     assert isinstance(err.value, AdamError)
     assert str(err.value) == (f"record ('PUB2', 4) in collection 'col': "
                               f"vector component 1 is {np.float32(value)}")
     # save_collection can only be handed a collection that was built, so
     # no file is written
     with pytest.raises(NonFiniteVectorError):
-        save_collection(Collection(name="col", dim=3,
-                                   records=_with_bad_record(value)), tmp_path)
+        save_collection(collection("col", 3, _with_bad_record(value)),
+                        tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_save_writes_the_vectors_the_collection_checked(tmp_path, value):
     # The caller changes its array after the collection is built.
-    vector = np.array([0.5, 0.5, 0.5], dtype=np.float32)
+    matrix = np.array([[0.5, 0.5, 0.5]], dtype=np.float32)
     rec = VectorRecord(publication_id="PUB1", segment_index=0, text="t",
-                       topic_keywords=("kw",), vector=vector)
-    coll = Collection(name="col", dim=3, records=(rec,))
-    vector[1] = value
+                       topic_keywords=("kw",))
+    coll = Collection("col", (rec,), matrix)
+    matrix[0, 1] = value
     loaded = load_collection(save_collection(coll, tmp_path))
-    assert loaded.records[0].vector.tolist() == [0.5, 0.5, 0.5]
+    assert loaded.matrix[0].tolist() == [0.5, 0.5, 0.5]
     hits = search(coll, [0.0, 1.0, 0.0], k=1, threshold=-1.0)
     assert [h.similarity for h in hits] == [pytest.approx(3 ** -0.5)]
 
 
 def test_record_is_not_changed_through_the_callers_array(tmp_path):
-    vector = np.ones(4, dtype=np.float32)
-    view = vector[:]
+    matrix = np.ones((2, 4), dtype=np.float32)
+    view = matrix[:]
     view.flags.writeable = False
-    records = [_record("PUB1", 0, vector), _record("PUB2", 0, view)]
-    twins = [_record("PUB1", 0, np.ones(4)), _record("PUB2", 0, np.ones(4))]
-    coll = Collection(name="col", dim=4, records=tuple(records))
+    twins = collection("col", 4, [_record("PUB1", 0, np.ones(4)),
+                                  _record("PUB2", 0, np.ones(4))])
+    colls = [Collection("col", twins.records, matrix),
+             Collection("col", twins.records, view)]
     query = [0.0, 1.0, 0.0, 0.0]
-    before = search(coll, query, k=2, threshold=-1.0)
-    vector[1] = np.nan
-    assert [r.vector.tolist() for r in records] == [[1.0] * 4] * 2
-    assert records == twins
-    assert coll == Collection(name="col", dim=4, records=tuple(twins))
-    assert search(coll, query, k=2, threshold=-1.0) == before
-    loaded = load_collection(save_collection(coll, tmp_path))
-    assert loaded == coll
-    # A loaded record views the bytes read from the file, which nothing
-    # can change, so it is not copied.
-    assert not loaded.records[0].vector.flags.owndata
+    before = search(colls[0], query, k=2, threshold=-1.0)
+    matrix[1, 1] = np.nan
+    for coll in colls:
+        assert coll.matrix.tolist() == [[1.0] * 4] * 2
+        assert not coll.matrix.flags.writeable
+        assert coll == twins
+        assert search(coll, query, k=2, threshold=-1.0) == before
+    loaded = load_collection(save_collection(colls[0], tmp_path))
+    assert loaded == colls[0]
+    # The loaded vectors live only in the collection's own matrix.
+    assert loaded.matrix.flags.owndata
+    assert not any(isinstance(field, np.ndarray)
+                   for rec in loaded.records for field in rec)
+
+
+def test_collection_equality_compares_every_bit():
+    coll = _random_collection(10, 5, 6)
+    bits = coll.matrix.view(np.uint32).copy()
+    bits[2, 3] ^= 1
+    flipped = Collection(coll.name, coll.records, bits.view(np.float32))
+    assert flipped != coll and coll != flipped
+    assert Collection(coll.name, coll.records, coll.matrix) == coll
+    record, _ = _record("PUB1", 0, np.zeros(2))
+    zero = Collection("z", (record,), np.zeros((1, 2)))
+    assert zero != Collection("z", (record,), -np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -480,10 +498,10 @@ def test_metadata_rewrite_keeps_a_valid_file(tmp_path):
     assert load_collection(same).records == coll.records
 
 def test_record_metadata_survives_round_trip(tmp_path):
-    rec = _record("PUBé", 3, np.array([0.5, -1.5], dtype=np.float32),
+    rec, vector = _record("PUBé", 3, np.array([0.5, -1.5], dtype=np.float32),
                   text="café text with \"quotes\" and ✓",
                   keywords=("k one", "k two"))
-    coll = Collection(name="meta", dim=2, records=(rec,))
+    coll = collection("meta", 2, ((rec, vector),))
     path = save_collection(coll, tmp_path)
     loaded = load_collection(path)
     assert loaded.records[0] == rec
@@ -534,7 +552,7 @@ def _search_full_scan(collections, query, k, threshold):
             continue
         q = np.asarray(query, dtype=np.float64).ravel()
         q = q / float(np.linalg.norm(q))
-        matrix = coll._matrix.astype(np.float64)
+        matrix = coll.matrix.astype(np.float64)
         norms = np.linalg.norm(matrix, axis=1)
         sims = np.zeros(coll.count)
         nonzero = norms > 0.0
@@ -553,12 +571,12 @@ def _search_full_scan(collections, query, k, threshold):
 
 def test_cached_top_k_equals_full_scan():
     e = np.eye(4, dtype=np.float32)
-    ties = Collection(name="t", dim=4, records=(
+    ties = collection("t", 4, (
         _record("PUBC", 0, e[0]), _record("PUBB", 0, e[0] + e[1]),
         _record("PUBA", 3, e[0]), _record("PUBA", 1, 3 * e[0]),
         _record("PUBZ", 0, np.zeros(4)), _record("PUBY", 0, e[2]),
         _record("PUBD", 0, e[0] + e[1])))
-    other = Collection(name="s", dim=4, records=(
+    other = collection("s", 4, (
         _record("PUBA", 2, e[0]), _record("PUBB", 0, e[0] + e[1]),
         _record("PUBX", 0, -e[0])))
     cases = [
@@ -584,7 +602,7 @@ def test_cached_top_k_equals_full_scan():
         recs = [_record(f"PUB{i:03d}", i % 3,
                         backend.embed(" ".join(rng.choice(words, 12))))
                 for i in range(120)]
-        colls.append(Collection(name=name, dim=256, records=tuple(recs)))
+        colls.append(collection(name, 256, recs))
     for _ in range(40):
         q = backend.embed(" ".join(rng.choice(words, 6)))
         k = int(rng.integers(1, 30))
