@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..attribution import Attribution, expected_margin, explain_rows
+from ..attribution import Attribution, explain_rows
 from ..dataset import Sample
 from ..diversity import DiversityProfile, diversity_profiles
 from ..ensemble.gbdt import GBDTModel
@@ -45,9 +45,6 @@ class DeployedModel:
         missing = [n for n in self.feature_names if n not in self.medians]
         if missing:
             raise AlignmentError(f"no imputation median for: {missing[:5]}")
-
-    def base_value(self) -> float:
-        return expected_margin(self.model)
 
 
 class ComputationalOutput(NamedTuple):
@@ -82,12 +79,6 @@ def feature_matrix(samples, clinical_names, taxon_names,
     X = values[:, [column[n] for n in deployed.feature_names]]
     medians = np.array([deployed.medians[n] for n in deployed.feature_names], dtype=float)
     return np.where(np.isnan(X), medians, X)
-
-
-def feature_vector(sample: Sample, clinical_names, taxon_names,
-                   deployed: DeployedModel) -> np.ndarray:
-    """Model input of one sample: the one-row case of ``feature_matrix``."""
-    return feature_matrix([sample], clinical_names, taxon_names, deployed)[0]
 
 
 def run_computational_many(samples, clinical_names, taxon_names,

@@ -36,7 +36,7 @@ from .report import (
     build_sections,
     format_probability,
 )
-from .steps import CLASSIFICATION_PROGRAM, SUMMARIZATION_PROGRAM, CoTProgram
+from .steps import PROGRAMS
 
 STEP_CONTEXT_CHARS = 500
 HIT_EXCERPT_CHARS = 400
@@ -152,7 +152,7 @@ def _hit_line(hit) -> str:
     )
 
 
-def _build_prompt(stage, program, output, history, steps, step_hits,
+def _build_prompt(stage, output, history, steps, step_hits,
                   summary, fallback_threshold):
     lines = ["# Computational output", _computational_block(output), ""]
     lines.append("# Patient history")
@@ -206,12 +206,10 @@ def _drop_weakest_hit(step_hits) -> bool:
     return True
 
 
-def _run_stage(ctx, searcher, backend, stage, program, budget, model,
+def _run_stage(ctx, searcher, backend, stage, budget, model,
                fallback_threshold=None, summary=None):
-    if program.role != stage:
-        raise ValueError(f"program role {program.role!r} does not match {stage!r}")
     digest = _context_digest(ctx.computational)
-    steps = tuple(program.steps())
+    steps = tuple((index, *step) for index, step in enumerate(PROGRAMS[stage], 1))
     queries = [_step_query(title, instruction, digest)
                for _, title, instruction in steps]
     if searcher is not None:
@@ -224,7 +222,7 @@ def _run_stage(ctx, searcher, backend, stage, program, budget, model,
     dropped_hits = 0
 
     def assemble():
-        return _build_prompt(stage, program, ctx.computational, history,
+        return _build_prompt(stage, ctx.computational, history,
                              steps, step_hits, summary, fallback_threshold)
 
     prompt = assemble()
@@ -272,11 +270,9 @@ def _run_stage(ctx, searcher, backend, stage, program, budget, model,
 
 def run_summarization(ctx: AgentContext, searcher, llm: LLMBackend, *,
                       budget: int = SUMMARIZATION_TOKEN_BUDGET,
-                      model: str = DEFAULT_SUMMARIZATION_MODEL,
-                      program: CoTProgram = SUMMARIZATION_PROGRAM) -> str:
+                      model: str = DEFAULT_SUMMARIZATION_MODEL) -> str:
     """Run the summarization stage; stores the summary on the context."""
-    response, _ = _run_stage(ctx, searcher, llm, "summarization", program,
-                             budget, model)
+    response, _ = _run_stage(ctx, searcher, llm, "summarization", budget, model)
     ctx.summary = response
     return response
 
@@ -285,14 +281,13 @@ def run_classification(ctx: AgentContext, searcher, llm: LLMBackend, *,
                        budget: int = CLASSIFICATION_TOKEN_BUDGET,
                        fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD,
                        model: str = DEFAULT_CLASSIFICATION_MODEL,
-                       program: CoTProgram = CLASSIFICATION_PROGRAM,
                        ) -> ClassificationReport:
     """Run the classification stage and assemble the final report."""
     if ctx.summary is None:
         raise AgentError("classification requires a summary; run the "
                          "summarization stage first")
     response, transcript = _run_stage(
-        ctx, searcher, llm, "classification", program, budget, model,
+        ctx, searcher, llm, "classification", budget, model,
         fallback_threshold=fallback_threshold, summary=ctx.summary,
     )
     verdict = parse_verdict(response)

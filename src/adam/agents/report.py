@@ -105,16 +105,6 @@ def build_sections(output: ComputationalOutput) -> tuple[tuple[str, str], ...]:
     return tuple(zip(SECTION_TITLES, bodies))
 
 
-def build_report(output: ComputationalOutput, verdict: str, summary: str,
-                 step_transcripts=()) -> ClassificationReport:
-    return ClassificationReport(sample_id=output.sample_id,
-                                verdict=verdict,
-                                probability=output.probability,
-                                sections=build_sections(output),
-                                summary=summary,
-                                step_transcripts=tuple(step_transcripts))
-
-
 def render_report(report: ClassificationReport) -> str:
     """Plain-text document; the first line is the parseable headline."""
     lines = [f"Prediction: {report.verdict} - Alzheimer's disease "

@@ -6,10 +6,6 @@ The short instruction under each title tells the language model what
 the step must cover.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 SUMMARIZATION_TITLES = (
     "Patient Overview",
     "Key Clinical Markers",
@@ -55,29 +51,8 @@ CLASSIFICATION_INSTRUCTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class CoTProgram:
-    """An ordered, fixed-size reasoning program for one agent role."""
-
-    role: str
-    titles: tuple[str, ...]
-    instructions: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.role not in ("summarization", "classification"):
-            raise ValueError(f"unknown program role {self.role!r}")
-        if len(self.titles) != 8:
-            raise ValueError(f"a program has exactly 8 steps, got {len(self.titles)}")
-        if len(self.instructions) != len(self.titles):
-            raise ValueError("every step needs exactly one instruction")
-
-    def steps(self) -> tuple[tuple[int, str, str], ...]:
-        """(1-based step number, title, instruction) triples."""
-        return tuple((i + 1, t, s)
-                     for i, (t, s) in enumerate(zip(self.titles, self.instructions)))
-
-
-SUMMARIZATION_PROGRAM = CoTProgram("summarization", SUMMARIZATION_TITLES,
-                                   SUMMARIZATION_INSTRUCTIONS)
-CLASSIFICATION_PROGRAM = CoTProgram("classification", CLASSIFICATION_TITLES,
-                                    CLASSIFICATION_INSTRUCTIONS)
+# stage -> its (title, instruction) steps, in order
+PROGRAMS = {
+    "summarization": tuple(zip(SUMMARIZATION_TITLES, SUMMARIZATION_INSTRUCTIONS)),
+    "classification": tuple(zip(CLASSIFICATION_TITLES, CLASSIFICATION_INSTRUCTIONS)),
+}

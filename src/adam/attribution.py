@@ -309,10 +309,3 @@ def explain_rows(model: GBDTModel, X, feature_names) -> list[Attribution]:
                         margin=float(margin),
                         probability=float(probability))
             for row, margin, probability in zip(phi, margins, probabilities)]
-
-
-def explain(model: GBDTModel, x, feature_names) -> Attribution:
-    """Full attribution record for one sample: the one-row case of
-    ``explain_rows``."""
-    return explain_rows(model, np.asarray(x, dtype=float).reshape(1, -1),
-                        feature_names)[0]

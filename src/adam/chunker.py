@@ -162,4 +162,6 @@ def read_corpus(path: str | Path) -> list[CorpusDocument]:
         seen.add(pub)
         docs.append(CorpusDocument(pub, obj["title"], obj["text"],
                                    tuple(obj["keywords"])))
+    if not docs:
+        raise FormatError(f"{path}: no documents found")
     return docs

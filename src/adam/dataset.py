@@ -87,12 +87,6 @@ class SampleSet:
         return SampleSet(self.clinical_names, self.taxon_names,
                          tuple(s for s in self.samples if s.study_id in wanted))
 
-    def get(self, sample_id: str) -> Sample:
-        for s in self.samples:
-            if s.sample_id == sample_id:
-                return s
-        raise KeyError(f"unknown sample id: {sample_id}")
-
     def prior_visits(self, sample: Sample) -> tuple[Sample, ...]:
         """Earlier visits of the same study, in ascending visit order."""
         hist = [s for s in self.samples

@@ -237,12 +237,3 @@ def diversity_profiles(samples, reference_rows, names=None,
                              beta_to_reference={m: float(beta[m][i])
                                                 for m in BETA_METRICS})
             for i in range(samples.shape[0])]
-
-
-def diversity_profile(sample, reference_rows) -> DiversityProfile:
-    """Profile one sample (a 1-d abundance vector) against a set of
-    reference communities: the one-row case of ``diversity_profiles``."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.ndim != 1:
-        raise ValueError(f"expected a 1-d abundance vector, got shape {sample.shape}")
-    return diversity_profiles(sample[None, :], reference_rows)[0]

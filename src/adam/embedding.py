@@ -1,4 +1,4 @@
-"""Text-to-vector backends and keyword-vector aggregation.
+"""Text-to-vector backends.
 
 Two backends share one contract (fixed dimension, unit-normalized
 output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
@@ -21,10 +21,6 @@ output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
   endpoint, one request per ``embed_many`` call, retried through
   ``http_retry.post_with_backoff``. The credential comes from the
   ADAM_EMBED_API_KEY environment variable unless given explicitly.
-
-``embed_keywords`` builds a publication-level vector as the
-weight-normalized sum of its keyword vectors; weights default to
-uniform when callers pass bare strings.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from .errors import (
     EmptyInputError,
     FormatError,
     SizeGuardError,
-    WeightError,
     check_fields,
 )
 from .http_retry import MAX_ATTEMPTS, post_with_backoff
@@ -302,35 +297,3 @@ class RemoteEmbedder(EmbeddingBackend):
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float32)
         return _normalize_rows(self._request(texts), self.dim)
-
-
-def embed_keywords(backend: EmbeddingBackend, keywords) -> np.ndarray:
-    """Aggregate keyword vectors into one unit-normalized vector.
-
-    :param keywords: strings (uniform weights) or (keyword, weight)
-        pairs; weights must be finite, nonnegative, not all zero.
-    """
-    items: list[tuple[str, float]] = []
-    for entry in keywords:
-        if isinstance(entry, str):
-            items.append((entry, 1.0))
-        else:
-            word, weight = entry
-            items.append((str(word), float(weight)))
-    if not items:
-        raise EmptyInputError("need at least one keyword")
-    for word, weight in items:
-        if not np.isfinite(weight):
-            raise WeightError(f"keyword {word!r} has non-finite weight {weight!r}")
-        if weight < 0.0:
-            raise WeightError(f"keyword {word!r} has negative weight {weight!r}")
-    if not any(weight > 0.0 for _, weight in items):
-        raise WeightError("all keyword weights are zero")
-    vectors = backend.embed_many([word for word, _ in items])
-    acc = np.zeros(backend.dim, dtype=np.float64)
-    for i, (_, weight) in enumerate(items):
-        acc += weight * vectors[i].astype(np.float64)
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        raise WeightError("keyword vectors cancel to the zero vector")
-    return (acc / norm).astype(np.float32)

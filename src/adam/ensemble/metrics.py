@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import EmptyInputError
+from ..stats import midranks
 
 
 class BinaryMetrics(NamedTuple):
@@ -62,16 +63,7 @@ def auc_score(y_true, scores) -> float | None:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(y.size, dtype=float)
-    sv = s[order]
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks, _ = midranks(s)
     rank_sum_pos = ranks[y == 1].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -61,10 +61,6 @@ class WindowError(AdamError):
     """Segmentation window parameters violate 0 <= overlap < segment length."""
 
 
-class WeightError(AdamError):
-    """Aggregation weights are all zero or otherwise unusable."""
-
-
 class BackendError(AdamError):
     """A remote backend failed after the configured retries."""
 

@@ -258,19 +258,14 @@ def _two_groups(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def levene_test(a, b, center: str = "mean") -> tuple[float, float]:
-    """Levene's test for equality of variances of two groups.
+def levene_test(a, b) -> tuple[float, float]:
+    """Levene's test (mean-centred) for equality of variances of two groups.
 
-    :param center: "mean" for the classic Levene statistic or "median"
-        for the Brown-Forsythe variant.
     :returns: (W, p) with W ~ F(1, N - 2) under the null.
     """
     a, b = _two_groups(a, b)
-    if center not in ("mean", "median"):
-        raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
-    locate = np.mean if center == "mean" else np.median
-    za = np.abs(a - locate(a))
-    zb = np.abs(b - locate(b))
+    za = np.abs(a - a.mean())
+    zb = np.abs(b - b.mean())
     n_total = a.size + b.size
     grand = (za.sum() + zb.sum()) / n_total
     between = a.size * (za.mean() - grand) ** 2 + b.size * (zb.mean() - grand) ** 2

@@ -362,24 +362,22 @@ def search(collections, query, k: int = DEFAULT_TOP_K,
     return search_many(collections, [query], k=k, threshold=threshold)[0]
 
 
-def route_document(keywords, routing=None, default: str = DEFAULT_COLLECTION) -> str:
+def route_document(keywords) -> str:
     """Collection name for a document, by topic-keyword substring match.
 
-    Routing maps collection name -> lowercase tokens; the first
-    collection (in mapping order) whose token appears in any document
-    keyword wins, else the default.
+    ``DEFAULT_ROUTING`` maps collection name -> lowercase tokens; the
+    first collection (in mapping order) whose token appears in any
+    document keyword wins, else ``DEFAULT_COLLECTION``.
     """
-    routing = routing if routing is not None else DEFAULT_ROUTING
     lowered = [str(k).lower() for k in keywords]
-    for name, tokens in routing.items():
+    for name, tokens in DEFAULT_ROUTING.items():
         for token in tokens:
             if any(token in kw for kw in lowered):
                 return name
-    return default
+    return DEFAULT_COLLECTION
 
 
 def index_corpus(documents, backend: EmbeddingBackend,
-                 routing=None, default: str = DEFAULT_COLLECTION,
                  segment_length: int = DEFAULT_SEGMENT_LENGTH,
                  overlap: int = DEFAULT_OVERLAP) -> dict[str, Collection]:
     """Chunk, embed, and route every document into collections.
@@ -393,7 +391,7 @@ def index_corpus(documents, backend: EmbeddingBackend,
     for doc in documents:
         if not isinstance(doc, CorpusDocument):
             raise TypeError(f"expected CorpusDocument, got {type(doc).__name__}")
-        target = route_document(doc.keywords, routing, default)
+        target = route_document(doc.keywords)
         chunks = segment_text(doc.text, segment_length, overlap,
                               publication_id=doc.publication_id,
                               keywords=doc.keywords)
@@ -527,9 +525,6 @@ class SemanticSearch(NamedTuple):
     backend: EmbeddingBackend
     k: int = DEFAULT_TOP_K
     threshold: float = DEFAULT_THRESHOLD
-
-    def query(self, text: str) -> tuple[RetrievalHit, ...]:
-        return self.query_many([text])[0]
 
     def query_many(self, texts) -> list[tuple[RetrievalHit, ...]]:
         """Hits for each text, in order, from one embedding call and one

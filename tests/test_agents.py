@@ -1,32 +1,31 @@
-"""Agent layer: programs, verdict grammar, mocks, pipeline, reports."""
+"""Agent layer: exports, programs, verdict grammar, mocks, pipeline, reports."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+import adam.agents
+import adam.ensemble
 from adam.agents import (
-    CLASSIFICATION_PROGRAM,
     CLASSIFICATION_TITLES,
     NO_ATTRIBUTIONS_MARKER,
     NO_HISTORY_MARKER,
     NO_PASSAGES_MARKER,
     SECTION_TITLES,
-    SUMMARIZATION_PROGRAM,
+    PROGRAMS,
     SUMMARIZATION_TITLES,
     AgentContext,
     ClassificationReport,
     ComputationalOutput,
-    CoTProgram,
     HttpChatBackend,
     LLMRequest,
     StaticMock,
     ThresholdMockLLM,
     TitleEchoMock,
-    build_report,
     build_sections,
     estimate_tokens,
-    feature_vector,
     format_attribution,
     format_probability,
     parse_verdict,
@@ -38,9 +37,10 @@ from adam.agents import (
     run_summarization,
     threshold_line,
 )
+from adam.agents.computational import feature_matrix
 from adam.attribution import Attribution
 from adam.dataset import Sample, SampleSet
-from adam.diversity import DiversityProfile, diversity_profile
+from adam.diversity import DiversityProfile, diversity_profiles
 from adam.errors import (
     AgentError,
     AlignmentError,
@@ -51,6 +51,15 @@ from adam.errors import (
 from adam.chunker import CorpusDocument
 from adam.embedding import OfflineHashEmbedder
 from adam.vectorstore import RetrievalHit, SemanticSearch, index_corpus
+
+
+# --- package surface ---------------------------------------------------------
+
+@pytest.mark.parametrize("package, name", [
+    (package.__name__, name)
+    for package in (adam.agents, adam.ensemble) for name in package.__all__])
+def test_every_exported_name_resolves(package, name):
+    assert hasattr(importlib.import_module(package), name)
 
 
 # --- reasoning programs ------------------------------------------------------
@@ -76,23 +85,11 @@ def test_program_titles_are_pinned():
         "Key Considerations for Prediction and Misclassification Adjustments",
         "Prediction Decision Rules",
     )
-    assert SUMMARIZATION_PROGRAM.titles == SUMMARIZATION_TITLES
-    assert CLASSIFICATION_PROGRAM.titles == CLASSIFICATION_TITLES
-    steps = SUMMARIZATION_PROGRAM.steps()
-    assert [i for i, _, _ in steps] == list(range(1, 9))
-    assert all(instruction for _, _, instruction in steps)
-
-
-def test_program_validation():
-    with pytest.raises(ValueError):
-        CoTProgram("oracle", SUMMARIZATION_TITLES,
-                   SUMMARIZATION_PROGRAM.instructions)
-    with pytest.raises(ValueError):
-        CoTProgram("summarization", SUMMARIZATION_TITLES[:7],
-                   SUMMARIZATION_PROGRAM.instructions[:7])
-    with pytest.raises(ValueError):
-        CoTProgram("summarization", SUMMARIZATION_TITLES,
-                   SUMMARIZATION_PROGRAM.instructions[:5])
+    assert tuple(t for t, _ in PROGRAMS["summarization"]) == SUMMARIZATION_TITLES
+    assert tuple(t for t, _ in PROGRAMS["classification"]) == CLASSIFICATION_TITLES
+    steps = PROGRAMS["summarization"]
+    assert len(steps) == 8
+    assert all(instruction for _, instruction in steps)
 
 
 # --- verdict grammar and pinned lines ---------------------------------------
@@ -291,12 +288,12 @@ def test_run_computational_invariants(deployment):
     assert out.sample_id == sample.sample_id
     assert out.study_id == sample.study_id
     assert out.visit_index == sample.visit_index
-    x = feature_vector(sample, test.clinical_names, test.taxon_names, deployed)
+    x, = feature_matrix([sample], test.clinical_names, test.taxon_names, deployed)
     assert out.probability == float(deployed.model.predict_proba(x)[0])
     att = out.attribution
     assert abs(att.base_value + sum(att.contributions) - att.margin) < 1e-9
     assert out.top_features == att.ranked()[:10]
-    profile = diversity_profile(np.asarray(sample.taxa), reference.taxa_matrix())
+    profile, = diversity_profiles([sample.taxa], reference.taxa_matrix())
     assert out.diversity == profile
     assert len(out.taxa_highlights) == 8
     abundances = [v for _, v in out.taxa_highlights]
@@ -334,13 +331,13 @@ def test_feature_vector_imputes_by_name(deployment):
                    visit_index=sample.visit_index, label=sample.label,
                    clinical=(float("nan"),) + sample.clinical[1:],
                    taxa=sample.taxa)
-    x = feature_vector(holed, test.clinical_names, test.taxon_names, deployed)
+    x, = feature_matrix([holed], test.clinical_names, test.taxon_names, deployed)
     name = deployed.feature_names[0]
     assert name == test.clinical_names[0]
     assert x[0] == deployed.medians[name]
     assert not np.isnan(x).any()
     with pytest.raises(AlignmentError):
-        feature_vector(sample, test.clinical_names[1:], test.taxon_names,
+        feature_matrix([sample], test.clinical_names[1:], test.taxon_names,
                        deployed)
 
 
@@ -466,14 +463,6 @@ def test_classification_requires_summary(deployment):
         run_classification(ctx, None, classifier)
 
 
-def test_program_role_mismatch(deployment):
-    summarizer, _ = _mocks()
-    ctx = _context(deployment)
-    with pytest.raises(ValueError, match="role"):
-        run_summarization(ctx, None, summarizer,
-                          program=CLASSIFICATION_PROGRAM)
-
-
 def test_unparseable_verdict_surfaces_raw_reply(deployment):
     summarizer, _ = _mocks()
     ctx = _context(deployment)
@@ -571,13 +560,14 @@ def test_truncation_drops_weakest_hit_after_history(deployment):
 
 
 class _PerQuerySearcher:
-    """query_many as one query() per text: the per-step reference."""
+    """query_many as one single-text query_many() per text: the per-step
+    reference."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def query_many(self, texts):
-        return [self.inner.query(text) for text in texts]
+        return [self.inner.query_many([text])[0] for text in texts]
 
 
 def _step_store():
@@ -586,11 +576,11 @@ def _step_store():
     for j in range(6):
         docs.append(CorpusDocument(
             f"DIV{j}", "", f"{SUMMARIZATION_TITLES[3]}: "
-            f"{SUMMARIZATION_PROGRAM.instructions[3]} Cohort {j}. " * 4,
+            f"{PROGRAMS['summarization'][3][1]} Cohort {j}. " * 4,
             ("alzheimer",)))
         docs.append(CorpusDocument(
             f"SHAP{j}", "", f"{CLASSIFICATION_TITLES[5]}: "
-            f"{CLASSIFICATION_PROGRAM.instructions[5]} Model {j}. " * 4,
+            f"{PROGRAMS['classification'][5][1]} Model {j}. " * 4,
             ("microbiome",)))
     backend = OfflineHashEmbedder(dim=256)
     collections = index_corpus(docs, backend, segment_length=400, overlap=50)
@@ -639,6 +629,14 @@ def _hand_output(probability=0.242, top_features=None):
                          ("Prevotella copri", 1.5)))
 
 
+def _report(output, verdict, summary):
+    """The report run_classification builds for this output."""
+    return ClassificationReport(sample_id=output.sample_id, verdict=verdict,
+                                probability=output.probability,
+                                sections=build_sections(output), summary=summary,
+                                step_transcripts=())
+
+
 def test_report_sections_and_formats():
     sections = dict(build_sections(_hand_output()))
     assert tuple(t for t, _ in build_sections(_hand_output())) == SECTION_TITLES
@@ -663,7 +661,7 @@ def test_report_attribution_marker_when_empty():
 
 
 def test_render_report_headline_round_trips():
-    report = build_report(_hand_output(), "No", "the narrative summary")
+    report = _report(_hand_output(), "No", "the narrative summary")
     text = render_report(report)
     lines = text.splitlines()
     assert lines[0] == ("Prediction: No - Alzheimer's disease probability "
@@ -679,7 +677,7 @@ def test_render_report_headline_round_trips():
 
 def test_report_validation_and_formats():
     with pytest.raises(ValueError):
-        build_report(_hand_output(), "Maybe", "s")
+        _report(_hand_output(), "Maybe", "s")
     assert format_probability(0.242) == "24.20%"
     assert format_probability(1.0) == "100.00%"
     assert format_attribution(0.7978) == "+0.7978"

@@ -8,7 +8,7 @@ from adam.attribution import (
     Attribution,
     coalition_margins,
     expected_margin,
-    explain,
+    explain_rows,
     rank_features,
     shap_values,
     shap_values_exact,
@@ -113,7 +113,7 @@ def test_size_guard():
 def test_explain_and_ranking():
     model, X = _model(7)
     names = tuple(f"feat_{i}" for i in range(5))
-    att = explain(model, X[0], names)
+    att, = explain_rows(model, X[:1], names)
     assert isinstance(att, Attribution)
     assert att.feature_names == names
     assert abs(att.base_value + sum(att.contributions) - att.margin) < 1e-9
@@ -123,7 +123,7 @@ def test_explain_and_ranking():
     assert mags == sorted(mags, reverse=True)
     assert {n for n, _ in ranked} == set(names)
     with pytest.raises(ValueError):
-        explain(model, X[0], names[:3])
+        explain_rows(model, X[:1], names[:3])
 
 
 def test_rank_features_tie_break():

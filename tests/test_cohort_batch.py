@@ -14,13 +14,12 @@ import pytest
 import tree_oracle as oracle
 from adam import diversity
 from adam.agents import run_computational, run_computational_many
-from adam.attribution import explain, explain_rows, shap_values, shap_values_exact
+from adam.attribution import explain_rows, shap_values, shap_values_exact
 from adam.config import RunConfig
 from adam.diversity import (
     BETA_METRICS,
     beta_metrics,
     berger_parker_index,
-    diversity_profile,
     diversity_profiles,
     gini_simpson_index,
     shannon_index,
@@ -135,7 +134,7 @@ def test_explain_is_its_row_of_explain_rows(protocol_model):
     names = [f"f{j}" for j in range(model.n_features)]
     rows = explain_rows(model, X[:9], names)
     for x, row in zip(X[:9], rows):
-        assert explain(model, x, names) == row
+        assert explain_rows(model, x[None, :], names) == [row]
 
 
 def test_shap_of_no_rows(protocol_model):
@@ -184,7 +183,7 @@ def test_batched_diversity_matches_single_vectors(block_bytes, monkeypatch):
     for sample, profile in zip(samples, batch):
         assert _values(profile).tobytes() == _pairwise(sample, ref).tobytes()
         assert _values(profile).tobytes() == \
-            _values(diversity_profile(sample, ref)).tobytes()
+            _values(diversity_profiles(sample[None, :], ref)[0]).tobytes()
 
 
 def test_batched_diversity_names_the_degenerate_row():

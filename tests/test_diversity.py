@@ -13,7 +13,7 @@ from adam.diversity import (
     beta_metrics,
     bray_curtis,
     canberra_distance,
-    diversity_profile,
+    diversity_profiles,
     gini_simpson_index,
     jaccard_distance,
     shannon_index,
@@ -128,7 +128,7 @@ def test_diversity_profile_means():
     rng = np.random.default_rng(2)
     sample = rng.random(16)
     ref = rng.random((5, 16))
-    prof = diversity_profile(sample, ref)
+    prof = diversity_profiles(sample[None, :], ref)[0]
     assert prof.shannon == shannon_index(sample)
     assert prof.gini_simpson == gini_simpson_index(sample)
     assert prof.berger_parker == berger_parker_index(sample)
@@ -136,9 +136,9 @@ def test_diversity_profile_means():
         manual = np.mean([beta_metrics(sample, row)[metric] for row in ref])
         assert abs(prof.beta_to_reference[metric] - manual) < 1e-12
     with pytest.raises(AlignmentError):
-        diversity_profile(sample, rng.random((3, 8)))
+        diversity_profiles(sample[None, :], rng.random((3, 8)))
     with pytest.raises(DegenerateCommunityError):
-        diversity_profile(sample, np.empty((0, 16)))
+        diversity_profiles(sample[None, :], np.empty((0, 16)))
 
 
 def _profile_pairwise(sample, ref):
@@ -169,7 +169,7 @@ def test_diversity_profile_is_bit_identical_to_pairwise_loop():
     # in the running sum.
     cases.extend((sample, row[None, :]) for row in ref[:40])
     for sample, ref in cases:
-        prof = diversity_profile(sample, ref)
+        prof = diversity_profiles(sample[None, :], ref)[0]
         assert prof.beta_to_reference == _profile_pairwise(sample, ref)
     assert prof.beta_to_reference["jaccard"] > 0.0
 
@@ -190,6 +190,6 @@ def test_diversity_profile_rejects_like_pairwise_loop(bad_rows):
     with pytest.raises(Exception) as pairwise:
         _profile_pairwise(sample, ref)
     with pytest.raises(Exception) as vectorized:
-        diversity_profile(sample, ref)
+        diversity_profiles(sample[None, :], ref)[0]
     assert type(vectorized.value) is type(pairwise.value)
     assert str(vectorized.value) == str(pairwise.value)

@@ -1,4 +1,4 @@
-"""Embedding backends: offline hashing, HTTP client behavior, keywords."""
+"""Embedding backends: offline hashing and HTTP client behavior."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from adam.embedding import (
     DEFAULT_DIMENSION,
     OfflineHashEmbedder,
     RemoteEmbedder,
-    embed_keywords,
 )
 from adam.errors import (
     BackendError,
     DimensionError,
     EmptyInputError,
     SizeGuardError,
-    WeightError,
 )
 from adam.http_retry import BACKOFF_BASE_SECONDS
 
@@ -267,39 +265,3 @@ def test_remote_empty_batch():
     assert out.shape == (0, 3)
     assert session.calls == []
 
-
-# --- keyword aggregation ----------------------------------------------------
-
-def test_embed_keywords_weighted_sum_oracle():
-    backend = OfflineHashEmbedder(dim=128)
-    pairs = [("alzheimer", 2.0), ("microbiome", 1.0), ("frailty", 0.5)]
-    got = embed_keywords(backend, pairs)
-    acc = np.zeros(128)
-    for word, weight in pairs:
-        acc += weight * backend.embed(word).astype(np.float64)
-    expected = acc / np.linalg.norm(acc)
-    assert np.allclose(got, expected, atol=1e-12)
-    assert abs(float(np.linalg.norm(got)) - 1.0) < 1e-6
-
-
-def test_embed_keywords_uniform_defaults():
-    backend = OfflineHashEmbedder(dim=64)
-    words = ["gut", "brain"]
-    got = embed_keywords(backend, words)
-    explicit = embed_keywords(backend, [(w, 1.0) for w in words])
-    assert np.array_equal(got, explicit)
-    # scaling all weights leaves the normalized output unchanged
-    scaled = embed_keywords(backend, [(w, 7.0) for w in words])
-    assert np.allclose(got, scaled, atol=1e-7)
-
-
-def test_embed_keywords_weight_errors():
-    backend = OfflineHashEmbedder(dim=64)
-    with pytest.raises(EmptyInputError):
-        embed_keywords(backend, [])
-    with pytest.raises(WeightError):
-        embed_keywords(backend, [("a", -1.0)])
-    with pytest.raises(WeightError):
-        embed_keywords(backend, [("a", float("nan"))])
-    with pytest.raises(WeightError):
-        embed_keywords(backend, [("a", 0.0), ("b", 0.0)])

@@ -262,7 +262,7 @@ def test_comparison_components_match_stats_module():
     b = np.asarray(BASELINE_F1)
     summary = compare_models(ADAM_F1, BASELINE_F1)
     assert summary.mann_whitney == mann_whitney_u(a, b)
-    assert summary.levene == levene_test(a, b, center="mean")
+    assert summary.levene == levene_test(a, b)
     assert summary.f_test == variance_f_test(b, a)
     assert summary.cohens_d == cohens_d(a, b)
     assert summary.variance_ratio == np.var(b, ddof=1) / np.var(a, ddof=1)

