@@ -1,6 +1,7 @@
 """Language-model client contract, deterministic mocks, HTTP backend.
 
-A backend turns an LLMRequest into plain response text. The two mocks
+A backend turns an LLMRequest (a system and a user prompt) into plain
+response text; ``HttpChatBackend`` names its own model. The two mocks
 are pure functions of the request, which makes the whole pipeline a
 pure function of (dataset, seed, configuration) and lets tests pin
 end-to-end behavior without network access:
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import OBJECT, STRING, BackendError, VerdictParseError, check_fields
-from ..http_retry import MAX_ATTEMPTS, post_with_backoff
+from ..http_retry import JsonEndpoint
 
 API_KEY_VARIABLE = "ADAM_LLM_API_KEY"
+TIMEOUT_SECONDS = 120.0
 
 PROBABILITY_PATTERN = re.compile(
     r"^Model probability of AD: [0-9.]+% \(p=([0-9eE+.-]+)\)$", re.MULTILINE)
@@ -65,17 +67,12 @@ def parse_verdict(text: str) -> str:
 
 
 class LLMRequest(NamedTuple):
-    model: str
     system: str
     user: str
-    max_output_tokens: int = 1024
-    temperature: float = 0.0
 
 
 class LLMBackend:
     """Contract: complete() maps one request to one response text."""
-
-    name: str = "abstract"
 
     def complete(self, request: LLMRequest) -> str:
         raise NotImplementedError
@@ -86,7 +83,6 @@ class StaticMock(LLMBackend):
     """Always answers with the same text (error-path testing)."""
 
     reply: str
-    name: str = "static-mock"
 
     def complete(self, request: LLMRequest) -> str:
         return self.reply
@@ -95,8 +91,6 @@ class StaticMock(LLMBackend):
 class TitleEchoMock(LLMBackend):
     """Summarization mock: echoes every step title found in the prompt,
     in prompt order, one acknowledgment line per step."""
-
-    name = "title-echo-mock"
 
     def complete(self, request: LLMRequest) -> str:
         titles = STEP_TITLE_PATTERN.findall(request.user)
@@ -114,8 +108,6 @@ class ThresholdMockLLM(LLMBackend):
     exactly a hard threshold on the deployed ensemble.
     """
 
-    name = "threshold-mock"
-
     def complete(self, request: LLMRequest) -> str:
         prob = PROBABILITY_PATTERN.search(request.user)
         thresh = THRESHOLD_PATTERN.search(request.user)
@@ -130,46 +122,27 @@ class ThresholdMockLLM(LLMBackend):
 class HttpChatBackend(LLMBackend):
     """Chat-completion-style HTTP backend.
 
-    Sends {model, messages, max_tokens, temperature}; reads the first
-    choice's message content. Credential from ADAM_LLM_API_KEY unless
-    passed explicitly. Requests go through
-    ``http_retry.post_with_backoff`` (5 attempts by default).
+    Sends {model, messages, max_tokens 1024, temperature 0} and reads
+    the first choice's message content. The credential comes from
+    ADAM_LLM_API_KEY unless passed explicitly; each POST may take
+    TIMEOUT_SECONDS and is retried as ``http_retry`` describes.
     """
 
-    def __init__(self, url: str, model: str,
-                 api_key: str | None = None,
-                 timeout: float = 120.0,
-                 max_attempts: int = MAX_ATTEMPTS,
-                 session=None,
-                 sleeper=time.sleep):
-        self.url = url
+    def __init__(self, url: str, model: str, api_key: str | None = None,
+                 session=None, sleeper=time.sleep):
         self.model = model
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self._api_key = api_key
-        if session is None:
-            import requests  # imported on first use: mock runs never load it
-            session = requests.Session()
-        self._session = session
-        self._sleep = sleeper
-
-    @property
-    def name(self) -> str:
-        return f"http-{self.model}"
+        self._endpoint = JsonEndpoint(url, API_KEY_VARIABLE, TIMEOUT_SECONDS,
+                                      api_key, session, sleeper)
 
     def complete(self, request: LLMRequest) -> str:
         payload = {
-            "model": request.model or self.model,
+            "model": self.model,
             "messages": [{"role": "system", "content": request.system},
                          {"role": "user", "content": request.user}],
-            "max_tokens": request.max_output_tokens,
-            "temperature": request.temperature,
+            "max_tokens": 1024,
+            "temperature": 0.0,
         }
-        return self._parse(post_with_backoff(
-            self._session, self.url, payload, what="chat",
-            api_key=self._api_key, key_variable=API_KEY_VARIABLE,
-            timeout=self.timeout, max_attempts=self.max_attempts,
-            sleeper=self._sleep))
+        return self._parse(self._endpoint.post(payload, "chat"))
 
     @staticmethod
     def _parse(doc) -> str:

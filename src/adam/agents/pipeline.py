@@ -16,9 +16,7 @@ from typing import NamedTuple
 
 from ..config import (
     CLASSIFICATION_TOKEN_BUDGET,
-    DEFAULT_CLASSIFICATION_MODEL,
     DEFAULT_FALLBACK_THRESHOLD,
-    DEFAULT_SUMMARIZATION_MODEL,
     SUMMARIZATION_TOKEN_BUDGET,
 )
 from ..errors import AgentError, BackendError, TokenBudgetError
@@ -206,7 +204,7 @@ def _drop_weakest_hit(step_hits) -> bool:
     return True
 
 
-def _run_stage(ctx, searcher, backend, stage, budget, model,
+def _run_stage(ctx, searcher, backend, stage, budget,
                fallback_threshold=None, summary=None):
     digest = _context_digest(ctx.computational)
     steps = tuple((index, *step) for index, step in enumerate(PROGRAMS[stage], 1))
@@ -243,7 +241,7 @@ def _run_stage(ctx, searcher, backend, stage, budget, model,
         StepRecord(index=index, title=title, query=query, hits=tuple(hits))
         for (index, title, _), query, hits in zip(steps, queries, step_hits)
     )
-    request = LLMRequest(model=model, system=_SYSTEM_PROMPTS[stage], user=prompt)
+    request = LLMRequest(system=_SYSTEM_PROMPTS[stage], user=prompt)
     try:
         response = backend.complete(request)
     except BackendError as exc:
@@ -269,10 +267,9 @@ def _run_stage(ctx, searcher, backend, stage, budget, model,
 
 
 def run_summarization(ctx: AgentContext, searcher, llm: LLMBackend, *,
-                      budget: int = SUMMARIZATION_TOKEN_BUDGET,
-                      model: str = DEFAULT_SUMMARIZATION_MODEL) -> str:
+                      budget: int = SUMMARIZATION_TOKEN_BUDGET) -> str:
     """Run the summarization stage; stores the summary on the context."""
-    response, _ = _run_stage(ctx, searcher, llm, "summarization", budget, model)
+    response, _ = _run_stage(ctx, searcher, llm, "summarization", budget)
     ctx.summary = response
     return response
 
@@ -280,14 +277,13 @@ def run_summarization(ctx: AgentContext, searcher, llm: LLMBackend, *,
 def run_classification(ctx: AgentContext, searcher, llm: LLMBackend, *,
                        budget: int = CLASSIFICATION_TOKEN_BUDGET,
                        fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD,
-                       model: str = DEFAULT_CLASSIFICATION_MODEL,
                        ) -> ClassificationReport:
     """Run the classification stage and assemble the final report."""
     if ctx.summary is None:
         raise AgentError("classification requires a summary; run the "
                          "summarization stage first")
     response, transcript = _run_stage(
-        ctx, searcher, llm, "classification", budget, model,
+        ctx, searcher, llm, "classification", budget,
         fallback_threshold=fallback_threshold, summary=ctx.summary,
     )
     verdict = parse_verdict(response)
@@ -312,14 +308,9 @@ def run_pipeline(ctx: AgentContext, searcher, summarizer: LLMBackend,
                  summarization_budget: int = SUMMARIZATION_TOKEN_BUDGET,
                  classification_budget: int = CLASSIFICATION_TOKEN_BUDGET,
                  fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD,
-                 summarization_model: str = DEFAULT_SUMMARIZATION_MODEL,
-                 classification_model: str = DEFAULT_CLASSIFICATION_MODEL,
                  ) -> ClassificationReport:
     """Both stages in their fixed order for one sample."""
-    run_summarization(ctx, searcher, summarizer,
-                      budget=summarization_budget,
-                      model=summarization_model)
+    run_summarization(ctx, searcher, summarizer, budget=summarization_budget)
     return run_classification(ctx, searcher, classifier,
                               budget=classification_budget,
-                              fallback_threshold=fallback_threshold,
-                              model=classification_model)
+                              fallback_threshold=fallback_threshold)

@@ -505,7 +505,8 @@ def read_dossier(path) -> list:
     classify, in file order.
 
     A malformed dossier raises FormatError naming the file and, for a
-    bad entry, its index in "samples".
+    bad entry, its index in "samples"; a repeated sample_id is bad, as
+    its report file would replace the earlier one's.
     """
     from .agents import ClassificationReport
 
@@ -516,6 +517,9 @@ def read_dossier(path) -> list:
         check_fields(entry, {"report": OBJECT}, f"{path}: sample {index}")
         payload = entry["report"]
         check_fields(payload, _REPORT_FIELDS, f"{path}: sample {index}: report")
+        if any(report.sample_id == payload["sample_id"] for report in reports):
+            raise FormatError(f"{path}: sample {index}: report: sample_id "
+                              f"{payload['sample_id']!r} is repeated")
         reports.append(ClassificationReport(**{
             **{key: payload[key] for key in _REPORT_FIELDS},
             "sections": tuple(tuple(section) for section in payload["sections"]),

@@ -29,7 +29,7 @@ DEFAULT_CLASSIFICATION_MODEL = "gpt-4o-mini"
 # Integer fields with a lower bound, and the bound.
 _MINIMUMS = {"embedding_dim": 1, "segment_length": 1, "top_k": 1, "tuning_trials": 0,
              "tuning_folds": 2, "n_seeds": 1, "jobs": 1, "summarization_budget": 1,
-             "classification_budget": 1, "n_pos": 1, "n_neg": 1}
+             "classification_budget": 1, "n_pos": 1, "n_neg": 1, "seed": 0, "seed_base": 0}
 _BACKEND = (lambda v: v in ("mock", "remote"), "mock or remote")
 # The values each field may take beyond its type's.
 _LIMITS = {

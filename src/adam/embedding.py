@@ -18,9 +18,10 @@ output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
   everything downstream runs without network access; it makes no
   semantic-quality claims.
 * ``RemoteEmbedder``: POSTs {model, input list} to an HTTP embeddings
-  endpoint, one request per ``embed_many`` call, retried through
-  ``http_retry.post_with_backoff``. The credential comes from the
-  ADAM_EMBED_API_KEY environment variable unless given explicitly.
+  endpoint, one request per ``embed_many`` call, through an
+  ``http_retry.JsonEndpoint`` with a 60 s timeout. It refuses a text
+  longer than DEFAULT_MAX_CHARS characters. The credential comes from
+  the ADAM_EMBED_API_KEY environment variable unless given explicitly.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from .errors import (
     SizeGuardError,
     check_fields,
 )
-from .http_retry import MAX_ATTEMPTS, post_with_backoff
+from .http_retry import JsonEndpoint
 
 DEFAULT_DIMENSION = 1536
 DEFAULT_EMBEDDING_MODEL = "text-embedding-ada-002"
 DEFAULT_MAX_CHARS = 8000
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
+TIMEOUT_SECONDS = 60.0
 GRAM_CACHE_SIZE = 1 << 15
 CODE_POINT_BITS = 21  # max code point U+10FFFF < 2**21
 
@@ -69,17 +71,11 @@ def _normalize_rows(rows, dim: int) -> np.ndarray:
 class EmbeddingBackend:
     """Shared behavior: validation, single-text embedding."""
 
-    name: str = "abstract"
-    dim: int = 0
-    max_chars: int | None = None
+    dim: int
 
     def _check(self, text: str) -> None:
         if not isinstance(text, str) or not text:
             raise EmptyInputError("cannot embed empty text")
-        if self.max_chars is not None and len(text) > self.max_chars:
-            raise SizeGuardError(
-                f"text of {len(text)} characters exceeds the {self.name} "
-                f"backend limit of {self.max_chars}")
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -175,15 +171,10 @@ class OfflineHashEmbedder(EmbeddingBackend):
     """
 
     dim: int = DEFAULT_DIMENSION
-    max_chars: int | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {self.dim}")
-
-    @property
-    def name(self) -> str:
-        return f"offline-hash-{self.dim}"
 
     def embed_many(self, texts) -> np.ndarray:
         texts = self._checked(texts)
@@ -232,43 +223,25 @@ class RemoteEmbedder(EmbeddingBackend):
     :param dim: expected vector dimension; responses of any other
         length raise DimensionError.
     :param api_key: bearer token; falls back to ADAM_EMBED_API_KEY.
-    :param sleeper: injectable sleep function (tests pass a recorder).
+    :param session, sleeper: passed to ``JsonEndpoint`` (tests pass fakes).
     """
 
     def __init__(self, url: str, model: str = DEFAULT_EMBEDDING_MODEL,
-                 dim: int = DEFAULT_DIMENSION,
-                 api_key: str | None = None,
-                 max_chars: int = DEFAULT_MAX_CHARS,
-                 timeout: float = 60.0,
-                 max_attempts: int = MAX_ATTEMPTS,
-                 session=None,
-                 sleeper=time.sleep):
+                 dim: int = DEFAULT_DIMENSION, api_key: str | None = None,
+                 session=None, sleeper=time.sleep):
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
-        self.url = url
         self.model = model
         self.dim = dim
-        self.max_chars = max_chars
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self._api_key = api_key
-        if session is None:
-            import requests  # imported on first use: mock runs never load it
-            session = requests.Session()
-        self._session = session
-        self._sleep = sleeper
+        self._endpoint = JsonEndpoint(url, API_KEY_VARIABLE, TIMEOUT_SECONDS,
+                                      api_key, session, sleeper)
 
-    @property
-    def name(self) -> str:
-        return f"remote-{self.model}"
-
-    def _request(self, texts: list[str]) -> list[list[float]]:
-        doc = post_with_backoff(
-            self._session, self.url, {"model": self.model, "input": texts},
-            what="embedding", api_key=self._api_key,
-            key_variable=API_KEY_VARIABLE, timeout=self.timeout,
-            max_attempts=self.max_attempts, sleeper=self._sleep)
-        return self._parse(doc, len(texts))
+    def _check(self, text: str) -> None:
+        super()._check(text)
+        if len(text) > DEFAULT_MAX_CHARS:
+            raise SizeGuardError(
+                f"text of {len(text)} characters exceeds the remote-{self.model} "
+                f"backend limit of {DEFAULT_MAX_CHARS}")
 
     def _parse(self, doc, expected: int) -> list[list[float]]:
         """The vectors by row index: 0..n-1 on every row, or none (file order)."""
@@ -296,4 +269,5 @@ class RemoteEmbedder(EmbeddingBackend):
         texts = self._checked(texts)
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float32)
-        return _normalize_rows(self._request(texts), self.dim)
+        doc = self._endpoint.post({"model": self.model, "input": texts}, "embedding")
+        return _normalize_rows(self._parse(doc, len(texts)), self.dim)

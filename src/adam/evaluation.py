@@ -146,7 +146,8 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
     yielded, the computational agent runs once on every distinct visit
     the cohort needs (its samples and their histories, in first-use
     order), so a visit it rejects stops the run before any report. The
-    token budgets, fallback threshold and model names come from config.
+    token budgets and fallback threshold come from config; the model
+    names are the backends' own.
     """
     histories = []
     for sample in cohort.samples:
@@ -174,9 +175,7 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
             ctx, searcher, summarizer, classifier,
             summarization_budget=config.summarization_budget,
             classification_budget=config.classification_budget,
-            fallback_threshold=config.fallback_threshold,
-            summarization_model=config.summarization_model,
-            classification_model=config.classification_model)
+            fallback_threshold=config.fallback_threshold)
         yield sample, ctx, report
 
 

@@ -269,7 +269,8 @@ def levene_test(a, b) -> tuple[float, float]:
     n_total = a.size + b.size
     grand = (za.sum() + zb.sum()) / n_total
     between = a.size * (za.mean() - grand) ** 2 + b.size * (zb.mean() - grand) ** 2
-    within = ((za - za.mean()) ** 2).sum() + ((zb - zb.mean()) ** 2).sum()
+    # a two-value group's deviations are equal; only rounding could part them
+    within = sum(0.0 if z.size == 2 else ((z - z.mean()) ** 2).sum() for z in (za, zb))
     if within == 0.0:
         if between == 0.0:
             return 0.0, 1.0

@@ -136,8 +136,8 @@ def test_estimate_tokens():
 
 # --- mock backends -----------------------------------------------------------
 
-def _request(user, model="m"):
-    return LLMRequest(model=model, system="s", user=user)
+def _request(user):
+    return LLMRequest(system="s", user=user)
 
 
 def test_static_mock():
@@ -186,7 +186,8 @@ class _Session:
         self.calls = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "payload": json, "headers": headers})
+        self.calls.append({"url": url, "payload": json, "headers": headers,
+                           "timeout": timeout})
         action = self.script.pop(0)
         if isinstance(action, Exception):
             raise action
@@ -197,23 +198,22 @@ def _chat_body(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
-def test_http_backend_success_payload_and_model_override():
-    session = _Session([_chat_body("ok") and _Response(200, _chat_body("ok")),
-                        _Response(200, _chat_body("ok2"))])
+def test_http_backend_success_payload():
+    session = _Session([_Response(200, _chat_body("ok"))])
     sleeps = []
     backend = HttpChatBackend("http://example.test/chat", model="default-model",
                               api_key="k", session=session,
                               sleeper=sleeps.append)
-    assert backend.complete(LLMRequest(model="", system="sys", user="usr")) == "ok"
-    assert backend.complete(LLMRequest(model="override", system="sys",
-                                       user="usr")) == "ok2"
-    first, second = session.calls
-    assert first["payload"]["model"] == "default-model"
-    assert second["payload"]["model"] == "override"
-    assert first["payload"]["messages"] == [
-        {"role": "system", "content": "sys"},
-        {"role": "user", "content": "usr"}]
-    assert first["headers"]["Authorization"] == "Bearer k"
+    assert backend.complete(LLMRequest(system="sys", user="usr")) == "ok"
+    (call,) = session.calls
+    assert call["url"] == "http://example.test/chat"
+    assert call["payload"] == {
+        "model": "default-model",
+        "messages": [{"role": "system", "content": "sys"},
+                     {"role": "user", "content": "usr"}],
+        "max_tokens": 1024, "temperature": 0.0}
+    assert call["headers"]["Authorization"] == "Bearer k"
+    assert call["timeout"] == 120.0
     assert sleeps == []
 
 
@@ -233,11 +233,12 @@ def test_http_backend_retry_and_fail_paths():
     with pytest.raises(BackendError, match="HTTP 403"):
         strict.complete(_request("u"))
 
+    flaky_session = _Session([_requests.Timeout("slow")] * 5)
     flaky = HttpChatBackend("http://x", model="m", api_key="k",
-                            session=_Session([_requests.Timeout("slow")] * 2),
-                            sleeper=lambda s: None, max_attempts=2)
-    with pytest.raises(BackendError, match="after 2 attempts"):
+                            session=flaky_session, sleeper=lambda s: None)
+    with pytest.raises(BackendError, match="after 5 attempts"):
         flaky.complete(_request("u"))
+    assert len(flaky_session.calls) == 5
 
     broken = HttpChatBackend("http://x", model="m", api_key="k",
                              session=_Session([_Response(200, {"bad": 1})]),

@@ -675,6 +675,87 @@ def test_evaluate_jobs_2_matches_jobs_1(workspace, tmp_path):
             (tmp_path / "2" / name).read_bytes()
 
 
+# --- remote backends ------------------------------------------------------------
+
+class _Reply:
+    status_code = 200
+
+    def __init__(self, doc):
+        self.doc = doc
+
+    def json(self):
+        return self.doc
+
+
+class _RemoteSession:
+    """Answers both endpoints in process: embeddings are the mock embedder's
+    vectors, summaries a fixed text and verdicts alternate Yes, No, ..."""
+
+    def __init__(self, dim):
+        from adam.embedding import OfflineHashEmbedder
+
+        self.embedder = OfflineHashEmbedder(dim=dim)
+        self.chat, self.embedding, self.verdicts = [], [], []
+        self.keys = set()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.keys.add((url, headers["Authorization"]))
+        if url == "http://embed.test":
+            self.embedding.append(json)
+            vectors = self.embedder.embed_many(json["input"]).tolist()
+            return _Reply({"data": [{"embedding": v} for v in vectors]})
+        self.chat.append(json)
+        if "summarization agent" in json["messages"][0]["content"]:
+            text = "Summary of the visit."
+        else:
+            self.verdicts.append(("Yes", "No")[len(self.verdicts) % 2])
+            text = f"Prediction: {self.verdicts[-1]} - scripted"
+        return _Reply({"choices": [{"message": {"content": text}}]})
+
+
+def test_classify_with_remote_backends(workspace, tmp_path, monkeypatch):
+    """The config's model names reach each remote request, with the fixed
+    chat settings, and the dossier's verdicts are the endpoint's."""
+    import requests
+
+    corpus, store = tmp_path / "corpus.jsonl", tmp_path / "store"
+    _write_corpus(corpus)
+    assert main(["index", "--corpus", str(corpus), "--store", str(store),
+                 "--embedding-dim", "8"]) == 0
+    config_file = tmp_path / "models.json"
+    config_file.write_text(json.dumps({"summarization_model": "sum-model",
+                                       "classification_model": "cls-model",
+                                       "embedding_model": "embed-model"}))
+    session = _RemoteSession(8)
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    monkeypatch.setenv("ADAM_LLM_API_KEY", "llm-key")
+    monkeypatch.setenv("ADAM_EMBED_API_KEY", "embed-key")
+    out = tmp_path / "c"
+    assert main(["classify", "--dataset", workspace["dataset"],
+                 "--schema", workspace["schema"], "--model", workspace["model"],
+                 "--store", str(store), "--config", str(config_file),
+                 "--n-pos", "2", "--n-neg", "2", "--out", str(out),
+                 "--llm-backend", "remote", "--llm-url", "http://llm.test",
+                 "--embedding-backend", "remote", "--embedding-url", "http://embed.test",
+                 "--embedding-dim", "8", "--threshold", "0.1"]) == 0
+
+    stages = ["summarization" if "summarization agent" in payload["messages"][0]["content"]
+              else "classification" for payload in session.chat]
+    assert stages == ["summarization", "classification"] * 4
+    for stage, payload in zip(stages, session.chat):
+        assert payload["model"] == {"summarization": "sum-model",
+                                    "classification": "cls-model"}[stage]
+        assert (payload["max_tokens"], payload["temperature"]) == (1024, 0)
+    assert len(session.embedding) == 8
+    assert {payload["model"] for payload in session.embedding} == {"embed-model"}
+    assert session.keys == {("http://llm.test", "Bearer llm-key"),
+                            ("http://embed.test", "Bearer embed-key")}
+    samples = json.loads((out / "dossier.json").read_text())["samples"]
+    assert [entry["verdict"] for entry in samples] == session.verdicts
+    assert any("hits: 0" not in line for entry in samples
+               for line in entry["report"]["step_transcripts"])
+
+
 def test_cli_import_does_not_load_requests():
     import os
     import subprocess

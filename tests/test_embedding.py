@@ -6,6 +6,7 @@ import pytest
 from adam.embedding import (
     API_KEY_VARIABLE,
     DEFAULT_DIMENSION,
+    DEFAULT_MAX_CHARS,
     OfflineHashEmbedder,
     RemoteEmbedder,
 )
@@ -65,12 +66,6 @@ def test_offline_dim_guard():
         OfflineHashEmbedder(dim=0)
 
 
-def test_offline_max_chars():
-    backend = OfflineHashEmbedder(dim=32, max_chars=10)
-    with pytest.raises(SizeGuardError):
-        backend.embed("x" * 11)
-
-
 # --- remote backend through a fake HTTP session -----------------------------
 
 class _Response:
@@ -107,13 +102,12 @@ def _ok_body(vectors, reorder=False):
     return {"data": data}
 
 
-def _remote(script, **kwargs):
+def _remote(script):
     sleeps = []
     session = _Session(script)
     backend = RemoteEmbedder("http://example.test/v1/embeddings",
                              model="test-model", dim=3, api_key="k",
-                             session=session, sleeper=sleeps.append,
-                             **kwargs)
+                             session=session, sleeper=sleeps.append)
     return backend, session, sleeps
 
 
@@ -122,7 +116,9 @@ def test_remote_success_and_payload():
     v = backend.embed("hello")
     assert np.allclose(v, [1.0, 0.0, 0.0])
     call = session.calls[0]
+    assert call["url"] == "http://example.test/v1/embeddings"
     assert call["payload"] == {"model": "test-model", "input": ["hello"]}
+    assert call["timeout"] == 60.0
     assert call["headers"]["Authorization"] == "Bearer k"
     assert sleeps == []
 
@@ -172,12 +168,12 @@ def test_remote_fails_fast_on_4xx():
 def test_remote_exhausts_attempts():
     import requests as _requests
     script = [_Response(500), _requests.ConnectionError("boom"),
-              _Response(502)]
-    backend, session, sleeps = _remote(script, max_attempts=3)
-    with pytest.raises(BackendError, match="after 3 attempts"):
+              _Response(502), _Response(503), _Response(504)]
+    backend, session, sleeps = _remote(script)
+    with pytest.raises(BackendError, match="after 5 attempts: HTTP 504"):
         backend.embed("text")
-    assert len(session.calls) == 3
-    assert sleeps == [1.0, 2.0]
+    assert len(session.calls) == 5
+    assert sleeps == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_remote_dimension_mismatch():
@@ -252,9 +248,10 @@ def test_remote_requires_credential(monkeypatch):
 
 
 def test_remote_size_guard():
-    backend, _, _ = _remote([])
-    with pytest.raises(SizeGuardError):
-        backend.embed("y" * (backend.max_chars + 1))
+    backend, session, _ = _remote([])
+    with pytest.raises(SizeGuardError, match="remote-test-model backend limit of 8000"):
+        backend.embed("y" * (DEFAULT_MAX_CHARS + 1))
+    assert session.calls == []
     with pytest.raises(DimensionError):
         RemoteEmbedder("http://example.test", dim=0)
 

@@ -170,7 +170,8 @@ CONFIG_CASES = _json_cases(
     "config.json", lambda fx: CONFIG, drop=(),
     wrong=(("seed", "3"), ("threshold", "0.5"), ("dataset", 3),
            ("embedding_model", None), ("tolerate_failures", 1)))
-OUT_OF_RANGE = {"jobs-0": ("jobs", 0), "threshold-2": ("threshold", 2)}
+OUT_OF_RANGE = {"jobs-0": ("jobs", 0), "threshold-2": ("threshold", 2),
+                "seed--1": ("seed", -1), "seed_base--1": ("seed_base", -1)}
 CONFIG_CASES.update({
     case: lambda tmp_path, fx, k=key, v=value: _write(
         tmp_path / "config.json", json.dumps({**CONFIG, k: v}))
@@ -313,6 +314,10 @@ DOSSIER_CASES.update(_json_cases(
            ("verdict", "Maybe"),
            ("probability", "0.5"), ("sections", [["t"]]), ("summary", None),
            ("step_transcripts", [1]))))
+# a second report of S1 would overwrite the first one's file
+DOSSIER_CASES["repeated-sample-id"] = lambda tmp_path, fx: _write(
+    tmp_path / "dossier.json", json.dumps({**DOSSIER, "samples": [
+        {"report": REPORT}, {"report": {**REPORT, "verdict": "No"}}]}))
 
 # --- trials CSV ---------------------------------------------------------------------
 
@@ -498,6 +503,8 @@ def test_reader_rejects_malformed_input(row_name, case, tmp_path, fx, capsys,
     names = [_names(row, bad)]
     if row_name == "config" and case in OUT_OF_RANGE:
         names.append(repr(OUT_OF_RANGE[case][0]))
+    if case == "repeated-sample-id":
+        names.append("sample 1")
     with pytest.raises(AdamError) as err:
         row.read(bad, fx)
     assert all(name in str(err.value) for name in names)

@@ -251,6 +251,14 @@ def test_levene_zero_spread_cases():
     assert w == math.inf and p == 0.0
 
 
+def test_levene_two_value_groups_have_no_within_spread():
+    # Both absolute deviations of a two-value group are equal, so such a
+    # group adds exactly 0 to the within-group sum; rounding of the group
+    # mean must not turn that into a huge finite W.
+    assert levene_test([0.9, 1.0], [0.5, 1.0]) == (math.inf, 0.0)
+    assert levene_test([1.0, 1.0], [0.96551724137931039, 1.0]) == (math.inf, 0.0)
+
+
 def test_levene_center_variants():
     rng = np.random.default_rng(5)
     a = rng.normal(size=20)
