@@ -11,6 +11,7 @@ pipeline is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -138,15 +139,27 @@ def _context_digest(output: ComputationalOutput) -> str:
     )
 
 
-def _step_query(title: str, instruction: str, digest: str) -> str:
-    return f"{title}: {_excerpt(f'{instruction} {digest}', STEP_CONTEXT_CHARS)}"
+def stage_queries(output: ComputationalOutput, stage: str) -> list[str]:
+    """The retrieval query of each of the stage's steps, in step order.
+
+    A query depends only on the stage and the computational output, so a
+    cohort's queries are all known before any stage runs.
+    """
+    digest = _context_digest(output)
+    return [f"{title}: {_excerpt(f'{instruction} {digest}', STEP_CONTEXT_CHARS)}"
+            for title, instruction in PROGRAMS[stage]]
+
+
+# A record's text recurs across many prompts; its excerpt is cut once.
+@functools.lru_cache(maxsize=4096)
+def _hit_excerpt(text: str) -> str:
+    return _excerpt(text, HIT_EXCERPT_CHARS)
 
 
 def _hit_line(hit) -> str:
     return (
         f"- {hit.publication_id} segment {hit.segment_index} "
-        f"(similarity {hit.similarity:.4f}): "
-        f"{_excerpt(hit.text, HIT_EXCERPT_CHARS)}"
+        f"(similarity {hit.similarity:.4f}): {_hit_excerpt(hit.text)}"
     )
 
 
@@ -206,10 +219,8 @@ def _drop_weakest_hit(step_hits) -> bool:
 
 def _run_stage(ctx, searcher, backend, stage, budget,
                fallback_threshold=None, summary=None):
-    digest = _context_digest(ctx.computational)
     steps = tuple((index, *step) for index, step in enumerate(PROGRAMS[stage], 1))
-    queries = [_step_query(title, instruction, digest)
-               for _, title, instruction in steps]
+    queries = stage_queries(ctx.computational, stage)
     if searcher is not None:
         step_hits = [list(hits) for hits in searcher.query_many(queries)]
     else:
@@ -309,7 +320,12 @@ def run_pipeline(ctx: AgentContext, searcher, summarizer: LLMBackend,
                  classification_budget: int = CLASSIFICATION_TOKEN_BUDGET,
                  fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD,
                  ) -> ClassificationReport:
-    """Both stages in their fixed order for one sample."""
+    """Both stages in their fixed order for one sample.
+
+    searcher answers ``query_many(texts)`` with the hits of each text: a
+    SemanticSearch, or classify_cohort's hits of its cohort pass. None
+    retrieves nothing.
+    """
     run_summarization(ctx, searcher, summarizer, budget=summarization_budget)
     return run_classification(ctx, searcher, classifier,
                               budget=classification_budget,

@@ -20,12 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import (
+    PROGRAMS,
     AgentContext,
     DeployedModel,
     ThresholdMockLLM,
     TitleEchoMock,
     run_computational_many,
     run_pipeline,
+    stage_queries,
 )
 from .comparison import TrialResult
 from .config import RunConfig
@@ -135,6 +137,17 @@ def healthy_reference(train: SampleSet) -> SampleSet:
     return train.subset(healthy)
 
 
+class RetrievedHits(NamedTuple):
+    """Hits already retrieved, served by query text with the interface of
+    SemanticSearch.query_many. A text that was not retrieved raises
+    KeyError."""
+
+    hits: dict
+
+    def query_many(self, texts) -> list[tuple]:
+        return [self.hits[text] for text in texts]
+
+
 def classify_cohort(cohort, test_set, deployed, reference, searcher,
                     summarizer, classifier, config: RunConfig) -> Iterator[tuple]:
     """Run the three-agent pipeline on every cohort sample, in cohort order,
@@ -145,9 +158,13 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
     first sample of a repeated visit index. Before the first sample is
     yielded, the computational agent runs once on every distinct visit
     the cohort needs (its samples and their histories, in first-use
-    order), so a visit it rejects stops the run before any report. The
-    token budgets and fallback threshold come from config; the model
-    names are the backends' own.
+    order), and then one retrieval pass sends the cohort's distinct step
+    queries (in cohort order, summarization before classification) to
+    searcher.query_many, which embeds and scans them in batches of 64.
+    So a visit the computational agent rejects, a step query that fails
+    to embed or a failing remote embedder stops the run before any
+    report. The token budgets and fallback threshold come from config;
+    the model names are the backends' own.
     """
     histories = []
     for sample in cohort.samples:
@@ -164,6 +181,11 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
         for visit in (sample, *history)))
     outputs = dict(zip(visits, run_computational_many(
         visits, cohort.clinical_names, cohort.taxon_names, deployed, reference)))
+    if searcher is not None:
+        texts = list(dict.fromkeys(
+            query for sample in cohort.samples for stage in PROGRAMS
+            for query in stage_queries(outputs[sample], stage)))
+        searcher = RetrievedHits(dict(zip(texts, searcher.query_many(texts))))
 
     for sample, history in zip(cohort.samples, histories):
         ctx = AgentContext(sample_id=sample.sample_id,

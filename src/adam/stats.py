@@ -269,8 +269,12 @@ def levene_test(a, b) -> tuple[float, float]:
     n_total = a.size + b.size
     grand = (za.sum() + zb.sum()) / n_total
     between = a.size * (za.mean() - grand) ** 2 + b.size * (zb.mean() - grand) ** 2
-    # a two-value group's deviations are equal; only rounding could part them
-    within = sum(0.0 if z.size == 2 else ((z - z.mean()) ** 2).sum() for z in (za, zb))
+    # Deviations equal in exact arithmetic (a two-value group's always are)
+    # differ only by the rounding of the mean and of x - mean: at most
+    # (n + 2) ulps of max |x|. Such a group has no within spread.
+    within = sum(
+        0.0 if np.ptp(z) <= (x.size + 2) * np.finfo(float).eps * np.abs(x).max()
+        else ((z - z.mean()) ** 2).sum() for x, z in ((a, za), (b, zb)))
     if within == 0.0:
         if between == 0.0:
             return 0.0, 1.0

@@ -9,11 +9,11 @@ bytes go. Search is an exact, exhaustive cosine scan: results are
 provably identical to a brute-force linear pass, which keeps every
 retrieval oracle-testable. No approximate index, no in-place mutation.
 
-``search_many`` scores a batch of queries (a pipeline stage's step
-queries) against each collection in two passes, and every similarity it
-reports is the float64 value ``(M @ q) / norm`` that one matrix-vector
-product of the collection's nonzero float64 rows M per query gives at
-one BLAS thread.
+``search_many`` scores a batch of queries (a cohort's distinct step
+queries, in batches of ``QUERY_BATCH``) against each collection in two
+passes, and every similarity it reports is the float64 value
+``(M @ q) / norm`` that one matrix-vector product of the collection's
+nonzero float64 rows M per query gives at one BLAS thread.
 
 The screen is one float32 matrix product of the stored float32 rows with
 the batch of queries, each normalised in float64 and then rounded to
@@ -110,6 +110,10 @@ MAGIC = b"ADAMVEC1"
 DEFAULT_TOP_K = 5
 DEFAULT_THRESHOLD = 0.8
 STORE_SUFFIX = ".advec"
+# Texts per embedding call and scan in SemanticSearch.query_many: the
+# (texts x dim) float64 arrays of a batch stay small, and a remote
+# embedder gets one request per batch.
+QUERY_BATCH = 64
 
 DEFAULT_ROUTING = {
     "alzheimers": ("alzheimer",),
@@ -527,7 +531,14 @@ class SemanticSearch(NamedTuple):
     threshold: float = DEFAULT_THRESHOLD
 
     def query_many(self, texts) -> list[tuple[RetrievalHit, ...]]:
-        """Hits for each text, in order, from one embedding call and one
-        scan of the store."""
-        return search_many(self.collections, self.backend.embed_many(texts),
-                           k=self.k, threshold=self.threshold)
+        """Hits for each text, in order: a cohort's distinct step queries,
+        in batches of ``QUERY_BATCH``, each batch from one embedding call
+        and one scan of the store. Each text gets the hits it would get
+        alone."""
+        texts = list(texts)
+        hits = []
+        for start in range(0, len(texts), QUERY_BATCH):
+            vectors = self.backend.embed_many(texts[start:start + QUERY_BATCH])
+            hits.extend(search_many(self.collections, vectors, k=self.k,
+                                    threshold=self.threshold))
+        return hits

@@ -17,7 +17,9 @@ blocks of rows did not. The reference is therefore defined at one BLAS
 thread, which is how perfbench runs the program. Run as a script (with
 one BLAS thread), this module compares the two on every case and prints
 one JSON object mapping each case id to "equal" or to the first
-difference; with ``--hits`` it prints each case's reference hits instead.
+difference; with ``--hits`` it prints each case's reference hits instead,
+and with ``--text-hits`` the reference hits of each ``text_traffic`` text
+(``tests/test_query_batches.py``).
 """
 
 import json
@@ -222,6 +224,24 @@ def _hash_traffic():
     return colls, queries, 5, 0.36
 
 
+def text_traffic():
+    """(collections, embedder, texts, k, threshold): the benchmark store's
+    shapes and threshold, with passage texts kept on the records, and 130
+    step-query-like texts (two full query batches and one partial)."""
+    rng = np.random.default_rng(52)
+    backend = OfflineHashEmbedder(dim=1536)
+    colls = []
+    for name, rows in (("alzheimers", 553), ("microbiome", 247)):
+        passages = [_passage(rng) for _ in range(rows)]
+        colls.append(collection(name, backend.dim, (
+            (VectorRecord(publication_id=f"PUB{i:05d}", segment_index=i % 5,
+                          text=text, topic_keywords=("kw",)), vector)
+            for i, (text, vector) in enumerate(
+                zip(passages, backend.embed_many(passages))))))
+    texts = [_step_query(rng) for _ in range(130)]
+    return tuple(colls), backend, texts, 5, 0.36
+
+
 def _zero_rows_at_threshold_zero():
     """Zero-norm rows score exactly the threshold, and k falls among them."""
     colls, queries, _, _ = _zero_rows()
@@ -380,6 +400,17 @@ def oracle_hits():
     return out
 
 
+def text_hits():
+    """Per ``text_traffic`` text, its reference hits (as ``oracle_hits``)
+    from the text's own embedding."""
+    collections, backend, texts, k, threshold = text_traffic()
+    return [[[h.publication_id, h.segment_index, h.similarity.hex(),
+              h.collection, h.text]
+             for h in search_full_scan(collections, backend.embed(text), k,
+                                       threshold)]
+            for text in texts]
+
+
 def hits_from_json(answers):
     return [tuple(RetrievalHit(publication_id=pub, segment_index=seg,
                                similarity=float.fromhex(sim),
@@ -391,5 +422,7 @@ def hits_from_json(answers):
 if __name__ == "__main__":
     if sys.argv[1:] == ["--hits"]:
         print(json.dumps(oracle_hits()))
+    elif sys.argv[1:] == ["--text-hits"]:
+        print(json.dumps(text_hits()))
     else:
         print(json.dumps(compare_cases()))

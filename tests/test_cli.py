@@ -353,6 +353,91 @@ def test_classify_rerun_is_byte_identical(workspace):
             (second / "reports" / name).read_bytes()
 
 
+# sha256 of what `classify --threshold 0.2` writes from the workspace store,
+# as written when each stage embedded and scanned its own 8 step queries
+# (numpy 2.4, x86-64); the one retrieval pass per cohort must not move a byte.
+THRESHOLD_02_SHA256 = {
+    "dossier.json": "c5125ec4cba1d86c1a5e7dba6da068717a60d377ef03eac8f7508ecd16df3150",
+    "reports/FB040.md": "ee202847b8a741f92eaa524b3667159e59a663227e8cefb7e260508bad8f954d",
+    "reports/FB041.md": "81516e6be7f7623aba100b2a8d88064b9af19e7e16bb2c4ec825b5e41abd4701",
+    "reports/FB074.md": "670d0d10051468dd6769c760b355cf350f50b34312fa6c80840611d0712283c7",
+    "reports/FB076.md": "d520590a026e931e5730c656298ccd967f0411b7e04a178f6a87bf931258d2de",
+    "reports/FB087.md": "a37fce999da0ac103c0f594ef382477bd2be2b4b8bb51ac5f3985b58dfaa6195",
+    "reports/FB089.md": "8df0ac27525520b72fd07bd3f3cd63bed3327e94b42bb4a3f870d9aec7de4bb5",
+    "reports/FB091.md": "458f761d2a835b08406ac9e2455e387ad863ffb2cbf3ba59b2bd57bc6288bceb",
+    "reports/FB092.md": "ae3c4841889cd6f3851efd88b2f1d6027fcfd9a4cf79d04321fce77aa6905ce7",
+    "reports/FB145.md": "4e60f8d01efe09565ce5e3a244d40d3be2c3c5d6f40d11c6b33e8d1eb9422591",
+    "reports/FB146.md": "8ec336ae281de98058cee9539dc1f5a37da2e0b25f2ddde2a1514da83a74d816",
+    "reports/FB161.md": "ca5a265529ec71d322ec6844c6e533c566149daaaf21a0436dc11d65fdd031d2",
+    "reports/FB164.md": "6acc73a751a7447ac37aed1106ccf3e1ff6f3b5e45af50b8939955328f69bb62",
+    "reports/FB168.md": "27c825494b5e5e7b7b2ce02d3e5ac4ee9a780763e998b78821d27dfedb0fd81c",
+    "reports/FB173.md": "84966c40771fb4db53633893d1d48af3e2b5aba4d5793585a7096b92f5df6054",
+    "reports/FB174.md": "9e024f83b159c27939311b26070bf4d380449ca8b815094e0cb8993926c50cb2",
+    "reports/FB175.md": "5e7e0d0c4c045594ea841680b2f19f76c78810aaa6a88fa50aae7fa61ae3b34d",
+    "reports/FB196.md": "2c23ca615ef0eb3562eeadce3ac741b888129f76058ba2bb002c170894035b0a",
+    "reports/FB262.md": "d7d11a44b569d2c896f96c93c0b865e7aefe5a78582001cec7aac2ffb5e2fc5d",
+    "reports/FB263.md": "49b86b449c2c65e3c7af2aa0e59cacbc8420835ea623126fe620aeefd14ddbda",
+    "reports/FB264.md": "e7a5443995b52e01deffec75b788dd22c85a4a5d421fa66cef2bf953e4e1cf76",
+    "reports/FB266.md": "1c1b62af7467aa1ceb9a8627a0da83a7cc09b2be3c7eb5ce0d6809f025bc7ab1",
+    "reports/FB276.md": "fd0170767f64a6d8a39dd08c4ee4eddc76529ef646f34bba2566e3b9a51b4d1b",
+    "reports/FB278.md": "bd34b7548df9ef850d9ed14c5004f98b30fddb06e19cd7c12d5a14471dedfab1",
+    "reports/FB280.md": "6de1bfb9b8dc3805c6591a3c57a24eac9c1f5131c0dd9bc875a1c56058539750",
+    "reports/FB281.md": "5f1acb8049d1165c4a5620bcbe142693433ce1eb3dd53baa0ee97d8f26ec23da",
+    "reports/FB296.md": "054af94071be383fc2bd525e6bf6829ca4e0f4f61b82676137a73b132606abcf",
+    "reports/FB298.md": "a5447376412231518f82702d788c721d2c200ddfa3a83fde088b25d5a7029207",
+    "reports/FB304.md": "83d74ff7656b018bec44f8d1a9331ffcbc725a031d84dca6da47809e52505eba",
+    "reports/FB314.md": "42b5273b2623ede6d8611710e88bd84ea0f32ae3f15bbf899dfdcd96ed71083b",
+    "reports/FB327.md": "7013fcc3897e17a76235d115ec572c4b7e599959455ff86b6efa253b47718248",
+}
+
+
+def test_classify_bytes_unchanged_with_hits(workspace, tmp_path):
+    out = tmp_path / "c"
+    assert main(["classify", "--dataset", workspace["dataset"],
+                 "--schema", workspace["schema"], "--model", workspace["model"],
+                 "--store", str(workspace["store"]),
+                 "--embedding-dim", EMBED_DIM, "--seed", "0",
+                 "--threshold", "0.2", "--out", str(out)]) == 0
+    dossier = json.loads((out / "dossier.json").read_text())
+    assert any("hits: 0" not in line for entry in dossier["samples"]
+               for line in entry["report"]["step_transcripts"])
+    written = [out / "dossier.json"] + sorted((out / "reports").glob("*.md"))
+    assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written} == THRESHOLD_02_SHA256
+
+
+@pytest.mark.parametrize("fail_on", [1, 3])
+def test_classify_embed_failure_stops_before_any_report(workspace, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        fail_on):
+    """The cohort's step queries are embedded before the first stage runs,
+    so an embedder failing on any call leaves no report behind."""
+    from adam.embedding import OfflineHashEmbedder
+    from adam.errors import BackendError
+
+    calls = []
+    embed_many = OfflineHashEmbedder.embed_many
+
+    def failing(self, texts):
+        calls.append(len(texts))
+        if len(calls) == fail_on:
+            raise BackendError("embedding endpoint refused the request")
+        return embed_many(self, texts)
+
+    monkeypatch.setattr(OfflineHashEmbedder, "embed_many", failing)
+    out = tmp_path / "c"
+    assert main(["classify", "--dataset", workspace["dataset"],
+                 "--schema", workspace["schema"], "--model", workspace["model"],
+                 "--store", str(workspace["store"]),
+                 "--embedding-dim", EMBED_DIM, "--seed", "0",
+                 "--out", str(out)]) == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert err_lines == ["error: embedding endpoint refused the request"]
+    assert len(calls) == fail_on
+    assert not list(out.glob("reports/*.md"))
+    assert not (out / "dossier.json").exists()
+
+
 def test_classify_dossier_contents(workspace):
     dossier = json.loads((workspace["first"] / "dossier.json").read_text())
     assert dossier["format"] == "adam-dossier"
@@ -746,11 +831,18 @@ def test_classify_with_remote_backends(workspace, tmp_path, monkeypatch):
         assert payload["model"] == {"summarization": "sum-model",
                                     "classification": "cls-model"}[stage]
         assert (payload["max_tokens"], payload["temperature"]) == (1024, 0)
-    assert len(session.embedding) == 8
+    samples = json.loads((out / "dossier.json").read_text())["samples"]
+    # One request holds the cohort's distinct step queries, in first-use
+    # order: cohort order, summarization before classification.
+    queries = [line.rsplit(" | hits: ", 1)[0].split(" | query: ", 1)[1]
+               for entry in samples
+               for line in entry["report"]["step_transcripts"]]
+    assert len(queries) == 64
+    assert [payload["input"] for payload in session.embedding] == [
+        list(dict.fromkeys(queries))]
     assert {payload["model"] for payload in session.embedding} == {"embed-model"}
     assert session.keys == {("http://llm.test", "Bearer llm-key"),
                             ("http://embed.test", "Bearer embed-key")}
-    samples = json.loads((out / "dossier.json").read_text())["samples"]
     assert [entry["verdict"] for entry in samples] == session.verdicts
     assert any("hits: 0" not in line for entry in samples
                for line in entry["report"]["step_transcripts"])

@@ -1,0 +1,97 @@
+"""One retrieval pass per cohort.
+
+classify_cohort sends every distinct step query of the cohort to the
+searcher in one query_many call, before the first stage runs, and the
+stages read their hits from that result. Its reports and transcripts
+must equal a run whose stages each query the real searcher.
+"""
+
+import numpy as np
+import pytest
+
+from adam import evaluation
+from adam.agents import (
+    PROGRAMS,
+    AgentContext,
+    ThresholdMockLLM,
+    TitleEchoMock,
+    run_pipeline,
+    stage_queries,
+)
+from adam.chunker import CorpusDocument
+from adam.config import RunConfig
+from adam.dataset import draw_eval_cohort
+from adam.embedding import OfflineHashEmbedder
+from adam.vectorstore import SemanticSearch, index_corpus
+from search_oracle import _passage
+
+
+class _CountingSearcher:
+    """The searcher, recording the texts of each query_many call."""
+
+    def __init__(self, searcher):
+        self.searcher, self.calls = searcher, []
+
+    def query_many(self, texts):
+        self.calls.append(list(texts))
+        return self.searcher.query_many(texts)
+
+
+@pytest.fixture(scope="module")
+def searcher():
+    """A 40-document store at 64 dimensions; at threshold 0.3 a cohort's
+    step queries get no hit, some hits and a full top 5."""
+    rng = np.random.default_rng(5)
+    docs = [CorpusDocument(f"PUB{i:04d}", "title", _passage(rng),
+                           ("alzheimer",) if i % 3 else ("gut",))
+            for i in range(40)]
+    backend = OfflineHashEmbedder(dim=64)
+    return SemanticSearch(tuple(index_corpus(docs, backend).values()),
+                          backend, threshold=0.3)
+
+
+@pytest.fixture(scope="module")
+def cohort_run(deployment, searcher):
+    counting = _CountingSearcher(searcher)
+    test = deployment["test"]
+    cohort = draw_eval_cohort(test, 15, 15, seed=0)
+    items = list(evaluation.classify_cohort(
+        cohort, test, deployment["deployed"], deployment["reference"],
+        counting, TitleEchoMock(), ThresholdMockLLM(), RunConfig()))
+    return cohort, items, counting.calls
+
+
+def test_one_query_many_call_with_distinct_texts_in_first_use_order(cohort_run):
+    cohort, items, calls = cohort_run
+    assert len(calls) == 1
+    asked = [record.query for _, ctx, _ in items
+             for transcript in ctx.transcripts for record in transcript.steps]
+    assert len(asked) == len(cohort.samples) * 16
+    assert calls[0] == list(dict.fromkeys(asked))
+    assert len(calls[0]) < len(asked)  # some queries recur across samples
+    assert calls[0] == list(dict.fromkeys(
+        query for _, ctx, _ in items for stage in PROGRAMS
+        for query in stage_queries(ctx.computational, stage)))
+
+
+def test_cohort_pass_equals_per_stage_retrieval(cohort_run, searcher):
+    _, items, _ = cohort_run
+    counts = set()
+    for sample, ctx, report in items:
+        alone = AgentContext(sample_id=ctx.sample_id, study_id=ctx.study_id,
+                             visit_index=ctx.visit_index,
+                             computational=ctx.computational,
+                             history=ctx.history)
+        assert run_pipeline(alone, searcher, TitleEchoMock(),
+                            ThresholdMockLLM()) == report
+        assert alone.transcripts == ctx.transcripts
+        counts.update(len(record.hits) for transcript in ctx.transcripts
+                      for record in transcript.steps)
+    assert {0, 1, 5} <= counts
+
+
+def test_a_query_the_pass_did_not_retrieve_raises():
+    hits = evaluation.RetrievedHits({"asked": ()})
+    assert hits.query_many(["asked"]) == [()]
+    with pytest.raises(KeyError):
+        hits.query_many(["never asked"])

@@ -259,6 +259,18 @@ def test_levene_two_value_groups_have_no_within_spread():
     assert levene_test([1.0, 1.0], [0.96551724137931039, 1.0]) == (math.inf, 0.0)
 
 
+def test_levene_groups_with_equal_deviations_up_to_rounding():
+    # Every deviation of [0.1, 0.1, 0.3, 0.3] from its mean is 0.1 exactly,
+    # but 0.1 - 0.2 and 0.3 - 0.2 round apart; the group has no within
+    # spread, so W is infinite rather than about 3.5e32.
+    assert levene_test([0.1, 0.1, 0.3, 0.3], [0.5, 0.5, 1.0, 1.0]) == (math.inf, 0.0)
+    # Deviations 0.4, 0.3, 0.1, 0.8 are truly unequal: the group keeps its
+    # within sum 0.26 and the other adds none, so W = 6 * 0.045 / 0.26.
+    w, p = levene_test([0.1, 0.2, 0.4, 1.3], [0.5, 0.5, 1.0, 1.0])
+    assert w == pytest.approx(27.0 / 26.0, rel=1e-12)
+    assert p == pytest.approx(f_distribution_sf(27.0 / 26.0, 1.0, 6.0), rel=1e-12)
+
+
 def test_levene_center_variants():
     rng = np.random.default_rng(5)
     a = rng.normal(size=20)
