@@ -9,8 +9,9 @@ Subpackages and modules:
   chunker      sliding-window document segmentation
   embedding    offline-hash and remote embedding backends
   vectorstore  persisted unit-vector collections with exact cosine search
-  agents       computational, summarization, and classification agents
-  evaluation   seeded trial protocol
+  agents       computational, summarization, and classification agents,
+               and the cohort driver that classify and evaluate run
+  evaluation   seeded trial protocol (train and evaluate)
   comparison   per-seed trial files and model comparison statistics
   stats        rank and variance tests with exact special functions
   cli          operator command line (python3 -m adam ...)

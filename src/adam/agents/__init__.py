@@ -1,96 +1,36 @@
-"""Three coordinated agents: computational, summarization, classification."""
+"""Three coordinated agents: computational, summarization, classification.
 
-from ..config import DEFAULT_CLASSIFICATION_MODEL, DEFAULT_SUMMARIZATION_MODEL
-from .computational import (
-    TOP_FEATURE_COUNT,
-    TOP_TAXA_COUNT,
-    ComputationalOutput,
-    DeployedModel,
-    run_computational,
-    run_computational_many,
-)
-from .llm import (
-    API_KEY_VARIABLE,
-    HttpChatBackend,
-    LLMBackend,
-    LLMRequest,
-    StaticMock,
-    ThresholdMockLLM,
-    TitleEchoMock,
-    estimate_tokens,
-    parse_verdict,
-    probability_line,
-    threshold_line,
-)
-from .pipeline import (
-    CLASSIFICATION_TOKEN_BUDGET,
-    DEFAULT_FALLBACK_THRESHOLD,
-    NO_HISTORY_MARKER,
-    NO_PASSAGES_MARKER,
-    SUMMARIZATION_TOKEN_BUDGET,
-    AgentContext,
-    StageTranscript,
-    StepRecord,
-    run_classification,
-    run_pipeline,
-    run_summarization,
-    stage_queries,
-)
-from .report import (
-    NO_ATTRIBUTIONS_MARKER,
-    SECTION_TITLES,
-    ClassificationReport,
-    build_sections,
-    format_attribution,
-    format_probability,
-    render_report,
-)
-from .steps import (
-    CLASSIFICATION_TITLES,
-    PROGRAMS,
-    SUMMARIZATION_TITLES,
-)
+Each exported name is imported from the module that defines it when it
+is first read, so importing one submodule loads no other.
+"""
 
-__all__ = [
-    "API_KEY_VARIABLE",
-    "CLASSIFICATION_TITLES",
-    "CLASSIFICATION_TOKEN_BUDGET",
-    "DEFAULT_CLASSIFICATION_MODEL",
-    "DEFAULT_FALLBACK_THRESHOLD",
-    "DEFAULT_SUMMARIZATION_MODEL",
-    "NO_ATTRIBUTIONS_MARKER",
-    "NO_HISTORY_MARKER",
-    "NO_PASSAGES_MARKER",
-    "PROGRAMS",
-    "SECTION_TITLES",
-    "SUMMARIZATION_TITLES",
-    "SUMMARIZATION_TOKEN_BUDGET",
-    "TOP_FEATURE_COUNT",
-    "TOP_TAXA_COUNT",
-    "AgentContext",
-    "ClassificationReport",
-    "ComputationalOutput",
-    "DeployedModel",
-    "HttpChatBackend",
-    "LLMBackend",
-    "LLMRequest",
-    "StageTranscript",
-    "StaticMock",
-    "StepRecord",
-    "ThresholdMockLLM",
-    "TitleEchoMock",
-    "build_sections",
-    "estimate_tokens",
-    "format_attribution",
-    "format_probability",
-    "parse_verdict",
-    "probability_line",
-    "render_report",
-    "run_classification",
-    "run_computational",
-    "run_computational_many",
-    "run_pipeline",
-    "run_summarization",
-    "stage_queries",
-    "threshold_line",
-]
+from importlib import import_module
+
+# The exported names of each module, relative to this package.
+_SOURCES = {
+    "..config": ("CLASSIFICATION_TOKEN_BUDGET", "DEFAULT_CLASSIFICATION_MODEL",
+                 "DEFAULT_FALLBACK_THRESHOLD", "DEFAULT_SUMMARIZATION_MODEL",
+                 "SUMMARIZATION_TOKEN_BUDGET"),
+    ".computational": ("TOP_FEATURE_COUNT", "TOP_TAXA_COUNT", "ComputationalOutput",
+                       "DeployedModel", "run_computational", "run_computational_many"),
+    ".llm": ("API_KEY_VARIABLE", "HttpChatBackend", "LLMBackend", "LLMRequest",
+             "StaticMock", "ThresholdMockLLM", "TitleEchoMock", "estimate_tokens",
+             "parse_verdict", "probability_line", "threshold_line"),
+    ".pipeline": ("NO_HISTORY_MARKER", "NO_PASSAGES_MARKER", "AgentContext",
+                  "StageTranscript", "StepRecord", "classify_cohort", "healthy_reference",
+                  "run_classification", "run_pipeline", "run_summarization",
+                  "stage_queries"),
+    ".report": ("NO_ATTRIBUTIONS_MARKER", "SECTION_TITLES", "ClassificationReport",
+                "build_sections", "format_attribution", "format_probability",
+                "render_report"),
+    ".steps": ("CLASSIFICATION_TITLES", "PROGRAMS", "SUMMARIZATION_TITLES"),
+}
+_EXPORTS = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_EXPORTS[name], __name__), name)
+    return value

@@ -1,17 +1,22 @@
-"""Two-stage agent pipeline: summarization then classification.
+"""Two-stage agent pipeline: summarization then classification, and the
+cohort driver that runs it on every sample of an evaluation cohort.
 
 Each stage assembles one prompt in a fixed order (computational output,
 patient history, retrieval-augmented reasoning steps, task), enforces a
 hard token budget by dropping oldest history first and lowest-similarity
 retrieval passages second, and issues exactly one completion. The
 classification stage parses a strict verdict line and emits a
-ClassificationReport. With deterministic mock backends the whole
-pipeline is a pure function of its inputs.
+ClassificationReport. classify_cohort, which classify and the adam
+variant of evaluate run, computes every visit the cohort needs once and
+retrieves every distinct step query once before the first stage. With
+deterministic mock backends the whole pipeline is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -19,9 +24,11 @@ from ..config import (
     CLASSIFICATION_TOKEN_BUDGET,
     DEFAULT_FALLBACK_THRESHOLD,
     SUMMARIZATION_TOKEN_BUDGET,
+    RunConfig,
 )
-from ..errors import AgentError, BackendError, TokenBudgetError
-from .computational import ComputationalOutput
+from ..dataset import SampleSet
+from ..errors import AgentError, BackendError, EmptyInputError, TokenBudgetError
+from .computational import ComputationalOutput, run_computational_many
 from .llm import (
     LLMBackend,
     LLMRequest,
@@ -330,3 +337,77 @@ def run_pipeline(ctx: AgentContext, searcher, summarizer: LLMBackend,
     return run_classification(ctx, searcher, classifier,
                               budget=classification_budget,
                               fallback_threshold=fallback_threshold)
+
+
+def healthy_reference(train: SampleSet) -> SampleSet:
+    """The healthy (label 0) samples of a training set, the reference
+    community for beta diversity."""
+    healthy = [s.sample_id for s in train.samples if s.label == 0]
+    if not healthy:
+        raise EmptyInputError("training partition has no healthy samples "
+                              "to serve as the beta-diversity reference")
+    return train.subset(healthy)
+
+
+class RetrievedHits(NamedTuple):
+    """Hits already retrieved, served by query text with the interface of
+    SemanticSearch.query_many. A text that was not retrieved raises
+    KeyError."""
+
+    hits: dict
+
+    def query_many(self, texts) -> list[tuple]:
+        return [self.hits[text] for text in texts]
+
+
+def classify_cohort(cohort, test_set, deployed, reference, searcher,
+                    summarizer, classifier, config: RunConfig) -> Iterator[tuple]:
+    """Run the three-agent pipeline on every cohort sample, in cohort order,
+    yielding (sample, context, report); the context holds the sample's
+    computational output, history and stage transcripts.
+
+    A sample's history is its earlier visits in test_set, keeping the
+    first sample of a repeated visit index. Before the first sample is
+    yielded, the computational agent runs once on every distinct visit
+    the cohort needs (its samples and their histories, in first-use
+    order), and then one retrieval pass sends the cohort's distinct step
+    queries (in cohort order, summarization before classification) to
+    searcher.query_many, which embeds and scans them in batches of 64.
+    So a visit the computational agent rejects, a step query that fails
+    to embed or a failing remote embedder stops the run before any
+    report. The token budgets and fallback threshold come from config;
+    the model names are the backends' own.
+    """
+    histories = []
+    for sample in cohort.samples:
+        history = []
+        last_visit = 0
+        for prior in test_set.prior_visits(sample):
+            if prior.visit_index <= last_visit:
+                continue  # duplicate visit index: keep the first sample
+            history.append(prior)
+            last_visit = prior.visit_index
+        histories.append(history)
+    visits = list(dict.fromkeys(
+        visit for sample, history in zip(cohort.samples, histories)
+        for visit in (sample, *history)))
+    outputs = dict(zip(visits, run_computational_many(
+        visits, cohort.clinical_names, cohort.taxon_names, deployed, reference)))
+    if searcher is not None:
+        texts = list(dict.fromkeys(
+            query for sample in cohort.samples for stage in PROGRAMS
+            for query in stage_queries(outputs[sample], stage)))
+        searcher = RetrievedHits(dict(zip(texts, searcher.query_many(texts))))
+
+    for sample, history in zip(cohort.samples, histories):
+        ctx = AgentContext(sample_id=sample.sample_id,
+                           study_id=sample.study_id,
+                           visit_index=sample.visit_index,
+                           computational=outputs[sample],
+                           history=tuple(outputs[prior] for prior in history))
+        report = run_pipeline(
+            ctx, searcher, summarizer, classifier,
+            summarization_budget=config.summarization_budget,
+            classification_budget=config.classification_budget,
+            fallback_threshold=config.fallback_threshold)
+        yield sample, ctx, report

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .computational import ComputationalOutput
+if TYPE_CHECKING:
+    from .computational import ComputationalOutput
 
 SECTION_TITLES = (
     "Clinical Indicators",

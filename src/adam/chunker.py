@@ -19,11 +19,9 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LENGTH
 from .errors import (STRINGS, EmptyInputError, FormatError, WindowError, check_fields,
                      parse_object, read_text)
-
-DEFAULT_SEGMENT_LENGTH = 2000
-DEFAULT_OVERLAP = 400
 
 
 class Chunk(NamedTuple):

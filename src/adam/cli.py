@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .chunker import read_corpus
 from .config import (
     FIELD_TYPES,
     RunConfig,
@@ -34,16 +33,14 @@ from .config import (
     resolve_config,
     write_resolved_config,
 )
-from .embedding import OfflineHashEmbedder, RemoteEmbedder
-from .errors import (FINITE, NUMBER, OBJECT, STRING, STRINGS, AdamError, AlignmentError,
-                     FormatError, IntegrityError, ModelIntegrityError, SchemaError,
-                     check_fields, parse_object, read_text)
-from .vectorstore import (STORE_SUFFIX, SemanticSearch, index_corpus, load_collections,
-                          save_collections)
+from .errors import (FINITE, OBJECT, STRING, STRINGS, AdamError, AlignmentError, FormatError,
+                     IntegrityError, ModelIntegrityError, SchemaError, check_fields,
+                     is_file_name, parse_object, read_text)
 
-# Modules that only some subcommands run are imported inside the functions
-# that use them, so index, synth and ingest never load the ensemble, the
-# agents or the statistics.
+# Every module beyond config and errors is imported inside the functions
+# that use it, so each subcommand loads only the modules it runs: --help
+# loads no numpy, compare only the statistics, report only the report
+# renderer, and classify neither the trial driver nor the baselines.
 
 
 # The RunConfig fields each subcommand exposes as flags. A field's flag is
@@ -107,6 +104,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _embedder(config: RunConfig):
+    from .embedding import OfflineHashEmbedder, RemoteEmbedder
+
     if config.embedding_backend == "mock":
         return OfflineHashEmbedder(dim=config.embedding_dim)
     return RemoteEmbedder(url=config.embedding_url,
@@ -115,7 +114,7 @@ def _embedder(config: RunConfig):
 
 
 def _llm_backends(config: RunConfig):
-    from .agents import HttpChatBackend, ThresholdMockLLM, TitleEchoMock
+    from .agents.llm import HttpChatBackend, ThresholdMockLLM, TitleEchoMock
 
     if config.llm_backend == "mock":
         return TitleEchoMock(), ThresholdMockLLM()
@@ -128,6 +127,8 @@ def _llm_backends(config: RunConfig):
 def _searcher(config: RunConfig):
     if config.store is None:
         return None
+    from .vectorstore import SemanticSearch, load_collections
+
     collections = load_collections(config.store,
                                    expected_dim=config.embedding_dim)
     if not collections:
@@ -204,6 +205,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .chunker import read_corpus
+    from .vectorstore import STORE_SUFFIX, index_corpus, load_collections, save_collections
+
     config = _resolve(args)
     if config.store is None:
         raise SchemaError("index needs --store (directory for .advec files)")
@@ -251,7 +255,7 @@ def cmd_index(args) -> int:
 def _model_bundle(deployed, split) -> dict:
     """The model.json document of a deployed model and its (train, test)
     split."""
-    from .ensemble import model_to_dict
+    from .ensemble.gbdt import model_to_dict
 
     train, test = split
     return {
@@ -279,8 +283,8 @@ _BUNDLE_FIELDS = {
 def _load_model_bundle(path):
     """(deployed model, train study ids, test study ids) from a bundle
     written by train; anything malformed raises an AdamError naming path."""
-    from .agents import DeployedModel
-    from .ensemble import model_from_dict
+    from .agents.computational import DeployedModel
+    from .ensemble.gbdt import model_from_dict
 
     doc = parse_object(read_text(path), path)
     check_fields(doc, _BUNDLE_FIELDS, path)
@@ -297,7 +301,7 @@ def _load_model_bundle(path):
 
 
 def cmd_train(args) -> int:
-    from .ensemble import evaluate_binary
+    from .ensemble.metrics import evaluate_binary
     from .evaluation import fit_seed
 
     config = _resolve(args)
@@ -331,9 +335,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .agents import render_report
+    from .agents.pipeline import classify_cohort, healthy_reference
+    from .agents.report import render_report
     from .dataset import draw_eval_cohort
-    from .evaluation import classify_cohort, healthy_reference
 
     config = _resolve(args)
     if config.model is None:
@@ -479,19 +483,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _plain_file_name(value) -> bool:
-    from .dataset import is_file_name
-
-    return isinstance(value, str) and is_file_name(value)
-
-
 _DOSSIER_FIELDS = {"format": (lambda v: v == "adam-dossier", "'adam-dossier'"),
                    "samples": (lambda v: isinstance(v, list), "a list")}
 # The shape of each report payload of a dossier, by key.
 _REPORT_FIELDS = {
-    "sample_id": (_plain_file_name, "a plain file name"),
+    "sample_id": (lambda v: isinstance(v, str) and is_file_name(v), "a plain file name"),
     "verdict": (lambda v: v in ("Yes", "No"), "Yes or No"),
-    "probability": NUMBER,
+    "probability": (lambda v: FINITE[0](v) and 0 <= v <= 1, "a finite number in [0, 1]"),
     "sections": (lambda v: isinstance(v, list) and all(
         STRINGS[0](s) and len(s) == 2 for s in v),
         "a list of [title, text] pairs"),
@@ -508,7 +506,7 @@ def read_dossier(path) -> list:
     bad entry, its index in "samples"; a repeated sample_id is bad, as
     its report file would replace the earlier one's.
     """
-    from .agents import ClassificationReport
+    from .agents.report import ClassificationReport
 
     doc = parse_object(read_text(path), path)
     check_fields(doc, _DOSSIER_FIELDS, path)
@@ -528,7 +526,7 @@ def read_dossier(path) -> list:
 
 
 def cmd_report(args) -> int:
-    from .agents import render_report
+    from .agents.report import render_report
 
     config = _resolve(args)
     reports = read_dossier(args.dossier)

@@ -12,15 +12,18 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .chunker import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LENGTH
-from .embedding import DEFAULT_DIMENSION, DEFAULT_EMBEDDING_MODEL
 from .errors import (INTEGER, NUMBER, STRING, SchemaError, check_fields, parse_object,
                      read_text)
-from .vectorstore import DEFAULT_THRESHOLD, DEFAULT_TOP_K
 
 RESOLVED_CONFIG_NAME = "resolved-config.json"
-# Agent defaults. They live here rather than in the agents package so
-# that reading the configuration loads no agent or ensemble code.
+# Defaults of the modules that read them. They live here so that reading
+# the configuration loads none of those modules.
+DEFAULT_SEGMENT_LENGTH = 2000
+DEFAULT_OVERLAP = 400
+DEFAULT_DIMENSION = 1536
+DEFAULT_EMBEDDING_MODEL = "text-embedding-ada-002"
+DEFAULT_TOP_K = 5
+DEFAULT_THRESHOLD = 0.8
 SUMMARIZATION_TOKEN_BUDGET = 100_000
 CLASSIFICATION_TOKEN_BUDGET = 50_000
 DEFAULT_FALLBACK_THRESHOLD = 0.5

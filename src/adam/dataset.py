@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (OBJECT, CohortError, EmptyInputError, SchemaError, StratificationError,
-                     check_fields, parse_object, read_csv, read_text)
+                     check_fields, is_file_name, parse_object, read_csv, read_text)
 
 ROLES = ("sample_id", "study_id", "visit", "label", "clinical", "taxon", "ignore")
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -141,15 +141,6 @@ def _parse_label(token: str) -> int:
     if t in _FALSE_TOKENS:
         return 0
     raise ValueError(f"unrecognized label value {token!r}")
-
-
-def is_file_name(name: str) -> bool:
-    """True if name can name one file inside a directory: not empty, not
-    "." or "..", and free of "/", "\\", NUL and lone surrogates (which a
-    JSON escape can make and no UTF-8 file name holds). Sample ids name
-    report files, so ids failing this are rejected wherever they are read."""
-    return name not in ("", ".", "..") and not any(
-        c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name)
 
 
 def _parse_float(token: str, missing_as: float) -> float:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_DIMENSION, DEFAULT_EMBEDDING_MODEL
 from .errors import (
     INTEGER,
     BackendError,
@@ -44,8 +45,6 @@ from .errors import (
 )
 from .http_retry import JsonEndpoint
 
-DEFAULT_DIMENSION = 1536
-DEFAULT_EMBEDDING_MODEL = "text-embedding-ada-002"
 DEFAULT_MAX_CHARS = 8000
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
 TIMEOUT_SECONDS = 60.0

@@ -124,6 +124,15 @@ _shown = reprlib.Repr()
 _shown.maxlevel = 1
 
 
+def is_file_name(name: str) -> bool:
+    """True if name can name one file inside a directory: not empty, not
+    "." or "..", and free of "/", "\\", NUL and lone surrogates (which a
+    JSON escape can make and no UTF-8 file name holds). Sample ids name
+    report files, so ids failing this are rejected wherever they are read."""
+    return name not in ("", ".", "..") and not any(
+        c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name)
+
+
 def check_fields(doc, spec: dict, where, error=FormatError) -> None:
     """Raise error (a type, or a callable making the exception from the
     message) unless doc is a JSON object holding each key of spec with a

@@ -4,31 +4,25 @@ One trial = one seed: draw a group-disjoint stratified split, impute
 with training medians, keep the strongest features by split gain, fit
 each requested model, and score it on a fixed-size evaluation cohort
 drawn from the held-out studies. The "adam" variant routes every cohort
-sample through the three-agent pipeline and scores its verdicts; with
-the deterministic mock backends the whole run is a pure function of
-(dataset, seeds, configuration). The trials file and the comparison of
-two runs live in ``comparison``.
+sample through the three-agent pipeline (``agents.pipeline.classify_cohort``,
+the path classify runs too) and scores its verdicts; with the
+deterministic mock backends the whole run is a pure function of
+(dataset, seeds, configuration). Only train and evaluate load this
+module. The trials file and the comparison of two runs live in
+``comparison``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .agents import (
-    PROGRAMS,
-    AgentContext,
-    DeployedModel,
-    ThresholdMockLLM,
-    TitleEchoMock,
-    run_computational_many,
-    run_pipeline,
-    stage_queries,
-)
+from .agents.computational import DeployedModel
+from .agents.llm import ThresholdMockLLM, TitleEchoMock
+from .agents.pipeline import classify_cohort, healthy_reference
 from .comparison import TrialResult
 from .config import RunConfig
 from .dataset import (
@@ -38,19 +32,16 @@ from .dataset import (
     impute,
     split_grouped_stratified,
 )
-from .ensemble import (
+from .ensemble.baselines import fit_logistic_regression, fit_random_forest
+from .ensemble.gbdt import GBDTParams, feature_gains, fit_gbdt
+from .ensemble.metrics import (
     BinaryMetrics,
-    GBDTParams,
     accuracy,
     auc_score,
     evaluate_binary,
-    feature_gains,
-    fit_gbdt,
-    fit_logistic_regression,
-    fit_random_forest,
     precision_recall_f1,
-    run_search,
 )
+from .ensemble.tuning import run_search
 from .errors import AdamError, EmptyInputError
 
 MODEL_TAGS = ("baseline-gbdt", "baseline-rf", "baseline-lr", "adam")
@@ -125,80 +116,6 @@ def fit_seed(sample_set: SampleSet, config: RunConfig, seed: int,
             medians={names[j]: float(medians[j]) for j in selected})
     return SeedFit(train=train, test=test, medians=medians, selected=selected,
                    X_train=X_train, y_train=y_train, deployed=deployed)
-
-
-def healthy_reference(train: SampleSet) -> SampleSet:
-    """The healthy (label 0) samples of a training set, the reference
-    community for beta diversity."""
-    healthy = [s.sample_id for s in train.samples if s.label == 0]
-    if not healthy:
-        raise EmptyInputError("training partition has no healthy samples "
-                              "to serve as the beta-diversity reference")
-    return train.subset(healthy)
-
-
-class RetrievedHits(NamedTuple):
-    """Hits already retrieved, served by query text with the interface of
-    SemanticSearch.query_many. A text that was not retrieved raises
-    KeyError."""
-
-    hits: dict
-
-    def query_many(self, texts) -> list[tuple]:
-        return [self.hits[text] for text in texts]
-
-
-def classify_cohort(cohort, test_set, deployed, reference, searcher,
-                    summarizer, classifier, config: RunConfig) -> Iterator[tuple]:
-    """Run the three-agent pipeline on every cohort sample, in cohort order,
-    yielding (sample, context, report); the context holds the sample's
-    computational output, history and stage transcripts.
-
-    A sample's history is its earlier visits in test_set, keeping the
-    first sample of a repeated visit index. Before the first sample is
-    yielded, the computational agent runs once on every distinct visit
-    the cohort needs (its samples and their histories, in first-use
-    order), and then one retrieval pass sends the cohort's distinct step
-    queries (in cohort order, summarization before classification) to
-    searcher.query_many, which embeds and scans them in batches of 64.
-    So a visit the computational agent rejects, a step query that fails
-    to embed or a failing remote embedder stops the run before any
-    report. The token budgets and fallback threshold come from config;
-    the model names are the backends' own.
-    """
-    histories = []
-    for sample in cohort.samples:
-        history = []
-        last_visit = 0
-        for prior in test_set.prior_visits(sample):
-            if prior.visit_index <= last_visit:
-                continue  # duplicate visit index: keep the first sample
-            history.append(prior)
-            last_visit = prior.visit_index
-        histories.append(history)
-    visits = list(dict.fromkeys(
-        visit for sample, history in zip(cohort.samples, histories)
-        for visit in (sample, *history)))
-    outputs = dict(zip(visits, run_computational_many(
-        visits, cohort.clinical_names, cohort.taxon_names, deployed, reference)))
-    if searcher is not None:
-        texts = list(dict.fromkeys(
-            query for sample in cohort.samples for stage in PROGRAMS
-            for query in stage_queries(outputs[sample], stage)))
-        searcher = RetrievedHits(dict(zip(texts, searcher.query_many(texts))))
-
-    for sample, history in zip(cohort.samples, histories):
-        ctx = AgentContext(sample_id=sample.sample_id,
-                           study_id=sample.study_id,
-                           visit_index=sample.visit_index,
-                           computational=outputs[sample],
-                           history=tuple(outputs[prior] for prior in history))
-        report = run_pipeline(
-            ctx, searcher, summarizer, classifier,
-            summarization_budget=config.summarization_budget,
-            classification_budget=config.classification_budget,
-            fallback_threshold=config.fallback_threshold)
-        yield sample, ctx, report
 
 
 def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,

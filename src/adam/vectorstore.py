@@ -88,12 +88,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chunker import (
-    DEFAULT_OVERLAP,
-    DEFAULT_SEGMENT_LENGTH,
-    CorpusDocument,
-    segment_text,
-)
+from .chunker import CorpusDocument, segment_text
+from .config import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LENGTH, DEFAULT_THRESHOLD, DEFAULT_TOP_K
 from .embedding import EmbeddingBackend
 from .errors import (
     INTEGER,
@@ -107,8 +103,6 @@ from .errors import (
 )
 
 MAGIC = b"ADAMVEC1"
-DEFAULT_TOP_K = 5
-DEFAULT_THRESHOLD = 0.8
 STORE_SUFFIX = ".advec"
 # Texts per embedding call and scan in SemanticSearch.query_many: the
 # (texts x dim) float64 arrays of a batch stay small, and a remote

@@ -867,16 +867,22 @@ HEAVY_MODULES = ("adam.ensemble", "adam.attribution", "adam.agents",
                  "adam.stats", "adam.evaluation")
 
 
-def test_light_commands_do_not_load_the_ensemble(tmp_path):
+def _source_env() -> dict:
+    """The environment, with this checkout's sources first on PYTHONPATH."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import adam
     src = str(Path(adam.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
+def test_light_commands_do_not_load_the_ensemble(tmp_path):
+    import subprocess
+    import sys
+
+    env = _source_env()
     # Runs argv, then prints which of the given heavy modules are loaded.
     code = ("import sys, adam.cli\n"
             "status = adam.cli.main({argv!r})\n"
@@ -910,6 +916,58 @@ def test_light_commands_do_not_load_the_ensemble(tmp_path):
     run = subprocess.run([sys.executable, "-c", config_only], env=env,
                          capture_output=True, text=True)
     assert run.stdout == "[]\n", run.stderr
+
+
+# What every command loads, and the six modules that classify never runs.
+BASE_MODULES = {"adam", "adam.cli", "adam.config", "adam.errors"}
+NOT_RUN_BY_CLASSIFY = {"adam.evaluation", "adam.comparison", "adam.stats",
+                       "adam.ensemble.baselines", "adam.ensemble.metrics",
+                       "adam.ensemble.tuning"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
+    import subprocess
+    import sys
+
+    # Makes the call in a fresh process, then prints the adam modules and
+    # whether numpy is loaded.
+    code = ("import json, sys, adam.cli\n"
+            "{call}\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'adam'),\n"
+            "                  'numpy' in sys.modules]))\n")
+    classify = ["classify", "--dataset", workspace["dataset"],
+                "--schema", workspace["schema"], "--model", workspace["model"],
+                "--store", str(workspace["store"]), "--embedding-dim", EMBED_DIM,
+                "--seed", "0", "--out", str(tmp_path / "classify")]
+    calls = {
+        "build_parser": "adam.cli.build_parser()",
+        "compare": ["compare", "--adam", str(workspace["eval"] / "trials-adam.csv"),
+                    "--baseline", str(workspace["eval"] / "trials-baseline-gbdt.csv")],
+        "report": ["report", "--dossier", str(workspace["first"] / "dossier.json"),
+                   "--out", str(tmp_path / "report")],
+        "classify": classify,
+    }
+    loaded = {}
+    for name, call in calls.items():
+        if isinstance(call, list):
+            call = f"assert adam.cli.main({call!r}) == 0"
+        run = subprocess.run([sys.executable, "-c", code.format(call=call)],
+                             env=_source_env(), capture_output=True, text=True)
+        assert run.returncode == 0, (name, run.stderr)
+        modules, numpy = json.loads(run.stdout.splitlines()[-1])
+        loaded[name] = (set(modules), numpy)
+    assert loaded["build_parser"] == (BASE_MODULES, False)
+    assert loaded["compare"][0] == BASE_MODULES | {"adam.comparison", "adam.stats"}
+    assert loaded["report"] == (BASE_MODULES | {"adam.agents", "adam.agents.report"},
+                                False)
+    modules, _ = loaded["classify"]
+    assert not modules & NOT_RUN_BY_CLASSIFY
+    assert modules == BASE_MODULES | {
+        "adam.agents", "adam.agents.computational", "adam.agents.llm",
+        "adam.agents.pipeline", "adam.agents.report", "adam.agents.steps",
+        "adam.attribution", "adam.chunker", "adam.dataset", "adam.diversity",
+        "adam.embedding", "adam.ensemble", "adam.ensemble.gbdt",
+        "adam.ensemble.tree", "adam.http_retry", "adam.vectorstore"}
 
 
 # --- the command-line surface ----------------------------------------------------

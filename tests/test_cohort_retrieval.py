@@ -9,12 +9,12 @@ must equal a run whose stages each query the real searcher.
 import numpy as np
 import pytest
 
-from adam import evaluation
 from adam.agents import (
     PROGRAMS,
     AgentContext,
     ThresholdMockLLM,
     TitleEchoMock,
+    pipeline,
     run_pipeline,
     stage_queries,
 )
@@ -55,7 +55,7 @@ def cohort_run(deployment, searcher):
     counting = _CountingSearcher(searcher)
     test = deployment["test"]
     cohort = draw_eval_cohort(test, 15, 15, seed=0)
-    items = list(evaluation.classify_cohort(
+    items = list(pipeline.classify_cohort(
         cohort, test, deployment["deployed"], deployment["reference"],
         counting, TitleEchoMock(), ThresholdMockLLM(), RunConfig()))
     return cohort, items, counting.calls
@@ -91,7 +91,7 @@ def test_cohort_pass_equals_per_stage_retrieval(cohort_run, searcher):
 
 
 def test_a_query_the_pass_did_not_retrieve_raises():
-    hits = evaluation.RetrievedHits({"asked": ()})
+    hits = pipeline.RetrievedHits({"asked": ()})
     assert hits.query_many(["asked"]) == [()]
     with pytest.raises(KeyError):
         hits.query_many(["never asked"])

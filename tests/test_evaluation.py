@@ -337,23 +337,23 @@ def test_format_summary_contents():
 def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
     from collections import Counter
 
-    import adam.evaluation as evaluation
+    import adam.agents.pipeline as pipeline
     from adam.agents import ThresholdMockLLM, TitleEchoMock
     from adam.dataset import draw_eval_cohort
 
     calls = Counter()
     batches = []
-    compute = evaluation.run_computational_many
+    compute = pipeline.run_computational_many
 
     def counting(samples, *args):
         batches.append(len(samples))
         calls.update(sample.sample_id for sample in samples)
         return compute(samples, *args)
 
-    monkeypatch.setattr(evaluation, "run_computational_many", counting)
+    monkeypatch.setattr(pipeline, "run_computational_many", counting)
     test = deployment["test"]
     cohort = draw_eval_cohort(test, 15, 15, seed=0)
-    items = list(evaluation.classify_cohort(
+    items = list(pipeline.classify_cohort(
         cohort, test, deployment["deployed"], deployment["reference"], None,
         TitleEchoMock(), ThresholdMockLLM(), RunConfig()))
     assert [sample.sample_id for sample, _, _ in items] == \

@@ -312,7 +312,8 @@ DOSSIER_CASES.update(_json_cases(
     drop=tuple(REPORT),
     wrong=(("sample_id", 7), ("sample_id", "../x"), ("sample_id", "a\ud800"),
            ("verdict", "Maybe"),
-           ("probability", "0.5"), ("sections", [["t"]]), ("summary", None),
+           ("probability", "0.5"), ("probability", float("inf")), ("probability", -3.5),
+           ("sections", [["t"]]), ("summary", None),
            ("step_transcripts", [1]))))
 # a second report of S1 would overwrite the first one's file
 DOSSIER_CASES["repeated-sample-id"] = lambda tmp_path, fx: _write(
