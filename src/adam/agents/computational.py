@@ -1,9 +1,10 @@
 """Computational agent: ensemble probability, diversity, attribution.
 
-Assembles everything numeric the language agents consume. The deployed
-model may use a feature subset; values are looked up by name from the
-sample and imputed with the stored training medians, so the probability
-here is exactly what the deployed ensemble predicts for this sample.
+Assembles everything numeric the language agents consume, for a whole
+set of visits at once. The deployed model may use a feature subset;
+``SampleSet.model_inputs`` looks its columns up by name and fills gaps
+with the stored training medians, so the probability here is exactly
+what the deployed ensemble predicts for each visit.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from ..attribution import Attribution, explain_rows
-from ..dataset import Sample
+from ..dataset import Sample, SampleSet
 from ..diversity import DiversityProfile, diversity_profiles
 from ..ensemble.gbdt import GBDTModel
 from ..errors import AlignmentError
@@ -61,55 +60,32 @@ class ComputationalOutput(NamedTuple):
     taxa_highlights: tuple[tuple[str, float], ...]
 
 
-def feature_matrix(samples, clinical_names, taxon_names,
-                   deployed: DeployedModel) -> np.ndarray:
-    """Model input per sample, assembled by name; a missing value takes
-    the stored training median."""
-    names = tuple(clinical_names) + tuple(taxon_names)
-    column = {name: i for i, name in enumerate(names)}  # a taxon shadows a clinical name
-    missing = [n for n in deployed.feature_names if n not in column]
-    if missing:
-        raise AlignmentError(f"model feature {missing[0]!r} is not a column of the dataset")
-    values = np.empty((len(samples), len(names)))
-    for row, sample in zip(values, samples):
-        if len(sample.clinical) + len(sample.taxa) != len(names):
-            raise AlignmentError(
-                f"sample {sample.sample_id} does not align with the dataset's columns")
-        row[:] = sample.clinical + sample.taxa
-    X = values[:, [column[n] for n in deployed.feature_names]]
-    medians = np.array([deployed.medians[n] for n in deployed.feature_names], dtype=float)
-    return np.where(np.isnan(X), medians, X)
+def run_computational_many(visits: SampleSet, deployed: DeployedModel,
+                           reference: SampleSet) -> list[ComputationalOutput]:
+    """Probability, diversity profile, and attribution for each visit.
 
-
-def run_computational_many(samples, clinical_names, taxon_names,
-                           deployed: DeployedModel, reference) -> list[ComputationalOutput]:
-    """Probability, diversity profile, and attribution for each sample.
-
-    One feature matrix, one ``shap_values`` and one ``predict_margin``
-    call, and one diversity pass against the reference serve every
-    sample; each output is bit-identical to computing its sample alone.
+    One ``SampleSet.model_inputs`` matrix, one ``shap_values`` and one
+    ``predict_margin`` call, and one diversity pass against the
+    reference serve every visit; each output is bit-identical to
+    computing its visit alone.
 
     :param reference: SampleSet of healthy training samples; its taxa
         rows anchor the beta-diversity distances.
     """
-    samples = list(samples)
-    clinical_names = tuple(clinical_names)
-    taxon_names = tuple(taxon_names)
-    if tuple(reference.taxon_names) != taxon_names:
+    if reference.taxon_names != visits.taxon_names:
         raise AlignmentError("reference taxon axis differs from the sample's")
-    X = feature_matrix(samples, clinical_names, taxon_names, deployed)
+    X = visits.model_inputs(deployed.feature_names, deployed.medians)
     attributions = explain_rows(deployed.model, X, deployed.feature_names)
-    taxa = np.array([s.taxa for s in samples], dtype=float).reshape(
-        len(samples), len(taxon_names))
     profiles = diversity_profiles(
-        taxa, reference.taxa_matrix(),
-        names=[f"sample {s.sample_id}" for s in samples],
+        visits.taxa_matrix().reshape(len(visits), len(visits.taxon_names)),
+        reference.taxa_matrix(),
+        names=[f"sample {s.sample_id}" for s in visits.samples],
         reference_names=[f"reference sample {s.sample_id}" for s in reference.samples])
     outputs = []
-    for sample, attribution, profile in zip(samples, attributions, profiles):
-        clinical = tuple(zip(clinical_names,
+    for sample, attribution, profile in zip(visits.samples, attributions, profiles):
+        clinical = tuple(zip(visits.clinical_names,
                              (float(v) for v in sample.clinical)))
-        taxa_ranked = sorted(zip(taxon_names, (float(v) for v in sample.taxa)),
+        taxa_ranked = sorted(zip(visits.taxon_names, (float(v) for v in sample.taxa)),
                              key=lambda kv: (-kv[1], kv[0]))
         outputs.append(ComputationalOutput(
             sample_id=sample.sample_id,
@@ -126,8 +102,8 @@ def run_computational_many(samples, clinical_names, taxon_names,
 
 
 def run_computational(sample: Sample, clinical_names, taxon_names,
-                      deployed: DeployedModel, reference) -> ComputationalOutput:
+                      deployed: DeployedModel, reference: SampleSet) -> ComputationalOutput:
     """Probability, diversity profile, and attribution for one sample:
     the one-sample case of ``run_computational_many``."""
-    return run_computational_many([sample], clinical_names, taxon_names,
-                                  deployed, reference)[0]
+    visit = SampleSet(tuple(clinical_names), tuple(taxon_names), (sample,))
+    return run_computational_many(visit, deployed, reference)[0]

@@ -1,22 +1,23 @@
 """Two-stage agent pipeline: summarization then classification, and the
 cohort driver that runs it on every sample of an evaluation cohort.
 
+classify_cohort, which classify and the adam variant of evaluate run,
+builds each input the stages read once per cohort. The stages read
+their hits from its ``{step query: hits}`` dict and retrieve nothing
+themselves.
+
 Each stage assembles one prompt in a fixed order (computational output,
 patient history, retrieval-augmented reasoning steps, task), enforces a
 hard token budget by dropping oldest history first and lowest-similarity
 retrieval passages second, and issues exactly one completion. The
 classification stage parses a strict verdict line and emits a
-ClassificationReport. classify_cohort, which classify and the adam
-variant of evaluate run, computes every visit the cohort needs once and
-retrieves every distinct step query once before the first stage. With
-deterministic mock backends the whole pipeline is a pure function of its
-inputs.
+ClassificationReport. With deterministic mock backends the whole
+pipeline is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -224,14 +225,11 @@ def _drop_weakest_hit(step_hits) -> bool:
     return True
 
 
-def _run_stage(ctx, searcher, backend, stage, budget,
+def _run_stage(ctx, hits, backend, stage, budget,
                fallback_threshold=None, summary=None):
     steps = tuple((index, *step) for index, step in enumerate(PROGRAMS[stage], 1))
     queries = stage_queries(ctx.computational, stage)
-    if searcher is not None:
-        step_hits = [list(hits) for hits in searcher.query_many(queries)]
-    else:
-        step_hits = [[] for _ in queries]
+    step_hits = [[] if hits is None else list(hits[query]) for query in queries]
 
     history = list(ctx.history)
     dropped_history = 0
@@ -284,15 +282,15 @@ def _run_stage(ctx, searcher, backend, stage, budget,
     return response, transcript
 
 
-def run_summarization(ctx: AgentContext, searcher, llm: LLMBackend, *,
+def run_summarization(ctx: AgentContext, hits, llm: LLMBackend, *,
                       budget: int = SUMMARIZATION_TOKEN_BUDGET) -> str:
     """Run the summarization stage; stores the summary on the context."""
-    response, _ = _run_stage(ctx, searcher, llm, "summarization", budget)
+    response, _ = _run_stage(ctx, hits, llm, "summarization", budget)
     ctx.summary = response
     return response
 
 
-def run_classification(ctx: AgentContext, searcher, llm: LLMBackend, *,
+def run_classification(ctx: AgentContext, hits, llm: LLMBackend, *,
                        budget: int = CLASSIFICATION_TOKEN_BUDGET,
                        fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD,
                        ) -> ClassificationReport:
@@ -301,7 +299,7 @@ def run_classification(ctx: AgentContext, searcher, llm: LLMBackend, *,
         raise AgentError("classification requires a summary; run the "
                          "summarization stage first")
     response, transcript = _run_stage(
-        ctx, searcher, llm, "classification", budget,
+        ctx, hits, llm, "classification", budget,
         fallback_threshold=fallback_threshold, summary=ctx.summary,
     )
     verdict = parse_verdict(response)
@@ -321,7 +319,7 @@ def run_classification(ctx: AgentContext, searcher, llm: LLMBackend, *,
     )
 
 
-def run_pipeline(ctx: AgentContext, searcher, summarizer: LLMBackend,
+def run_pipeline(ctx: AgentContext, hits, summarizer: LLMBackend,
                  classifier: LLMBackend, *,
                  summarization_budget: int = SUMMARIZATION_TOKEN_BUDGET,
                  classification_budget: int = CLASSIFICATION_TOKEN_BUDGET,
@@ -329,12 +327,12 @@ def run_pipeline(ctx: AgentContext, searcher, summarizer: LLMBackend,
                  ) -> ClassificationReport:
     """Both stages in their fixed order for one sample.
 
-    searcher answers ``query_many(texts)`` with the hits of each text: a
-    SemanticSearch, or classify_cohort's hits of its cohort pass. None
-    retrieves nothing.
+    hits maps each step query (``stage_queries``) to its retrieved hits,
+    as classify_cohort's retrieval pass returns them; a query missing
+    from it raises KeyError. None retrieves nothing.
     """
-    run_summarization(ctx, searcher, summarizer, budget=summarization_budget)
-    return run_classification(ctx, searcher, classifier,
+    run_summarization(ctx, hits, summarizer, budget=summarization_budget)
+    return run_classification(ctx, hits, classifier,
                               budget=classification_budget,
                               fallback_threshold=fallback_threshold)
 
@@ -349,56 +347,39 @@ def healthy_reference(train: SampleSet) -> SampleSet:
     return train.subset(healthy)
 
 
-class RetrievedHits(NamedTuple):
-    """Hits already retrieved, served by query text with the interface of
-    SemanticSearch.query_many. A text that was not retrieved raises
-    KeyError."""
-
-    hits: dict
-
-    def query_many(self, texts) -> list[tuple]:
-        return [self.hits[text] for text in texts]
-
-
 def classify_cohort(cohort, test_set, deployed, reference, searcher,
-                    summarizer, classifier, config: RunConfig) -> Iterator[tuple]:
-    """Run the three-agent pipeline on every cohort sample, in cohort order,
-    yielding (sample, context, report); the context holds the sample's
-    computational output, history and stage transcripts.
+                    summarizer, classifier, config: RunConfig) -> list[tuple]:
+    """Run the three-agent pipeline on every cohort sample and return
+    (sample, context, report) per sample, in cohort order; the context
+    holds the sample's computational output, history and stage
+    transcripts.
 
-    A sample's history is its earlier visits in test_set, keeping the
-    first sample of a repeated visit index. Before the first sample is
-    yielded, the computational agent runs once on every distinct visit
-    the cohort needs (its samples and their histories, in first-use
-    order), and then one retrieval pass sends the cohort's distinct step
-    queries (in cohort order, summarization before classification) to
-    searcher.query_many, which embeds and scans them in batches of 64.
-    So a visit the computational agent rejects, a step query that fails
-    to embed or a failing remote embedder stops the run before any
-    report. The token budgets and fallback threshold come from config;
-    the model names are the backends' own.
+    A sample's history is ``test_set.prior_visits(sample)``. Before the
+    first stage runs, the computational agent runs once on every
+    distinct visit the cohort needs (its samples and their histories,
+    in first-use order), and then one retrieval pass sends the cohort's
+    distinct step queries (in cohort order, summarization before
+    classification) to searcher.query_many, which embeds and scans them
+    in batches of 64. So a visit the computational agent rejects, a
+    step query that fails to embed or a failing remote embedder stops
+    the run before any stage. The token budgets and fallback threshold
+    come from config; the model names are the backends' own.
     """
-    histories = []
-    for sample in cohort.samples:
-        history = []
-        last_visit = 0
-        for prior in test_set.prior_visits(sample):
-            if prior.visit_index <= last_visit:
-                continue  # duplicate visit index: keep the first sample
-            history.append(prior)
-            last_visit = prior.visit_index
-        histories.append(history)
-    visits = list(dict.fromkeys(
+    histories = [test_set.prior_visits(sample) for sample in cohort.samples]
+    visits = tuple(dict.fromkeys(
         visit for sample, history in zip(cohort.samples, histories)
         for visit in (sample, *history)))
     outputs = dict(zip(visits, run_computational_many(
-        visits, cohort.clinical_names, cohort.taxon_names, deployed, reference)))
+        SampleSet(cohort.clinical_names, cohort.taxon_names, visits),
+        deployed, reference)))
+    hits = None
     if searcher is not None:
         texts = list(dict.fromkeys(
             query for sample in cohort.samples for stage in PROGRAMS
             for query in stage_queries(outputs[sample], stage)))
-        searcher = RetrievedHits(dict(zip(texts, searcher.query_many(texts))))
+        hits = dict(zip(texts, searcher.query_many(texts)))
 
+    classified = []
     for sample, history in zip(cohort.samples, histories):
         ctx = AgentContext(sample_id=sample.sample_id,
                            study_id=sample.study_id,
@@ -406,8 +387,9 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
                            computational=outputs[sample],
                            history=tuple(outputs[prior] for prior in history))
         report = run_pipeline(
-            ctx, searcher, summarizer, classifier,
+            ctx, hits, summarizer, classifier,
             summarization_budget=config.summarization_budget,
             classification_budget=config.classification_budget,
             fallback_threshold=config.fallback_threshold)
-        yield sample, ctx, report
+        classified.append((sample, ctx, report))
+    return classified

@@ -323,7 +323,7 @@ def cmd_train(args) -> int:
         fh.write("\n")
     print(f"trained on {len(train)} sample(s) from "
           f"{len(train.study_ids())} study(ies); "
-          f"{len(fit.selected)} feature(s)")
+          f"{len(fit.feature_names)} feature(s)")
     print(f"training accuracy: {train_metrics.accuracy:.4f}  "
           f"f1: {train_metrics.f1:.4f}")
     print(f"holdout accuracy: {test_metrics.accuracy:.4f}  "
@@ -356,13 +356,14 @@ def cmd_classify(args) -> int:
     cohort = draw_eval_cohort(test, config.n_pos, config.n_neg, config.seed)
     searcher = _searcher(config)
     summarizer, classifier = _llm_backends(config)
+    # Every sample's stages return before the first file is written.
+    classified = classify_cohort(cohort, test, deployed, reference, searcher,
+                                 summarizer, classifier, config)
 
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     yes = 0
-    classified = classify_cohort(cohort, test, deployed, reference, searcher,
-                                 summarizer, classifier, config)
     for sample, context, report in classified:
         report_path = reports_dir / f"{sample.sample_id}.md"
         report_path.write_text(render_report(report), encoding="utf-8")

@@ -24,8 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (OBJECT, CohortError, EmptyInputError, SchemaError, StratificationError,
-                     check_fields, is_file_name, parse_object, read_csv, read_text)
+from .errors import (OBJECT, AlignmentError, CohortError, EmptyInputError, SchemaError,
+                     StratificationError, check_fields, is_file_name, parse_object, read_csv,
+                     read_text)
 
 ROLES = ("sample_id", "study_id", "visit", "label", "clinical", "taxon", "ignore")
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -88,10 +89,31 @@ class SampleSet:
                          tuple(s for s in self.samples if s.study_id in wanted))
 
     def prior_visits(self, sample: Sample) -> tuple[Sample, ...]:
-        """Earlier visits of the same study, in ascending visit order."""
-        hist = [s for s in self.samples
-                if s.study_id == sample.study_id and s.visit_index < sample.visit_index]
-        return tuple(sorted(hist, key=lambda s: (s.visit_index, s.sample_id)))
+        """Earlier visits of the same study, in ascending visit order: the
+        history the agents read. Of samples sharing a visit index, the
+        lowest sample id stands for the visit."""
+        earlier = [s for s in self.samples
+                   if s.study_id == sample.study_id and s.visit_index < sample.visit_index]
+        history: dict[int, Sample] = {}
+        for s in sorted(earlier, key=lambda s: (s.visit_index, s.sample_id)):
+            history.setdefault(s.visit_index, s)
+        return tuple(history.values())
+
+    def model_inputs(self, names, medians) -> np.ndarray:
+        """Model input per sample: the named columns, in the order named,
+        with each missing value filled by ``impute`` from medians, which
+        maps each name to its training median."""
+        column = {name: i for i, name in enumerate(self.feature_names)}  # a taxon shadows a clinical name
+        missing = [n for n in names if n not in column]
+        if missing:
+            raise AlignmentError(f"model feature {missing[0]!r} is not a column of the dataset")
+        values = np.empty((len(self.samples), len(self.feature_names)))
+        for row, sample in zip(values, self.samples):
+            if len(sample.clinical) + len(sample.taxa) != len(row):
+                raise AlignmentError(
+                    f"sample {sample.sample_id} does not align with the dataset's columns")
+            row[:] = sample.clinical + sample.taxa
+        return impute(values[:, [column[n] for n in names]], [medians[n] for n in names])
 
 
 class Schema(NamedTuple):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import EmptyInputError
+from ..errors import AdamError, EmptyInputError
 from .gbdt import fit_gbdt
 from .metrics import precision_recall_f1
 
@@ -155,7 +155,9 @@ def run_search(X, y, groups, n_trials: int, seed: int = 0,
 
     :param groups: per-row group (study) labels; folds are group-disjoint.
     :returns: (best trial, ties to the earliest; the full trial log).
-        Trials whose fit raises score 0.
+        A trial whose configuration fails with an AdamError (a
+        degenerate fold, say) scores 0 and keeps the message; any other
+        exception is a fault and propagates.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -173,7 +175,7 @@ def run_search(X, y, groups, n_trials: int, seed: int = 0,
         try:
             score = _cv_f1(X, y, groups, params, n_folds, seed)
             records.append(TrialRecord(index=index, params=params, score=score))
-        except Exception as exc:  # a failed configuration scores zero
+        except AdamError as exc:  # a failed configuration scores zero
             records.append(TrialRecord(index=index, params=params, score=0.0,
                                        error=str(exc)))
     return max(records, key=lambda r: (r.score, -r.index)), tuple(records)

@@ -8,22 +8,20 @@ sample through the three-agent pipeline (``agents.pipeline.classify_cohort``,
 the path classify runs too) and scores its verdicts; with the
 deterministic mock backends the whole run is a pure function of
 (dataset, seeds, configuration). Only train and evaluate load this
-module. The trials file and the comparison of two runs live in
-``comparison``.
+module, and train runs only ``fit_seed``: the agents, the mock backends
+and ``comparison`` are imported by the trial driver that uses them. The
+trials file and the comparison of two runs live in ``comparison``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .agents.computational import DeployedModel
-from .agents.llm import ThresholdMockLLM, TitleEchoMock
-from .agents.pipeline import classify_cohort, healthy_reference
-from .comparison import TrialResult
 from .config import RunConfig
 from .dataset import (
     SampleSet,
@@ -43,6 +41,9 @@ from .ensemble.metrics import (
 )
 from .ensemble.tuning import run_search
 from .errors import AdamError, EmptyInputError
+
+if TYPE_CHECKING:
+    from .comparison import TrialResult
 
 MODEL_TAGS = ("baseline-gbdt", "baseline-rf", "baseline-lr", "adam")
 
@@ -75,22 +76,21 @@ def fit_tuned_gbdt(X, y, groups, config: RunConfig, seed: int):
 
 class SeedFit(NamedTuple):
     """One seed's training side: the train and test partitions, the
-    training median of every column, the screened column indices
-    (ascending), the imputed screened training matrix, and the deployed
-    tuned GBDT (None if not fitted)."""
+    screened column names (in column order) and the training median of
+    each, the imputed screened training matrix, and the deployed tuned
+    GBDT (None if not fitted)."""
 
     train: SampleSet
     test: SampleSet
-    medians: np.ndarray
-    selected: np.ndarray
+    feature_names: tuple[str, ...]
+    medians: dict[str, float]
     X_train: np.ndarray
     y_train: np.ndarray
     deployed: DeployedModel | None
 
     def screened(self, samples: SampleSet) -> np.ndarray:
-        """The samples' matrix imputed with the training medians, restricted
-        to the screened columns."""
-        return impute(samples.feature_matrix(), self.medians)[:, self.selected]
+        """The samples' screened columns, imputed with the training medians."""
+        return samples.model_inputs(self.feature_names, self.medians)
 
 
 def fit_seed(sample_set: SampleSet, config: RunConfig, seed: int,
@@ -106,20 +106,24 @@ def fit_seed(sample_set: SampleSet, config: RunConfig, seed: int,
     y_train = train.labels()
     selected = select_features(X_train, y_train, config.n_features, seed=seed)
     X_train = X_train[:, selected]
+    names = tuple(train.feature_names[j] for j in selected)
+    screened_medians = {name: float(medians[j]) for name, j in zip(names, selected)}
     deployed = None
     if with_gbdt:
-        names = train.feature_names
         deployed = DeployedModel(
             model=fit_tuned_gbdt(X_train, y_train, train.study_ids(), config,
                                  seed),
-            feature_names=tuple(names[j] for j in selected),
-            medians={names[j]: float(medians[j]) for j in selected})
-    return SeedFit(train=train, test=test, medians=medians, selected=selected,
-                   X_train=X_train, y_train=y_train, deployed=deployed)
+            feature_names=names, medians=screened_medians)
+    return SeedFit(train=train, test=test, feature_names=names,
+                   medians=screened_medians, X_train=X_train, y_train=y_train,
+                   deployed=deployed)
 
 
 def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,
                   classifier, searcher) -> list[TrialResult]:
+    from .agents.pipeline import classify_cohort, healthy_reference
+    from .comparison import TrialResult
+
     fit = fit_seed(sample_set, config, seed,
                    with_gbdt="baseline-gbdt" in models or "adam" in models)
     test = fit.test
@@ -140,9 +144,9 @@ def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,
                 threshold=config.fallback_threshold)
         else:
             # verdicts score accuracy and F1; probabilities score the AUC
-            items = list(classify_cohort(
+            items = classify_cohort(
                 cohort, test, fit.deployed, healthy_reference(fit.train),
-                searcher, summarizer, classifier, config))
+                searcher, summarizer, classifier, config)
             yhat = np.asarray([report.verdict == "Yes" for _, _, report in items],
                               dtype=float)
             precision, recall, f1 = precision_recall_f1(y, yhat)
@@ -180,6 +184,8 @@ def run_seeded_trials(sample_set: SampleSet, seeds,
     if config is None:
         config = RunConfig()
     if "adam" in models:
+        from .agents.llm import ThresholdMockLLM, TitleEchoMock
+
         summarizer = summarizer if summarizer is not None else TitleEchoMock()
         classifier = classifier if classifier is not None else ThresholdMockLLM()
 

@@ -35,9 +35,9 @@ from adam.agents import (
     run_computational,
     run_pipeline,
     run_summarization,
+    stage_queries,
     threshold_line,
 )
-from adam.agents.computational import feature_matrix
 from adam.attribution import Attribution
 from adam.dataset import Sample, SampleSet
 from adam.diversity import DiversityProfile, diversity_profiles
@@ -289,7 +289,8 @@ def test_run_computational_invariants(deployment):
     assert out.sample_id == sample.sample_id
     assert out.study_id == sample.study_id
     assert out.visit_index == sample.visit_index
-    x, = feature_matrix([sample], test.clinical_names, test.taxon_names, deployed)
+    x, = test.subset([sample.sample_id]).model_inputs(deployed.feature_names,
+                                                      deployed.medians)
     assert out.probability == float(deployed.model.predict_proba(x)[0])
     att = out.attribution
     assert abs(att.base_value + sum(att.contributions) - att.margin) < 1e-9
@@ -332,14 +333,16 @@ def test_feature_vector_imputes_by_name(deployment):
                    visit_index=sample.visit_index, label=sample.label,
                    clinical=(float("nan"),) + sample.clinical[1:],
                    taxa=sample.taxa)
-    x, = feature_matrix([holed], test.clinical_names, test.taxon_names, deployed)
+    names, medians = deployed.feature_names, deployed.medians
+    x, = SampleSet(test.clinical_names, test.taxon_names,
+                   (holed,)).model_inputs(names, medians)
     name = deployed.feature_names[0]
     assert name == test.clinical_names[0]
     assert x[0] == deployed.medians[name]
     assert not np.isnan(x).any()
     with pytest.raises(AlignmentError):
-        feature_matrix([sample], test.clinical_names[1:], test.taxon_names,
-                       deployed)
+        SampleSet(test.clinical_names[1:], test.taxon_names,
+                  (sample,)).model_inputs(names, medians)
 
 
 # --- agent context -----------------------------------------------------------
@@ -490,19 +493,6 @@ def test_backend_failure_becomes_agent_error(deployment):
 
 # --- budget enforcement --------------------------------------------------------
 
-class _FixedSearcher:
-    """Returns a fixed hit tuple for every query."""
-
-    def __init__(self, hits):
-        self.hits = tuple(hits)
-
-    def query(self, text):
-        return self.hits
-
-    def query_many(self, texts):
-        return [self.hits for _ in texts]
-
-
 def _hit(pub, seg, sim, text="passage text " * 10):
     return RetrievalHit(publication_id=pub, segment_index=seg,
                         similarity=sim, collection="c", text=text)
@@ -529,9 +519,11 @@ def test_truncation_drops_oldest_history_first(deployment):
 
 def test_truncation_drops_weakest_hit_after_history(deployment):
     summarizer, _ = _mocks()
-    searcher = _FixedSearcher([_hit("PUBA", 1, 0.95), _hit("PUBB", 2, 0.85)])
     test = deployment["test"]
     sample = next(s for s in test.samples if not test.prior_visits(s))
+    fixed = (_hit("PUBA", 1, 0.95), _hit("PUBB", 2, 0.85))
+    hits = dict.fromkeys(stage_queries(_output_for(deployment, sample),
+                                       "summarization"), fixed)
 
     def fresh():
         return AgentContext(sample_id=sample.sample_id,
@@ -540,12 +532,12 @@ def test_truncation_drops_weakest_hit_after_history(deployment):
                             computational=_output_for(deployment, sample))
 
     full = fresh()
-    run_summarization(full, searcher, summarizer)
+    run_summarization(full, hits, summarizer)
     needed = full.transcripts[0].prompt_tokens
     assert full.transcripts[0].prompt.count("- PUBB segment 2") == 8
 
     tight = fresh()
-    run_summarization(tight, searcher, summarizer, budget=needed - 1)
+    run_summarization(tight, hits, summarizer, budget=needed - 1)
     transcript = tight.transcripts[0]
     assert transcript.dropped_history == 0
     assert transcript.dropped_hits == 1
@@ -557,18 +549,6 @@ def test_truncation_drops_weakest_hit_after_history(deployment):
     assert len(transcript.steps[7].hits) == 1
     assert transcript.steps[7].hits[0].publication_id == "PUBA"
     assert len(transcript.steps[0].hits) == 2
-
-
-
-class _PerQuerySearcher:
-    """query_many as one single-text query_many() per text: the per-step
-    reference."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def query_many(self, texts):
-        return [self.inner.query_many([text])[0] for text in texts]
 
 
 def _step_store():
@@ -590,12 +570,17 @@ def _step_store():
 
 
 def test_batched_step_queries_equal_per_query(deployment):
+    """Hits of one query_many call over both stages' queries drive the
+    stages exactly as one single-text query_many call per query does."""
     searcher = _step_store()
     summarizer, classifier = _mocks()
     batched, single = _context(deployment), _context(deployment)
-    report = run_pipeline(batched, searcher, summarizer, classifier)
-    assert report == run_pipeline(single, _PerQuerySearcher(searcher),
-                                  summarizer, classifier)
+    texts = [query for stage in PROGRAMS
+             for query in stage_queries(batched.computational, stage)]
+    report = run_pipeline(batched, dict(zip(texts, searcher.query_many(texts))),
+                          summarizer, classifier)
+    per_query = {text: searcher.query_many([text])[0] for text in texts}
+    assert report == run_pipeline(single, per_query, summarizer, classifier)
     assert batched.transcripts == single.transcripts
     counts = [len(step.hits) for t in batched.transcripts for step in t.steps]
     assert 5 in counts and 0 in counts

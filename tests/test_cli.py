@@ -438,6 +438,38 @@ def test_classify_embed_failure_stops_before_any_report(workspace, tmp_path,
     assert not (out / "dossier.json").exists()
 
 
+def test_classify_backend_failure_on_the_third_sample_writes_nothing(
+        workspace, tmp_path, capsys, monkeypatch):
+    """Reports and the dossier are written only once every sample's stages
+    have returned, so a classification backend that fails mid-cohort
+    leaves no file behind."""
+    from adam.agents.llm import ThresholdMockLLM
+    from adam.errors import BackendError
+
+    calls = []
+    complete = ThresholdMockLLM.complete
+
+    def failing(self, request):
+        calls.append(request)
+        if len(calls) == 3:
+            raise BackendError("chat endpoint refused the request")
+        return complete(self, request)
+
+    monkeypatch.setattr(ThresholdMockLLM, "complete", failing)
+    out = tmp_path / "c"
+    assert main(["classify", "--dataset", workspace["dataset"],
+                 "--schema", workspace["schema"], "--model", workspace["model"],
+                 "--store", str(workspace["store"]),
+                 "--embedding-dim", EMBED_DIM, "--seed", "0",
+                 "--out", str(out)]) == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert err_lines == ["error: classification backend failed: "
+                         "chat endpoint refused the request"]
+    assert len(calls) == 3
+    assert not (out / "reports").exists()
+    assert not (out / "dossier.json").exists()
+
+
 def test_classify_dossier_contents(workspace):
     dossier = json.loads((workspace["first"] / "dossier.json").read_text())
     assert dossier["format"] == "adam-dossier"
@@ -653,13 +685,15 @@ def test_classify_matches_per_visit_recompute(workspace):
 
     from adam import cli
     from adam.agents import (
+        PROGRAMS,
         AgentContext,
         render_report,
         run_computational,
         run_pipeline,
+        stage_queries,
     )
+    from adam.agents.pipeline import healthy_reference
     from adam.dataset import draw_eval_cohort
-    from adam.evaluation import healthy_reference
 
     config = resolve_config(None, dataset=workspace["dataset"],
                             schema=workspace["schema"],
@@ -683,16 +717,15 @@ def test_classify_matches_per_visit_recompute(workspace):
         [s.sample_id for s in cohort.samples]
     for sample, entry in zip(cohort.samples, entries):
         output = run_computational(sample, *args)
-        history, last_visit = [], 0
-        for prior in test.prior_visits(sample):
-            if prior.visit_index > last_visit:
-                history.append(run_computational(prior, *args))
-                last_visit = prior.visit_index
+        history = tuple(run_computational(prior, *args)
+                        for prior in test.prior_visits(sample))
         ctx = AgentContext(sample_id=sample.sample_id,
                            study_id=sample.study_id,
                            visit_index=sample.visit_index,
-                           computational=output, history=tuple(history))
-        report = run_pipeline(ctx, searcher, summarizer, classifier,
+                           computational=output, history=history)
+        hits = {query: searcher.query_many([query])[0] for stage in PROGRAMS
+                for query in stage_queries(output, stage)}
+        report = run_pipeline(ctx, hits, summarizer, classifier,
                               fallback_threshold=config.fallback_threshold)
         written = workspace["first"] / entry["report_path"]
         assert written.read_text(encoding="utf-8") == render_report(report)
@@ -918,11 +951,14 @@ def test_light_commands_do_not_load_the_ensemble(tmp_path):
     assert run.stdout == "[]\n", run.stderr
 
 
-# What every command loads, and the six modules that classify never runs.
+# What every command loads, the six modules that classify never runs, and
+# the six that train never runs.
 BASE_MODULES = {"adam", "adam.cli", "adam.config", "adam.errors"}
 NOT_RUN_BY_CLASSIFY = {"adam.evaluation", "adam.comparison", "adam.stats",
                        "adam.ensemble.baselines", "adam.ensemble.metrics",
                        "adam.ensemble.tuning"}
+NOT_RUN_BY_TRAIN = {"adam.agents.llm", "adam.http_retry", "adam.agents.pipeline",
+                    "adam.agents.report", "adam.agents.steps", "adam.comparison"}
 
 
 def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
@@ -946,6 +982,8 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
         "report": ["report", "--dossier", str(workspace["first"] / "dossier.json"),
                    "--out", str(tmp_path / "report")],
         "classify": classify,
+        "train": ["train", "--dataset", workspace["dataset"], "--schema", workspace["schema"],
+                  "--seed", "0", "--out", str(tmp_path / "train")],
     }
     loaded = {}
     for name, call in calls.items():
@@ -968,6 +1006,13 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
         "adam.attribution", "adam.chunker", "adam.dataset", "adam.diversity",
         "adam.embedding", "adam.ensemble", "adam.ensemble.gbdt",
         "adam.ensemble.tree", "adam.http_retry", "adam.vectorstore"}
+    modules, _ = loaded["train"]
+    assert not modules & NOT_RUN_BY_TRAIN
+    assert modules == BASE_MODULES | {
+        "adam.agents", "adam.agents.computational", "adam.attribution",
+        "adam.dataset", "adam.diversity", "adam.ensemble", "adam.ensemble.baselines",
+        "adam.ensemble.gbdt", "adam.ensemble.metrics", "adam.ensemble.tree",
+        "adam.ensemble.tuning", "adam.evaluation", "adam.stats"}
 
 
 # --- the command-line surface ----------------------------------------------------

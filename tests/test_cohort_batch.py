@@ -16,6 +16,7 @@ from adam import diversity
 from adam.agents import run_computational, run_computational_many
 from adam.attribution import explain_rows, shap_values, shap_values_exact
 from adam.config import RunConfig
+from adam.dataset import SampleSet
 from adam.diversity import (
     BETA_METRICS,
     beta_metrics,
@@ -204,18 +205,17 @@ def test_batched_diversity_names_the_degenerate_row():
 def test_run_computational_is_its_row_of_the_batch(deployment):
     test = deployment["test"]
     visits = test.samples[:25]
-    args = (test.clinical_names, test.taxon_names, deployment["deployed"],
-            deployment["reference"])
-    batch = run_computational_many(visits, *args)
+    models = (deployment["deployed"], deployment["reference"])
+    batch = run_computational_many(test.subset([s.sample_id for s in visits]), *models)
     assert [out.sample_id for out in batch] == [s.sample_id for s in visits]
     for visit, out in zip(visits, batch):
-        alone = run_computational(visit, *args)
+        alone = run_computational(visit, test.clinical_names, test.taxon_names, *models)
         assert alone == out
         assert np.array([alone.probability, *alone.attribution.contributions,
                          *_values(alone.diversity)]).tobytes() == \
             np.array([out.probability, *out.attribution.contributions,
                       *_values(out.diversity)]).tobytes()
-    assert run_computational_many([], *args) == []
+    assert run_computational_many(test.subset([]), *models) == []
 
 
 def test_run_computational_many_names_a_degenerate_visit(deployment):
@@ -224,5 +224,5 @@ def test_run_computational_many_names_a_degenerate_visit(deployment):
     visits[3] = visits[3]._replace(taxa=(0.0,) * len(visits[3].taxa))
     with pytest.raises(DegenerateCommunityError,
                        match=f"^sample {visits[3].sample_id}: "):
-        run_computational_many(visits, test.clinical_names, test.taxon_names,
+        run_computational_many(SampleSet(test.clinical_names, test.taxon_names, tuple(visits)),
                                deployment["deployed"], deployment["reference"])

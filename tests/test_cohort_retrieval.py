@@ -3,7 +3,8 @@
 classify_cohort sends every distinct step query of the cohort to the
 searcher in one query_many call, before the first stage runs, and the
 stages read their hits from that result. Its reports and transcripts
-must equal a run whose stages each query the real searcher.
+must equal a run whose hits come from one single-text query_many call
+per step query.
 """
 
 import numpy as np
@@ -55,9 +56,9 @@ def cohort_run(deployment, searcher):
     counting = _CountingSearcher(searcher)
     test = deployment["test"]
     cohort = draw_eval_cohort(test, 15, 15, seed=0)
-    items = list(pipeline.classify_cohort(
+    items = pipeline.classify_cohort(
         cohort, test, deployment["deployed"], deployment["reference"],
-        counting, TitleEchoMock(), ThresholdMockLLM(), RunConfig()))
+        counting, TitleEchoMock(), ThresholdMockLLM(), RunConfig())
     return cohort, items, counting.calls
 
 
@@ -82,7 +83,10 @@ def test_cohort_pass_equals_per_stage_retrieval(cohort_run, searcher):
                              visit_index=ctx.visit_index,
                              computational=ctx.computational,
                              history=ctx.history)
-        assert run_pipeline(alone, searcher, TitleEchoMock(),
+        per_query = {query: searcher.query_many([query])[0]
+                     for stage in PROGRAMS
+                     for query in stage_queries(ctx.computational, stage)}
+        assert run_pipeline(alone, per_query, TitleEchoMock(),
                             ThresholdMockLLM()) == report
         assert alone.transcripts == ctx.transcripts
         counts.update(len(record.hits) for transcript in ctx.transcripts
@@ -90,8 +94,17 @@ def test_cohort_pass_equals_per_stage_retrieval(cohort_run, searcher):
     assert {0, 1, 5} <= counts
 
 
-def test_a_query_the_pass_did_not_retrieve_raises():
-    hits = pipeline.RetrievedHits({"asked": ()})
-    assert hits.query_many(["asked"]) == [()]
-    with pytest.raises(KeyError):
-        hits.query_many(["never asked"])
+def test_a_query_the_pass_did_not_retrieve_raises(cohort_run):
+    _, items, _ = cohort_run
+    _, ctx, _ = items[0]
+    summarization_only = dict.fromkeys(
+        stage_queries(ctx.computational, "summarization"), ())
+    alone = AgentContext(sample_id=ctx.sample_id, study_id=ctx.study_id,
+                         visit_index=ctx.visit_index,
+                         computational=ctx.computational, history=ctx.history)
+    classification = stage_queries(ctx.computational, "classification")
+    with pytest.raises(KeyError) as err:
+        run_pipeline(alone, summarization_only, TitleEchoMock(),
+                     ThresholdMockLLM())
+    assert err.value.args == (classification[0],)
+    assert [t.stage for t in alone.transcripts] == ["summarization"]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from adam.dataset import (
+    Sample,
+    SampleSet,
     Schema,
     draw_eval_cohort,
     feature_medians,
@@ -16,7 +18,7 @@ from adam.dataset import (
     parse_samples,
     split_grouped_stratified,
 )
-from adam.errors import CohortError, EmptyInputError, SchemaError
+from adam.errors import AlignmentError, CohortError, EmptyInputError, SchemaError
 
 SCHEMA = {
     "columns": {
@@ -251,6 +253,37 @@ def test_prior_visits(sample_set):
         sorted(p.visit_index for p in priors)
     assert all(p.visit_index < sample.visit_index for p in priors)
     assert all(p.study_id == sample.study_id for p in priors)
+
+
+def _visit(sample_id, study_id, visit_index, clinical=(1.0,), taxa=(0.5, 0.5)):
+    return Sample(sample_id=sample_id, study_id=study_id, visit_index=visit_index,
+                  label=0, clinical=clinical, taxa=taxa)
+
+
+def test_prior_visits_keeps_one_sample_per_visit_index():
+    samples = (_visit("s9", "A", 1), _visit("s3", "A", 2), _visit("s1", "A", 2),
+               _visit("s2", "A", 1), _visit("s7", "B", 1), _visit("s5", "A", 3),
+               _visit("s4", "A", 4))
+    visits = SampleSet(("age",), ("TaxA", "TaxB"), samples)
+    current = samples[-2]
+    assert [p.sample_id for p in visits.prior_visits(current)] == ["s2", "s1"]
+    assert visits.prior_visits(samples[0]) == ()
+
+
+def test_model_inputs_selects_by_name_and_imputes():
+    visits = SampleSet(("age", "bmi"), ("TaxA",), (
+        _visit("s1", "A", 1, clinical=(70.0, float("nan")), taxa=(0.25,)),
+        _visit("s2", "B", 1, clinical=(float("nan"), 22.0), taxa=(0.75,))))
+    medians = {"TaxA": 9.0, "age": 65.0, "bmi": 24.0}
+    X = visits.model_inputs(("TaxA", "bmi", "age"), medians)
+    assert X.tolist() == [[0.25, 24.0, 70.0], [0.75, 22.0, 65.0]]
+    assert visits.model_inputs((), medians).shape == (2, 0)
+    assert visits.subset([]).model_inputs(("age",), medians).shape == (0, 1)
+    with pytest.raises(AlignmentError, match="'height' is not a column"):
+        visits.model_inputs(("age", "height"), medians)
+    short = SampleSet(("age", "bmi"), ("TaxA",), (_visit("s3", "A", 1, taxa=(0.5,)),))
+    with pytest.raises(AlignmentError, match="sample s3 does not align"):
+        short.model_inputs(("age",), medians)
 
 
 def test_feature_medians_and_impute():

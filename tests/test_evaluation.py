@@ -345,17 +345,17 @@ def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
     batches = []
     compute = pipeline.run_computational_many
 
-    def counting(samples, *args):
-        batches.append(len(samples))
-        calls.update(sample.sample_id for sample in samples)
-        return compute(samples, *args)
+    def counting(visits, *args):
+        batches.append(len(visits))
+        calls.update(sample.sample_id for sample in visits.samples)
+        return compute(visits, *args)
 
     monkeypatch.setattr(pipeline, "run_computational_many", counting)
     test = deployment["test"]
     cohort = draw_eval_cohort(test, 15, 15, seed=0)
-    items = list(pipeline.classify_cohort(
+    items = pipeline.classify_cohort(
         cohort, test, deployment["deployed"], deployment["reference"], None,
-        TitleEchoMock(), ThresholdMockLLM(), RunConfig()))
+        TitleEchoMock(), ThresholdMockLLM(), RunConfig())
     assert [sample.sample_id for sample, _, _ in items] == \
         [s.sample_id for s in cohort.samples]
     needed = {sample.sample_id for sample, _, _ in items} | \

@@ -114,3 +114,39 @@ def test_run_search_custom_space():
     best, _ = run_search(X, y, groups, n_trials=5, seed=1, space=space)
     assert set(best.params) == {"n_trees", "max_depth"}
     assert 5 <= best.params["n_trees"] <= 10
+
+
+def test_run_search_scores_a_failing_configuration_zero(monkeypatch):
+    from adam.ensemble import tuning
+    from adam.errors import DegenerateFitError
+
+    fit_gbdt = tuning.fit_gbdt
+
+    def failing_on_deep_trees(X, y, params, seed):
+        if params["max_depth"] == 3:
+            raise DegenerateFitError("no split improves the loss")
+        return fit_gbdt(X, y, params=params, seed=seed)
+
+    monkeypatch.setattr(tuning, "fit_gbdt", failing_on_deep_trees)
+    X, y, groups = _grouped_data(5)
+    space = (Dimension("n_trees", "int", 5, 10),
+             Dimension("max_depth", "int", 2, 3))
+    best, trials = run_search(X, y, groups, n_trials=6, seed=2, space=space)
+    failed = [t for t in trials if t.params["max_depth"] == 3]
+    assert failed and len(failed) < len(trials)
+    assert all(t.score == 0.0 and t.error == "no split improves the loss"
+               for t in failed)
+    assert all(t.error is None for t in trials if t not in failed)
+    assert best.params["max_depth"] == 2
+
+
+def test_run_search_propagates_a_program_fault(monkeypatch):
+    from adam.ensemble import tuning
+
+    def broken(X, y, params, seed):
+        raise RuntimeError("a bug, not a configuration")
+
+    monkeypatch.setattr(tuning, "fit_gbdt", broken)
+    X, y, groups = _grouped_data(5)
+    with pytest.raises(RuntimeError, match="a bug, not a configuration"):
+        run_search(X, y, groups, n_trials=3, seed=0)

@@ -4,7 +4,8 @@ GBDT and random-forest fit and predict, serialization and Shapley
 values as they were while trees were linked nodes (TreeNode, _CartNode)
 flattened per call; and ``fit_forest_trees``, the array forest as it
 was grown one tree at a time, depth first, before the trees were grown
-in lockstep.
+in lockstep, with its own copy of the depth-first growth helpers
+(``presort``, ``partition``, ``grow_tree`` and ``pick_best``).
 
 The bit-identity tests compare the implementation in src/ with these
 functions using ``==``. Keep this file as it is: its only job is to
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from adam.ensemble.gbdt import GBDTParams
-from adam.ensemble.tree import Tree, grow_tree, pick_best, presort
+from adam.ensemble.tree import Tree
 from adam.errors import ModelIntegrityError
 
 _PROB_CLIP = 1e-15
@@ -530,6 +531,82 @@ def lr_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     p[~pos] = ez / (1.0 + ez)
     return p
+
+
+# The depth-first growth helpers of adam.ensemble.tree, copied so that
+# the forest reference below runs none of the code under test.
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """(features, rows) stable ascending row order of every column."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="mergesort").T)
+
+
+def partition(order: np.ndarray, rows: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split each feature's order into the listed rows and the rest,
+    keeping the order within each part."""
+    inside = np.zeros(n_rows, dtype=bool)
+    inside[rows] = True
+    keep = inside[order]
+    d, m = order.shape
+    return (order[keep].reshape(d, rows.size),
+            order[~keep].reshape(d, m - rows.size))
+
+
+def grow_tree(X, order, rows, max_depth, node_stats, find_split):
+    """Grow one tree depth-first, left subtree before right.
+
+    :param X: (n, d) fit matrix; order: its presort restricted to rows.
+    :param rows: ascending row ids that reach the root.
+    :param node_stats: idx -> (value, cover, splittable) for a node's rows.
+    :param find_split: (idx, order) -> (feature, threshold, gain) or None;
+        called once per splittable node below max_depth, in preorder.
+    :returns: (tree, fitted) with fitted[i] the leaf value reached by row i
+        of ``rows`` (other entries 0).
+    """
+    nodes: list[list] = []  # Tree fields per node, in preorder
+    fitted = np.zeros(X.shape[0])
+
+    def grow(idx, order, depth) -> int:
+        value, cover, splittable = node_stats(idx)
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, value, cover, 0.0])
+        found = find_split(idx, order) if depth < max_depth and splittable else None
+        if found is not None:
+            j, thr, gain = found
+            mask = X[idx, j] < thr
+            if mask.any() and not mask.all():
+                left_order, right_order = partition(order, idx[mask], X.shape[0])
+                left = grow(idx[mask], left_order, depth + 1)
+                right = grow(idx[~mask], right_order, depth + 1)
+                nodes[node] = [j, thr, left, right, 0.0, cover, gain]
+                return node
+        fitted[idx] = value
+        return node
+
+    grow(rows, order, 0)
+    return Tree.from_nodes(nodes), fitted
+
+
+def pick_best(scores: np.ndarray, xs: np.ndarray, floor: float, features):
+    """The winning split among the rows of ``scores``.
+
+    Row r scores the sorted positions of ``features[r]`` (ascending
+    features, invalid positions at -inf). Each row offers its first
+    maximum; a row wins only by beating ``floor`` and every earlier
+    winner strictly, so ties keep the lowest feature and a NaN score
+    never wins. Returns (feature, threshold midway to the next sorted
+    value, score) or None.
+    """
+    at = np.argmax(scores, axis=1)
+    best = None
+    for r, score in enumerate(scores[np.arange(scores.shape[0]), at].tolist()):
+        if score > floor:
+            floor = score
+            best = r
+    if best is None:
+        return None
+    i = at[best]
+    return int(features[best]), float(0.5 * (xs[best, i] + xs[best, i + 1])), floor
 
 
 def _grow_cart(X, y, max_depth, min_samples_leaf, mtry, rng) -> Tree:
