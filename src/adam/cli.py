@@ -97,7 +97,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """The run configuration from defaults, --config and this command's
     flags."""
-    file_values = load_config_file(args.config) if args.config else None
+    file_values = load_config_file(args.config, args.command) if args.config else None
     return resolve_config(file_values, **{
         field: getattr(args, _dest(field))
         for field in _CONFIG_FLAGS[args.command]})

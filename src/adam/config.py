@@ -120,10 +120,18 @@ def _check(values, source) -> dict:
     return values
 
 
-def load_config_file(path) -> dict:
+def load_config_file(path, command: str) -> dict:
     """JSON object of RunConfig keys; unknown keys and values of the
-    wrong type are rejected."""
-    return _check(parse_object(read_text(path), path, SchemaError), path)
+    wrong type are rejected. A ``command`` key, which every
+    resolved-config.json carries, must name ``command``, the subcommand
+    reading the file, so a run can be replayed from the configuration it
+    echoed."""
+    values = parse_object(read_text(path), path, SchemaError)
+    written_by = values.pop("command", command)
+    if written_by != command:
+        raise SchemaError(f"{path}: the configuration of the {written_by!r} command "
+                          f"cannot configure {command!r}")
+    return _check(values, path)
 
 
 def resolve_config(file_values: dict | None = None, **flag_values) -> RunConfig:

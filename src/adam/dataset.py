@@ -338,8 +338,17 @@ def feature_medians(matrix: np.ndarray) -> np.ndarray:
     for j in range(matrix.shape[1]):
         col = matrix[:, j]
         finite = col[~np.isnan(col)]
-        medians[j] = float(np.median(finite)) if finite.size else 0.0
+        medians[j] = _median(finite) if finite.size else 0.0
     return medians
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty NaN-free 1-d array, computed the way
+    numpy computes it (the middle order statistics, then their mean) but
+    without its NaN check, which imports numpy.ma."""
+    half = values.size // 2
+    kth = [half - 1, half] if values.size % 2 == 0 else [half]
+    return float(np.mean(np.partition(values, kth)[kth[0]:half + 1]))
 
 
 def impute(matrix: np.ndarray, medians: np.ndarray) -> np.ndarray:

@@ -7,16 +7,19 @@ output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
   character 3-gram is hashed; the hash picks a coordinate and its
   parity picks the sign; the accumulated vector is L2-normalized (the
   signed hashing trick of Weinberger et al. 2009). ``embed_many`` does
-  one numpy pass per call: the batch's code points are packed three at
-  a time into uint64 keys (21 bits each) for every gram that lies
-  inside one text, ``np.unique`` finds the distinct grams, one
-  ``np.searchsorted`` looks them up in a sorted table of the grams
-  already hashed in this process (one table per dimension, shared by
-  all instances, reset once it would pass ``GRAM_CACHE_SIZE`` entries),
-  only the grams not found there are hashed and merged in, and one
-  ``np.bincount`` scatters the signs of all rows. It exists so
-  everything downstream runs without network access; it makes no
-  semantic-quality claims.
+  one numpy pass per call over every gram that lies inside one text.
+  A gram of three code points below 128 finds its table entry by
+  direct index into a two-level table (its first two code points pick
+  a 128-entry row, the third the entry); any other gram is packed into
+  a uint64 key (21 bits per code point) and binary-searched among the
+  sorted keys of such grams hashed before. Both tables are per
+  dimension and shared by all instances in the process; the sorted one
+  is reset once it would pass ``GRAM_CACHE_SIZE`` entries, and the
+  direct one stops adding rows before it reaches ``ASCII_TABLE_BYTES``.
+  Only grams neither table holds are sorted, deduplicated and hashed.
+  One ``np.bincount`` scatters the signs of all rows, and one
+  vectorised step normalizes them. It exists so everything downstream
+  runs without network access; it makes no semantic-quality claims.
 * ``RemoteEmbedder``: POSTs {model, input list} to an HTTP embeddings
   endpoint, one request per ``embed_many`` call, through an
   ``http_retry.JsonEndpoint`` with a 60 s timeout. It refuses a text
@@ -50,6 +53,9 @@ API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
 TIMEOUT_SECONDS = 60.0
 GRAM_CACHE_SIZE = 1 << 15
 CODE_POINT_BITS = 21  # max code point U+10FFFF < 2**21
+# numpy asks for huge pages for an array of 4 MiB or more; the ASCII gram
+# table's two arrays stay below that together.
+ASCII_TABLE_BYTES = 1 << 22
 
 
 def _normalize(vector: np.ndarray) -> np.ndarray:
@@ -104,57 +110,127 @@ def _gram_bucket(piece: str, dim: int) -> tuple[int, float]:
     return (h >> 1) % dim, sign
 
 
-# Per dimension: the sorted keys of the grams hashed so far in this
-# process, with each key's coordinate and sign beside it. The last key is
-# a sentinel above every gram key (those use 63 bits), so a lookup never
-# runs off the end of a table. A table is never changed in place, only
-# replaced whole, so a reader in another thread always sees a consistent
-# one; an update lost to such a race only means those grams are hashed
-# again.
-_NO_GRAM = np.uint64(2**64 - 1)
-_EMPTY_TABLE = (np.array([_NO_GRAM]), np.zeros(1, dtype=np.intp),
-                np.zeros(1))
-_gram_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+def _entry_dtype(dim: int):
+    """dtype of a gram table entry at ``dim``: an entry is
+    2 * coordinate + (1 if the sign is negative) + 1, and 0 marks a gram
+    not hashed yet, so 16 bits hold every entry below dim 32768."""
+    return np.uint16 if dim < 1 << 15 else np.uint32
 
 
-def _key_grams(keys: np.ndarray) -> list[str]:
-    """The 3-character gram each packed key spells."""
-    mask = np.uint64((1 << CODE_POINT_BITS) - 1)
-    codes = np.stack([keys >> np.uint64(2 * CODE_POINT_BITS),
-                      (keys >> np.uint64(CODE_POINT_BITS)) & mask,
-                      keys & mask], axis=1)
+def _hash_entries(keys: np.ndarray, bits: int, dim: int) -> np.ndarray:
+    """The table entry of each gram key (code points packed ``bits``
+    wide), hashed one gram at a time."""
+    keys = keys.astype(np.uint64)
+    mask = np.uint64((1 << bits) - 1)
+    codes = np.stack([keys >> np.uint64(2 * bits),
+                      (keys >> np.uint64(bits)) & mask, keys & mask], axis=1)
     text = codes.astype("<u4").tobytes().decode("utf-32-le")
-    return [text[i:i + 3] for i in range(0, len(text), 3)]
+    entries = []
+    for i in range(0, len(text), 3):
+        bucket, sign = _gram_bucket(text[i:i + 3], dim)
+        entries.append(2 * bucket + (sign < 0) + 1)
+    return np.array(entries, dtype=_entry_dtype(dim))
 
 
-def _lookup_grams(distinct: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coordinates, signs) of sorted distinct gram keys at ``dim``.
+# Two tables per dimension hold the entries of the grams hashed so far in
+# this process. Neither is ever changed in place, only replaced whole, so
+# a reader in another thread always sees a consistent one; an update lost
+# to such a race only means those grams are hashed again.
+#
+# A gram of three code points below 128 finds its entry by direct index:
+# offsets[c0 << 7 | c1] is where the 128 entries of the pair (c0, c1) start
+# in rows, and rows[offsets[c0 << 7 | c1] + c2] is the entry. Offset 0 is
+# an all-zero row shared by the pairs that have no row yet. Rows are added
+# until the two arrays would reach ASCII_TABLE_BYTES; after that, the grams
+# of a pair without a row are hashed again on each use.
+_ascii_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Any other gram is looked up among sorted keys (21 bits per code point)
+# with their entries beside them. The last key is a sentinel above every
+# gram key (those use 63 bits), so a lookup never runs off the end.
+_NO_GRAM = np.uint64(2**64 - 1)
+_gram_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _with_ascii_grams(offsets: np.ndarray, rows: np.ndarray, keys: np.ndarray,
+                      entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A new ASCII table: the given one plus the entries of the sorted
+    distinct gram keys (7 bits per code point) it lacks."""
+    pairs = keys >> 7
+    rowless = np.zeros(1 << 14, dtype=bool)
+    rowless[pairs[offsets[pairs] == 0]] = True
+    room = (ASCII_TABLE_BYTES - 1 - offsets.nbytes) // (128 * rows.itemsize) - rows.size // 128
+    fresh = np.flatnonzero(rowless)[:room]
+    offsets = offsets.copy()
+    offsets[fresh] = np.arange(rows.size, rows.size + 128 * fresh.size, 128)
+    rows = np.concatenate([rows, np.zeros(128 * fresh.size, dtype=rows.dtype)])
+    at = offsets[pairs] + (keys & 127)
+    stored = at >= 128  # the gram's pair has a row
+    rows[at[stored]] = entries[stored]
+    return offsets, rows
+
+
+def _gram_entries(codes: np.ndarray, straddle: np.ndarray, dim: int) -> np.ndarray:
+    """Table entry of the gram at each start p (code points ``codes[p]``,
+    ``codes[p + 1]`` and ``codes[p + 2]``, as intp) at ``dim``; the starts
+    in ``straddle`` get 1 and are never hashed.
+
+    Every start is first looked up in the ASCII table with its code points
+    cut to 7 bits; the starts of other grams then take their entries from
+    the sorted table. Only those other grams, and the ASCII grams the
+    table lacks, are sorted and deduplicated.
+    """
+    first, mid, last = codes[:-2], codes[1:-1], codes[2:]
+    offsets, rows = _ascii_tables.get(dim) or (
+        np.zeros(1 << 14, dtype=np.intp), np.zeros(128, dtype=_entry_dtype(dim)))
+    low = codes & 127
+    pairs = (low[:-2] << 7) | low[1:-1]
+    at = offsets.take(pairs)
+    at += low[2:]
+    found = rows.take(at)
+    other = (first | mid | last) > 127
+    other[straddle] = False
+    other = np.flatnonzero(other)
+    if other.size:
+        width = np.uint64(CODE_POINT_BITS)
+        grams = np.stack([first[other], mid[other], last[other]]).astype(np.uint64)
+        keys = (grams[0] << width | grams[1]) << width | grams[2]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        found[other] = _lookup_grams(distinct, dim)[inverse]
+    found[straddle] = 1
+    miss = np.flatnonzero(found == 0)
+    if miss.size:
+        distinct, inverse = np.unique((pairs[miss] << 7) | low[miss + 2],
+                                      return_inverse=True)
+        new = _hash_entries(distinct, 7, dim)
+        found[miss] = new[inverse]
+        _ascii_tables[dim] = _with_ascii_grams(offsets, rows, distinct, new)
+    return found
+
+
+def _lookup_grams(distinct: np.ndarray, dim: int) -> np.ndarray:
+    """Entries of sorted distinct 63-bit gram keys at ``dim``.
 
     One binary search finds the keys already in the table; only the
     others are hashed, then merged in. A table that would pass
     ``GRAM_CACHE_SIZE`` entries starts over with this call's grams.
     """
-    keys, buckets, signs = _gram_tables.get(dim, _EMPTY_TABLE)
+    keys, entries = _gram_tables.get(dim) or (
+        np.array([_NO_GRAM]), np.zeros(1, dtype=_entry_dtype(dim)))
     at = np.searchsorted(keys, distinct)
-    found_buckets, found_signs = buckets[at], signs[at]
+    found = entries[at]
     miss = np.flatnonzero(keys[at] != distinct)
     if not miss.size:
-        return found_buckets, found_signs
-    new = [_gram_bucket(gram, dim) for gram in _key_grams(distinct[miss])]
-    new_buckets = np.array([b for b, _ in new], dtype=np.intp)
-    new_signs = np.array([s for _, s in new])
-    found_buckets[miss] = new_buckets
-    found_signs[miss] = new_signs
+        return found
+    new = _hash_entries(distinct[miss], CODE_POINT_BITS, dim)
+    found[miss] = new
     if keys.size - 1 + miss.size <= GRAM_CACHE_SIZE:
         _gram_tables[dim] = (np.insert(keys, at[miss], distinct[miss]),
-                             np.insert(buckets, at[miss], new_buckets),
-                             np.insert(signs, at[miss], new_signs))
+                             np.insert(entries, at[miss], new))
     else:
         keep = slice(0, GRAM_CACHE_SIZE)
         _gram_tables[dim] = (np.append(distinct[keep], _NO_GRAM),
-                             np.append(found_buckets[keep], 0),
-                             np.append(found_signs[keep], 0.0))
-    return found_buckets, found_signs
+                             np.append(found[keep], entries[-1:]))
+    return found
 
 
 @dataclass(frozen=True)
@@ -180,21 +256,24 @@ class OfflineHashEmbedder(EmbeddingBackend):
         n, dim = len(texts), self.dim
         if not n:
             return np.zeros((0, dim), dtype=np.float32)
-        joined = "".join(texts)
-        codes = np.frombuffer(joined.encode("utf-32-le"),
-                              dtype="<u4").astype(np.uint64)
+        codes = np.frombuffer("".join(texts).encode("utf-32-le"),
+                              dtype="<u4").astype(np.intp)
         lengths = np.fromiter(map(len, texts), dtype=np.intp, count=n)
-        owner = np.repeat(np.arange(n, dtype=np.intp), lengths)
-        # A gram starts at p when p and p + 2 lie in the same text.
-        starts = np.flatnonzero(owner[:-2] == owner[2:])
-        keys = ((codes[starts] << np.uint64(2 * CODE_POINT_BITS))
-                | (codes[starts + 1] << np.uint64(CODE_POINT_BITS))
-                | codes[starts + 2])
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        buckets, signs = _lookup_grams(distinct, dim)
-        acc = np.bincount(owner[starts] * dim + buckets[inverse],
-                          weights=signs[inverse],
-                          minlength=n * dim).reshape(n, dim)
+        ends = np.cumsum(lengths[:-1])
+        # The gram at p straddles two texts when one ends at p + 1 or p + 2.
+        straddle = np.concatenate([ends - 2, ends - 1])
+        straddle = straddle[(straddle >= 0) & (straddle < codes.size - 2)]
+        entries = _gram_entries(codes, straddle, dim)
+        # Entry e of text i adds +1 (e odd) or -1 (e even) to coordinate
+        # (e - 1) // 2 of row i; a straddling gram adds to a slot past the
+        # last row.
+        slots = np.repeat(np.arange(n, dtype=np.intp) * dim, lengths)[:entries.size]
+        slots += (entries - 1) >> 1
+        slots[straddle] = n * dim
+        signs = (entries & 1) * 2.0 - 1.0
+        # (a batch with no gram at all gets integer counts, hence the astype)
+        acc = np.bincount(slots, signs, minlength=n * dim + 1).astype(
+            np.float64, copy=False)[:-1].reshape(n, dim)
         for i, text in enumerate(texts):
             if len(text) < 3:
                 bucket, sign = _gram_bucket(text, dim)
@@ -202,7 +281,10 @@ class OfflineHashEmbedder(EmbeddingBackend):
         for i in np.flatnonzero(~acc.any(axis=1)).tolist():
             bucket, sign = _gram_bucket("\x00" + texts[i], dim)
             acc[i, bucket] = sign
-        return _normalize_rows(acc, dim)
+        # The sum of squares of integers is exact in any order, so each row
+        # has the norm np.linalg.norm gives it alone.
+        acc /= np.sqrt(np.einsum("ij,ij->i", acc, acc))[:, None]
+        return acc.astype(np.float32)
 
 
 _REPLY_FIELDS = {"data": (lambda v: isinstance(v, list) and all(

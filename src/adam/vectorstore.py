@@ -422,13 +422,17 @@ def save_collection(collection: Collection, directory: str | Path) -> Path:
                          f"usable file name")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = b"".join(_record_bytes(rec, vector) for rec, vector
-                       in zip(collection.records, collection.matrix))
-    header = MAGIC + struct.pack("<IQI", collection.dim, collection.count,
-                                 zlib.crc32(payload))
     path = directory / f"{collection.name}{STORE_SUFFIX}"
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(header + payload)
+    checksum = 0
+    with open(tmp, "wb") as fh:
+        fh.write(bytes(24))  # the header, once the checksum is known
+        for rec, vector in zip(collection.records, collection.matrix):
+            record = _record_bytes(rec, vector)
+            checksum = zlib.crc32(record, checksum)
+            fh.write(record)
+        fh.seek(0)
+        fh.write(MAGIC + struct.pack("<IQI", collection.dim, collection.count, checksum))
     os.replace(tmp, path)
     return path
 

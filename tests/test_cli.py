@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -650,7 +651,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
     config_file.write_text("[1, 2]")
     with pytest.raises(SchemaError, match="JSON object"):
-        load_config_file(config_file)
+        load_config_file(config_file, "synth")
 
 
 def test_run_config_defaults_and_validation():
@@ -966,11 +967,12 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
     import sys
 
     # Makes the call in a fresh process, then prints the adam modules and
-    # whether numpy is loaded.
+    # whether numpy and numpy.ma (whose first import costs 12-20 ms) are
+    # loaded.
     code = ("import json, sys, adam.cli\n"
             "{call}\n"
             "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'adam'),\n"
-            "                  'numpy' in sys.modules]))\n")
+            "                  'numpy' in sys.modules, 'numpy.ma' in sys.modules]))\n")
     classify = ["classify", "--dataset", workspace["dataset"],
                 "--schema", workspace["schema"], "--model", workspace["model"],
                 "--store", str(workspace["store"]), "--embedding-dim", EMBED_DIM,
@@ -984,16 +986,25 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
         "classify": classify,
         "train": ["train", "--dataset", workspace["dataset"], "--schema", workspace["schema"],
                   "--seed", "0", "--out", str(tmp_path / "train")],
+        "train-tuned": ["train", "--dataset", workspace["dataset"],
+                        "--schema", workspace["schema"], "--seed", "0", "--tuning-trials", "2",
+                        "--out", str(tmp_path / "train-tuned")],
+        "index": ["index", "--corpus", str(workspace["root"] / "corpus.jsonl"),
+                  "--store", str(tmp_path / "store"), "--embedding-dim", EMBED_DIM, "--verify"],
+        "evaluate": ["evaluate", "--dataset", workspace["dataset"],
+                     "--schema", workspace["schema"], "--seeds", "1", "--models", "gbdt,rf,lr,adam",
+                     "--out", str(tmp_path / "evaluate")],
     }
-    loaded = {}
+    loaded, masked = {}, {}
     for name, call in calls.items():
         if isinstance(call, list):
             call = f"assert adam.cli.main({call!r}) == 0"
         run = subprocess.run([sys.executable, "-c", code.format(call=call)],
                              env=_source_env(), capture_output=True, text=True)
         assert run.returncode == 0, (name, run.stderr)
-        modules, numpy = json.loads(run.stdout.splitlines()[-1])
+        modules, numpy, masked[name] = json.loads(run.stdout.splitlines()[-1])
         loaded[name] = (set(modules), numpy)
+    assert not any(masked.values()), masked
     assert loaded["build_parser"] == (BASE_MODULES, False)
     assert loaded["compare"][0] == BASE_MODULES | {"adam.comparison", "adam.stats"}
     assert loaded["report"] == (BASE_MODULES | {"adam.agents", "adam.agents.report"},
@@ -1149,7 +1160,7 @@ def test_config_file_rejects_wrong_types(tmp_path, capsys, key, value):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({key: value}))
     with pytest.raises(SchemaError) as err:
-        load_config_file(config_file)
+        load_config_file(config_file, "synth")
     assert str(err.value).startswith(f"{config_file}: {key!r} must be ")
     with pytest.raises(SchemaError, match=key):
         resolve_config({key: value})
@@ -1163,9 +1174,42 @@ def test_config_file_rejects_wrong_types(tmp_path, capsys, key, value):
 def test_config_file_accepts_int_for_float_and_null_for_optional(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"threshold": 1, "dataset": None}))
-    config = resolve_config(load_config_file(config_file))
+    config = resolve_config(load_config_file(config_file, "synth"))
     assert config.threshold == 1
     assert config.dataset is None
+
+
+def _files(directory):
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def test_index_and_evaluate_replay_from_their_resolved_config(workspace, tmp_path):
+    store = tmp_path / "store"
+    assert main(["index", "--config", str(workspace["store"] / RESOLVED_CONFIG_NAME),
+                 "--store", str(store), "--verify"]) == 0
+    first, again = _files(workspace["store"]), _files(store)
+    config = Path(RESOLVED_CONFIG_NAME)
+    assert ({k: v for k, v in first.items() if k != config}
+            == {k: v for k, v in again.items() if k != config})
+    assert (json.loads(again.pop(config)) ==
+            {**json.loads(first.pop(config)), "store": str(store)})
+    assert first and first == again
+
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(workspace["eval"] / RESOLVED_CONFIG_NAME),
+                 "--models", "gbdt,adam", "--out", str(out)]) == 0
+    assert _files(out) == _files(workspace["eval"])
+
+
+def test_config_of_another_command_is_refused(workspace, tmp_path, capsys):
+    config_file = workspace["eval"] / RESOLVED_CONFIG_NAME
+    assert main(["train", "--config", str(config_file),
+                 "--out", str(tmp_path / "train")]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == [f"error: {config_file}: the configuration of the 'evaluate' "
+                         "command cannot configure 'train'"]
+    assert not (tmp_path / "train").exists()
 
 
 # --- evaluate applies the agent settings of the config ------------------------------

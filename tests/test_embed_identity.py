@@ -143,43 +143,120 @@ def test_unencodable_text_is_rejected_before_embedding():
         remote.embed_many(texts)
 
 
-# --- the process-wide gram table ------------------------------------------------
+@pytest.mark.parametrize("dim", DIMS)
+def test_batch_of_texts_shorter_than_a_gram(dim):
+    # no text has a 3-gram, so nothing is counted before the short texts
+    # take their own coordinate
+    backend = OfflineHashEmbedder(dim=dim)
+    batch = ["a", "ab", "\U0001F9A0", "\x00", "é", "ab"]
+    _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+
+
+EDGE_CODES = (0, 127, 128)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_code_points_at_the_ascii_edge_in_each_gram_position(dim):
+    batch = ["a" + "".join(map(chr, codes)) + "z"
+             for codes in itertools.product(EDGE_CODES, repeat=3)]
+    backend = OfflineHashEmbedder(dim=dim)
+    _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+    _same_bytes(np.stack([backend.embed(t) for t in batch]),
+                oracle.embed_many(batch, dim))
+
+
+# The first dimension whose entries (2 * coordinate + 2 at most) do not fit
+# in 16 bits, the last one whose entries do, and one well past it.
+WIDE_DIMS = (1 << 15, (1 << 15) - 1, 40_000)
+
+
+@pytest.mark.parametrize("dim", WIDE_DIMS)
+def test_wide_dimensions_equal_oracle(dim):
+    backend = OfflineHashEmbedder(dim=dim)
+    batch = _seeded_corpus(documents=5)[:1] + [
+        "gut \U0001F9A0 microbiome \U0010FFFF\U0001F9A0", "ab"]
+    got = backend.embed_many(batch)
+    _same_bytes(got, oracle.embed_many(batch, dim))
+    assert np.flatnonzero(got[0]).max() >= 1 << 14  # high coordinates in use
+
+
+# --- the process-wide gram tables -----------------------------------------------
 
 MASK = (1 << embedding.CODE_POINT_BITS) - 1
+TABLE_LIMIT = 1 << 22  # numpy asks for huge pages from 4 MiB
 
 
 @pytest.fixture()
 def fresh_tables(monkeypatch):
-    """An empty gram table for the test, restored afterwards."""
-    tables = {}
-    monkeypatch.setattr(embedding, "_gram_tables", tables)
+    """Empty gram tables for the test, restored afterwards: (ASCII, sorted)."""
+    tables = ({}, {})
+    monkeypatch.setattr(embedding, "_ascii_tables", tables[0])
+    monkeypatch.setattr(embedding, "_gram_tables", tables[1])
     return tables
 
 
-def _table_grams(tables, dim):
-    """Each gram of the table at ``dim`` with its (coordinate, sign),
-    decoded from the keys independently of the embedder."""
-    keys, buckets, signs = tables[dim]
-    assert keys[-1] == np.uint64(2**64 - 1)  # the sentinel
+def _decode(entry):
+    """(coordinate, sign) of a table entry: 2 * coordinate + minus + 1."""
+    entry = int(entry) - 1
+    return entry >> 1, -1.0 if entry & 1 else 1.0
+
+
+def _ascii_table_grams(tables, dim):
+    """Each gram of the ASCII table at ``dim`` with its (coordinate, sign),
+    decoded from the arrays independently of the embedder."""
+    if dim not in tables[0]:
+        return {}
+    offsets, rows = tables[0][dim]
+    assert offsets.shape == (1 << 14,) and rows.size % 128 == 0
+    assert not rows[:128].any()  # the shared row of pairs without one
+    assert rows.dtype == (np.uint16 if dim < 1 << 15 else np.uint32)
+    assert offsets.nbytes + rows.nbytes < TABLE_LIMIT
+    used = offsets[offsets != 0].tolist()
+    assert len(set(used)) == len(used) == rows.size // 128 - 1
+    assert all(o % 128 == 0 for o in used)
+    grams = {}
+    for pair in np.flatnonzero(offsets).tolist():
+        row = rows[offsets[pair]:offsets[pair] + 128]
+        for last in np.flatnonzero(row).tolist():
+            gram = chr(pair >> 7) + chr(pair & 127) + chr(last)
+            grams[gram] = _decode(row[last])
+    return grams
+
+
+def _sorted_table_grams(tables, dim):
+    """The same for the sorted table of the other grams."""
+    if dim not in tables[1]:
+        return {}
+    keys, entries = tables[1][dim]
+    assert keys[-1] == np.uint64(2**64 - 1) and entries[-1] == 0  # the sentinel
     keys = [int(k) for k in keys[:-1]]
     assert keys == sorted(set(keys))
     grams = [chr(k >> 2 * embedding.CODE_POINT_BITS)
              + chr(k >> embedding.CODE_POINT_BITS & MASK) + chr(k & MASK)
              for k in keys]
-    return dict(zip(grams, zip(buckets[:-1].tolist(), signs[:-1].tolist())))
+    return dict(zip(grams, map(_decode, entries[:-1].tolist())))
+
+
+def _table_grams(tables, dim):
+    """Both tables at ``dim`` as one map; each gram sits in the table for
+    its code points."""
+    ascii_grams = _ascii_table_grams(tables, dim)
+    other_grams = _sorted_table_grams(tables, dim)
+    assert all(max(map(ord, g)) < 128 for g in ascii_grams)
+    assert all(max(map(ord, g)) >= 128 for g in other_grams)
+    return {**ascii_grams, **other_grams}
 
 
 def _run_calls(tables, dim, batches):
     """Each batch embedded in turn equals the oracle; returns the grams
-    of 3 or more characters the table should now hold."""
+    of 3 or more characters the tables should now hold."""
     backend = OfflineHashEmbedder(dim=dim)
     seen = set()
     for batch in batches:
         _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
         seen.update(g for text in batch if len(text) >= 3
                     for g in oracle.grams(text))
-        table = _table_grams(tables, dim) if seen else {}
-        assert table == {g: oracle.gram_bucket(g, dim) for g in seen}
+        assert _table_grams(tables, dim) == {g: oracle.gram_bucket(g, dim) for g in seen}
     return seen
 
 
@@ -190,22 +267,35 @@ def test_table_grows_across_calls(fresh_tables, dim):
                ["diversity of the gut microbiome"] * 2,
                _seeded_corpus(documents=5)[:2], ["gut microbiome"]]
     seen = _run_calls(fresh_tables, dim, batches)
-    assert len(_table_grams(fresh_tables, dim)) == len(seen) > 100
+    assert len(_ascii_table_grams(fresh_tables, dim)) == len(seen) > 100
+    assert dim not in fresh_tables[1]
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_table_holds_astral_grams(fresh_tables, dim):
+    # the astral grams go to the sorted table, the ASCII ones of the same text to the other
     astral = "\U0001F9A0\U0010FFFF\U0001F9A0 gut \U00020000\U0001F9A0"
     _run_calls(fresh_tables, dim, [[astral], [astral[::-1], astral],
                                    ["\U0010FFFF" * 4, astral]])
+    assert set(_ascii_table_grams(fresh_tables, dim)) == {
+        " gu", "gut", "ut ", " tu", "tug", "ug "}
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_ascii_edge_grams_go_to_their_tables(fresh_tables, dim):
+    batch = ["".join(map(chr, codes)) for codes in itertools.product(EDGE_CODES, repeat=3)]
+    _run_calls(fresh_tables, dim, [batch[:13], batch, batch[::-1]])
+    assert set(_ascii_table_grams(fresh_tables, dim)) == {
+        g for g in batch if "\x80" not in g}
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_short_texts_bypass_the_table(fresh_tables, dim):
     _run_calls(fresh_tables, dim, [["a", "ab", "\U0001F9A0"], ["ab"]])
-    assert dim not in fresh_tables
+    assert dim not in fresh_tables[0] and dim not in fresh_tables[1]
     _run_calls(fresh_tables, dim, [["ab", "abc", "b"], ["abc", "a"]])
     assert list(_table_grams(fresh_tables, dim)) == ["abc"]
+    assert dim not in fresh_tables[1]
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -217,7 +307,7 @@ def test_cancelling_grams_from_the_table_take_the_fallback(fresh_tables, dim):
 def test_tables_per_dimension_interleaved(fresh_tables):
     batches = [["gut microbiome"], ["microbiome diversity"],
                ["gut \U0001F9A0 microbiome", "ab"]]
-    backends = {dim: OfflineHashEmbedder(dim=dim) for dim in (7, 64, 1536)}
+    backends = {dim: OfflineHashEmbedder(dim=dim) for dim in (7, 64, 1536) + WIDE_DIMS}
     for batch in batches:
         for dim, backend in backends.items():
             _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
@@ -228,33 +318,85 @@ def test_tables_per_dimension_interleaved(fresh_tables):
             g: oracle.gram_bucket(g, dim) for g in grams}
 
 
+def test_tables_are_replaced_never_written(fresh_tables):
+    backend = OfflineHashEmbedder(dim=64)
+    backend.embed_many(["gut \U0001F9A0 microbiome"])
+    before = [(a, a.copy()) for table in fresh_tables for a in table[64]]
+    backend.embed_many(["diversity \U0001F9A0\U0001F9A0 of the gut"])
+    after = [a for table in fresh_tables for a in table[64]]
+    assert all(a is not old for a, (old, _) in zip(after, before))
+    assert all(old.tobytes() == copy.tobytes() for old, copy in before)
+
+
+# Every ASCII pair, as the even-position pairs of one 32768-character text.
+EVERY_PAIR = "".join(chr(a) + chr(b) for a in range(128) for b in range(128))
+
+
+@pytest.mark.parametrize("dim", (7, 1 << 15))
+def test_ascii_table_stays_under_four_mib(fresh_tables, dim):
+    # the text needs more rows than the limit allows; grams of pairs left
+    # without a row are hashed again on each use
+    backend = OfflineHashEmbedder(dim=dim)
+    batch = [EVERY_PAIR, EVERY_PAIR[::-1]]
+    for _ in range(2):
+        _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+        offsets, rows = fresh_tables[0][dim]
+        assert offsets.nbytes + rows.nbytes < TABLE_LIMIT
+        assert offsets.nbytes + rows.nbytes + 128 * rows.itemsize >= TABLE_LIMIT
+    table = _ascii_table_grams(fresh_tables, dim)
+    assert all(table[g] == oracle.gram_bucket(g, dim) for g in list(table)[::101])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_full_ascii_table_stops_adding_rows(fresh_tables, monkeypatch, rows):
+    # room for the shared zero row and ``rows - 1`` pairs
+    limit = (1 << 14) * np.dtype(np.intp).itemsize + rows * 128 * 2 + 1
+    monkeypatch.setattr(embedding, "ASCII_TABLE_BYTES", limit)
+    dim = 64
+    backend = OfflineHashEmbedder(dim=dim)
+    batches = [["gut microbiome"], ["microbiome diversity", "gut"],
+               ["diversity of the gut microbiome"], ["gut microbiome"]]
+    for batch in batches:
+        _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
+        table = _ascii_table_grams(fresh_tables, dim)
+        offsets, stored = fresh_tables[0][dim]
+        assert stored.size == 128 * rows
+        assert table == {g: oracle.gram_bucket(g, dim) for g in table}
+        assert len({g[:2] for g in table}) == rows - 1
+
+
+# Astral grams go to the sorted table, which holds at most GRAM_CACHE_SIZE.
+ASTRAL = "".join(chr(0x1F300 + i) for i in range(40))
+
+
 @pytest.mark.parametrize("bound", [1, 16, 40])
 def test_table_starts_over_past_its_bound(fresh_tables, monkeypatch, bound):
     monkeypatch.setattr(embedding, "GRAM_CACHE_SIZE", bound)
     dim = 64
     backend = OfflineHashEmbedder(dim=dim)
-    batches = [["gut microbiome"], ["microbiome diversity"],
-               ["diversity of the gut microbiome", "abc"], ["abc", "gut"],
-               _seeded_corpus(documents=5)[:1], ["gut microbiome"]]
+    batches = [["gut \U0001F9A0 microbiome"], ["microbiome \U0001F9A0\U0001F9A0"],
+               [ASTRAL[:20], "abc"], ["abc", ASTRAL[::-1]],
+               [ASTRAL[5:9] + "gut"], ["gut \U0001F9A0 microbiome"]]
     for batch in batches:
         _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
-        table = _table_grams(fresh_tables, dim)
+        table = _sorted_table_grams(fresh_tables, dim)
         assert 0 < len(table) <= bound
         assert table == {g: oracle.gram_bucket(g, dim) for g in table}
 
 
 def test_table_never_passes_gram_cache_size(fresh_tables):
-    # one call with more distinct grams than the bound, then one that
-    # looks up what the table kept
+    # one call with more distinct astral grams than the bound, then one
+    # that looks up what the table kept
     rng = random.Random(5)
-    alphabet = string.ascii_letters + string.digits + " .,-\U0001F9A0"
+    alphabet = ASTRAL + " .,-" + string.ascii_lowercase
     text = "".join(rng.choice(alphabet) for _ in range(45_000))
     dim = 7
     backend = OfflineHashEmbedder(dim=dim)
-    assert len(set(oracle.grams(text))) > embedding.GRAM_CACHE_SIZE
+    other = {g for g in oracle.grams(text) if max(map(ord, g)) >= 128}
+    assert len(other) > embedding.GRAM_CACHE_SIZE
     for batch in ([text], [text[::-1], text[:3000]]):
         _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
-        table = _table_grams(fresh_tables, dim)
+        table = _sorted_table_grams(fresh_tables, dim)
         assert len(table) == embedding.GRAM_CACHE_SIZE
         assert all(table[g] == oracle.gram_bucket(g, dim)
                    for g in list(table)[::97])

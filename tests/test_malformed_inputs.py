@@ -437,7 +437,7 @@ ROWS = [
         argv=lambda path, tmp_path, fx: ["ingest", "--dataset", str(_good_csv(tmp_path)),
                                          "--schema", str(path)]),
     Row("config", CONFIG_CASES,
-        read=lambda path, fx: resolve_config(load_config_file(path)),
+        read=lambda path, fx: resolve_config(load_config_file(path, "synth")),
         argv=lambda path, tmp_path, fx: ["synth", "--config", str(path),
                                          "--out", str(tmp_path / "out")]),
     Row("corpus", CORPUS_CASES,
@@ -532,7 +532,7 @@ def test_row_accepts_its_valid_input(row_name, tmp_path, fx):
         "csv": lambda: parse_samples(_good_csv(tmp_path), _good_schema(tmp_path)),
         "schema": lambda: parse_samples(_good_csv(tmp_path), _good_schema(tmp_path)),
         "config": lambda: resolve_config(load_config_file(
-            _write(tmp_path / "config.json", json.dumps(CONFIG)))),
+            _write(tmp_path / "config.json", json.dumps(CONFIG)), "synth")),
         "corpus": lambda: read_corpus(_corpus_case()(tmp_path, fx)),
         "bundle": lambda: cli._load_model_bundle(
             _write(tmp_path / "model.json", json.dumps(_bundle(fx)))),
