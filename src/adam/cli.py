@@ -19,7 +19,6 @@ resolved-config.json in the output directory. Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 from collections import Counter
@@ -35,7 +34,7 @@ from .config import (
 )
 from .errors import (FINITE, OBJECT, STRING, STRINGS, AdamError, AlignmentError, FormatError,
                      IntegrityError, ModelIntegrityError, SchemaError, check_fields,
-                     is_file_name, parse_object, read_text)
+                     is_file_name, json_text, parse_object, read_text, write_text)
 
 # Every module beyond config and errors is imported inside the functions
 # that use it, so each subcommand loads only the modules it runs: --help
@@ -198,8 +197,7 @@ def cmd_ingest(args) -> int:
     print(summary, end="")
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "dataset-summary.txt").write_text(summary, encoding="utf-8")
+        write_text(out / "dataset-summary.txt", summary)
         write_resolved_config(config, out, "ingest")
     return 0
 
@@ -315,12 +313,7 @@ def cmd_train(args) -> int:
                                    model.predict_proba(fit.screened(test)))
 
     model_path = Path(config.model) if config.model else out / "model.json"
-    out.mkdir(parents=True, exist_ok=True)
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(_model_bundle(fit.deployed, (train, test)), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    write_text(model_path, json_text(_model_bundle(fit.deployed, (train, test))))
     print(f"trained on {len(train)} sample(s) from "
           f"{len(train.study_ids())} study(ies); "
           f"{len(fit.feature_names)} feature(s)")
@@ -361,12 +354,11 @@ def cmd_classify(args) -> int:
                                  summarizer, classifier, config)
 
     reports_dir = out / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     yes = 0
     for sample, context, report in classified:
         report_path = reports_dir / f"{sample.sample_id}.md"
-        report_path.write_text(render_report(report), encoding="utf-8")
+        write_text(report_path, render_report(report))
         yes += report.verdict == "Yes"
         entries.append({
             "sample_id": sample.sample_id,
@@ -386,9 +378,7 @@ def cmd_classify(args) -> int:
                    "seed": config.seed, "size": len(cohort.samples)},
         "samples": entries,
     }
-    with open(out / "dossier.json", "w", encoding="utf-8") as fh:
-        json.dump(dossier, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(out / "dossier.json", json_text(dossier))
     print(f"classified {len(entries)} sample(s): {yes} Yes, "
           f"{len(entries) - yes} No")
     print(f"wrote {out / 'dossier.json'} and {len(entries)} report(s) "
@@ -435,21 +425,21 @@ def cmd_evaluate(args) -> int:
         sample_set, seeds, config=config, models=tags, summarizer=summarizer,
         classifier=classifier, searcher=searcher)
 
-    out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(trials, out / "trials.csv")
     for tag in tags:
         rows = [t for t in trials if t.model == tag]
         if rows:
             write_trials_csv(rows, out / f"trials-{tag}.csv")
     table = format_metrics_table(trials) if trials else "no trials\n"
-    (out / "metrics.txt").write_text(table, encoding="utf-8")
+    write_text(out / "metrics.txt", table)
     print(table, end="")
     if failures:
         lines = [f"seed {seed}: {message}" for seed, message in failures]
-        (out / "failures.txt").write_text("\n".join(lines) + "\n",
-                                          encoding="utf-8")
+        write_text(out / "failures.txt", "\n".join(lines) + "\n")
         print(f"failures: {len(failures)} seed(s) skipped "
               f"(see {out / 'failures.txt'})", file=sys.stderr)
+    else:  # a failures.txt of an earlier run would name seeds that now passed
+        (out / "failures.txt").unlink(missing_ok=True)
     print(f"wrote {out / 'trials.csv'} and per-model trial files")
     write_resolved_config(config, out, "evaluate")
     return 0
@@ -478,8 +468,7 @@ def cmd_compare(args) -> int:
     print(text, end="")
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "comparison.txt").write_text(text, encoding="utf-8")
+        write_text(out / "comparison.txt", text)
         write_resolved_config(config, out, "compare")
     return 0
 
@@ -533,10 +522,8 @@ def cmd_report(args) -> int:
     reports = read_dossier(args.dossier)
     out = Path(args.out)
     reports_dir = out / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        path = reports_dir / f"{report.sample_id}.md"
-        path.write_text(render_report(report), encoding="utf-8")
+        write_text(reports_dir / f"{report.sample_id}.md", render_report(report))
     print(f"rendered {len(reports)} report(s) under {reports_dir}")
     write_resolved_config(config, out, "report")
     return 0

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStatisticError, EmptyInputError, FormatError, read_csv
+from .errors import DegenerateStatisticError, EmptyInputError, FormatError, read_csv, replacing
 from .stats import cohens_d, levene_test, mann_whitney_u, variance_f_test
 
 if TYPE_CHECKING:
@@ -37,7 +37,7 @@ def write_trials_csv(trials, path) -> None:
 
     An undefined AUC (single-class cohort) is stored as an empty cell.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for trial in trials:

@@ -8,12 +8,11 @@ so any run can be reproduced from its output directory alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import (INTEGER, NUMBER, STRING, SchemaError, check_fields, parse_object,
-                     read_text)
+from .errors import (INTEGER, NUMBER, STRING, SchemaError, check_fields, json_text,
+                     parse_object, read_text, write_text)
 
 RESOLVED_CONFIG_NAME = "resolved-config.json"
 # Defaults of the modules that read them. They live here so that reading
@@ -147,14 +146,7 @@ def resolve_config(file_values: dict | None = None, **flag_values) -> RunConfig:
     return config
 
 
-def write_resolved_config(config: RunConfig, directory, command: str) -> Path:
+def write_resolved_config(config: RunConfig, directory, command: str) -> None:
     """Echo the fully-resolved configuration next to the artifacts."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command}
-    payload.update(asdict(config))
-    path = directory / RESOLVED_CONFIG_NAME
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    write_text(Path(directory) / RESOLVED_CONFIG_NAME,
+               json_text({"command": command, **asdict(config)}))

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by every module in the package, and the
-reading and shape checks that every reader of outside input uses.
+"""Exception hierarchy shared by every module in the package, the
+reading and shape checks that every reader of outside input uses, and
+``replacing``, the one writer of every file a command writes.
 
 All errors raised by this package derive from AdamError so callers can
 catch one type at the CLI boundary.
@@ -9,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 
@@ -181,3 +184,32 @@ def read_csv(path):
             yield reader.line_num, record
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+@contextmanager
+def replacing(path, binary=False):
+    """A handle (UTF-8 text, newlines as written, or bytes) on ``<path>.tmp``,
+    renamed over path when the block completes. On an error the .tmp goes, path
+    keeps its bytes and an OSError names path. No fsync: a power loss is not covered."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
+def write_text(path, text: str) -> None:
+    with replacing(path) as fh:
+        fh.write(text)
+
+
+def json_text(doc) -> str:
+    """The text of every JSON artifact: keys sorted, indent 2, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -15,10 +15,11 @@ seed.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
+
+from .errors import json_text, replacing, write_text
 
 N_PARTICIPANTS = 100
 N_POSITIVE_PARTICIPANTS = 33
@@ -152,15 +153,12 @@ def write_dataset(directory, seed: int = 0,
                   stem: str = "synthetic") -> tuple[Path, Path]:
     """Write ``<stem>.csv`` and ``<stem>.schema.json``; returns both paths."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     header, rows, schema = generate_rows(seed)
     csv_path = directory / f"{stem}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     schema_path = directory / f"{stem}.schema.json"
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(schema, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(schema_path, json_text(schema))
     return csv_path, schema_path

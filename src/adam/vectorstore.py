@@ -71,15 +71,14 @@ A vector holding NaN or an infinity has no cosine similarity: a
 Collection refuses one, and loading a file holding one raises
 IntegrityError at that vector's offset.
 
-Writes go to a temporary file renamed into place, so readers only ever
-observe complete stores.
+Each file is written through ``errors.replacing``, to a temporary file
+renamed into place, so readers only ever observe complete stores.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -100,6 +99,7 @@ from .errors import (
     IntegrityError,
     NonFiniteVectorError,
     check_fields,
+    replacing,
 )
 
 MAGIC = b"ADAMVEC1"
@@ -420,12 +420,9 @@ def save_collection(collection: Collection, directory: str | Path) -> Path:
     if not collection.name or any(c in collection.name for c in "/\\\0"):
         raise ValueError(f"collection name {collection.name!r} is not a "
                          f"usable file name")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{collection.name}{STORE_SUFFIX}"
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    path = Path(directory) / f"{collection.name}{STORE_SUFFIX}"
     checksum = 0
-    with open(tmp, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(bytes(24))  # the header, once the checksum is known
         for rec, vector in zip(collection.records, collection.matrix):
             record = _record_bytes(rec, vector)
@@ -433,7 +430,6 @@ def save_collection(collection: Collection, directory: str | Path) -> Path:
             fh.write(record)
         fh.seek(0)
         fh.write(MAGIC + struct.pack("<IQI", collection.dim, collection.count, checksum))
-    os.replace(tmp, path)
     return path
 
 
