@@ -426,10 +426,8 @@ def cmd_evaluate(args) -> int:
         classifier=classifier, searcher=searcher)
 
     write_trials_csv(trials, out / "trials.csv")
-    for tag in tags:
-        rows = [t for t in trials if t.model == tag]
-        if rows:
-            write_trials_csv(rows, out / f"trials-{tag}.csv")
+    for tag in tags:  # header only for a model with no successful seed
+        write_trials_csv([t for t in trials if t.model == tag], out / f"trials-{tag}.csv")
     table = format_metrics_table(trials) if trials else "no trials\n"
     write_text(out / "metrics.txt", table)
     print(table, end="")
@@ -579,7 +577,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AdamError, OSError, ValueError) as exc:
+    except (AdamError, OSError) as exc:  # any other exception is a program fault
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_DIMENSION, DEFAULT_EMBEDDING_MODEL
 from .errors import (
+    FINITE,
     INTEGER,
     BackendError,
     DimensionError,
@@ -56,21 +57,6 @@ CODE_POINT_BITS = 21  # max code point U+10FFFF < 2**21
 # numpy asks for huge pages for an array of 4 MiB or more; the ASCII gram
 # table's two arrays stay below that together.
 ASCII_TABLE_BYTES = 1 << 22
-
-
-def _normalize(vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector, dtype=np.float64).ravel()
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return (vector / norm).astype(np.float32)
-
-
-def _normalize_rows(rows, dim: int) -> np.ndarray:
-    out = np.zeros((len(rows), dim), dtype=np.float32)
-    for i, row in enumerate(rows):
-        out[i] = _normalize(row)
-    return out
 
 
 class EmbeddingBackend:
@@ -324,8 +310,10 @@ class RemoteEmbedder(EmbeddingBackend):
                 f"text of {len(text)} characters exceeds the remote-{self.model} "
                 f"backend limit of {DEFAULT_MAX_CHARS}")
 
-    def _parse(self, doc, expected: int) -> list[list[float]]:
-        """The vectors by row index: 0..n-1 on every row, or none (file order)."""
+    def _parse(self, doc, expected: int) -> list[np.ndarray]:
+        """The unit float32 vectors by row index: 0..n-1 on every row, or
+        none (file order). A vector whose float64 norm is zero or not finite
+        (an underflow or overflow included) raises BackendError."""
         where = "malformed embeddings response"
         check_fields(doc, _REPLY_FIELDS, where, BackendError)
         rows = doc["data"]
@@ -336,14 +324,21 @@ class RemoteEmbedder(EmbeddingBackend):
         if sorted(row["index"] for row in rows) != list(range(expected)):
             raise BackendError(f"{where}: expected {expected} vectors, one per index "
                                f"0 to {expected - 1}; response carried {len(rows)}")
-        vectors = [row["embedding"] for row in sorted(rows, key=lambda r: r["index"])]
-        for vec in vectors:
+        vectors = []
+        for i in sorted(range(len(rows)), key=lambda j: rows[j]["index"]):
+            vec = rows[i]["embedding"]
             if len(vec) != self.dim:
                 raise DimensionError(
                     f"backend returned dimension {len(vec)}, expected {self.dim}")
-            if not any(vec) or not all(math.isfinite(v) for v in vec):
-                raise BackendError("malformed embeddings response: "
-                                   "an embedding is zero or not finite")
+            norm = 0.0
+            if all(FINITE[0](v) for v in vec):
+                vec = np.asarray(vec, dtype=np.float64)
+                with np.errstate(over="ignore"):
+                    norm = float(np.linalg.norm(vec))
+            if not 0.0 < norm < math.inf:
+                raise BackendError(f"{where}: data[{i}]: 'embedding' must have a "
+                                   "finite, nonzero norm")
+            vectors.append((vec / norm).astype(np.float32))
         return vectors
 
     def embed_many(self, texts) -> np.ndarray:
@@ -351,4 +346,4 @@ class RemoteEmbedder(EmbeddingBackend):
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float32)
         doc = self._endpoint.post({"model": self.model, "input": texts}, "embedding")
-        return _normalize_rows(self._parse(doc, len(texts)), self.dim)
+        return np.stack(self._parse(doc, len(texts)))

@@ -2,16 +2,16 @@
 reading and shape checks that every reader of outside input uses, and
 ``replacing``, the one writer of every file a command writes.
 
-All errors raised by this package derive from AdamError so callers can
-catch one type at the CLI boundary.
+Every error that input or flags can cause derives from AdamError: the CLI
+reports an AdamError or an OSError as one line, and anything else is a fault.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import reprlib
+import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -118,7 +118,8 @@ class DegenerateStatisticError(AdamError):
 STRING = (lambda v: isinstance(v, str), "a string")
 INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
-FINITE = (lambda v: NUMBER[0](v) and math.isfinite(v), "a finite number")
+# Compared exactly, so an integer past the float range is not finite, not an OverflowError.
+FINITE = (lambda v: NUMBER[0](v) and abs(v) <= sys.float_info.max, "a finite number")
 STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
            "a list of strings")
 OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
@@ -163,10 +164,11 @@ def read_text(path) -> str:
 
 
 def parse_object(text: str, where, error=FormatError) -> dict:
-    """The JSON object in text (FormatError if not JSON, error if no object)."""
+    """The JSON object in text (FormatError if not JSON, nested too deep, or
+    holding an integer over Python's digit limit; error if no object)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{where}: invalid JSON: {exc}") from exc
     check_fields(doc, {}, where, error)
     return doc

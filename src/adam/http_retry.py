@@ -66,7 +66,7 @@ class JsonEndpoint:
                 if response.status_code == 200:
                     try:
                         return response.json()
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:
                         raise BackendError(
                             f"{what} response body is not JSON: {exc}") from exc
                 last = f"HTTP {response.status_code}"

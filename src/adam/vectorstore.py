@@ -480,7 +480,7 @@ def load_collection(path: str | Path, expected_dim: int | None = None) -> Collec
             raise IntegrityError(f"{path}: truncated record body", offset=pos)
         try:
             meta = json.loads(data[pos:pos + meta_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
             raise IntegrityError(f"{path}: bad record metadata: {exc}",
                                  offset=pos) from exc
         check_fields(meta, _METADATA, where,

@@ -116,6 +116,24 @@ def test_evaluate_removes_a_stale_failures_txt(dataset_paths, tmp_path):
     assert (out / "trials-baseline-rf.csv").read_bytes() == rf
 
 
+def test_evaluate_rewrites_the_trial_file_of_a_model_with_no_successful_seed(
+        dataset_paths, tmp_path, capsys):
+    dataset, schema = map(str, dataset_paths)
+    out = tmp_path / "eval"
+    base = ["evaluate", "--dataset", dataset, "--schema", schema, "--seeds", "2",
+            "--out", str(out)]
+    assert main(base + ["--models", "gbdt,rf"]) == 0
+    rf = (out / "trials-baseline-rf.csv").read_bytes()
+    assert main(base + ["--models", "gbdt", "--n-pos", "200", "--tolerate-failures"]) == 0
+    gbdt = out / "trials-baseline-gbdt.csv"
+    assert gbdt.read_text() == "seed,model,accuracy,auc,f1\n"
+    capsys.readouterr()
+    assert main(["compare", "--adam", str(gbdt), "--baseline", str(gbdt)]) == 1
+    assert capsys.readouterr().err == f"error: {gbdt}: no trial rows\n"
+    # A model outside the run keeps its trial file for compare.
+    assert (out / "trials-baseline-rf.csv").read_bytes() == rf
+
+
 def _child_env():
     """The environment with this checkout's sources first on PYTHONPATH."""
     path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

@@ -624,6 +624,19 @@ def test_diagnosed_failures_exit_1(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "r")]) == 1
 
 
+def test_a_program_fault_propagates_out_of_main(monkeypatch, tmp_path):
+    """Only an AdamError or an OSError becomes an error: line; a ValueError
+    is a program fault and keeps its traceback."""
+    from adam import cli
+
+    def broken(args):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "cmd_synth", broken)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(["synth", "--out", str(tmp_path / "data")])
+
+
 # --- configuration resolution ---------------------------------------------------
 
 def test_config_file_precedence(tmp_path):

@@ -31,8 +31,10 @@ import pytest
 from adam.cli import main
 
 EMBED_DIM = "64"
+# b"1" + 309 zeros is an integer past the float range; 4,301 digits pass
+# Python's limit for converting an integer string.
 ODD_NUMBERS = (b"1e309", b"-1e309", b"NaN", b"Infinity", b"18446744073709551616",
-               b"-0", b"1_0")
+               b"-0", b"1_0", b"1" + b"0" * 309, b"1" * 4301)
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 

@@ -176,6 +176,17 @@ CONFIG_CASES.update({
     case: lambda tmp_path, fx, k=key, v=value: _write(
         tmp_path / "config.json", json.dumps({**CONFIG, k: v}))
     for case, (key, value) in OUT_OF_RANGE.items()})
+# JSON that json.loads rejects with a ValueError or RecursionError rather
+# than a JSONDecodeError: an integer over Python's 4,300-digit limit for
+# integer strings, and arrays nested deeper than the recursion limit.
+INT_4301_DIGITS = "1" * 4301
+INT_310_DIGITS = "1" + "0" * 309  # past the float range
+CONFIG_CASES.update({
+    "int-4301-digits": lambda tmp_path, fx: _write(
+        tmp_path / "config.json", '{"seed": %s}' % INT_4301_DIGITS),
+    "nested-100000-deep": lambda tmp_path, fx: _write(
+        tmp_path / "config.json", "[" * 100_000 + "]" * 100_000),
+})
 
 # --- corpus -----------------------------------------------------------------------
 
@@ -205,6 +216,8 @@ CORPUS_CASES = {
     **{f"{key}-{json.dumps(value)}": _corpus_case(lambda doc, k=key, v=value: doc.update({k: v}))
        for key, value in (("publication_id", 7), ("text", ["t"]), ("title", 5),
                           ("keywords", "gut"), ("text", ""), ("title", "\ud800"))},
+    "int-4301-digits": _corpus_case(raw=lambda data: data.replace(
+        b'"P1"', b'"P1", "year": ' + INT_4301_DIGITS.encode(), 1)),
 }
 
 # --- model bundle -------------------------------------------------------------------
@@ -244,6 +257,13 @@ def _bundle_cases():
                 locate=lambda doc, s=split: _node(doc, s)).items():
             if case not in ("truncated", "not-utf8"):
                 cases[f"{kind}-{case}"] = make
+
+    def median_310_digits(tmp_path, fx):
+        doc = _bundle(fx)
+        name = next(iter(doc["medians"]))
+        doc["medians"][name] = int(INT_310_DIGITS)
+        return _write(tmp_path / "model.json", json.dumps(doc))
+    cases["medians-int-310-digits"] = median_310_digits
     return cases
 
 
@@ -294,6 +314,8 @@ STORE_CASES = {
        for key, value in (("publication_id", 7), ("segment_index", "1"),
                           ("segment_index", True), ("text", ["t"]),
                           ("topic_keywords", "gut"))},
+    "segment_index-int-4301-digits": _store_case(lambda blob: blob.replace(
+        b'"segment_index":1,', b'"segment_index":' + INT_4301_DIGITS.encode() + b",")),
 }
 
 # --- dossier ------------------------------------------------------------------------
@@ -319,6 +341,8 @@ DOSSIER_CASES.update(_json_cases(
 DOSSIER_CASES["repeated-sample-id"] = lambda tmp_path, fx: _write(
     tmp_path / "dossier.json", json.dumps({**DOSSIER, "samples": [
         {"report": REPORT}, {"report": {**REPORT, "verdict": "No"}}]}))
+DOSSIER_CASES["probability-int-310-digits"] = lambda tmp_path, fx: _write(
+    tmp_path / "dossier.json", json.dumps(DOSSIER).replace("0.75", INT_310_DIGITS))
 
 # --- trials CSV ---------------------------------------------------------------------
 
@@ -368,6 +392,13 @@ EMBEDDING_CASES = {
                                     {"index": 0, "embedding": [0, 1, 0]}]},
     "too-few-rows": {"data": []},
 }
+# Vectors with no finite, nonzero float64 norm, each the second row.
+NO_NORM = {"zero": [0, 0, 0], "int-past-float-range": [10**400, 0, 0],
+           "norm-underflows": [1e-200] * 3, "norm-overflows": [1e300] * 3}
+EMBEDDING_CASES.update({
+    f"embedding-{case}": {"data": [EMBEDDING_REPLY["data"][0],
+                                   {"index": 1, "embedding": vector}]}
+    for case, vector in NO_NORM.items()})
 CHAT_REPLY = {"choices": [{"message": {"content": "Prediction: Yes"}}]}
 CHAT_CASES = {
     "no-choices": {},
@@ -496,6 +527,11 @@ def _names(row, bad) -> str:
             "chat-reply": "malformed chat response"}[row.name]
 
 
+# What a case's error names beyond the file or the reply: its line or row.
+PLACES = {"corpus-int-4301-digits": ["line 1: invalid JSON"],
+          **{f"embedding-reply-embedding-{case}": ["data[1]"] for case in NO_NORM}}
+
+
 @pytest.mark.parametrize("row_name, case", CASES)
 def test_reader_rejects_malformed_input(row_name, case, tmp_path, fx, capsys,
                                         monkeypatch):
@@ -506,9 +542,12 @@ def test_reader_rejects_malformed_input(row_name, case, tmp_path, fx, capsys,
         names.append(repr(OUT_OF_RANGE[case][0]))
     if case == "repeated-sample-id":
         names.append("sample 1")
+    names.extend(PLACES.get(f"{row_name}-{case}", ()))
     with pytest.raises(AdamError) as err:
         row.read(bad, fx)
     assert all(name in str(err.value) for name in names)
+    if row_name == "advec" and case.startswith("segment_index"):
+        assert err.value.offset == 28  # the first record's metadata
 
     if not isinstance(bad, Path):
         import requests
