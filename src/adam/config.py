@@ -28,8 +28,11 @@ CLASSIFICATION_TOKEN_BUDGET = 50_000
 DEFAULT_FALLBACK_THRESHOLD = 0.5
 DEFAULT_SUMMARIZATION_MODEL = "gpt-4o"
 DEFAULT_CLASSIFICATION_MODEL = "gpt-4o-mini"
+# Largest embedding dimension: .advec headers and hash gram entries (2 *
+# coordinate + 2) hold it in 32 bits; 64 query vectors take 32 MiB.
+MAX_DIMENSION = 65_536
 # Integer fields with a lower bound, and the bound.
-_MINIMUMS = {"embedding_dim": 1, "segment_length": 1, "top_k": 1, "tuning_trials": 0,
+_MINIMUMS = {"segment_length": 1, "top_k": 1, "tuning_trials": 0,
              "tuning_folds": 2, "n_seeds": 1, "jobs": 1, "summarization_budget": 1,
              "classification_budget": 1, "n_pos": 1, "n_neg": 1, "seed": 0, "seed_base": 0}
 _BACKEND = (lambda v: v in ("mock", "remote"), "mock or remote")
@@ -38,6 +41,7 @@ _LIMITS = {
     "embedding_backend": _BACKEND, "llm_backend": _BACKEND,
     **{name: (lambda v, least=least: v >= least, f">= {least}")
        for name, least in _MINIMUMS.items()},
+    "embedding_dim": (lambda v: 1 <= v <= MAX_DIMENSION, f"in [1, {MAX_DIMENSION}]"),
     "threshold": (lambda v: -1.0 <= v <= 1.0, "in [-1, 1]"),
     "fallback_threshold": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "split_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),

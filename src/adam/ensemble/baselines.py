@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, partial
 
 import numpy as np
 
 from ..errors import DegenerateFitError
 from .gbdt import fit_inputs, sigmoid
-from .tree import Tree, as_matrix, leaf_values, stack
+from .tree import _sorted_positions  # noqa: F401  (tests/test_tree_identity.py reads it here)
+from .tree import (FitRows, Tree, as_matrix, dense_ranks, leaf_values, sort_segments,
+                   split_search, stack)
 
 RF_DEFAULTS = {"n_trees": 100, "max_depth": 12, "min_samples_leaf": 1}
 LR_DEFAULTS = {"l2_reg": 1e-3, "max_iter": 5000, "tol": 1e-8}
@@ -49,107 +50,25 @@ class RandomForestModel:
 _BATCH_ELEMENTS = 16_384
 
 
-class _Bootstraps(NamedTuple):
-    """What every split search of one forest fit reads."""
-    XT: np.ndarray  # (features, rows) fit matrix
-    ranks: np.ndarray  # (features, rows) dense rank of each value in its column
-    y: np.ndarray  # 0/1 labels
-    rows: np.ndarray  # (trees * n) bootstrap row ids, tree after tree
-    part: np.ndarray  # (trees * n) each tree's positions 0..n-1, grouped by node
-    n: int  # bootstrap size
-    min_samples_leaf: int
-
-
-def _dense_ranks(X: np.ndarray) -> np.ndarray:
-    """(features, rows) index of each value among its column's distinct
-    values: equal values share a rank, and ranks order as values do."""
-    ranks = np.empty(X.shape[::-1], dtype=np.min_scalar_type(X.shape[0]))
-    for j, column in enumerate(X.T):
-        ranks[j] = np.unique(column, return_inverse=True)[1].ravel()
-    return ranks
-
-
-def _sorted_positions(segment, rank, position, n_ranks, n_positions):
-    """``position`` ordered by (segment, rank, position): within each
-    segment, ascending value with ties in bootstrap order, which is the
-    order a stable sort of the node's bootstrap rows gives. One packed
-    int64 key is sorted when the three fit in 63 bits."""
-    p_bits = int(n_positions - 1).bit_length()
-    r_bits = int(n_ranks - 1).bit_length()
-    if int(segment[-1]).bit_length() + r_bits + p_bits > 63:
-        return position[np.lexsort((position, rank, segment))]
-    key = (segment << (r_bits + p_bits)) | (rank.astype(np.int64) << p_bits) | position
-    return np.sort(key) & ((1 << p_bits) - 1)
-
-
-def _ragged(starts, lengths):
-    """The ranges starts[k] .. starts[k] + lengths[k] - 1, concatenated,
-    and the index k of the range each element belongs to."""
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    return np.arange(lengths.sum()) + (starts - np.cumsum(lengths) + lengths)[owner], owner
-
-
-def _split_batch(data: _Bootstraps, trees, starts, sizes, positives, parent_gini, drawn):
-    """Best Gini split of each node of a batch, as the arrays (node,
-    feature, threshold, gain, n_left, positives_left) over the nodes
-    whose best split scores above 1e-12.
-
-    Node b owns part[starts[b]:starts[b] + sizes[b]] of tree trees[b];
-    drawn[b] are its mtry features, ascending. Each (node, feature) pair
-    is one segment of a ragged array holding the node's rows sorted by
-    that feature. Scores use the expressions of a per-node search, and
-    the label prefix sums are exact integers, so every score has the
-    bits a per-node search gives it. A found node's slice of part is
-    rewritten in the order of its winning segment, left rows first.
-    """
-    mtry = drawn.shape[1]
-    seg_len = np.repeat(sizes, mtry)
-    seg_start = np.cumsum(seg_len) - seg_len
-    slot, segment = _ragged(np.repeat(starts, mtry), seg_len)
-    node = segment // mtry
-    n_left = slot - starts[node] + 1
-    base = trees[node] * data.n
-    feature = drawn.ravel()[segment]
-    position = data.part[slot]
-    position = _sorted_positions(segment, data.ranks[feature, data.rows[base + position]],
-                                 position, data.ranks.shape[1], data.n)
-    row = data.rows[base + position]
-    xs = data.XT[feature, row]
-    pos_left = np.cumsum(data.y[row])
-    pos_left -= np.concatenate(([0.0], pos_left))[seg_start][segment]
-    n = sizes[node]
+def _gini_decrease(y, min_samples_leaf, positives, parent_gini, seg):
+    """Gini decrease of each split of a batch (see ``tree.split_search``)
+    and the positives left of it. Label sums are exact integers, so one
+    running sum less each segment's offset has a per-node search's bits."""
+    pos_left = np.cumsum(y[seg.row])
+    pos_left -= np.concatenate(([0.0], pos_left))[seg.seg_start][seg.segment]
+    node = seg.segment // seg.drawn.shape[1]
+    n_left = np.arange(1, pos_left.size + 1) - seg.seg_start[seg.segment]
+    n = seg.sizes[node]
     n_right = n - n_left
     pos_right = positives[node] - pos_left
-    valid = np.empty(xs.size, dtype=bool)
-    valid[:-1] = xs[1:] != xs[:-1]
-    valid[seg_start + seg_len - 1] = False
-    valid &= n_left >= data.min_samples_leaf
-    valid &= n_right >= data.min_samples_leaf
+    valid = seg.valid & (n_left >= min_samples_leaf)
+    valid &= n_right >= min_samples_leaf
     with np.errstate(divide="ignore", invalid="ignore"):  # n_right is 0 at each segment's end
         gini_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
         gini_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
         scores = parent_gini[node] - (n_left * gini_left + n_right * gini_right) / n
     scores[~valid] = -np.inf
-
-    # pick_best per node: each segment's first maximum, the first segment
-    # attaining the node's maximum, and it must beat 1e-12
-    seg_best = np.maximum.reduceat(scores, seg_start)
-    hits = np.flatnonzero(scores == seg_best[segment])
-    at = hits[np.searchsorted(hits, seg_start)]
-    seg_best = seg_best.reshape(-1, mtry)
-    pick = seg_best.argmax(axis=1)
-    gain = seg_best[np.arange(sizes.size), pick]
-    found = np.flatnonzero(gain > 1e-12)
-    win = found * mtry + pick[found]
-    threshold = 0.5 * (xs[at[win]] + xs[at[win] + 1])
-
-    # the winning segment holds the node's rows sorted by the split
-    # feature, so the rows below the threshold come first
-    src, owner = _ragged(seg_start[win], sizes[found])
-    data.part[src - seg_start[win][owner] + starts[found][owner]] = position[src]
-    n_left = np.bincount(owner[xs[src] < threshold[owner]], minlength=found.size)
-    pos_left = np.where(n_left > 0, pos_left[seg_start[win] + n_left - 1], 0.0)
-    return found, drawn[found, pick[found]], threshold, gain[found], n_left, pos_left
+    return scores, pos_left
 
 
 def _batches(searches, mtry):
@@ -179,9 +98,9 @@ def _grow_forest(X, y, boots, rngs, max_depth, min_samples_leaf, mtry) -> list[T
     """
     n_trees, n = boots.shape
     d = X.shape[1]
-    data = _Bootstraps(XT=np.ascontiguousarray(X.T), ranks=_dense_ranks(X), y=y,
-                       rows=boots.ravel(), n=n, min_samples_leaf=min_samples_leaf,
-                       part=np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), n_trees))
+    XT = np.ascontiguousarray(X.T)
+    data = FitRows(XT=XT, ranks=dense_ranks(XT),
+                   part=boots.ravel().astype(np.min_scalar_type(n - 1)))
     nodes: list[list[list]] = [[] for _ in range(n_trees)]  # Tree fields, preorder
     # per tree, the nodes still to visit, next one last: start and stop in
     # part, depth, positive count, and the node whose right child it is
@@ -205,9 +124,10 @@ def _grow_forest(X, y, boots, rngs, max_depth, min_samples_leaf, mtry) -> list[T
                 searches.append((t, node, start, size, depth, pos, gini, drawn))
         for batch in _batches(searches, mtry):
             tree, node, start, size, depth, pos, gini, drawn = zip(*batch)
-            found, feature, threshold, gain, n_left, pos_left = _split_batch(
-                data, np.array(tree), np.array(start), np.array(size), np.array(pos),
-                np.array(gini), np.array(drawn))
+            seg = sort_segments(data, np.array(start), np.array(size), np.array(drawn))
+            scorer = partial(_gini_decrease, y, min_samples_leaf, np.array(pos), np.array(gini))
+            found, feature, threshold, gain, n_left, pos_left = split_search(
+                data, seg, scorer, 1e-12)
             # pos_left stays a numpy scalar, the type the node Gini was
             # computed from in the per-node search
             for b, feature, threshold, gain, n_left, pos_left in zip(

@@ -7,10 +7,10 @@ Each tree greedily maximizes the exact split gain
     gain = 1/2 * [GL^2/(HL + lambda) + GR^2/(HR + lambda) - G^2/(H + lambda)]
 
 over every feature and every midpoint between adjacent distinct sorted
-values (no histogram binning). The search is presorted exact greedy:
-each feature is sorted once per fit, every node scores all features at
-once from cumulative sums along that order, and children inherit the
-order by stable partition (see ``tree``). Leaf values are -G/(H + lambda).
+values (no histogram binning), through the sorted-segment search the
+forest shares (see ``tree``): each searched node sorts its rows by
+every feature at once and scores all splits from prefix sums along
+those segments. Leaf values are -G/(H + lambda).
 The model's raw score is base_score + learning_rate * sum of tree
 outputs, mapped through the sigmoid for probabilities.
 
@@ -29,22 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from ..errors import (INTEGER, OBJECT, DegenerateFitError, EmptyInputError, FormatError,
                       ModelIntegrityError, check_fields)
-from .tree import (
-    Tree,
-    as_matrix,
-    grow_tree,
-    leaf_values,
-    partition,
-    pick_best,
-    presort,
-    stack,
-)
+from .tree import (FitRows, Segments, Tree, as_matrix, dense_ranks, leaf_values, sort_segments,
+                   split_search, stack)
 
 DEFAULT_PARAMS = {
     "n_trees": 60,
@@ -152,38 +144,66 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
 
 
-def _grow(X, XT, order, rows, g, h, params):
-    """One boosting tree on rows, scoring every feature of a node at once."""
+def _newton_gain(g, h, lam, mcw, g_total, h_total, seg):
+    """Newton gain of each split of one node (see ``tree.split_search``)
+    and the hessian mass left of it. g/h sums are floats, so the node's
+    segments are summed as (features, rows) along the rows: each prefix
+    sum starts from zero and adds what a per-feature search adds."""
+    rows = seg.row.reshape(seg.drawn.shape[1], -1)
+    gl = np.cumsum(g[rows], axis=1)
+    hl = np.cumsum(h[rows], axis=1)
+    gr = g_total - gl
+    hr = h_total - hl
+    valid = seg.valid.reshape(rows.shape) & (hl >= mcw)
+    valid &= hr >= mcw
+    parent = g_total * g_total / (h_total + lam)
+    with np.errstate(divide="ignore", invalid="ignore"):  # hr + lam is 0 at lam = 0
+        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    gain[~valid] = -np.inf
+    return gain.ravel(), hl.ravel()
+
+
+def _grow(data: FitRows, root: Segments | None, g, h, params):
+    """One boosting tree on the rows of data.part, grown depth first,
+    left subtree before right, one node searched at a time (the root
+    through its segments ``root`` when given). Returns the tree and the
+    leaf value each of those rows reaches (other entries 0)."""
     lam, mcw = params.l2_lambda, params.min_child_weight
-    features = np.arange(X.shape[1])
-
-    def node_stats(idx):
-        cover = float(h[idx].sum())
+    every_feature = np.arange(data.XT.shape[0])[None]
+    nodes: list[list] = []  # Tree fields, preorder
+    fitted = np.zeros(data.XT.shape[1])
+    # the nodes still to visit, next one last: start and stop in part,
+    # depth, and the node whose right child it is (-1 for a left child)
+    todo = [(0, data.part.size, 0, -1)]
+    while todo:
+        start, stop, depth, parent = todo.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
+        idx = np.sort(data.part[start:stop])
+        g_total, h_total = g[idx].sum(), h[idx].sum()
+        cover = float(h_total)
         denom = cover + lam
-        value = 0.0 if denom == 0.0 else -float(g[idx].sum()) / denom
+        value = 0.0 if denom == 0.0 else -float(g_total) / denom
+        nodes.append([-1, 0.0, -1, -1, value, cover, 0.0])
+        fitted[idx] = value
         # A node with cover < 2 * mcw has no valid split, so it is not
-        # searched. cover is find_split's h_total; a prefix sum hl >= mcw
-        # then has h_total / 2 < hl <= 2 * h_total, so hr = h_total - hl
-        # is exact (Sterbenz) and hr <= h_total - mcw < mcw.
-        return value, cover, idx.size >= 2 and cover >= 2.0 * mcw
-
-    def find_split(idx, order):
-        g_total = g[idx].sum()
-        h_total = h[idx].sum()
-        parent = g_total * g_total / (h_total + lam)
-        gl = np.cumsum(g[order], axis=1)[:, :-1]
-        hl = np.cumsum(h[order], axis=1)[:, :-1]
-        gr = g_total - gl
-        hr = h_total - hl
-        xs = XT[features[:, None], order]
-        valid = xs[:, 1:] != xs[:, :-1]
-        valid &= hl >= mcw
-        valid &= hr >= mcw
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
-        gains[~valid] = -np.inf
-        return pick_best(gains, xs, 0.0, features)
-
-    return grow_tree(X, order, rows, params.max_depth, node_stats, find_split)
+        # searched. A prefix sum hl >= mcw then has h_total / 2 < hl <=
+        # 2 * h_total, so hr = h_total - hl is exact (Sterbenz) and
+        # hr <= h_total - mcw < mcw.
+        if not (depth < params.max_depth and idx.size >= 2 and cover >= 2.0 * mcw
+                and every_feature.size):
+            continue
+        seg = root if depth == 0 and root is not None else sort_segments(
+            data, np.array([start]), np.array([idx.size]), every_feature)
+        found, feature, threshold, gain, n_left, _ = split_search(
+            data, seg, partial(_newton_gain, g, h, lam, mcw, g_total, h_total), 0.0)
+        if found.size and 0 < n_left[0] < idx.size:
+            k = len(nodes) - 1
+            nodes[k] = [int(feature[0]), float(threshold[0]), k + 1, -1, 0.0, cover,
+                        float(gain[0])]
+            mid = start + int(n_left[0])
+            todo += [(mid, stop, depth + 1, k), (start, mid, depth + 1, -1)]
+    return Tree.from_nodes(nodes), fitted
 
 
 def fit_gbdt(X, y, params: GBDTParams | dict | None = None, seed: int = 0) -> GBDTModel:
@@ -206,19 +226,23 @@ def fit_gbdt(X, y, params: GBDTParams | dict | None = None, seed: int = 0) -> GB
     margins = np.full(X.shape[0], model.base_score, dtype=float)
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
-    order = presort(X)
+    data = FitRows(XT, dense_ranks(XT), np.arange(n))
+    # every row reaches the root unless rows are subsampled, so the root's
+    # segments are sorted once per fit
+    root = (sort_segments(data, np.array([0]), np.array([n]), np.arange(X.shape[1])[None])
+            if params.subsample_fraction == 1.0 else None)
     for t in range(params.n_trees):
         p = sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        if params.subsample_fraction < 1.0:
+        if params.subsample_fraction == 1.0:
+            tree, fitted = _grow(data, root, g, h, params)
+        else:
             rng = np.random.default_rng([seed, t])
             k = max(1, int(round(params.subsample_fraction * n)))
             rows = np.sort(rng.choice(n, size=k, replace=False))
-            tree, _ = _grow(X, XT, partition(order, rows, n)[0], rows, g, h, params)
+            tree, _ = _grow(data._replace(part=rows), None, g, h, params)
             fitted = leaf_values(stack([tree]), X)[0]
-        else:
-            tree, fitted = _grow(X, XT, order, np.arange(n), g, h, params)
         model.trees.append(tree)
         margins += params.learning_rate * fitted
         model.loss_history.append(log_loss(y, sigmoid(margins)))

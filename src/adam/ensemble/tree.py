@@ -7,14 +7,13 @@ left and right -1; internal nodes have value 0. ``cover`` is the weight
 routed through a node (hessian mass for boosting, row count for the
 forest) and ``gain`` the split gain of an internal node.
 
-Boosting fits by presorted exact greedy (Chen & Guestrin 2016, XGBoost,
-3.1): every feature is stably sorted once, and each split hands its
-children the parent's order filtered by side. Filtering a stable order
-gives the same sequence as stably sorting the child's rows, so split
-scores sum the same values in the same order as a per-node sort would.
-The forest sorts its nodes' rows batch by batch instead (see
-``baselines``). Prediction walks all trees at once, one level per numpy
-step.
+Both ensembles fit by one exact greedy search (Chen & Guestrin 2016,
+XGBoost, 3.1) over every midpoint between distinct values: a batch of
+nodes sorts its rows by every searched feature in one sort of packed
+(segment, rank, row) keys, the ensemble's scorer scores each split
+from prefix sums along those segments, and ``split_search`` keeps each
+node's first best split. Prediction walks all trees at once, one level
+per numpy step.
 """
 
 from __future__ import annotations
@@ -75,77 +74,112 @@ class Tree:
             raise ModelIntegrityError("tree threshold, value or gain is not finite")
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """(features, rows) stable ascending row order of every column."""
-    return np.ascontiguousarray(np.argsort(X, axis=0, kind="mergesort").T)
+class FitRows(NamedTuple):
+    """What every split search of one fit reads, and the order it keeps."""
+    XT: np.ndarray  # (features, rows) fit matrix
+    ranks: np.ndarray  # (features, rows) dense rank of each value in its column
+    part: np.ndarray  # row ids, grouped by node: a node owns part[start:start + size]
 
 
-def partition(order: np.ndarray, rows: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split each feature's order into the listed rows and the rest,
-    keeping the order within each part."""
-    inside = np.zeros(n_rows, dtype=bool)
-    inside[rows] = True
-    keep = inside[order]
-    d, m = order.shape
-    return (order[keep].reshape(d, rows.size),
-            order[~keep].reshape(d, m - rows.size))
+class Segments(NamedTuple):
+    """A batch of nodes as (node, feature) segments, node after node and
+    features ascending, each the node's rows in ascending order of the
+    feature, ties by row id."""
+    starts: np.ndarray  # each node's slice of part
+    sizes: np.ndarray
+    drawn: np.ndarray  # (nodes, width) each node's features, ascending
+    seg_start: np.ndarray  # first element of each segment
+    segment: np.ndarray  # segment of each element
+    row: np.ndarray  # row id of each element
+    xs: np.ndarray  # its value of the segment's feature
+    valid: np.ndarray  # the next element of its segment holds a larger value
 
 
-def grow_tree(X, order, rows, max_depth, node_stats, find_split):
-    """Grow one tree depth-first, left subtree before right.
-
-    :param X: (n, d) fit matrix; order: its presort restricted to rows.
-    :param rows: ascending row ids that reach the root.
-    :param node_stats: idx -> (value, cover, splittable) for a node's rows.
-    :param find_split: (idx, order) -> (feature, threshold, gain) or None;
-        called once per splittable node below max_depth, in preorder.
-    :returns: (tree, fitted) with fitted[i] the leaf value reached by row i
-        of ``rows`` (other entries 0).
-    """
-    nodes: list[list] = []  # Tree fields per node, in preorder
-    fitted = np.zeros(X.shape[0])
-
-    def grow(idx, order, depth) -> int:
-        value, cover, splittable = node_stats(idx)
-        node = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, value, cover, 0.0])
-        found = find_split(idx, order) if depth < max_depth and splittable else None
-        if found is not None:
-            j, thr, gain = found
-            mask = X[idx, j] < thr
-            if mask.any() and not mask.all():
-                left_order, right_order = partition(order, idx[mask], X.shape[0])
-                left = grow(idx[mask], left_order, depth + 1)
-                right = grow(idx[~mask], right_order, depth + 1)
-                nodes[node] = [j, thr, left, right, 0.0, cover, gain]
-                return node
-        fitted[idx] = value
-        return node
-
-    grow(rows, order, 0)
-    return Tree.from_nodes(nodes), fitted
+def dense_ranks(XT: np.ndarray) -> np.ndarray:
+    """(features, rows) index of each value of XT among its feature's
+    distinct values: equal values share a rank, and ranks order as
+    values do, whatever order the sort leaves ties in."""
+    order = np.argsort(XT, axis=1)
+    xs = np.take_along_axis(XT, order, axis=1)
+    ranks = np.empty(XT.shape, dtype=np.min_scalar_type(XT.shape[1]))
+    np.put_along_axis(ranks, order, np.cumsum(np.diff(xs, axis=1, prepend=xs[:, :1]) != 0,
+                                              axis=1, dtype=ranks.dtype), axis=1)
+    return ranks
 
 
-def pick_best(scores: np.ndarray, xs: np.ndarray, floor: float, features):
-    """The winning split among the rows of ``scores``.
+def _sorted_positions(segment, rank, position, n_ranks, n_positions):
+    """``position`` ordered by (segment, rank, position): within each
+    segment, ascending value with ties in position order, which is the
+    order a stable sort of the segment gives. One packed int64 key is
+    sorted when the three fit in 63 bits; equal keys are equal
+    elements, so the order does not depend on the sort algorithm."""
+    p_bits = int(n_positions - 1).bit_length()
+    r_bits = int(n_ranks - 1).bit_length()
+    if segment.size and int(segment[-1]).bit_length() + r_bits + p_bits > 63:
+        return position[np.lexsort((position, rank, segment))]
+    key = (segment << (r_bits + p_bits)) | (rank.astype(np.int64) << p_bits) | position
+    return np.sort(key) & ((1 << p_bits) - 1)
 
-    Row r scores the sorted positions of ``features[r]`` (ascending
-    features, invalid positions at -inf). Each row offers its first
-    maximum; a row wins only by beating ``floor`` and every earlier
-    winner strictly, so ties keep the lowest feature and a NaN score
-    never wins. Returns (feature, threshold midway to the next sorted
-    value, score) or None.
-    """
-    at = np.argmax(scores, axis=1)
-    best = None
-    for r, score in enumerate(scores[np.arange(scores.shape[0]), at].tolist()):
-        if score > floor:
-            floor = score
-            best = r
-    if best is None:
-        return None
-    i = at[best]
-    return int(features[best]), float(0.5 * (xs[best, i] + xs[best, i + 1])), floor
+
+def _ragged(starts, lengths):
+    """The ranges starts[k] .. starts[k] + lengths[k] - 1, concatenated,
+    and the index k of the range each element belongs to."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    return np.arange(owner.size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths), owner
+
+
+def sort_segments(data: FitRows, starts, sizes, drawn) -> Segments:
+    """Segments of the nodes owning part[starts[b]:starts[b] + sizes[b]]
+    over the features drawn[b], by one sort of (segment, rank, row) keys."""
+    seg_len = np.repeat(sizes, drawn.shape[1])
+    seg_start = np.cumsum(seg_len) - seg_len
+    slot, segment = _ragged(np.repeat(starts, drawn.shape[1]), seg_len)
+    n = data.XT.shape[1]
+    at_feature = np.repeat(drawn.ravel() * n, seg_len)  # flat index of each element's row 0
+    row = data.part[slot]
+    row = _sorted_positions(segment, np.take(data.ranks, at_feature + row), row, n, n)
+    xs = np.take(data.XT, at_feature + row)
+    valid = np.empty(xs.size, dtype=bool)
+    valid[:-1] = xs[1:] != xs[:-1]
+    valid[seg_start + seg_len - 1] = False
+    return Segments(starts, sizes, drawn, seg_start, segment, row, xs, valid)
+
+
+def split_search(data: FitRows, seg: Segments, score, floor):
+    """Best split of each node of ``seg``, as the arrays (node, feature,
+    threshold, gain, n_left, left_sum) over the nodes whose best split
+    scores above ``floor``.
+
+    ``score(seg)`` returns (scores, sums): the score of a split after
+    each element, -inf where ``seg.valid`` is False or the ensemble's
+    leaf rule forbids it, and a running sum that restarts with each
+    segment. A node takes each segment's first maximum, then the first
+    segment holding the node's maximum, so ties keep the lowest feature,
+    then the lowest threshold; a segment whose first maximum is NaN
+    loses. A found node's slice of part is rewritten in its winning
+    segment's order, left rows first; left_sum is the running sum at
+    its last left row."""
+    scores, sums = score(seg)
+    width = seg.drawn.shape[1]
+    seg_best = np.maximum.reduceat(scores, seg.seg_start)
+    seg_best[np.isnan(seg_best)] = -np.inf
+    best = np.arange(seg.sizes.size) * width + seg_best.reshape(-1, width).argmax(axis=1)
+    found = np.flatnonzero(seg_best[best] > floor)
+    if not found.size:
+        return (found,) * 6
+    best = best[found]  # each found node's winning segment
+    win = seg.seg_start[best]
+    src, owner = _ragged(win, seg.sizes[found])  # the winning segments' elements
+    hits = src[scores[src] == seg_best[best][owner]]
+    at = hits[np.searchsorted(hits, win)]
+    threshold = 0.5 * (seg.xs[at] + seg.xs[at + 1])
+
+    # the winning segment holds the node's rows sorted by the split
+    # feature, so the rows below the threshold come first
+    data.part[src - win[owner] + seg.starts[found][owner]] = seg.row[src]
+    n_left = np.bincount(owner[seg.xs[src] < threshold[owner]], minlength=found.size)
+    left_sum = np.where(n_left > 0, sums[win + n_left - 1], 0.0)
+    return found, seg.drawn.ravel()[best], threshold, seg_best[best], n_left, left_sum
 
 
 class _Stacked(NamedTuple):

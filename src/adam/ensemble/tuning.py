@@ -164,6 +164,8 @@ def run_search(X, y, groups, n_trials: int, seed: int = 0,
     space = space if space is not None else default_space()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
+    if len(groups) != len(X):
+        raise ValueError(f"need one group label per row: {len(groups)} labels, {len(X)} rows")
     records: list[TrialRecord] = []
     n_random = max(1, n_trials // 2)
     for index in range(n_trials):

@@ -111,8 +111,8 @@ def fit_seed(sample_set: SampleSet, config: RunConfig, seed: int,
     deployed = None
     if with_gbdt:
         deployed = DeployedModel(
-            model=fit_tuned_gbdt(X_train, y_train, train.study_ids(), config,
-                                 seed),
+            model=fit_tuned_gbdt(X_train, y_train, [s.study_id for s in train.samples],
+                                 config, seed),
             feature_names=names, medians=screened_medians)
     return SeedFit(train=train, test=test, feature_names=names,
                    medians=screened_medians, X_train=X_train, y_train=y_train,

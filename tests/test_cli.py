@@ -1184,6 +1184,19 @@ def test_config_file_rejects_wrong_types(tmp_path, capsys, key, value):
     assert err_lines[0].startswith(f"error: {config_file}: {key!r} must be ")
 
 
+@pytest.mark.parametrize("dim", ["1000000000000000000000000000000", "4294967296"])
+def test_index_rejects_an_embedding_dim_past_the_bound(tmp_path, capsys, corpus_path, dim):
+    """A dimension the 32-bit .advec header and gram entries cannot hold
+    is one error line naming the field, not an OverflowError."""
+    store = tmp_path / "store"
+    assert main(["index", "--corpus", str(corpus_path), "--store", str(store),
+                 "--embedding-dim", dim]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ") and "'embedding_dim'" in err_lines[0]
+    assert not store.exists()
+
+
 def test_config_file_accepts_int_for_float_and_null_for_optional(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"threshold": 1, "dataset": None}))

@@ -67,6 +67,46 @@ def test_subsampled_fit_seeded():
     assert (a.predict(X) == y).mean() > 0.9
 
 
+@pytest.mark.parametrize("params", [{"n_trees": 30},
+                                    {"n_trees": 30, "subsample_fraction": 0.7, "max_depth": 4}])
+def test_split_scores_do_not_depend_on_other_columns(params):
+    """A fit that splits only on the columns S equals the fit on X[:, S]
+    with its features renumbered: no feature's split scores depend on
+    which other columns are present, which the feature screen relies on."""
+    smaller = 0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 6, size=(150, 12)).astype(float)
+        X[:, :6] += rng.normal(scale=0.3, size=(150, 6))
+        y = ((X[:, seed % 12] > 2.5) & (X[:, (seed + 5) % 12] > 1.5)).astype(float)
+        full = model_to_dict(fit_gbdt(X, y, params, seed=seed))
+        columns = {node["feature"] for tree in full["trees"] for node in tree
+                   if "feature" in node}
+        columns |= set(rng.choice(12, size=2, replace=False).tolist())
+        S = sorted(columns)
+        smaller += len(S) < 12
+        for tree in full["trees"]:
+            for node in tree:
+                if "feature" in node:
+                    node["feature"] = S.index(node["feature"])
+        full["n_features"] = len(S)
+        assert model_to_dict(fit_gbdt(X[:, S], y, params, seed=seed)) == full, seed
+    assert smaller >= 12
+
+
+def test_fit_without_feature_columns_grows_single_leaves():
+    """A schema with no feature columns gives an (n, 0) matrix: nothing
+    to split, so every tree is one leaf, as the node-based fit had it."""
+    import tree_oracle
+
+    X, y = np.zeros((10, 0)), np.array([0.0, 1.0] * 5)
+    for params in ({"n_trees": 3}, {"n_trees": 3, "subsample_fraction": 0.5}):
+        model = fit_gbdt(X, y, params, seed=1)
+        assert all(tree.feature.tolist() == [-1] for tree in model.trees)
+        old = tree_oracle.fit_gbdt(X, y, {**GBDTParams().__dict__, **params}, seed=1)
+        assert model_to_dict(model) == tree_oracle.model_to_dict(old)
+
+
 def test_margin_is_base_plus_scaled_leaves():
     X, y = _toy(5, n=80)
     model = fit_gbdt(X, y, {"n_trees": 12, "learning_rate": 0.25})

@@ -105,6 +105,35 @@ def test_run_search_guards():
     X, y, groups = _grouped_data(3, n_groups=4, rows_per=3)
     with pytest.raises(ValueError):
         run_search(X, y, groups, n_trials=0)
+    with pytest.raises(ValueError, match="one group label per row"):
+        run_search(X, y, sorted(set(groups.tolist())), n_trials=1)
+
+
+def test_fit_seed_tunes_on_one_study_label_per_row(sample_set, monkeypatch):
+    """The deployed fit's search folds whole studies: grouped_kfold gets
+    each training row's study, never one label per distinct study."""
+    from adam.config import RunConfig
+    from adam.ensemble import tuning
+    from adam.evaluation import fit_seed
+
+    seen = []
+    real = tuning.grouped_kfold
+
+    def spy(groups, n_folds, seed):
+        folds = real(groups, n_folds, seed)
+        seen.append((list(groups), folds))
+        return folds
+
+    monkeypatch.setattr(tuning, "grouped_kfold", spy)
+    fit = fit_seed(sample_set, RunConfig(tuning_trials=2), 0)
+    studies = [s.study_id for s in fit.train.samples]
+    assert len(studies) == fit.X_train.shape[0] > len(set(studies))
+    assert seen
+    for groups, folds in seen:
+        assert groups == studies
+        for train_idx, val_idx in folds:
+            assert train_idx.size + val_idx.size == len(studies)
+            assert not {studies[i] for i in train_idx} & {studies[i] for i in val_idx}
 
 
 def test_run_search_custom_space():
