@@ -10,13 +10,11 @@ output, batch order preserved, ``embed(text) == embed_many([text])[0]``):
   one numpy pass per call over every gram that lies inside one text.
   A gram of three code points below 128 finds its table entry by
   direct index into a two-level table (its first two code points pick
-  a 128-entry row, the third the entry); any other gram is packed into
-  a uint64 key (21 bits per code point) and binary-searched among the
-  sorted keys of such grams hashed before. Both tables are per
-  dimension and shared by all instances in the process; the sorted one
-  is reset once it would pass ``GRAM_CACHE_SIZE`` entries, and the
-  direct one stops adding rows before it reaches ``ASCII_TABLE_BYTES``.
-  Only grams neither table holds are sorted, deduplicated and hashed.
+  a 128-entry row, the third the entry). The table is per dimension,
+  shared by all instances in the process, and stops adding rows before
+  it reaches ``ASCII_TABLE_BYTES``. Any other gram is packed into a
+  uint64 key (21 bits per code point), deduplicated and hashed on each
+  call that meets it, as are the ASCII grams the table lacks.
   One ``np.bincount`` scatters the signs of all rows, and one
   vectorised step normalizes them. It exists so everything downstream
   runs without network access; it makes no semantic-quality claims.
@@ -52,7 +50,6 @@ from .http_retry import JsonEndpoint
 DEFAULT_MAX_CHARS = 8000
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
 TIMEOUT_SECONDS = 60.0
-GRAM_CACHE_SIZE = 1 << 15
 CODE_POINT_BITS = 21  # max code point U+10FFFF < 2**21
 # numpy asks for huge pages for an array of 4 MiB or more; the ASCII gram
 # table's two arrays stay below that together.
@@ -118,10 +115,10 @@ def _hash_entries(keys: np.ndarray, bits: int, dim: int) -> np.ndarray:
     return np.array(entries, dtype=_entry_dtype(dim))
 
 
-# Two tables per dimension hold the entries of the grams hashed so far in
-# this process. Neither is ever changed in place, only replaced whole, so
-# a reader in another thread always sees a consistent one; an update lost
-# to such a race only means those grams are hashed again.
+# One table per dimension holds the entries of the ASCII grams hashed so
+# far in this process. It is never changed in place, only replaced whole,
+# so a reader in another thread always sees a consistent one; an update
+# lost to such a race only means those grams are hashed again.
 #
 # A gram of three code points below 128 finds its entry by direct index:
 # offsets[c0 << 7 | c1] is where the 128 entries of the pair (c0, c1) start
@@ -130,11 +127,6 @@ def _hash_entries(keys: np.ndarray, bits: int, dim: int) -> np.ndarray:
 # until the two arrays would reach ASCII_TABLE_BYTES; after that, the grams
 # of a pair without a row are hashed again on each use.
 _ascii_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# Any other gram is looked up among sorted keys (21 bits per code point)
-# with their entries beside them. The last key is a sentinel above every
-# gram key (those use 63 bits), so a lookup never runs off the end.
-_NO_GRAM = np.uint64(2**64 - 1)
-_gram_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _with_ascii_grams(offsets: np.ndarray, rows: np.ndarray, keys: np.ndarray,
@@ -161,9 +153,8 @@ def _gram_entries(codes: np.ndarray, straddle: np.ndarray, dim: int) -> np.ndarr
     in ``straddle`` get 1 and are never hashed.
 
     Every start is first looked up in the ASCII table with its code points
-    cut to 7 bits; the starts of other grams then take their entries from
-    the sorted table. Only those other grams, and the ASCII grams the
-    table lacks, are sorted and deduplicated.
+    cut to 7 bits; the other grams are then hashed. Only those, and the
+    ASCII grams the table lacks, are sorted and deduplicated.
     """
     first, mid, last = codes[:-2], codes[1:-1], codes[2:]
     offsets, rows = _ascii_tables.get(dim) or (
@@ -181,7 +172,7 @@ def _gram_entries(codes: np.ndarray, straddle: np.ndarray, dim: int) -> np.ndarr
         grams = np.stack([first[other], mid[other], last[other]]).astype(np.uint64)
         keys = (grams[0] << width | grams[1]) << width | grams[2]
         distinct, inverse = np.unique(keys, return_inverse=True)
-        found[other] = _lookup_grams(distinct, dim)[inverse]
+        found[other] = _hash_entries(distinct, CODE_POINT_BITS, dim)[inverse]
     found[straddle] = 1
     miss = np.flatnonzero(found == 0)
     if miss.size:
@@ -190,32 +181,6 @@ def _gram_entries(codes: np.ndarray, straddle: np.ndarray, dim: int) -> np.ndarr
         new = _hash_entries(distinct, 7, dim)
         found[miss] = new[inverse]
         _ascii_tables[dim] = _with_ascii_grams(offsets, rows, distinct, new)
-    return found
-
-
-def _lookup_grams(distinct: np.ndarray, dim: int) -> np.ndarray:
-    """Entries of sorted distinct 63-bit gram keys at ``dim``.
-
-    One binary search finds the keys already in the table; only the
-    others are hashed, then merged in. A table that would pass
-    ``GRAM_CACHE_SIZE`` entries starts over with this call's grams.
-    """
-    keys, entries = _gram_tables.get(dim) or (
-        np.array([_NO_GRAM]), np.zeros(1, dtype=_entry_dtype(dim)))
-    at = np.searchsorted(keys, distinct)
-    found = entries[at]
-    miss = np.flatnonzero(keys[at] != distinct)
-    if not miss.size:
-        return found
-    new = _hash_entries(distinct[miss], CODE_POINT_BITS, dim)
-    found[miss] = new
-    if keys.size - 1 + miss.size <= GRAM_CACHE_SIZE:
-        _gram_tables[dim] = (np.insert(keys, at[miss], distinct[miss]),
-                             np.insert(entries, at[miss], new))
-    else:
-        keep = slice(0, GRAM_CACHE_SIZE)
-        _gram_tables[dim] = (np.append(distinct[keep], _NO_GRAM),
-                             np.append(found[keep], entries[-1:]))
     return found
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..errors import DegenerateFitError
 from .gbdt import fit_inputs, sigmoid
-from .tree import _sorted_positions  # noqa: F401  (tests/test_tree_identity.py reads it here)
 from .tree import (FitRows, Tree, as_matrix, dense_ranks, leaf_values, sort_segments,
                    split_search, stack)
 
@@ -91,7 +90,8 @@ def _grow_forest(X, y, boots, rngs, max_depth, min_samples_leaf, mtry) -> list[T
 
     Tree t is the tree depth-first growth gives: Gini impurity decrease
     over mtry features that rngs[t] draws per splittable node, nodes and
-    draws in preorder (left subtree before right). Each step visits the
+    draws in preorder (left subtree before right); with no feature column
+    no node is searched, and each tree is one leaf. Each step visits the
     next preorder node of every live tree, so every tree still draws in
     its own order, and the step's split searches run in batches of a few
     array operations each.
@@ -116,7 +116,7 @@ def _grow_forest(X, y, boots, rngs, max_depth, min_samples_leaf, mtry) -> list[T
             if parent >= 0:
                 nodes[t][parent][3] = node
             nodes[t].append([-1, 0.0, -1, -1, float(pos / size), float(size), 0.0])
-            if depth < max_depth and size >= 2 * min_samples_leaf and 0.0 < pos < size:
+            if d and depth < max_depth and size >= 2 * min_samples_leaf and 0.0 < pos < size:
                 # scalar ** 2 is libm pow, which can round unlike an array's
                 # x * x, so the node Gini stays a scalar expression
                 gini = 1.0 - (pos / size) ** 2 - ((size - pos) / size) ** 2

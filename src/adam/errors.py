@@ -82,10 +82,11 @@ class DuplicateRecordError(AdamError):
 
 
 class IntegrityError(AdamError):
-    """A persisted file is truncated or corrupt; carries the byte offset."""
+    """A persisted file is truncated or corrupt; carries the byte offset,
+    and its message ends with it when there is one."""
 
     def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message)
+        super().__init__(message if offset is None else f"{message} at byte {offset}")
         self.offset = offset
 
 

@@ -133,6 +133,18 @@ def test_random_forest_single_row_predict():
     assert model.predict_proba(X[0]).shape == (1,)
 
 
+def test_random_forest_without_feature_columns_grows_single_leaves():
+    """A schema with no feature columns gives an (n, 0) matrix: no feature
+    to draw, so tree t is one leaf holding its bootstrap's positive fraction."""
+    X, y = np.zeros((10, 0)), np.array([0.0, 1.0, 1.0, 0.0, 1.0] * 2)
+    model = fit_random_forest(X, y, n_trees=7, seed=3)
+    boots = [np.random.default_rng([3, t]).integers(0, 10, size=10) for t in range(7)]
+    assert [tree.feature.tolist() for tree in model.trees] == [[-1]] * 7
+    assert [tree.value.tolist() for tree in model.trees] == [[y[b].mean()] for b in boots]
+    want = np.cumsum([y[b].mean() for b in boots])[-1] / 7
+    assert model.predict_proba(np.zeros((3, 0))).tolist() == [want] * 3
+
+
 # --- logistic regression ---------------------------------------------------
 
 def test_logistic_regression_learns():

@@ -265,7 +265,7 @@ def test_classify_rejects_non_finite_store_vector(workspace, tmp_path, capsys,
                  "--seed", "0"]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: {path}: record vector component {dim - 1} is "
-                   f"{float(value)}\n")
+                   f"{float(value)} at byte {28 + meta_len}\n")
     assert not out.exists()
 
 

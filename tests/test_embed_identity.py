@@ -180,18 +180,16 @@ def test_wide_dimensions_equal_oracle(dim):
     assert np.flatnonzero(got[0]).max() >= 1 << 14  # high coordinates in use
 
 
-# --- the process-wide gram tables -----------------------------------------------
+# --- the process-wide ASCII gram table ------------------------------------------
 
-MASK = (1 << embedding.CODE_POINT_BITS) - 1
 TABLE_LIMIT = 1 << 22  # numpy asks for huge pages from 4 MiB
 
 
 @pytest.fixture()
 def fresh_tables(monkeypatch):
-    """Empty gram tables for the test, restored afterwards: (ASCII, sorted)."""
-    tables = ({}, {})
-    monkeypatch.setattr(embedding, "_ascii_tables", tables[0])
-    monkeypatch.setattr(embedding, "_gram_tables", tables[1])
+    """Empty ASCII gram tables for the test, restored afterwards."""
+    tables = {}
+    monkeypatch.setattr(embedding, "_ascii_tables", tables)
     return tables
 
 
@@ -204,9 +202,9 @@ def _decode(entry):
 def _ascii_table_grams(tables, dim):
     """Each gram of the ASCII table at ``dim`` with its (coordinate, sign),
     decoded from the arrays independently of the embedder."""
-    if dim not in tables[0]:
+    if dim not in tables:
         return {}
-    offsets, rows = tables[0][dim]
+    offsets, rows = tables[dim]
     assert offsets.shape == (1 << 14,) and rows.size % 128 == 0
     assert not rows[:128].any()  # the shared row of pairs without one
     assert rows.dtype == (np.uint16 if dim < 1 << 15 else np.uint32)
@@ -223,40 +221,22 @@ def _ascii_table_grams(tables, dim):
     return grams
 
 
-def _sorted_table_grams(tables, dim):
-    """The same for the sorted table of the other grams."""
-    if dim not in tables[1]:
-        return {}
-    keys, entries = tables[1][dim]
-    assert keys[-1] == np.uint64(2**64 - 1) and entries[-1] == 0  # the sentinel
-    keys = [int(k) for k in keys[:-1]]
-    assert keys == sorted(set(keys))
-    grams = [chr(k >> 2 * embedding.CODE_POINT_BITS)
-             + chr(k >> embedding.CODE_POINT_BITS & MASK) + chr(k & MASK)
-             for k in keys]
-    return dict(zip(grams, map(_decode, entries[:-1].tolist())))
-
-
-def _table_grams(tables, dim):
-    """Both tables at ``dim`` as one map; each gram sits in the table for
-    its code points."""
-    ascii_grams = _ascii_table_grams(tables, dim)
-    other_grams = _sorted_table_grams(tables, dim)
-    assert all(max(map(ord, g)) < 128 for g in ascii_grams)
-    assert all(max(map(ord, g)) >= 128 for g in other_grams)
-    return {**ascii_grams, **other_grams}
+def _ascii_grams(batch):
+    """The grams of three code points below 128 in the texts of ``batch``."""
+    return {g for text in batch if len(text) >= 3 for g in oracle.grams(text)
+            if max(map(ord, g)) < 128}
 
 
 def _run_calls(tables, dim, batches):
-    """Each batch embedded in turn equals the oracle; returns the grams
-    of 3 or more characters the tables should now hold."""
+    """Each batch embedded in turn equals the oracle, and the table holds
+    exactly the ASCII grams met so far; returns those grams."""
     backend = OfflineHashEmbedder(dim=dim)
     seen = set()
     for batch in batches:
         _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
-        seen.update(g for text in batch if len(text) >= 3
-                    for g in oracle.grams(text))
-        assert _table_grams(tables, dim) == {g: oracle.gram_bucket(g, dim) for g in seen}
+        seen.update(_ascii_grams(batch))
+        assert _ascii_table_grams(tables, dim) == {
+            g: oracle.gram_bucket(g, dim) for g in seen}
     return seen
 
 
@@ -268,12 +248,12 @@ def test_table_grows_across_calls(fresh_tables, dim):
                _seeded_corpus(documents=5)[:2], ["gut microbiome"]]
     seen = _run_calls(fresh_tables, dim, batches)
     assert len(_ascii_table_grams(fresh_tables, dim)) == len(seen) > 100
-    assert dim not in fresh_tables[1]
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_table_holds_astral_grams(fresh_tables, dim):
-    # the astral grams go to the sorted table, the ASCII ones of the same text to the other
+    # the astral grams are hashed on each call and kept nowhere; the ASCII
+    # ones of the same text go to the table
     astral = "\U0001F9A0\U0010FFFF\U0001F9A0 gut \U00020000\U0001F9A0"
     _run_calls(fresh_tables, dim, [[astral], [astral[::-1], astral],
                                    ["\U0010FFFF" * 4, astral]])
@@ -292,10 +272,9 @@ def test_ascii_edge_grams_go_to_their_tables(fresh_tables, dim):
 @pytest.mark.parametrize("dim", DIMS)
 def test_short_texts_bypass_the_table(fresh_tables, dim):
     _run_calls(fresh_tables, dim, [["a", "ab", "\U0001F9A0"], ["ab"]])
-    assert dim not in fresh_tables[0] and dim not in fresh_tables[1]
+    assert dim not in fresh_tables
     _run_calls(fresh_tables, dim, [["ab", "abc", "b"], ["abc", "a"]])
-    assert list(_table_grams(fresh_tables, dim)) == ["abc"]
-    assert dim not in fresh_tables[1]
+    assert list(_ascii_table_grams(fresh_tables, dim)) == ["abc"]
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -311,19 +290,18 @@ def test_tables_per_dimension_interleaved(fresh_tables):
     for batch in batches:
         for dim, backend in backends.items():
             _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
-    grams = {g for batch in batches for text in batch if len(text) >= 3
-             for g in oracle.grams(text)}
+    grams = set().union(*map(_ascii_grams, batches))
     for dim in backends:
-        assert _table_grams(fresh_tables, dim) == {
+        assert _ascii_table_grams(fresh_tables, dim) == {
             g: oracle.gram_bucket(g, dim) for g in grams}
 
 
 def test_tables_are_replaced_never_written(fresh_tables):
     backend = OfflineHashEmbedder(dim=64)
     backend.embed_many(["gut \U0001F9A0 microbiome"])
-    before = [(a, a.copy()) for table in fresh_tables for a in table[64]]
+    before = [(a, a.copy()) for a in fresh_tables[64]]
     backend.embed_many(["diversity \U0001F9A0\U0001F9A0 of the gut"])
-    after = [a for table in fresh_tables for a in table[64]]
+    after = fresh_tables[64]
     assert all(a is not old for a, (old, _) in zip(after, before))
     assert all(old.tobytes() == copy.tobytes() for old, copy in before)
 
@@ -340,7 +318,7 @@ def test_ascii_table_stays_under_four_mib(fresh_tables, dim):
     batch = [EVERY_PAIR, EVERY_PAIR[::-1]]
     for _ in range(2):
         _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
-        offsets, rows = fresh_tables[0][dim]
+        offsets, rows = fresh_tables[dim]
         assert offsets.nbytes + rows.nbytes < TABLE_LIMIT
         assert offsets.nbytes + rows.nbytes + 128 * rows.itemsize >= TABLE_LIMIT
     table = _ascii_table_grams(fresh_tables, dim)
@@ -359,44 +337,7 @@ def test_full_ascii_table_stops_adding_rows(fresh_tables, monkeypatch, rows):
     for batch in batches:
         _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
         table = _ascii_table_grams(fresh_tables, dim)
-        offsets, stored = fresh_tables[0][dim]
+        offsets, stored = fresh_tables[dim]
         assert stored.size == 128 * rows
         assert table == {g: oracle.gram_bucket(g, dim) for g in table}
         assert len({g[:2] for g in table}) == rows - 1
-
-
-# Astral grams go to the sorted table, which holds at most GRAM_CACHE_SIZE.
-ASTRAL = "".join(chr(0x1F300 + i) for i in range(40))
-
-
-@pytest.mark.parametrize("bound", [1, 16, 40])
-def test_table_starts_over_past_its_bound(fresh_tables, monkeypatch, bound):
-    monkeypatch.setattr(embedding, "GRAM_CACHE_SIZE", bound)
-    dim = 64
-    backend = OfflineHashEmbedder(dim=dim)
-    batches = [["gut \U0001F9A0 microbiome"], ["microbiome \U0001F9A0\U0001F9A0"],
-               [ASTRAL[:20], "abc"], ["abc", ASTRAL[::-1]],
-               [ASTRAL[5:9] + "gut"], ["gut \U0001F9A0 microbiome"]]
-    for batch in batches:
-        _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
-        table = _sorted_table_grams(fresh_tables, dim)
-        assert 0 < len(table) <= bound
-        assert table == {g: oracle.gram_bucket(g, dim) for g in table}
-
-
-def test_table_never_passes_gram_cache_size(fresh_tables):
-    # one call with more distinct astral grams than the bound, then one
-    # that looks up what the table kept
-    rng = random.Random(5)
-    alphabet = ASTRAL + " .,-" + string.ascii_lowercase
-    text = "".join(rng.choice(alphabet) for _ in range(45_000))
-    dim = 7
-    backend = OfflineHashEmbedder(dim=dim)
-    other = {g for g in oracle.grams(text) if max(map(ord, g)) >= 128}
-    assert len(other) > embedding.GRAM_CACHE_SIZE
-    for batch in ([text], [text[::-1], text[:3000]]):
-        _same_bytes(backend.embed_many(batch), oracle.embed_many(batch, dim))
-        table = _sorted_table_grams(fresh_tables, dim)
-        assert len(table) == embedding.GRAM_CACHE_SIZE
-        assert all(table[g] == oracle.gram_bucket(g, dim)
-                   for g in list(table)[::97])

@@ -17,6 +17,7 @@ from adam.dataset import feature_medians, impute
 from adam.ensemble import baselines
 from adam.ensemble.baselines import fit_logistic_regression, fit_random_forest
 from adam.ensemble.gbdt import feature_gains, fit_gbdt, model_to_dict, sigmoid
+from adam.ensemble.tree import _sorted_positions
 from adam.evaluation import fit_seed
 
 
@@ -226,8 +227,8 @@ def test_sorted_positions_without_packed_keys():
     rank = rng.integers(0, 3, size=40)
     position = np.tile(rng.permutation(8), 5)
     expected = position[np.lexsort((position, rank, segment))]
-    packed = baselines._sorted_positions(segment, rank, position, 3, 8)
-    wide = baselines._sorted_positions(segment, rank, position, 2 ** 31, 2 ** 31)
+    packed = _sorted_positions(segment, rank, position, 3, 8)
+    wide = _sorted_positions(segment, rank, position, 2 ** 31, 2 ** 31)
     assert packed.tolist() == wide.tolist() == expected.tolist()
 
 

@@ -390,7 +390,7 @@ def test_load_rejects_non_finite_vector(tmp_path, capsys, value):
         load_collection(bad)
     assert err.value.offset == vector_at
     assert str(err.value) == \
-        f"{bad}: record vector component 2 is {np.float32(value)}"
+        f"{bad}: record vector component 2 is {np.float32(value)} at byte {vector_at}"
 
     assert main(["index", "--store", str(store), "--embedding-dim", "4"]) == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
