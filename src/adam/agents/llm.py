@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import OBJECT, STRING, BackendError, VerdictParseError, check_fields
-from ..http_retry import JsonEndpoint
 
 API_KEY_VARIABLE = "ADAM_LLM_API_KEY"
 TIMEOUT_SECONDS = 120.0
@@ -130,6 +129,8 @@ class HttpChatBackend(LLMBackend):
 
     def __init__(self, url: str, model: str, api_key: str | None = None,
                  session=None, sleeper=time.sleep):
+        from ..http_retry import JsonEndpoint
+
         self.model = model
         self._endpoint = JsonEndpoint(url, API_KEY_VARIABLE, TIMEOUT_SECONDS,
                                       api_key, session, sleeper)

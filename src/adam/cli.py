@@ -19,7 +19,7 @@ resolved-config.json in the output directory. Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
-import statistics
+import gc
 import sys
 from collections import Counter
 from dataclasses import asdict, replace
@@ -39,7 +39,8 @@ from .errors import (FINITE, OBJECT, STRING, STRINGS, AdamError, AlignmentError,
 # Every module beyond config and errors is imported inside the functions
 # that use it, so each subcommand loads only the modules it runs: --help
 # loads no numpy, compare only the statistics, report only the report
-# renderer, and classify neither the trial driver nor the baselines.
+# renderer, classify neither the trial driver, the baselines, the chunker
+# nor the HTTP client, and only ingest loads the statistics module.
 
 
 # The RunConfig fields each subcommand exposes as flags. A field's flag is
@@ -136,12 +137,16 @@ def _searcher(config: RunConfig):
                           k=config.top_k, threshold=config.threshold)
 
 
-def _load_sample_set(config: RunConfig, quiet: bool = False):
+def _load_sample_set(config: RunConfig, quiet: bool = False, diversity: bool = False):
+    """(sample set, rejected rows); diversity asks for a taxon column."""
     from .dataset import parse_samples
 
     if config.dataset is None or config.schema is None:
         raise SchemaError("this command needs --dataset and --schema")
     sample_set, rejected = parse_samples(config.dataset, config.schema)
+    if diversity and not sample_set.taxon_names:
+        raise SchemaError(f"{config.dataset}: the schema gives no taxon column, so no "
+                          "visit has a community for the agents' diversity profile")
     if rejected and not quiet:
         print(f"rejected {len(rejected)} row(s):", file=sys.stderr)
         for line_number, reason in rejected:
@@ -171,6 +176,8 @@ def cmd_synth(args) -> int:
 
 
 def _dataset_summary(config: RunConfig, ss, rejected) -> str:
+    import statistics
+
     positives = int(ss.labels().sum())
     visits_per_study = Counter(sample.study_id for sample in ss.samples)
     counts = sorted(visits_per_study.values())
@@ -337,7 +344,7 @@ def cmd_classify(args) -> int:
         raise SchemaError("classify needs --model (bundle from train)")
     out = Path(args.out)
     deployed, train_studies, test_studies = _load_model_bundle(config.model)
-    sample_set, _ = _load_sample_set(config)
+    sample_set, _ = _load_sample_set(config, diversity=True)
     reference = healthy_reference(
         sample_set.restrict_to_studies(train_studies))
     columns = set(sample_set.clinical_names) | set(sample_set.taxon_names)
@@ -416,7 +423,7 @@ def cmd_evaluate(args) -> int:
     config = _resolve(args)
     out = Path(args.out)
     tags = _parse_model_tags(args.models)
-    sample_set, _ = _load_sample_set(config)
+    sample_set, _ = _load_sample_set(config, diversity="adam" in tags)
     seeds = range(config.seed_base, config.seed_base + config.n_seeds)
     summarizer, classifier = (_llm_backends(config) if "adam" in tags
                               else (None, None))
@@ -582,5 +589,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry of ``python -m adam`` and the ``adam`` script. After
+    main returns, every artifact is closed and only exit is left, so the
+    objects still alive are frozen: the collections at interpreter exit
+    then skip them. In-process callers of main keep running, so main does
+    not freeze."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

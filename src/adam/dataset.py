@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -30,6 +31,7 @@ from .errors import (OBJECT, AlignmentError, CohortError, EmptyInputError, Schem
 
 ROLES = ("sample_id", "study_id", "visit", "label", "clinical", "taxon", "ignore")
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+_PLAIN_NUMBERS = re.compile(r"[0-9.eE+-]*")
 _TRUE_TOKENS = {"1", "yes", "true", "y"}
 _FALSE_TOKENS = {"0", "no", "false", "n"}
 
@@ -178,6 +180,21 @@ def _parse_float(token: str, missing_as: float) -> float:
     return value
 
 
+def _parse_floats(cells: list[str], missing_as: float) -> tuple[float, ...]:
+    """``_parse_float`` of each cell: in one pass when every cell is a
+    non-empty run of ``[0-9.eE+-]`` and all are finite, else cell by cell,
+    so a rejection keeps its message."""
+    if all(cells) and _PLAIN_NUMBERS.fullmatch("".join(cells)):
+        try:
+            values = tuple(map(float, cells))
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(sum(values)):  # an overflowing sum goes cell by cell too
+                return values
+    return tuple(_parse_float(cell, missing_as) for cell in cells)
+
+
 def parse_samples(path, schema) -> tuple[SampleSet, tuple[tuple[int, str], ...]]:
     """Ingest a CSV under a column-role schema: (sample set, rejected rows).
 
@@ -202,6 +219,8 @@ def parse_samples(path, schema) -> tuple[SampleSet, tuple[tuple[int, str], ...]]
     col_index = {col: i for i, col in enumerate(header)}
     if len(col_index) != len(header):
         raise SchemaError(f"{path}: duplicate column names in header")
+    clinical_at = [col_index[c] for c in clinical_cols]
+    taxon_at = [col_index[c] for c in taxon_cols]
     id_i, study_i, label_i = map(roles.index, ("sample_id", "study_id", "label"))
     # The last visit column, if several take the schema's default role.
     visit_i = max((i for i, r in enumerate(roles) if r == "visit"), default=None)
@@ -246,17 +265,16 @@ def parse_samples(path, schema) -> tuple[SampleSet, tuple[tuple[int, str], ...]]
         else:
             visit = visit_counter.get(study_id, 0) + 1
         try:
-            clinical = tuple(_parse_float(row[col_index[c]], float("nan"))
-                             for c in clinical_cols)
+            clinical = _parse_floats([row[i] for i in clinical_at], math.nan)
         except ValueError as exc:
             rejected.append((lineno, f"bad clinical value: {exc}"))
             continue
         try:
-            taxa = tuple(_parse_float(row[col_index[c]], 0.0) for c in taxon_cols)
+            taxa = _parse_floats([row[i] for i in taxon_at], 0.0)
         except ValueError as exc:
             rejected.append((lineno, f"bad abundance value: {exc}"))
             continue
-        if any(v < 0 for v in taxa):
+        if taxa and min(taxa) < 0:
             rejected.append((lineno, "negative abundance"))
             continue
         seen_ids.add(sample_id)

@@ -45,7 +45,6 @@ from .errors import (
     SizeGuardError,
     check_fields,
 )
-from .http_retry import JsonEndpoint
 
 DEFAULT_MAX_CHARS = 8000
 API_KEY_VARIABLE = "ADAM_EMBED_API_KEY"
@@ -263,6 +262,8 @@ class RemoteEmbedder(EmbeddingBackend):
                  session=None, sleeper=time.sleep):
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
+        from .http_retry import JsonEndpoint
+
         self.model = model
         self.dim = dim
         self._endpoint = JsonEndpoint(url, API_KEY_VARIABLE, TIMEOUT_SECONDS,

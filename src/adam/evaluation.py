@@ -16,6 +16,7 @@ trials file and the comparison of two runs live in ``comparison``.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -39,7 +40,6 @@ from .ensemble.metrics import (
     evaluate_binary,
     precision_recall_f1,
 )
-from .ensemble.tuning import run_search
 from .errors import AdamError, EmptyInputError
 
 if TYPE_CHECKING:
@@ -48,26 +48,53 @@ if TYPE_CHECKING:
 MODEL_TAGS = ("baseline-gbdt", "baseline-rf", "baseline-lr", "adam")
 
 
-def select_features(X, y, n_features: int, seed: int = 0) -> np.ndarray:
-    """Indices of the strongest features by total split gain, ascending.
+def screen_features(X, y, n_features: int, seed: int = 0):
+    """(indices of the strongest features by total split gain, ascending;
+    the screening GBDT that ranked them, or None if none was fitted).
 
     A screening ensemble with default parameters ranks the columns;
-    ties fall back to column order. n_features <= 0 keeps everything.
+    ties fall back to column order. n_features <= 0, or at least the
+    column count, keeps everything without a screen.
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
     if n_features <= 0 or n_features >= d:
-        return np.arange(d)
+        return np.arange(d), None
     screen = fit_gbdt(X, np.asarray(y, dtype=float), seed=seed)
     gains = feature_gains(screen)
     order = np.lexsort((np.arange(d), -gains))
-    return np.sort(order[:n_features])
+    return np.sort(order[:n_features]), screen
+
+
+def select_features(X, y, n_features: int, seed: int = 0) -> np.ndarray:
+    """The selected indices of ``screen_features``."""
+    return screen_features(X, y, n_features, seed)[0]
+
+
+def deploy_screen(screen, selected):
+    """The screen over the selected (ascending) columns alone, features
+    renumbered, or None if it splits on another column. It then equals the
+    fit of its parameters and seed on X[:, selected] bit for bit: split
+    scores of a column do not depend on the others, ties go to the lowest
+    index in both fits, and subsampled rows depend only on seed and round."""
+    kept = np.zeros(screen.n_features, dtype=bool)
+    kept[selected] = True
+    position = np.cumsum(kept) - 1
+    trees = []
+    for tree in screen.trees:
+        split = tree.feature >= 0
+        if not kept[tree.feature[split]].all():
+            return None
+        trees.append(replace(tree, feature=np.where(split, position[tree.feature], -1)))
+    return replace(screen, trees=trees, n_features=len(selected))
 
 
 def fit_tuned_gbdt(X, y, groups, config: RunConfig, seed: int):
     """GBDT with TPE-tuned parameters when config asks for tuning trials,
     else with the defaults."""
     if config.tuning_trials > 0:
+        from .ensemble.tuning import run_search
+
         best, _ = run_search(X, y, groups, n_trials=config.tuning_trials,
                              seed=seed, n_folds=config.tuning_folds)
         return fit_gbdt(X, y, GBDTParams(**best.params), seed=seed)
@@ -97,23 +124,27 @@ def fit_seed(sample_set: SampleSet, config: RunConfig, seed: int,
              with_gbdt: bool = True) -> SeedFit:
     """The per-seed recipe shared by train and evaluate: group-disjoint
     split, training medians, imputation, feature screen, and (when
-    with_gbdt) the tuned GBDT deployed on the screened columns."""
+    with_gbdt) the tuned GBDT deployed on the screened columns. Untuned,
+    that is the screen itself whenever ``deploy_screen`` can renumber it."""
     train, test = split_grouped_stratified(sample_set, config.split_fraction,
                                            seed)
     raw = train.feature_matrix()
     medians = feature_medians(raw)
     X_train = impute(raw, medians)
     y_train = train.labels()
-    selected = select_features(X_train, y_train, config.n_features, seed=seed)
+    selected, screen = screen_features(X_train, y_train, config.n_features, seed=seed)
     X_train = X_train[:, selected]
     names = tuple(train.feature_names[j] for j in selected)
     screened_medians = {name: float(medians[j]) for name, j in zip(names, selected)}
     deployed = None
     if with_gbdt:
-        deployed = DeployedModel(
-            model=fit_tuned_gbdt(X_train, y_train, [s.study_id for s in train.samples],
-                                 config, seed),
-            feature_names=names, medians=screened_medians)
+        model = None
+        if screen is not None and config.tuning_trials == 0:
+            model = deploy_screen(screen, selected)
+        if model is None:
+            model = fit_tuned_gbdt(X_train, y_train, [s.study_id for s in train.samples],
+                                   config, seed)
+        deployed = DeployedModel(model=model, feature_names=names, medians=screened_medians)
     return SeedFit(train=train, test=test, feature_names=names,
                    medians=screened_medians, X_train=X_train, y_train=y_train,
                    deployed=deployed)

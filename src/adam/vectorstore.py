@@ -87,7 +87,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chunker import CorpusDocument, segment_text
 from .config import DEFAULT_OVERLAP, DEFAULT_SEGMENT_LENGTH, DEFAULT_THRESHOLD, DEFAULT_TOP_K
 from .embedding import EmbeddingBackend
 from .errors import (
@@ -385,6 +384,8 @@ def index_corpus(documents, backend: EmbeddingBackend,
         yields an empty mapping. Total record count always equals the
         sum of per-document segment counts.
     """
+    from .chunker import CorpusDocument, segment_text  # the store reader needs no chunker
+
     buckets: dict[str, tuple[list[VectorRecord], list[np.ndarray]]] = {}
     for doc in documents:
         if not isinstance(doc, CorpusDocument):

@@ -749,8 +749,9 @@ def test_classify_matches_per_visit_recompute(workspace):
 
 def test_train_and_classify_reproduce_an_evaluate_seed(workspace, tmp_path,
                                                        monkeypatch):
-    """train --seed s deploys the GBDT that evaluate fits for seed s, and
-    classify --seed s scores that seed's adam row; rf and lr never fit it."""
+    """train --seed s deploys the GBDT that evaluate deploys for seed s, and
+    classify --seed s scores that seed's adam row; rf and lr never fit or
+    deploy it."""
     from adam import evaluation
     from adam.ensemble import accuracy, model_to_dict, precision_recall_f1
 
@@ -762,20 +763,21 @@ def test_train_and_classify_reproduce_an_evaluate_seed(workspace, tmp_path,
     assert main(["classify", "--out", str(tmp_path / "c"), "--seed", seed,
                  "--model", model_path] + data) == 0
 
-    fitted = []
-    fit_tuned_gbdt = evaluation.fit_tuned_gbdt
+    deployed = []
+    fit_seed = evaluation.fit_seed
 
     def recording(*args, **kwargs):
-        fitted.append(fit_tuned_gbdt(*args, **kwargs))
-        return fitted[-1]
+        fit = fit_seed(*args, **kwargs)
+        deployed.append(fit.deployed)
+        return fit
 
-    monkeypatch.setattr(evaluation, "fit_tuned_gbdt", recording)
+    monkeypatch.setattr(evaluation, "fit_seed", recording)
     evaluate = ["evaluate", "--seed-base", seed, "--seeds", "1"] + data
     assert main(evaluate + ["--out", str(tmp_path / "e"),
                             "--models", "gbdt,adam"]) == 0
-    assert len(fitted) == 1
+    assert len(deployed) == 1
     bundle = json.loads((tmp_path / "t" / "model.json").read_text())
-    assert bundle["model"] == json.loads(json.dumps(model_to_dict(fitted[0])))
+    assert bundle["model"] == json.loads(json.dumps(model_to_dict(deployed[0].model)))
 
     samples = json.loads((tmp_path / "c" / "dossier.json").read_text())["samples"]
     y = [entry["label"] for entry in samples]
@@ -789,8 +791,10 @@ def test_train_and_classify_reproduce_an_evaluate_seed(workspace, tmp_path,
         raise AssertionError("evaluate --models rf,lr fitted the tuned GBDT")
 
     monkeypatch.setattr(evaluation, "fit_tuned_gbdt", forbidden)
+    deployed.clear()
     assert main(evaluate + ["--out", str(tmp_path / "rf-lr"),
                             "--models", "rf,lr"]) == 0
+    assert deployed == [None], "evaluate --models rf,lr deployed a GBDT"
 
 
 def test_evaluate_jobs_2_matches_jobs_1(workspace, tmp_path):
@@ -965,12 +969,12 @@ def test_light_commands_do_not_load_the_ensemble(tmp_path):
     assert run.stdout == "[]\n", run.stderr
 
 
-# What every command loads, the six modules that classify never runs, and
-# the six that train never runs.
+# What every command loads, the eight modules that classify never runs,
+# and the six that train never runs.
 BASE_MODULES = {"adam", "adam.cli", "adam.config", "adam.errors"}
 NOT_RUN_BY_CLASSIFY = {"adam.evaluation", "adam.comparison", "adam.stats",
                        "adam.ensemble.baselines", "adam.ensemble.metrics",
-                       "adam.ensemble.tuning"}
+                       "adam.ensemble.tuning", "adam.chunker", "adam.http_retry"}
 NOT_RUN_BY_TRAIN = {"adam.agents.llm", "adam.http_retry", "adam.agents.pipeline",
                     "adam.agents.report", "adam.agents.steps", "adam.comparison"}
 
@@ -980,12 +984,13 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
     import sys
 
     # Makes the call in a fresh process, then prints the adam modules and
-    # whether numpy and numpy.ma (whose first import costs 12-20 ms) are
-    # loaded.
+    # whether numpy, numpy.ma (whose first import costs 12-20 ms) and
+    # statistics are loaded.
     code = ("import json, sys, adam.cli\n"
             "{call}\n"
             "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'adam'),\n"
-            "                  'numpy' in sys.modules, 'numpy.ma' in sys.modules]))\n")
+            "                  'numpy' in sys.modules, 'numpy.ma' in sys.modules,\n"
+            "                  'statistics' in sys.modules]))\n")
     classify = ["classify", "--dataset", workspace["dataset"],
                 "--schema", workspace["schema"], "--model", workspace["model"],
                 "--store", str(workspace["store"]), "--embedding-dim", EMBED_DIM,
@@ -997,6 +1002,7 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
         "report": ["report", "--dossier", str(workspace["first"] / "dossier.json"),
                    "--out", str(tmp_path / "report")],
         "classify": classify,
+        "ingest": ["ingest", "--dataset", workspace["dataset"], "--schema", workspace["schema"]],
         "train": ["train", "--dataset", workspace["dataset"], "--schema", workspace["schema"],
                   "--seed", "0", "--out", str(tmp_path / "train")],
         "train-tuned": ["train", "--dataset", workspace["dataset"],
@@ -1008,16 +1014,18 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
                      "--schema", workspace["schema"], "--seeds", "1", "--models", "gbdt,rf,lr,adam",
                      "--out", str(tmp_path / "evaluate")],
     }
-    loaded, masked = {}, {}
+    loaded, masked, statistics = {}, {}, {}
     for name, call in calls.items():
         if isinstance(call, list):
             call = f"assert adam.cli.main({call!r}) == 0"
         run = subprocess.run([sys.executable, "-c", code.format(call=call)],
                              env=_source_env(), capture_output=True, text=True)
         assert run.returncode == 0, (name, run.stderr)
-        modules, numpy, masked[name] = json.loads(run.stdout.splitlines()[-1])
+        modules, numpy, masked[name], statistics[name] = json.loads(
+            run.stdout.splitlines()[-1])
         loaded[name] = (set(modules), numpy)
     assert not any(masked.values()), masked
+    assert [name for name, loads in statistics.items() if loads] == ["ingest"]
     assert loaded["build_parser"] == (BASE_MODULES, False)
     assert loaded["compare"][0] == BASE_MODULES | {"adam.comparison", "adam.stats"}
     assert loaded["report"] == (BASE_MODULES | {"adam.agents", "adam.agents.report"},
@@ -1027,16 +1035,51 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
     assert modules == BASE_MODULES | {
         "adam.agents", "adam.agents.computational", "adam.agents.llm",
         "adam.agents.pipeline", "adam.agents.report", "adam.agents.steps",
-        "adam.attribution", "adam.chunker", "adam.dataset", "adam.diversity",
+        "adam.attribution", "adam.dataset", "adam.diversity",
         "adam.embedding", "adam.ensemble", "adam.ensemble.gbdt",
-        "adam.ensemble.tree", "adam.http_retry", "adam.vectorstore"}
+        "adam.ensemble.tree", "adam.vectorstore"}
     modules, _ = loaded["train"]
     assert not modules & NOT_RUN_BY_TRAIN
     assert modules == BASE_MODULES | {
         "adam.agents", "adam.agents.computational", "adam.attribution",
         "adam.dataset", "adam.diversity", "adam.ensemble", "adam.ensemble.baselines",
         "adam.ensemble.gbdt", "adam.ensemble.metrics", "adam.ensemble.tree",
-        "adam.ensemble.tuning", "adam.evaluation", "adam.stats"}
+        "adam.evaluation", "adam.stats"}
+    assert loaded["train-tuned"][0] == modules | {"adam.ensemble.tuning"}
+    assert "adam.ensemble.tuning" not in loaded["evaluate"][0]
+
+
+# --- the process entry -----------------------------------------------------------
+
+def test_run_freezes_once_after_main_and_exits_with_its_status(monkeypatch):
+    import gc
+    import sys
+
+    import adam.cli
+
+    events = []
+    monkeypatch.setattr(adam.cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "exit", lambda status: events.append(("exit", status)))
+    adam.cli.run()
+    assert events == ["main", "freeze", ("exit", 3)]
+
+
+def test_python_m_adam_writes_what_main_writes(tmp_path, capsys):
+    import subprocess
+    import sys
+
+    out = tmp_path / "data"
+    argv = ["synth", "--seed", "1", "--out", str(out)]
+    run = subprocess.run([sys.executable, "-m", "adam", *argv], env=_source_env(),
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    out.rename(tmp_path / "by-subprocess")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == run.stdout
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    assert len(written) == 3
 
 
 # --- the command-line surface ----------------------------------------------------

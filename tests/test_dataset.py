@@ -1,11 +1,13 @@
 """CSV ingestion, grouped splitting, cohorts, and imputation."""
 
+import csv
 import math
 import random
 
 import numpy as np
 import pytest
 
+from adam import dataset
 from adam.dataset import (
     Sample,
     SampleSet,
@@ -177,6 +179,44 @@ def test_parse_all_rows_bad_raises(tmp_path):
     path = _write(tmp_path, ["S1,P1,0,yes,70,1.0,1.0,x"])
     with pytest.raises(EmptyInputError):
         parse_samples(path, SCHEMA)
+
+
+# Cells that the one-pass route must read as ``_parse_float`` does: by
+# rejecting them with the same message, or by taking the cell by cell route.
+ONE_PASS_TOKENS = ["1e999", "1e308", "1_0", " 1.5", "+.5", "-0", ".", "e", "\u0661\u0662",
+                   "nan", "NA", "", "1,5", "-0.5", "7"]
+
+
+def _cell_by_cell(cells, missing_as):
+    return tuple(dataset._parse_float(cell, missing_as) for cell in cells)
+
+
+@pytest.mark.parametrize("column", ["age", "TaxA"])
+@pytest.mark.parametrize("token", ONE_PASS_TOKENS)
+def test_one_pass_ingest_equals_the_cell_by_cell_route(tmp_path, monkeypatch, token, column):
+    path = tmp_path / "data.csv"
+    header = ["sid", "pid", "visit", "dx", "age", "TaxA", "TaxB", "note"]
+    plain = {"age": "70", "TaxA": "1.5", "TaxB": "1e308", "note": "x"}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, row in enumerate([plain, {**plain, column: token}, plain]):
+            writer.writerow({"sid": f"S{i}", "pid": "P1", "visit": i + 1, "dx": "1", **row}[c]
+                            for c in header)
+    one_pass = parse_samples(path, SCHEMA)
+    monkeypatch.setattr(dataset, "_parse_floats", _cell_by_cell)
+    # repr tells -0.0 from 0.0 and reads NaN as nan, so the two must agree bit for bit
+    assert repr(one_pass) == repr(parse_samples(path, SCHEMA))
+
+
+def test_plain_rows_take_one_pass(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dataset, "_parse_float",
+                        lambda *args: calls.append(args) or math.nan)
+    path = _write(tmp_path, ["S1,P1,1,yes,70,1.5,2.5,", "S2,P1,2,no,-8e1,+.5,0,"])
+    ss, _ = parse_samples(path, SCHEMA)
+    assert calls == []
+    assert [s.clinical + s.taxa for s in ss.samples] == [(70.0, 1.5, 2.5), (-80.0, 0.5, 0.0)]
 
 
 def test_schema_validation():

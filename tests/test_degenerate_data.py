@@ -76,13 +76,15 @@ def _write_shape(directory, rows, roles, cut):
     return ["--dataset", str(dataset), "--schema", str(schema)]
 
 
-def _run(args, capsys):
-    """Exit code of ``main(args)``; a code of 1 must come with one error line."""
+def _run(args, capsys, names=""):
+    """Exit code of ``main(args)``; a code of 1 must come with one error line,
+    which holds names."""
     code = main(args)
     err = capsys.readouterr().err
     assert code in (0, 1), (args[0], code, err)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, (args[0], err)
+        assert names in err, (args[0], err)
     return code
 
 
@@ -91,11 +93,17 @@ def test_degenerate_shape_gives_a_result_or_one_error_line(shape, synth, tmp_pat
     data = _write_shape(tmp_path, *synth, SHAPES[shape])
     trained = _run(["train", *data, "--out", str(tmp_path / "train"), "--seed", "0"],
                    capsys) == 0
-    _run(["evaluate", *data, "--out", str(tmp_path / "eval"), "--seeds", "1",
-          "--models", "gbdt,rf,lr,adam"], capsys)
+    # with no taxon column, the agents' diversity fails on the file, not a row
+    no_taxa = shape == "no-feature-column"
+    names = f"error: {data[1]}: " if no_taxa else ""
+    codes = [_run(["evaluate", *data, "--out", str(tmp_path / "eval"), "--seeds", "1",
+                   "--models", "gbdt,rf,lr,adam"], capsys, names)]
     if trained:
-        _run(["classify", *data, "--out", str(tmp_path / "classify"),
-              "--model", str(tmp_path / "train" / "model.json"), "--seed", "0"], capsys)
+        codes.append(_run(["classify", *data, "--out", str(tmp_path / "classify"),
+                           "--model", str(tmp_path / "train" / "model.json"), "--seed", "0"],
+                          capsys, names))
+    if no_taxa:
+        assert codes == [1, 1]
 
 
 def test_baselines_without_feature_columns_write_a_row_each(synth, tmp_path, capsys):

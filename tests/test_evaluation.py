@@ -16,11 +16,13 @@ from adam.comparison import (
     write_trials_csv,
 )
 from adam.config import RunConfig
-from adam.ensemble import BinaryMetrics
+from adam.ensemble import BinaryMetrics, fit_gbdt, model_to_dict
 from adam.errors import EmptyInputError, FormatError, StratificationError
 from adam.evaluation import (
     MODEL_TAGS,
     aggregate_trials,
+    deploy_screen,
+    fit_seed,
     format_metrics_table,
     run_seeded_trials,
     select_features,
@@ -226,6 +228,53 @@ def test_select_features_finds_signal():
     assert np.array_equal(select_features(X, y, 2), chosen)
     assert np.array_equal(select_features(X, y, 0), np.arange(6))
     assert np.array_equal(select_features(X, y, 99), np.arange(6))
+
+
+def _used_features(model) -> np.ndarray:
+    used = np.zeros(model.n_features, dtype=bool)
+    for tree in model.trees:
+        used[tree.feature[tree.feature >= 0]] = True
+    return np.flatnonzero(used)
+
+
+@pytest.mark.parametrize("params", [{"n_trees": 15},
+                                    {"n_trees": 15, "subsample_fraction": 0.7}])
+def test_deployed_screen_equals_a_fresh_fit_on_its_columns(params):
+    # 40 noisy columns, one of them heavily tied; each screen splits on 22-31
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((120, 40))
+        X[:, 5] = np.round(X[:, 5])
+        y = (X[:, 0] + 0.5 * X[:, 3] + 0.7 * rng.standard_normal(120) > 0).astype(float)
+        screen = fit_gbdt(X, y, params, seed=seed)
+        used = _used_features(screen)
+        unused = np.setdiff1d(np.arange(40), used)
+        selected = np.union1d(used, rng.choice(unused, unused.size // 2, replace=False))
+        model = deploy_screen(screen, selected)
+        assert model is not None and model.n_features == selected.size
+        fresh = fit_gbdt(X[:, selected], y, params, seed=seed)
+        assert model_to_dict(model) == model_to_dict(fresh)
+        assert np.array_equal(model.predict_margin(X[:, selected]),
+                              fresh.predict_margin(X[:, selected]))
+        # a screen that splits on a column left out is not deployed
+        assert deploy_screen(screen, np.setdiff1d(selected, used[-1:])) is None
+
+
+def test_fit_seed_deploys_the_screen_or_falls_back_to_a_fresh_fit(sample_set, monkeypatch):
+    from adam import evaluation
+
+    fitted = []
+    fit_tuned_gbdt = evaluation.fit_tuned_gbdt
+    monkeypatch.setattr(evaluation, "fit_tuned_gbdt",
+                        lambda *args: fitted.append(args[-1]) or fit_tuned_gbdt(*args))
+    for n_features in (20, 1):
+        for seed in range(20):
+            fit = fit_seed(sample_set, RunConfig(n_features=n_features), seed)
+            fresh = fit_gbdt(fit.X_train, fit.y_train, seed=seed)
+            assert model_to_dict(fit.deployed.model) == model_to_dict(fresh)
+        # every screen splits on the 20 kept columns alone, and on more than
+        # one column where one is kept
+        assert bool(fitted) == (n_features == 1)
 
 
 # --- cross-model comparison ---------------------------------------------------
