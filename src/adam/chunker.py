@@ -14,7 +14,6 @@ the original text exactly.
 
 from __future__ import annotations
 
-import io
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -137,6 +136,19 @@ _LINE_FIELDS = {
                  "a list of strings of valid Unicode")}
 
 
+def _lines(text: str):
+    """The lines of text, split where a file opened in text mode splits
+    them: at CR LF, a lone CR and LF (str.splitlines would also split at
+    characters JSON strings may hold, such as U+2028). Each line is sliced
+    from text when it is reached; text is copied only if it holds a CR."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
 def read_corpus(path: str | Path) -> list[CorpusDocument]:
     """Read a JSONL corpus: one object per line with keys
     publication_id, text, and optionally title (a string, default "")
@@ -144,10 +156,7 @@ def read_corpus(path: str | Path) -> list[CorpusDocument]:
     """
     docs = []
     seen = set()
-    # Lines split as a file opened in text mode splits them; str.splitlines
-    # would also split at characters JSON strings may hold, such as U+2028.
-    lines = io.StringIO(read_text(path), newline=None)
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(read_text(path)), start=1):
         line = line.strip()
         if not line:
             continue

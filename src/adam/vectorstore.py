@@ -3,9 +3,10 @@
 A collection is an immutable snapshot of chunk metadata records and one
 read-only float32 matrix whose row i is the vector of record i. The
 matrix is the only place a vector lives: records hold only metadata, the
-collection copies the matrix it is given once, and loading a file reads
-each vector from the file's bytes into the matrix and then lets the
-bytes go. Search is an exact, exhaustive cosine scan: results are
+collection copies the matrix it is given once, indexing writes each
+document's vectors straight into its collection's matrix, and loading a
+file reads each vector from the file straight into its matrix row, never
+holding the file's bytes whole. Search is an exact, exhaustive cosine scan: results are
 provably identical to a brute-force linear pass, which keeps every
 retrieval oracle-testable. No approximate index, no in-place mutation.
 
@@ -164,11 +165,12 @@ class Collection:
                 raise DuplicateRecordError(
                     f"duplicate record {rec.key} in collection {self.name!r}")
             seen.add(rec.key)
-        # One pass over all vectors; the offending record is located only
-        # on failure.
-        finite = np.isfinite(matrix)
-        if not finite.all():
-            row, component = np.argwhere(~finite)[0]
+        # One pass over all vectors and no array the size of the matrix: a
+        # float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every component is. The offending record is located
+        # only on failure.
+        if not np.isfinite(matrix.sum(dtype=np.float64)):
+            row, component = np.argwhere(~np.isfinite(matrix))[0]
             raise NonFiniteVectorError(
                 f"record {records[row].key} in collection {self.name!r}: "
                 f"vector component {component} is {matrix[row, component]}")
@@ -379,6 +381,13 @@ def index_corpus(documents, backend: EmbeddingBackend,
                  overlap: int = DEFAULT_OVERLAP) -> dict[str, Collection]:
     """Chunk, embed, and route every document into collections.
 
+    Every document is chunked first, so each collection's row count is
+    known; its float32 matrix is then allocated once, and each document's
+    ``embed_many`` rows (one call per document, in document order) are
+    written straight into it. Beside the records, the vectors are held at
+    most twice: the matrices, and one collection's own copy while it is
+    built.
+
     :returns: mapping of collection name to Collection, covering every
         collection that received at least one record; an empty corpus
         yields an empty mapping. Total record count always equals the
@@ -386,7 +395,8 @@ def index_corpus(documents, backend: EmbeddingBackend,
     """
     from .chunker import CorpusDocument, segment_text  # the store reader needs no chunker
 
-    buckets: dict[str, tuple[list[VectorRecord], list[np.ndarray]]] = {}
+    buckets: dict[str, list[VectorRecord]] = {}
+    spans = []  # (collection, first row, row count) of each document
     for doc in documents:
         if not isinstance(doc, CorpusDocument):
             raise TypeError(f"expected CorpusDocument, got {type(doc).__name__}")
@@ -394,13 +404,23 @@ def index_corpus(documents, backend: EmbeddingBackend,
         chunks = segment_text(doc.text, segment_length, overlap,
                               publication_id=doc.publication_id,
                               keywords=doc.keywords)
-        records, blocks = buckets.setdefault(target, ([], []))
+        records = buckets.setdefault(target, [])
+        spans.append((target, len(records), len(chunks)))
         records.extend(VectorRecord(chunk.publication_id, chunk.segment_index,
                                     chunk.text, chunk.topic_keywords)
                        for chunk in chunks)
-        blocks.append(backend.embed_many([chunk.text for chunk in chunks]))
-    return {name: Collection(name, tuple(records), np.concatenate(blocks))
-            for name, (records, blocks) in sorted(buckets.items())}
+    matrices = {name: np.empty((len(records), backend.dim), dtype=np.float32)
+                for name, records in buckets.items()}
+    for target, start, count in spans:
+        rows = slice(start, start + count)
+        block = backend.embed_many([rec.text for rec in buckets[target][rows]])
+        if block.shape != (count, backend.dim):
+            raise DimensionError(
+                f"embedding backend returned vectors of shape {block.shape} "
+                f"for {count} text(s) of dimension {backend.dim}")
+        matrices[target][rows] = block
+    return {name: Collection(name, tuple(buckets[name]), matrices.pop(name))
+            for name in sorted(buckets)}
 
 
 # ---------------------------------------------------------------------------
@@ -442,61 +462,80 @@ def save_collections(collections, directory: str | Path) -> list[Path]:
 
 _METADATA = {"publication_id": STRING, "segment_index": INTEGER, "text": STRING,
              "topic_keywords": STRINGS}
+# Bytes per read of a store file: each piece of the checksum pass, and
+# the read buffer of the parse.
+_READ_CHUNK = 1 << 16
 
 
 def load_collection(path: str | Path, expected_dim: int | None = None) -> Collection:
     """Read one ``.advec`` file back into an immutable Collection.
 
+    The file is read twice through one handle, and its bytes are never
+    held whole: the first pass checksums the payload in
+    ``_READ_CHUNK``-byte pieces, and only a payload that matches is
+    parsed, record by record, each vector read straight into its row of
+    the matrix. The row count is bounded by the file's size. A store is
+    replaced by rename, which the open handle does not see; a file cut in
+    place between the passes raises IntegrityError.
+
     Corruption raises IntegrityError carrying the byte offset where the
     problem was detected; nothing partial is ever returned.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 24:
-        raise IntegrityError(f"{path}: truncated header", offset=len(data))
-    if data[:8] != MAGIC:
-        raise IntegrityError(f"{path}: bad magic {data[:8]!r}", offset=0)
-    dim, count, checksum = struct.unpack_from("<IQI", data, 8)
-    # A memoryview slice checksums the payload without copying it.
-    if zlib.crc32(memoryview(data)[24:]) != checksum:
-        raise IntegrityError(f"{path}: checksum mismatch", offset=20)
-    if expected_dim is not None and dim != expected_dim:
-        raise DimensionError(
-            f"{path}: store dimension {dim}, session expects {expected_dim}")
-    # Each record takes at least 4 + 4 * dim bytes, so a count the file
-    # cannot hold runs out of bytes, and raises, before it runs out of rows.
-    matrix = np.empty((min(count, (len(data) - 24) // (4 + 4 * dim)), dim),
-                      dtype=np.float32)
-    records = []
-    vector_offsets = []
-    where = f"{path}: record metadata"
-    pos = 24
-    for row in range(count):
-        if pos + 4 > len(data):
-            raise IntegrityError(f"{path}: truncated record header", offset=pos)
-        (meta_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        end = pos + meta_len + 4 * dim
-        if end > len(data):
-            raise IntegrityError(f"{path}: truncated record body", offset=pos)
-        try:
-            meta = json.loads(data[pos:pos + meta_len].decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
-            raise IntegrityError(f"{path}: bad record metadata: {exc}",
-                                 offset=pos) from exc
-        check_fields(meta, _METADATA, where,
-                     lambda message, at=pos: IntegrityError(message, offset=at))
-        vector_offsets.append(pos + meta_len)
-        matrix[row] = np.frombuffer(data, dtype="<f4", count=dim,
-                                    offset=pos + meta_len)
-        records.append(VectorRecord(meta["publication_id"],
-                                    meta["segment_index"], meta["text"],
-                                    tuple(meta["topic_keywords"])))
-        pos = end
-    if pos != len(data):
-        raise IntegrityError(f"{path}: {len(data) - pos} trailing bytes",
-                             offset=pos)
-    del data  # every vector is in the matrix now
+    with open(path, "rb", buffering=_READ_CHUNK) as fh:
+        header = fh.read(24)
+        if len(header) < 24:
+            raise IntegrityError(f"{path}: truncated header", offset=len(header))
+        if header[:8] != MAGIC:
+            raise IntegrityError(f"{path}: bad magic {header[:8]!r}", offset=0)
+        dim, count, checksum = struct.unpack_from("<IQI", header, 8)
+        crc, size = 0, 24
+        while chunk := fh.read(_READ_CHUNK):
+            crc = zlib.crc32(chunk, crc)
+            size += len(chunk)
+        if crc != checksum:
+            raise IntegrityError(f"{path}: checksum mismatch", offset=20)
+        if expected_dim is not None and dim != expected_dim:
+            raise DimensionError(
+                f"{path}: store dimension {dim}, session expects {expected_dim}")
+        # Each record takes at least 4 + 4 * dim bytes, so a count the file
+        # cannot hold runs out of bytes, and raises, before it runs out of
+        # rows. Rows are little-endian as on disk; Collection converts.
+        matrix = np.empty((min(count, (size - 24) // (4 + 4 * dim)), dim),
+                          dtype="<f4")
+        records = []
+        vector_offsets = []
+        where = f"{path}: record metadata"
+        pos = 24
+        fh.seek(pos)
+        for row in range(count):
+            if pos + 4 > size:
+                raise IntegrityError(f"{path}: truncated record header", offset=pos)
+            # A short read (the file cut in place since the checksum pass)
+            # leaves blob or the vector short, and raises below.
+            meta_len = int.from_bytes(fh.read(4), "little")
+            pos += 4
+            end = pos + meta_len + 4 * dim
+            if end > size:
+                raise IntegrityError(f"{path}: truncated record body", offset=pos)
+            blob = fh.read(meta_len)
+            if len(blob) != meta_len or fh.readinto(matrix[row]) != 4 * dim:
+                raise IntegrityError(f"{path}: changed while being read",
+                                     offset=pos)
+            try:
+                meta = json.loads(blob.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+                raise IntegrityError(f"{path}: bad record metadata: {exc}",
+                                     offset=pos) from exc
+            check_fields(meta, _METADATA, where,
+                         lambda message, at=pos: IntegrityError(message, offset=at))
+            vector_offsets.append(pos + meta_len)
+            records.append(VectorRecord(meta["publication_id"],
+                                        meta["segment_index"], meta["text"],
+                                        tuple(meta["topic_keywords"])))
+            pos = end
+    if pos != size:
+        raise IntegrityError(f"{path}: {size - pos} trailing bytes", offset=pos)
     try:
         return Collection(path.stem, tuple(records), matrix)
     except NonFiniteVectorError as exc:

@@ -118,6 +118,23 @@ def test_read_corpus_rejects_bad_lines(tmp_path):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_read_corpus_numbers_lines_as_text_mode_does(tmp_path, ending):
+    # U+2028, U+0085 and a form feed end a line for str.splitlines, but
+    # not for a file read in text mode; CR LF, a lone CR and LF do.
+    text = "one\u2028two\x85three\x0cfour"
+    lines = [json.dumps({"publication_id": "A", "text": text},
+                        ensure_ascii=False), "", "  ",
+             json.dumps({"publication_id": "B", "text": "x"}), "not json"]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(ending.join(lines).encode("utf-8"))
+    with pytest.raises(FormatError, match=f"^{path}: line 5: invalid JSON"):
+        read_corpus(path)
+    path.write_bytes(ending.join(lines[:4] + [""]).encode("utf-8"))
+    docs = read_corpus(path)
+    assert [(d.publication_id, d.text) for d in docs] == [("A", text), ("B", "x")]
+
+
 
 @pytest.mark.parametrize("field", ["publication_id", "title", "text",
                                    "keywords"])

@@ -1,7 +1,10 @@
 """Vector store: exact search, routing, binary round trip, corruption."""
 
+import gc
 import json
 import struct
+import sys
+import tracemalloc
 import warnings
 import zlib
 
@@ -620,3 +623,69 @@ def test_scan_cache_is_reused_and_invisible():
     for c in (coll, fresh):
         with pytest.raises(TypeError):
             hash(c)
+
+
+# Bytes a traced call may hold above the bound it is held to: embedding
+# temporaries of one document, record lists, a checksum chunk and
+# numpy's reduction buffer.
+_SLACK = 256 * 1024
+
+
+def _traced(call):
+    """(result, bytes the result holds, peak bytes) of call(), counted by
+    tracemalloc from the start of the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+def _generated_corpus(documents, length):
+    """Seeded documents of ``length`` characters, all routed to one
+    collection."""
+    from adam.chunker import CorpusDocument
+
+    rng = np.random.default_rng(11)
+    letters = np.array(list("abcdefghij  "))
+    return [CorpusDocument(f"PUB{i:04d}", "", "".join(rng.choice(letters, length)))
+            for i in range(documents)]
+
+
+def test_index_corpus_holds_the_vectors_at_most_twice():
+    docs = _generated_corpus(200, 700)
+    backend = OfflineHashEmbedder(dim=512)
+    index_corpus(docs, backend, segment_length=200, overlap=50)  # hash every gram
+    colls, held, peak = _traced(
+        lambda: index_corpus(docs, backend, segment_length=200, overlap=50))
+    (coll,) = colls.values()
+    vectors = coll.matrix.nbytes
+    assert coll.count == 1000 and vectors == 1000 * 512 * 4
+    records = sys.getsizeof(coll.records) + sum(
+        sys.getsizeof(rec) + sys.getsizeof(rec.text) for rec in coll.records)
+    # The result holds the vectors once and the records; while it is
+    # built, at most one more copy of the vectors is alive.
+    assert held <= vectors + records + _SLACK
+    assert peak <= 2 * vectors + records + _SLACK
+
+
+@pytest.mark.parametrize("dim, text_length", [(16, 2000), (384, 1000)],
+                         ids=["metadata-heavy", "store-like"])
+def test_load_collection_never_holds_the_files_bytes(tmp_path, dim, text_length):
+    rng = np.random.default_rng(12)
+    coll = collection("c", dim, [
+        _record(f"PUB{i:04d}", 0, rng.normal(size=dim), text="t" * text_length)
+        for i in range(600)])
+    path = save_collection(coll, tmp_path)
+    size = path.stat().st_size
+    loaded, held, peak = _traced(lambda: load_collection(path))
+    assert loaded == coll
+    matrix = loaded.matrix.nbytes
+    assert size > matrix + _SLACK  # the file's bytes do not fit in the slack
+    # Beside what the collection holds, only the matrix the file was read
+    # into is alive while the collection copies it.
+    assert peak <= held + matrix + _SLACK
