@@ -12,13 +12,12 @@ _SOURCES = {
                  "DEFAULT_FALLBACK_THRESHOLD", "DEFAULT_SUMMARIZATION_MODEL",
                  "SUMMARIZATION_TOKEN_BUDGET"),
     ".computational": ("TOP_FEATURE_COUNT", "TOP_TAXA_COUNT", "ComputationalOutput",
-                       "DeployedModel", "run_computational", "run_computational_many"),
+                       "DeployedModel", "run_computational_many"),
     ".llm": ("API_KEY_VARIABLE", "HttpChatBackend", "LLMBackend", "LLMRequest",
              "StaticMock", "ThresholdMockLLM", "TitleEchoMock", "estimate_tokens",
              "parse_verdict", "probability_line", "threshold_line"),
-    ".pipeline": ("NO_HISTORY_MARKER", "NO_PASSAGES_MARKER", "AgentContext",
-                  "StageTranscript", "StepRecord", "classify_cohort", "healthy_reference",
-                  "run_classification", "run_pipeline", "run_summarization",
+    ".pipeline": ("NO_HISTORY_MARKER", "NO_PASSAGES_MARKER", "StageTranscript",
+                  "StepRecord", "classify_cohort", "healthy_reference", "run_pipeline",
                   "stage_queries"),
     ".report": ("NO_ATTRIBUTIONS_MARKER", "SECTION_TITLES", "ClassificationReport",
                 "build_sections", "format_attribution", "format_probability",

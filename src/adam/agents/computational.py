@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..attribution import Attribution, explain_rows
-from ..dataset import Sample, SampleSet
+from ..dataset import SampleSet
 from ..diversity import DiversityProfile, diversity_profiles
 from ..ensemble.gbdt import GBDTModel
 from ..errors import AlignmentError
@@ -100,10 +100,3 @@ def run_computational_many(visits: SampleSet, deployed: DeployedModel,
         ))
     return outputs
 
-
-def run_computational(sample: Sample, clinical_names, taxon_names,
-                      deployed: DeployedModel, reference: SampleSet) -> ComputationalOutput:
-    """Probability, diversity profile, and attribution for one sample:
-    the one-sample case of ``run_computational_many``."""
-    visit = SampleSet(tuple(clinical_names), tuple(taxon_names), (sample,))
-    return run_computational_many(visit, deployed, reference)[0]

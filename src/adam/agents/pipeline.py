@@ -2,31 +2,27 @@
 cohort driver that runs it on every sample of an evaluation cohort.
 
 classify_cohort, which classify and the adam variant of evaluate run,
-builds each input the stages read once per cohort. The stages read
-their hits from its ``{step query: hits}`` dict and retrieve nothing
-themselves.
+builds each input the stages read once per cohort: every visit's
+computational output and the ``{step query: hits}`` dict of one
+retrieval pass. run_pipeline then runs both stages on one visit.
 
-Each stage assembles one prompt in a fixed order (computational output,
-patient history, retrieval-augmented reasoning steps, task), enforces a
-hard token budget by dropping oldest history first and lowest-similarity
-retrieval passages second, and issues exactly one completion. The
-classification stage parses a strict verdict line and emits a
-ClassificationReport. With deterministic mock backends the whole
+One function, _run_stage, runs either stage. It assembles one prompt in
+a fixed order (computational output, patient history,
+retrieval-augmented reasoning steps, task), enforces a hard token budget
+by dropping oldest history first and lowest-similarity retrieval
+passages second, issues exactly one completion and returns the stage's
+transcript. The classification stage's reply must hold a strict verdict
+line, from which run_pipeline builds the ClassificationReport. Nothing
+is mutated along the way, so with deterministic mock backends the whole
 pipeline is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ..config import (
-    CLASSIFICATION_TOKEN_BUDGET,
-    DEFAULT_FALLBACK_THRESHOLD,
-    SUMMARIZATION_TOKEN_BUDGET,
-    RunConfig,
-)
+from ..config import RunConfig
 from ..dataset import SampleSet
 from ..errors import AgentError, BackendError, EmptyInputError, TokenBudgetError
 from .computational import ComputationalOutput, run_computational_many
@@ -82,34 +78,6 @@ class StageTranscript(NamedTuple):
     prompt_tokens: int
     dropped_history: int
     dropped_hits: int
-
-
-@dataclass
-class AgentContext:
-    """Mutable per-sample state threaded through the pipeline stages.
-
-    history holds the computational outputs of this participant's prior
-    visits in ascending visit order; every entry must strictly precede
-    the current visit.
-    """
-
-    sample_id: str
-    study_id: str
-    visit_index: int
-    computational: ComputationalOutput
-    history: tuple[ComputationalOutput, ...] = ()
-    summary: str | None = None
-    transcripts: list[StageTranscript] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.history = tuple(self.history)
-        previous = 0
-        for entry in self.history:
-            if entry.visit_index <= previous:
-                raise ValueError("history must be in ascending visit order")
-            previous = entry.visit_index
-        if self.history and previous >= self.visit_index:
-            raise ValueError("history must strictly precede the current visit")
 
 
 def _excerpt(text: str, limit: int) -> str:
@@ -225,18 +193,25 @@ def _drop_weakest_hit(step_hits) -> bool:
     return True
 
 
-def _run_stage(ctx, hits, backend, stage, budget,
-               fallback_threshold=None, summary=None):
+def _step_line(record: StepRecord) -> str:
+    return (f"Step {record.index}: {record.title} | query: {record.query} | "
+            f"hits: {len(record.hits)}")
+
+
+def _run_stage(stage, output, history, hits, backend, budget,
+               summary=None, fallback_threshold=None) -> StageTranscript:
+    """One stage's prompt and completion for one visit; changes nothing
+    it is given."""
     steps = tuple((index, *step) for index, step in enumerate(PROGRAMS[stage], 1))
-    queries = stage_queries(ctx.computational, stage)
+    queries = stage_queries(output, stage)
     step_hits = [[] if hits is None else list(hits[query]) for query in queries]
 
-    history = list(ctx.history)
+    history = list(history)
     dropped_history = 0
     dropped_hits = 0
 
     def assemble():
-        return _build_prompt(stage, ctx.computational, history,
+        return _build_prompt(stage, output, history,
                              steps, step_hits, summary, fallback_threshold)
 
     prompt = assemble()
@@ -261,15 +236,11 @@ def _run_stage(ctx, hits, backend, stage, budget,
     try:
         response = backend.complete(request)
     except BackendError as exc:
-        step_lines = tuple(
-            f"Step {record.index}: {record.title} | query: {record.query} | "
-            f"hits: {len(record.hits)}"
-            for record in records
-        )
         raise AgentError(
-            f"{stage} backend failed: {exc}", transcript=step_lines
+            f"{stage} backend failed: {exc}",
+            transcript=tuple(_step_line(record) for record in records),
         ) from exc
-    transcript = StageTranscript(
+    return StageTranscript(
         stage=stage,
         steps=records,
         prompt=prompt,
@@ -278,63 +249,38 @@ def _run_stage(ctx, hits, backend, stage, budget,
         dropped_history=dropped_history,
         dropped_hits=dropped_hits,
     )
-    ctx.transcripts.append(transcript)
-    return response, transcript
 
 
-def run_summarization(ctx: AgentContext, hits, llm: LLMBackend, *,
-                      budget: int = SUMMARIZATION_TOKEN_BUDGET) -> str:
-    """Run the summarization stage; stores the summary on the context."""
-    response, _ = _run_stage(ctx, hits, llm, "summarization", budget)
-    ctx.summary = response
-    return response
+def run_pipeline(output: ComputationalOutput, history, hits,
+                 summarizer: LLMBackend, classifier: LLMBackend,
+                 config: RunConfig) -> tuple[ClassificationReport, tuple]:
+    """Both stages in their fixed order for one visit:
+    (report, (summarization transcript, classification transcript)).
 
-
-def run_classification(ctx: AgentContext, hits, llm: LLMBackend, *,
-                       budget: int = CLASSIFICATION_TOKEN_BUDGET,
-                       fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD,
-                       ) -> ClassificationReport:
-    """Run the classification stage and assemble the final report."""
-    if ctx.summary is None:
-        raise AgentError("classification requires a summary; run the "
-                         "summarization stage first")
-    response, transcript = _run_stage(
-        ctx, hits, llm, "classification", budget,
-        fallback_threshold=fallback_threshold, summary=ctx.summary,
-    )
-    verdict = parse_verdict(response)
-    step_lines = tuple(
-        f"[{entry.stage}] Step {record.index}: {record.title} | "
-        f"query: {record.query} | hits: {len(record.hits)}"
-        for entry in ctx.transcripts
-        for record in entry.steps
-    )
-    return ClassificationReport(
-        sample_id=ctx.sample_id,
-        verdict=verdict,
-        probability=ctx.computational.probability,
-        sections=build_sections(ctx.computational),
-        summary=ctx.summary,
-        step_transcripts=step_lines,
-    )
-
-
-def run_pipeline(ctx: AgentContext, hits, summarizer: LLMBackend,
-                 classifier: LLMBackend, *,
-                 summarization_budget: int = SUMMARIZATION_TOKEN_BUDGET,
-                 classification_budget: int = CLASSIFICATION_TOKEN_BUDGET,
-                 fallback_threshold: float = DEFAULT_FALLBACK_THRESHOLD,
-                 ) -> ClassificationReport:
-    """Both stages in their fixed order for one sample.
-
-    hits maps each step query (``stage_queries``) to its retrieved hits,
-    as classify_cohort's retrieval pass returns them; a query missing
-    from it raises KeyError. None retrieves nothing.
+    history holds the computational outputs of the visit's earlier
+    visits, oldest first (``SampleSet.prior_visits``). hits maps each
+    step query (``stage_queries``) to its retrieved hits, as
+    classify_cohort's retrieval pass returns them; a query missing from
+    it raises KeyError. None retrieves nothing. The token budgets and
+    the fallback threshold come from config.
     """
-    run_summarization(ctx, hits, summarizer, budget=summarization_budget)
-    return run_classification(ctx, hits, classifier,
-                              budget=classification_budget,
-                              fallback_threshold=fallback_threshold)
+    summarization = _run_stage("summarization", output, history, hits,
+                               summarizer, config.summarization_budget)
+    classification = _run_stage(
+        "classification", output, history, hits, classifier,
+        config.classification_budget, summary=summarization.response,
+        fallback_threshold=config.fallback_threshold)
+    transcripts = (summarization, classification)
+    report = ClassificationReport(
+        sample_id=output.sample_id,
+        verdict=parse_verdict(classification.response),
+        probability=output.probability,
+        sections=build_sections(output),
+        summary=summarization.response,
+        step_transcripts=tuple(f"[{t.stage}] {_step_line(record)}"
+                               for t in transcripts for record in t.steps),
+    )
+    return report, transcripts
 
 
 def healthy_reference(train: SampleSet) -> SampleSet:
@@ -350,9 +296,8 @@ def healthy_reference(train: SampleSet) -> SampleSet:
 def classify_cohort(cohort, test_set, deployed, reference, searcher,
                     summarizer, classifier, config: RunConfig) -> list[tuple]:
     """Run the three-agent pipeline on every cohort sample and return
-    (sample, context, report) per sample, in cohort order; the context
-    holds the sample's computational output, history and stage
-    transcripts.
+    (sample, report, transcripts) per sample, in cohort order, as
+    run_pipeline returns them.
 
     A sample's history is ``test_set.prior_visits(sample)``. Before the
     first stage runs, the computational agent runs once on every
@@ -378,18 +323,7 @@ def classify_cohort(cohort, test_set, deployed, reference, searcher,
             query for sample in cohort.samples for stage in PROGRAMS
             for query in stage_queries(outputs[sample], stage)))
         hits = dict(zip(texts, searcher.query_many(texts)))
-
-    classified = []
-    for sample, history in zip(cohort.samples, histories):
-        ctx = AgentContext(sample_id=sample.sample_id,
-                           study_id=sample.study_id,
-                           visit_index=sample.visit_index,
-                           computational=outputs[sample],
-                           history=tuple(outputs[prior] for prior in history))
-        report = run_pipeline(
-            ctx, hits, summarizer, classifier,
-            summarization_budget=config.summarization_budget,
-            classification_budget=config.classification_budget,
-            fallback_threshold=config.fallback_threshold)
-        classified.append((sample, ctx, report))
-    return classified
+    return [(sample, *run_pipeline(outputs[sample],
+                                   tuple(outputs[prior] for prior in history),
+                                   hits, summarizer, classifier, config))
+            for sample, history in zip(cohort.samples, histories)]

@@ -16,7 +16,7 @@ Both read the model's trees directly: the parallel preorder arrays of
 ``ensemble.tree.Tree`` that fitting produces and ``model_from_dict``
 checks once at load, so nothing is rebuilt per call.
 
-Both satisfy local accuracy: ``expected_margin(model)`` plus the sum of
+Both satisfy local accuracy: ``model.expected_margin`` plus the sum of
 per-feature contributions equals ``model.predict_margin(x)`` exactly
 (up to floating-point roundoff).
 """
@@ -46,11 +46,6 @@ class Attribution(NamedTuple):
 
     def ranked(self) -> tuple[tuple[str, float], ...]:
         return rank_features(self.feature_names, self.contributions)
-
-
-def expected_margin(model: GBDTModel) -> float:
-    """Margin the ensemble predicts with every feature marginalized out."""
-    return model.expected_margin
 
 
 # ---------------------------------------------------------------------------

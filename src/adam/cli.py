@@ -223,6 +223,9 @@ def cmd_index(args) -> int:
         built = index_corpus(documents, _embedder(config),
                              segment_length=config.segment_length,
                              overlap=config.overlap)
+        # Only the count is printed; --verify's reload runs without the text.
+        n_documents = len(documents)
+        del documents
         # A collection the corpus no longer fills would stay in the store
         # and still be searched; refuse before writing anything.
         for path in sorted(store.glob(f"*{STORE_SUFFIX}")):
@@ -235,7 +238,7 @@ def cmd_index(args) -> int:
         for name in sorted(built):
             print(f"collection {name}: {built[name].count} record(s)")
         print(f"indexed {sum(c.count for c in built.values())} record(s) "
-              f"from {len(documents)} document(s) into {store}")
+              f"from {n_documents} document(s) into {store}")
     if args.verify or config.corpus is None:
         loaded = load_collections(store, expected_dim=config.embedding_dim)
         if built is None and not loaded:
@@ -363,7 +366,7 @@ def cmd_classify(args) -> int:
     reports_dir = out / "reports"
     entries = []
     yes = 0
-    for sample, context, report in classified:
+    for sample, report, transcripts in classified:
         report_path = reports_dir / f"{sample.sample_id}.md"
         write_text(report_path, render_report(report))
         yes += report.verdict == "Yes"
@@ -372,11 +375,10 @@ def cmd_classify(args) -> int:
             "study_id": sample.study_id,
             "visit_index": sample.visit_index,
             "label": sample.label,
-            "probability": context.computational.probability,
+            "probability": report.probability,
             "verdict": report.verdict,
             "report_path": str(report_path.relative_to(out)),
-            "prompt_tokens": {t.stage: t.prompt_tokens
-                              for t in context.transcripts},
+            "prompt_tokens": {t.stage: t.prompt_tokens for t in transcripts},
             "report": asdict(report),
         })
     dossier = {

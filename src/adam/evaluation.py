@@ -66,11 +66,6 @@ def screen_features(X, y, n_features: int, seed: int = 0):
     return np.sort(order[:n_features]), screen
 
 
-def select_features(X, y, n_features: int, seed: int = 0) -> np.ndarray:
-    """The selected indices of ``screen_features``."""
-    return screen_features(X, y, n_features, seed)[0]
-
-
 def deploy_screen(screen, selected):
     """The screen over the selected (ascending) columns alone, features
     renumbered, or None if it splits on another column. It then equals the
@@ -178,13 +173,13 @@ def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,
             items = classify_cohort(
                 cohort, test, fit.deployed, healthy_reference(fit.train),
                 searcher, summarizer, classifier, config)
-            yhat = np.asarray([report.verdict == "Yes" for _, _, report in items],
+            yhat = np.asarray([report.verdict == "Yes" for _, report, _ in items],
                               dtype=float)
             precision, recall, f1 = precision_recall_f1(y, yhat)
             metrics = BinaryMetrics(
                 accuracy=accuracy(y, yhat), precision=precision,
                 recall=recall, f1=f1, auc=auc_score(
-                    y, [ctx.computational.probability for _, ctx, _ in items]))
+                    y, [report.probability for _, report, _ in items]))
         results.append(TrialResult(seed=seed, model=tag, metrics=metrics,
                                    cohort_size=len(cohort.samples)))
     return results

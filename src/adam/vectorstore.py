@@ -10,11 +10,12 @@ holding the file's bytes whole. Search is an exact, exhaustive cosine scan: resu
 provably identical to a brute-force linear pass, which keeps every
 retrieval oracle-testable. No approximate index, no in-place mutation.
 
-``search_many`` scores a batch of queries (a cohort's distinct step
-queries, in batches of ``QUERY_BATCH``) against each collection in two
-passes, and every similarity it reports is the float64 value
-``(M @ q) / norm`` that one matrix-vector product of the collection's
-nonzero float64 rows M per query gives at one BLAS thread.
+``search_many`` is the only search, and one query is a batch of one. It
+scores a batch of queries (a cohort's distinct step queries, in batches
+of ``QUERY_BATCH``) against each collection in two passes, and every
+similarity it reports is the float64 value ``(M @ q) / norm`` that one
+matrix-vector product of the collection's nonzero float64 rows M per
+query gives at one BLAS thread.
 
 The screen is one float32 matrix product of the stored float32 rows with
 the batch of queries, each normalised in float64 and then rounded to
@@ -353,12 +354,6 @@ def search_many(collections, queries, k: int = DEFAULT_TOP_K,
         query_hits.sort(key=lambda h: (-h.similarity, h.publication_id,
                                        h.segment_index, h.collection))
     return [tuple(query_hits[:k]) for query_hits in hits]
-
-
-def search(collections, query, k: int = DEFAULT_TOP_K,
-           threshold: float = DEFAULT_THRESHOLD) -> tuple[RetrievalHit, ...]:
-    """``search_many`` for one query."""
-    return search_many(collections, [query], k=k, threshold=threshold)[0]
 
 
 def route_document(keywords) -> str:

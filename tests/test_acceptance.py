@@ -20,15 +20,15 @@ from adam.agents import (
     TitleEchoMock,
     estimate_tokens,
     parse_verdict,
-    run_computational,
+    run_computational_many,
     run_pipeline,
-    AgentContext,
 )
-from adam.attribution import expected_margin, shap_values, shap_values_exact
+from adam.attribution import shap_values, shap_values_exact
 from adam.chunker import reconstruct, segment_count, segment_start, segment_text
 from adam.cli import main
 from adam.comparison import read_trials_csv
-from adam.config import RESOLVED_CONFIG_NAME
+from adam.config import RESOLVED_CONFIG_NAME, RunConfig
+from adam.dataset import SampleSet
 from adam.diversity import ALPHA_METRICS, BETA_METRICS, alpha_metrics, beta_metrics
 from adam.ensemble import GBDTParams, accuracy, fit_gbdt, model_to_dict
 from adam.stats import _approx_mwu_p, _u_arrangement_counts, cohens_d, \
@@ -37,7 +37,7 @@ from adam.vectorstore import (
     VectorRecord,
     load_collections,
     save_collections,
-    search,
+    search_many,
 )
 from search_oracle import collection
 
@@ -137,7 +137,7 @@ def test_criterion_2_attribution():
         for row in range(3):
             exact = shap_values_exact(model, X_test[row])
             assert np.max(np.abs(fast[row] - exact)) < 1e-9
-        recon = expected_margin(model) + fast.sum(axis=1)
+        recon = model.expected_margin + fast.sum(axis=1)
         assert np.max(np.abs(recon - model.predict_margin(X_test))) < 1e-9
 
 
@@ -215,7 +215,7 @@ def test_criterion_4_retrieval(tmp_path):
         query /= np.linalg.norm(query)
         k = int(rng.integers(1, 12))
         threshold = float(rng.uniform(-0.05, 0.25))
-        hits = search(collections, query, k=k, threshold=threshold)
+        hits = search_many(collections, [query], k=k, threshold=threshold)[0]
         got = [(h.publication_id, h.segment_index, h.collection)
                for h in hits]
         assert got == oracle(query, k, threshold)
@@ -225,11 +225,11 @@ def test_criterion_4_retrieval(tmp_path):
 
     query = rng.standard_normal(dim)
     query /= np.linalg.norm(query)
-    top3 = search(collections, query, k=3, threshold=0.0)
-    top10 = search(collections, query, k=10, threshold=0.0)
+    top3 = search_many(collections, [query], k=3, threshold=0.0)[0]
+    top10 = search_many(collections, [query], k=10, threshold=0.0)[0]
     assert top10[:3] == top3
-    loose = search(collections, query, k=50, threshold=0.0)
-    strict = search(collections, query, k=50, threshold=0.15)
+    loose = search_many(collections, [query], k=50, threshold=0.0)[0]
+    strict = search_many(collections, [query], k=50, threshold=0.15)[0]
     assert set(strict) <= set(loose)
 
     paths = save_collections({c.name: c for c in collections}, tmp_path)
@@ -352,15 +352,14 @@ def test_criterion_8_protocol(workspace, deployment):
     # dispatched prompts carry both full title programs verbatim in order
     test_set = deployment["test"]
     sample = test_set.samples[0]
-    output = run_computational(sample, test_set.clinical_names,
-                               test_set.taxon_names, deployment["deployed"],
-                               deployment["reference"])
-    ctx = AgentContext(sample_id=sample.sample_id, study_id=sample.study_id,
-                       visit_index=sample.visit_index, computational=output)
-    run_pipeline(ctx, None, TitleEchoMock(), ThresholdMockLLM())
+    output, = run_computational_many(
+        SampleSet(test_set.clinical_names, test_set.taxon_names, (sample,)),
+        deployment["deployed"], deployment["reference"])
+    _, transcripts = run_pipeline(output, (), None, TitleEchoMock(),
+                                  ThresholdMockLLM(), RunConfig())
     for transcript, titles, budget in (
-            (ctx.transcripts[0], SUMMARIZATION_TITLES, 100_000),
-            (ctx.transcripts[1], CLASSIFICATION_TITLES, 50_000)):
+            (transcripts[0], SUMMARIZATION_TITLES, 100_000),
+            (transcripts[1], CLASSIFICATION_TITLES, 50_000)):
         positions = [transcript.prompt.index(f"## Step {i}: {title}")
                      for i, title in enumerate(titles, start=1)]
         assert positions == sorted(positions)

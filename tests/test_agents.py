@@ -16,7 +16,6 @@ from adam.agents import (
     SECTION_TITLES,
     PROGRAMS,
     SUMMARIZATION_TITLES,
-    AgentContext,
     ClassificationReport,
     ComputationalOutput,
     HttpChatBackend,
@@ -31,14 +30,13 @@ from adam.agents import (
     parse_verdict,
     probability_line,
     render_report,
-    run_classification,
-    run_computational,
+    run_computational_many,
     run_pipeline,
-    run_summarization,
     stage_queries,
     threshold_line,
 )
 from adam.attribution import Attribution
+from adam.config import RunConfig
 from adam.dataset import Sample, SampleSet
 from adam.diversity import DiversityProfile, diversity_profiles
 from adam.errors import (
@@ -254,9 +252,9 @@ def test_http_backend_non_json_body_keeps_step_transcript(deployment):
     with pytest.raises(BackendError, match="chat response body is not JSON"):
         backend.complete(_request("u"))
     session.script = [_Response(200, ValueError("<html>"))]
-    ctx = _context(deployment)
     with pytest.raises(AgentError, match="not JSON") as err:
-        run_summarization(ctx, None, backend)
+        run_pipeline(*_visit(deployment), None, backend, ThresholdMockLLM(),
+                     RunConfig())
     assert len(err.value.transcript) == 8
     assert len(session.calls) == 2
 
@@ -279,13 +277,22 @@ def _pick_sample(deployment, min_priors=0):
     raise AssertionError("no suitable sample in the test partition")
 
 
+def _output_for(deployment, sample, reference=None):
+    """The computational agent's output for one visit."""
+    test = deployment["test"]
+    output, = run_computational_many(
+        SampleSet(test.clinical_names, test.taxon_names, (sample,)),
+        deployment["deployed"],
+        deployment["reference"] if reference is None else reference)
+    return output
+
+
 def test_run_computational_invariants(deployment):
     test = deployment["test"]
     deployed = deployment["deployed"]
     reference = deployment["reference"]
     sample = _pick_sample(deployment)
-    out = run_computational(sample, test.clinical_names, test.taxon_names,
-                            deployed, reference)
+    out = _output_for(deployment, sample)
     assert out.sample_id == sample.sample_id
     assert out.study_id == sample.study_id
     assert out.visit_index == sample.visit_index
@@ -307,8 +314,7 @@ def test_run_computational_self_reference_distance(deployment):
     test = deployment["test"]
     sample = _pick_sample(deployment)
     self_ref = test.subset([sample.sample_id])
-    out = run_computational(sample, test.clinical_names, test.taxon_names,
-                            deployment["deployed"], self_ref)
+    out = _output_for(deployment, sample, reference=self_ref)
     assert out.diversity.beta_to_reference["bray_curtis"] == 0.0
     assert out.diversity.beta_to_reference["jaccard"] == 0.0
 
@@ -321,8 +327,7 @@ def test_run_computational_axis_guard(deployment):
                                       visit_index=1, label=0,
                                       clinical=(), taxa=(1.0,)),))
     with pytest.raises(AlignmentError):
-        run_computational(sample, test.clinical_names, test.taxon_names,
-                          deployment["deployed"], stray)
+        _output_for(deployment, sample, reference=stray)
 
 
 def test_feature_vector_imputes_by_name(deployment):
@@ -345,37 +350,16 @@ def test_feature_vector_imputes_by_name(deployment):
                   (sample,)).model_inputs(names, medians)
 
 
-# --- agent context -----------------------------------------------------------
+# --- one visit's inputs --------------------------------------------------------
 
-def _output_for(deployment, sample):
-    test = deployment["test"]
-    return run_computational(sample, test.clinical_names, test.taxon_names,
-                             deployment["deployed"], deployment["reference"])
-
-
-def _context(deployment, min_priors=0):
+def _visit(deployment, min_priors=0):
+    """(output, history) of the first test sample with at least
+    min_priors earlier visits, as classify_cohort hands them to
+    run_pipeline."""
     test = deployment["test"]
     sample = _pick_sample(deployment, min_priors)
-    priors = test.prior_visits(sample)
-    history = tuple(_output_for(deployment, p) for p in priors)
-    out = _output_for(deployment, sample)
-    return AgentContext(sample_id=sample.sample_id, study_id=sample.study_id,
-                        visit_index=sample.visit_index,
-                        computational=out, history=history)
-
-
-def test_agent_context_history_validation(deployment):
-    ctx = _context(deployment, min_priors=2)
-    assert len(ctx.history) >= 2
-    with pytest.raises(ValueError):
-        AgentContext(sample_id=ctx.sample_id, study_id=ctx.study_id,
-                     visit_index=ctx.visit_index,
-                     computational=ctx.computational,
-                     history=tuple(reversed(ctx.history)))
-    with pytest.raises(ValueError):
-        AgentContext(sample_id=ctx.sample_id, study_id=ctx.study_id,
-                     visit_index=1, computational=ctx.computational,
-                     history=ctx.history)
+    return (_output_for(deployment, sample),
+            tuple(_output_for(deployment, p) for p in test.prior_visits(sample)))
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -387,20 +371,20 @@ def _mocks():
 def test_pipeline_verdict_equals_hard_threshold(deployment):
     summarizer, classifier = _mocks()
     for threshold in (0.25, 0.5, 0.75):
-        ctx = _context(deployment)
-        report = run_pipeline(ctx, None, summarizer, classifier,
-                              fallback_threshold=threshold)
-        want = "Yes" if ctx.computational.probability >= threshold else "No"
+        output, history = _visit(deployment)
+        report, _ = run_pipeline(output, history, None, summarizer, classifier,
+                                 RunConfig(fallback_threshold=threshold))
+        want = "Yes" if output.probability >= threshold else "No"
         assert report.verdict == want
-        assert report.probability == ctx.computational.probability
-        assert report.sections == build_sections(ctx.computational)
+        assert report.probability == output.probability
+        assert report.sections == build_sections(output)
 
 
 def test_pipeline_prompt_structure(deployment):
     summarizer, classifier = _mocks()
-    ctx = _context(deployment, min_priors=1)
-    report = run_pipeline(ctx, None, summarizer, classifier)
-    samm, clss = ctx.transcripts
+    output, history = _visit(deployment, min_priors=1)
+    report, (samm, clss) = run_pipeline(output, history, None, summarizer,
+                                        classifier, RunConfig())
     assert (samm.stage, clss.stage) == ("summarization", "classification")
 
     for transcript, titles in ((samm, SUMMARIZATION_TITLES),
@@ -410,25 +394,25 @@ def test_pipeline_prompt_structure(deployment):
         assert "# Patient history" in prompt
         assert "# Reasoning program" in prompt
         assert "# Task" in prompt
-        assert probability_line(ctx.computational.probability) in prompt
+        assert probability_line(output.probability) in prompt
         positions = [prompt.index(f"## Step {i}: {t}")
                      for i, t in enumerate(titles, start=1)]
         assert positions == sorted(positions)
         assert prompt.count(NO_PASSAGES_MARKER) == 8
-        assert f"Visit {ctx.history[0].visit_index}: model probability" in prompt
+        assert f"Visit {history[0].visit_index}: model probability" in prompt
         assert transcript.prompt_tokens == estimate_tokens(prompt)
         assert transcript.dropped_history == 0 and transcript.dropped_hits == 0
         assert len(transcript.steps) == 8
 
     assert "# Current visit summary" not in samm.prompt
     assert "# Current visit summary" in clss.prompt
-    assert ctx.summary is not None and ctx.summary in clss.prompt
+    assert report.summary == samm.response and report.summary in clss.prompt
     assert threshold_line(0.5) in clss.prompt
     assert threshold_line(0.5) not in samm.prompt
 
     # summary echoes all eight summarization titles in order
     for i, title in enumerate(SUMMARIZATION_TITLES, start=1):
-        assert f"{i}. {title}: reviewed." in ctx.summary
+        assert f"{i}. {title}: reviewed." in report.summary
 
     lines = report.step_transcripts
     assert len(lines) == 16
@@ -441,38 +425,28 @@ def test_pipeline_no_history_marker(deployment):
     summarizer, classifier = _mocks()
     test = deployment["test"]
     sample = next(s for s in test.samples if not test.prior_visits(s))
-    ctx = AgentContext(sample_id=sample.sample_id, study_id=sample.study_id,
-                       visit_index=sample.visit_index,
-                       computational=_output_for(deployment, sample))
-    run_pipeline(ctx, None, summarizer, classifier)
-    assert NO_HISTORY_MARKER in ctx.transcripts[0].prompt
+    _, transcripts = run_pipeline(_output_for(deployment, sample), (), None,
+                                  summarizer, classifier, RunConfig())
+    assert NO_HISTORY_MARKER in transcripts[0].prompt
 
 
 def test_pipeline_deterministic(deployment):
     summarizer, classifier = _mocks()
-    a = _context(deployment, min_priors=1)
-    b = _context(deployment, min_priors=1)
-    report_a = run_pipeline(a, None, summarizer, classifier)
-    report_b = run_pipeline(b, None, summarizer, classifier)
+    report_a, transcripts_a = run_pipeline(*_visit(deployment, min_priors=1), None,
+                                           summarizer, classifier, RunConfig())
+    report_b, transcripts_b = run_pipeline(*_visit(deployment, min_priors=1), None,
+                                           summarizer, classifier, RunConfig())
     assert report_a == report_b
-    for ta, tb in zip(a.transcripts, b.transcripts):
+    for ta, tb in zip(transcripts_a, transcripts_b):
         assert ta.prompt == tb.prompt
         assert ta.response == tb.response
 
 
-def test_classification_requires_summary(deployment):
-    _, classifier = _mocks()
-    ctx = _context(deployment)
-    with pytest.raises(AgentError, match="summary"):
-        run_classification(ctx, None, classifier)
-
-
 def test_unparseable_verdict_surfaces_raw_reply(deployment):
     summarizer, _ = _mocks()
-    ctx = _context(deployment)
-    run_summarization(ctx, None, summarizer)
     with pytest.raises(VerdictParseError) as err:
-        run_classification(ctx, None, StaticMock(reply="I think maybe."))
+        run_pipeline(*_visit(deployment), None, summarizer,
+                     StaticMock(reply="I think maybe."), RunConfig())
     assert err.value.raw == "I think maybe."
 
 
@@ -482,13 +456,32 @@ class _FailingBackend(StaticMock):
 
 
 def test_backend_failure_becomes_agent_error(deployment):
-    ctx = _context(deployment)
+    _, classifier = _mocks()
     with pytest.raises(AgentError) as err:
-        run_summarization(ctx, None, _FailingBackend(reply=""))
+        run_pipeline(*_visit(deployment), None, _FailingBackend(reply=""),
+                     classifier, RunConfig())
     assert "simulated outage" in str(err.value)
     assert len(err.value.transcript) == 8
     assert err.value.transcript[0].startswith("Step 1: Patient Overview")
-    assert ctx.transcripts == []
+
+
+def test_classification_backend_failure_becomes_agent_error(deployment):
+    """A classifier outage after a good summary names the classification
+    stage and carries that stage's step lines, hit counts included."""
+    summarizer, _ = _mocks()
+    output, history = _visit(deployment)
+    hits = {query: () for stage in PROGRAMS
+            for query in stage_queries(output, stage)}
+    queries = stage_queries(output, "classification")
+    hits[queries[2]] = (_hit("PUBA", 1, 0.95), _hit("PUBB", 2, 0.85))
+    with pytest.raises(AgentError) as err:
+        run_pipeline(output, history, hits, summarizer,
+                     _FailingBackend(reply=""), RunConfig())
+    assert str(err.value) == "classification backend failed: simulated outage"
+    assert err.value.transcript == tuple(
+        f"Step {i}: {title} | query: {query} | hits: {2 if i == 3 else 0}"
+        for i, (title, query) in enumerate(zip(CLASSIFICATION_TITLES, queries),
+                                           start=1))
 
 
 # --- budget enforcement --------------------------------------------------------
@@ -498,19 +491,24 @@ def _hit(pub, seg, sim, text="passage text " * 10):
                         similarity=sim, collection="c", text=text)
 
 
-def test_truncation_drops_oldest_history_first(deployment):
-    summarizer, _ = _mocks()
-    full = _context(deployment, min_priors=2)
-    run_summarization(full, None, summarizer)
-    needed = full.transcripts[0].prompt_tokens
+def _summarization(output, history, hits, budget=None):
+    """The summarization transcript of a pipeline run at this budget."""
+    config = RunConfig() if budget is None else RunConfig(summarization_budget=budget)
+    summarizer, classifier = _mocks()
+    return run_pipeline(output, history, hits, summarizer, classifier, config)[1][0]
 
-    tight = _context(deployment, min_priors=2)
-    assert tight.history == full.history
-    run_summarization(tight, None, summarizer, budget=needed - 1)
-    transcript = tight.transcripts[0]
+
+def test_truncation_drops_oldest_history_first(deployment):
+    output, history = _visit(deployment, min_priors=2)
+    needed = _summarization(output, history, None).prompt_tokens
+
+    tight_output, tight_history = _visit(deployment, min_priors=2)
+    assert tight_history == history
+    transcript = _summarization(tight_output, tight_history, None,
+                                budget=needed - 1)
     assert transcript.dropped_history == 1
     assert transcript.dropped_hits == 0
-    oldest, second = full.history[0], full.history[1]
+    oldest, second = history[0], history[1]
     assert f"Visit {oldest.visit_index}: model probability" \
         not in transcript.prompt
     assert f"Visit {second.visit_index}: model probability" in transcript.prompt
@@ -518,27 +516,18 @@ def test_truncation_drops_oldest_history_first(deployment):
 
 
 def test_truncation_drops_weakest_hit_after_history(deployment):
-    summarizer, _ = _mocks()
     test = deployment["test"]
     sample = next(s for s in test.samples if not test.prior_visits(s))
+    output = _output_for(deployment, sample)
     fixed = (_hit("PUBA", 1, 0.95), _hit("PUBB", 2, 0.85))
-    hits = dict.fromkeys(stage_queries(_output_for(deployment, sample),
-                                       "summarization"), fixed)
+    hits = {query: fixed if stage == "summarization" else ()
+            for stage in PROGRAMS for query in stage_queries(output, stage)}
 
-    def fresh():
-        return AgentContext(sample_id=sample.sample_id,
-                            study_id=sample.study_id,
-                            visit_index=sample.visit_index,
-                            computational=_output_for(deployment, sample))
+    full = _summarization(output, (), hits)
+    needed = full.prompt_tokens
+    assert full.prompt.count("- PUBB segment 2") == 8
 
-    full = fresh()
-    run_summarization(full, hits, summarizer)
-    needed = full.transcripts[0].prompt_tokens
-    assert full.transcripts[0].prompt.count("- PUBB segment 2") == 8
-
-    tight = fresh()
-    run_summarization(tight, hits, summarizer, budget=needed - 1)
-    transcript = tight.transcripts[0]
+    transcript = _summarization(output, (), hits, budget=needed - 1)
     assert transcript.dropped_history == 0
     assert transcript.dropped_hits == 1
     # the weakest similarity goes, and ties resolve to the latest step:
@@ -574,22 +563,22 @@ def test_batched_step_queries_equal_per_query(deployment):
     stages exactly as one single-text query_many call per query does."""
     searcher = _step_store()
     summarizer, classifier = _mocks()
-    batched, single = _context(deployment), _context(deployment)
+    output, history = _visit(deployment)
     texts = [query for stage in PROGRAMS
-             for query in stage_queries(batched.computational, stage)]
-    report = run_pipeline(batched, dict(zip(texts, searcher.query_many(texts))),
-                          summarizer, classifier)
+             for query in stage_queries(output, stage)]
+    report, transcripts = run_pipeline(
+        output, history, dict(zip(texts, searcher.query_many(texts))),
+        summarizer, classifier, RunConfig())
     per_query = {text: searcher.query_many([text])[0] for text in texts}
-    assert report == run_pipeline(single, per_query, summarizer, classifier)
-    assert batched.transcripts == single.transcripts
-    counts = [len(step.hits) for t in batched.transcripts for step in t.steps]
+    assert (report, transcripts) == run_pipeline(
+        *_visit(deployment), per_query, summarizer, classifier, RunConfig())
+    counts = [len(step.hits) for t in transcripts for step in t.steps]
     assert 5 in counts and 0 in counts
 
+
 def test_token_budget_error_when_nothing_droppable(deployment):
-    summarizer, _ = _mocks()
-    ctx = _context(deployment)
     with pytest.raises(TokenBudgetError, match="nothing more can be dropped"):
-        run_summarization(ctx, None, summarizer, budget=10)
+        _summarization(*_visit(deployment), None, budget=10)
 
 
 # --- report ------------------------------------------------------------------
@@ -616,7 +605,7 @@ def _hand_output(probability=0.242, top_features=None):
 
 
 def _report(output, verdict, summary):
-    """The report run_classification builds for this output."""
+    """The report run_pipeline builds for this output."""
     return ClassificationReport(sample_id=output.sample_id, verdict=verdict,
                                 probability=output.probability,
                                 sections=build_sections(output), summary=summary,

@@ -7,7 +7,6 @@ from adam.attribution import (
     MAX_EXACT_FEATURES,
     Attribution,
     coalition_margins,
-    expected_margin,
     explain_rows,
     rank_features,
     shap_values,
@@ -44,7 +43,7 @@ def test_local_accuracy():
         model, X = _model(200 + trial)
         x = rng.normal(size=5)
         phi = shap_values(model, x)
-        total = expected_margin(model) + phi.sum()
+        total = model.expected_margin + phi.sum()
         assert abs(total - model.predict_margin(x)[0]) < 1e-9
 
 
@@ -70,7 +69,7 @@ def test_coalition_margins_endpoints():
     model, X = _model(5)
     x = X[2]
     used, margins = coalition_margins(model, x)
-    assert abs(margins[0] - expected_margin(model)) < 1e-9
+    assert abs(margins[0] - model.expected_margin) < 1e-9
     full = (1 << len(used)) - 1
     assert abs(margins[full] - model.predict_margin(x)[0]) < 1e-9
 

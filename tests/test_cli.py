@@ -700,14 +700,13 @@ def test_classify_matches_per_visit_recompute(workspace):
     from adam import cli
     from adam.agents import (
         PROGRAMS,
-        AgentContext,
         render_report,
-        run_computational,
+        run_computational_many,
         run_pipeline,
         stage_queries,
     )
     from adam.agents.pipeline import healthy_reference
-    from adam.dataset import draw_eval_cohort
+    from adam.dataset import SampleSet, draw_eval_cohort
 
     config = resolve_config(None, dataset=workspace["dataset"],
                             schema=workspace["schema"],
@@ -723,28 +722,30 @@ def test_classify_matches_per_visit_recompute(workspace):
     cohort = draw_eval_cohort(test, config.n_pos, config.n_neg, config.seed)
     searcher = cli._searcher(config)
     summarizer, classifier = cli._llm_backends(config)
-    args = (cohort.clinical_names, cohort.taxon_names, deployed, reference)
+
+    def computational(visit):
+        return run_computational_many(
+            SampleSet(cohort.clinical_names, cohort.taxon_names, (visit,)),
+            deployed, reference)[0]
 
     dossier = json.loads((workspace["first"] / "dossier.json").read_text())
     entries = dossier["samples"]
     assert [e["sample_id"] for e in entries] == \
         [s.sample_id for s in cohort.samples]
     for sample, entry in zip(cohort.samples, entries):
-        output = run_computational(sample, *args)
-        history = tuple(run_computational(prior, *args)
+        output = computational(sample)
+        history = tuple(computational(prior)
                         for prior in test.prior_visits(sample))
-        ctx = AgentContext(sample_id=sample.sample_id,
-                           study_id=sample.study_id,
-                           visit_index=sample.visit_index,
-                           computational=output, history=history)
         hits = {query: searcher.query_many([query])[0] for stage in PROGRAMS
                 for query in stage_queries(output, stage)}
-        report = run_pipeline(ctx, hits, summarizer, classifier,
-                              fallback_threshold=config.fallback_threshold)
+        report, transcripts = run_pipeline(output, history, hits, summarizer,
+                                           classifier, config)
         written = workspace["first"] / entry["report_path"]
         assert written.read_text(encoding="utf-8") == render_report(report)
         assert entry["probability"] == output.probability
         assert entry["report"] == json.loads(json.dumps(asdict(report)))
+        assert entry["prompt_tokens"] == \
+            {t.stage: t.prompt_tokens for t in transcripts}
 
 
 def test_train_and_classify_reproduce_an_evaluate_seed(workspace, tmp_path,

@@ -2,8 +2,8 @@
 
 Row-batched TreeSHAP equals the frozen one-row walk of
 ``tree_oracle.shap_values``, batched diversity equals the single-vector
-metrics, and ``run_computational`` equals its row of
-``run_computational_many``. These run with RuntimeWarning as an error in
+metrics, and ``run_computational_many`` of one visit equals its row of
+the cohort's call. These run with RuntimeWarning as an error in
 CI: the batched walk computes both arms of a branch, and the arm not
 taken may divide by zero.
 """
@@ -13,7 +13,7 @@ import pytest
 
 import tree_oracle as oracle
 from adam import diversity
-from adam.agents import run_computational, run_computational_many
+from adam.agents import run_computational_many
 from adam.attribution import explain_rows, shap_values, shap_values_exact
 from adam.config import RunConfig
 from adam.dataset import SampleSet
@@ -209,7 +209,8 @@ def test_run_computational_is_its_row_of_the_batch(deployment):
     batch = run_computational_many(test.subset([s.sample_id for s in visits]), *models)
     assert [out.sample_id for out in batch] == [s.sample_id for s in visits]
     for visit, out in zip(visits, batch):
-        alone = run_computational(visit, test.clinical_names, test.taxon_names, *models)
+        alone, = run_computational_many(
+            SampleSet(test.clinical_names, test.taxon_names, (visit,)), *models)
         assert alone == out
         assert np.array([alone.probability, *alone.attribution.contributions,
                          *_values(alone.diversity)]).tobytes() == \

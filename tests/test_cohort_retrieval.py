@@ -12,16 +12,16 @@ import pytest
 
 from adam.agents import (
     PROGRAMS,
-    AgentContext,
     ThresholdMockLLM,
     TitleEchoMock,
     pipeline,
+    run_computational_many,
     run_pipeline,
     stage_queries,
 )
 from adam.chunker import CorpusDocument
 from adam.config import RunConfig
-from adam.dataset import draw_eval_cohort
+from adam.dataset import SampleSet, draw_eval_cohort
 from adam.embedding import OfflineHashEmbedder
 from adam.vectorstore import SemanticSearch, index_corpus
 from search_oracle import _passage
@@ -62,49 +62,55 @@ def cohort_run(deployment, searcher):
     return cohort, items, counting.calls
 
 
-def test_one_query_many_call_with_distinct_texts_in_first_use_order(cohort_run):
+def _visit(deployment, sample):
+    """(output, history) of one cohort sample, each visit computed alone."""
+    test = deployment["test"]
+
+    def output(visit):
+        return run_computational_many(
+            SampleSet(test.clinical_names, test.taxon_names, (visit,)),
+            deployment["deployed"], deployment["reference"])[0]
+
+    return output(sample), tuple(output(p) for p in test.prior_visits(sample))
+
+
+def test_one_query_many_call_with_distinct_texts_in_first_use_order(
+        cohort_run, deployment):
     cohort, items, calls = cohort_run
     assert len(calls) == 1
-    asked = [record.query for _, ctx, _ in items
-             for transcript in ctx.transcripts for record in transcript.steps]
+    asked = [record.query for _, _, transcripts in items
+             for transcript in transcripts for record in transcript.steps]
     assert len(asked) == len(cohort.samples) * 16
     assert calls[0] == list(dict.fromkeys(asked))
     assert len(calls[0]) < len(asked)  # some queries recur across samples
     assert calls[0] == list(dict.fromkeys(
-        query for _, ctx, _ in items for stage in PROGRAMS
-        for query in stage_queries(ctx.computational, stage)))
+        query for sample, _, _ in items for stage in PROGRAMS
+        for query in stage_queries(_visit(deployment, sample)[0], stage)))
 
 
-def test_cohort_pass_equals_per_stage_retrieval(cohort_run, searcher):
+def test_cohort_pass_equals_per_stage_retrieval(cohort_run, searcher, deployment):
     _, items, _ = cohort_run
     counts = set()
-    for sample, ctx, report in items:
-        alone = AgentContext(sample_id=ctx.sample_id, study_id=ctx.study_id,
-                             visit_index=ctx.visit_index,
-                             computational=ctx.computational,
-                             history=ctx.history)
+    for sample, report, transcripts in items:
+        output, history = _visit(deployment, sample)
         per_query = {query: searcher.query_many([query])[0]
                      for stage in PROGRAMS
-                     for query in stage_queries(ctx.computational, stage)}
-        assert run_pipeline(alone, per_query, TitleEchoMock(),
-                            ThresholdMockLLM()) == report
-        assert alone.transcripts == ctx.transcripts
-        counts.update(len(record.hits) for transcript in ctx.transcripts
+                     for query in stage_queries(output, stage)}
+        assert run_pipeline(output, history, per_query, TitleEchoMock(),
+                            ThresholdMockLLM(), RunConfig()) == \
+            (report, transcripts)
+        counts.update(len(record.hits) for transcript in transcripts
                       for record in transcript.steps)
     assert {0, 1, 5} <= counts
 
 
-def test_a_query_the_pass_did_not_retrieve_raises(cohort_run):
+def test_a_query_the_pass_did_not_retrieve_raises(cohort_run, deployment):
     _, items, _ = cohort_run
-    _, ctx, _ = items[0]
+    output, history = _visit(deployment, items[0][0])
     summarization_only = dict.fromkeys(
-        stage_queries(ctx.computational, "summarization"), ())
-    alone = AgentContext(sample_id=ctx.sample_id, study_id=ctx.study_id,
-                         visit_index=ctx.visit_index,
-                         computational=ctx.computational, history=ctx.history)
-    classification = stage_queries(ctx.computational, "classification")
+        stage_queries(output, "summarization"), ())
+    classification = stage_queries(output, "classification")
     with pytest.raises(KeyError) as err:
-        run_pipeline(alone, summarization_only, TitleEchoMock(),
-                     ThresholdMockLLM())
+        run_pipeline(output, history, summarization_only, TitleEchoMock(),
+                     ThresholdMockLLM(), RunConfig())
     assert err.value.args == (classification[0],)
-    assert [t.stage for t in alone.transcripts] == ["summarization"]

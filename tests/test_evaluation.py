@@ -25,7 +25,7 @@ from adam.evaluation import (
     fit_seed,
     format_metrics_table,
     run_seeded_trials,
-    select_features,
+    screen_features,
 )
 from adam.stats import cohens_d, levene_test, mann_whitney_u, variance_f_test
 
@@ -221,13 +221,13 @@ def test_select_features_finds_signal():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((240, 6))
     y = (X[:, 3] + 0.2 * X[:, 1] > 0).astype(float)
-    chosen = select_features(X, y, 2)
+    chosen = screen_features(X, y, 2)[0]
     assert chosen.shape == (2,)
     assert 3 in chosen
     assert list(chosen) == sorted(chosen)
-    assert np.array_equal(select_features(X, y, 2), chosen)
-    assert np.array_equal(select_features(X, y, 0), np.arange(6))
-    assert np.array_equal(select_features(X, y, 99), np.arange(6))
+    assert np.array_equal(screen_features(X, y, 2)[0], chosen)
+    assert np.array_equal(screen_features(X, y, 0)[0], np.arange(6))
+    assert np.array_equal(screen_features(X, y, 99)[0], np.arange(6))
 
 
 def _used_features(model) -> np.ndarray:
@@ -407,13 +407,14 @@ def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
         TitleEchoMock(), ThresholdMockLLM(), RunConfig())
     assert [sample.sample_id for sample, _, _ in items] == \
         [s.sample_id for s in cohort.samples]
+    histories = [test.prior_visits(sample) for sample, _, _ in items]
     needed = {sample.sample_id for sample, _, _ in items} | \
-        {h.sample_id for _, ctx, _ in items for h in ctx.history}
+        {h.sample_id for history in histories for h in history}
     assert set(calls) == needed
     assert set(calls.values()) == {1}
-    uses = len(items) + sum(len(ctx.history) for _, ctx, _ in items)
+    uses = len(items) + sum(len(history) for history in histories)
     assert len(calls) < uses  # some visits serve more than one sample
     assert batches == [len(calls)]  # every visit in one call
-    for _, ctx, report in items:
+    for _, report, _ in items:
         assert report.verdict == \
-            ("Yes" if ctx.computational.probability >= 0.5 else "No")
+            ("Yes" if report.probability >= 0.5 else "No")

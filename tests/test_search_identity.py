@@ -1,12 +1,12 @@
 """The blocked scan of search_many against the full-matrix scan it replaced.
 
 The reference is ``search_oracle.search_full_scan``, the per-query scan
-that ``search`` ran before: one product of each whole scan matrix per
-query. Hits are compared with ``==``, similarities included. That
-comparison runs in a child process started with one BLAS thread (see
-``search_oracle``), once for all cases; the in-process tests compare
-``search_many`` with per-query ``search`` at whatever thread count this
-process has.
+that the one-query search ran before: one product of each whole scan
+matrix per query. Hits are compared with ``==``, similarities included.
+That comparison runs in a child process started with one BLAS thread
+(see ``search_oracle``), once for all cases; the in-process tests
+compare ``search_many`` with one ``search_many`` call per query at
+whatever thread count this process has.
 """
 
 import json
@@ -22,7 +22,6 @@ from adam.vectorstore import (
     _MIN_TAIL_ROWS,
     _SCAN_BLOCK_ROWS,
     _row_blocks,
-    search,
     search_many,
 )
 from search_oracle import identity_cases
@@ -58,7 +57,8 @@ def test_blocked_scan_equals_full_matrix_scan(one_thread_comparison, case_id):
 def test_search_many_equals_per_query_search(case_id):
     collections, queries, k, threshold = CASES[case_id]()
     assert search_many(collections, queries, k=k, threshold=threshold) == [
-        search(collections, q, k=k, threshold=threshold) for q in queries]
+        search_many(collections, [q], k=k, threshold=threshold)[0]
+        for q in queries]
 
 
 def test_empty_batch_and_repeated_query():

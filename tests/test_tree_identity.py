@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tree_oracle as oracle
-from adam.attribution import expected_margin, explain_rows, shap_values
+from adam.attribution import explain_rows, shap_values
 from adam.config import RunConfig
 from adam.dataset import feature_medians, impute
 from adam.ensemble import baselines
@@ -78,7 +78,7 @@ def _assert_gbdt_identical(X, y, params, seed):
     assert new.predict_margin(P).tobytes() == old.predict_margin(P).tobytes()
     assert new.predict_proba(P).tobytes() == old.predict_proba(P).tobytes()
     assert feature_gains(new).tobytes() == oracle.feature_gains(old).tobytes()
-    assert expected_margin(new) == oracle.expected_margin(old)
+    assert new.expected_margin == oracle.expected_margin(old)
     rows = X[:5]
     assert shap_values(new, rows).tobytes() == oracle.shap_values(old, rows).tobytes()
     att, = explain_rows(new, X[:1], [f"f{j}" for j in range(X.shape[1])])

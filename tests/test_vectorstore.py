@@ -35,7 +35,6 @@ from adam.vectorstore import (
     route_document,
     save_collection,
     save_collections,
-    search,
     search_many,
 )
 from search_oracle import collection
@@ -86,7 +85,7 @@ def test_search_matches_linear_scan():
         q = rng.normal(size=24)
         k = int(rng.integers(1, 12))
         threshold = float(rng.uniform(-0.5, 0.5))
-        got = search(colls, q, k=k, threshold=threshold)
+        got = search_many(colls, [q], k=k, threshold=threshold)[0]
         want = _linear_scan(colls, q, k, threshold)
         assert [(h.publication_id, h.segment_index, h.collection, h.text)
                 for h in got] == \
@@ -102,15 +101,15 @@ def test_search_threshold_and_k_monotonicity():
     q = rng.normal(size=16)
     prev = None
     for threshold in (-1.0, -0.3, 0.0, 0.2, 0.5, 0.9):
-        hits = search(coll, q, k=400, threshold=threshold)
+        hits = search_many(coll, [q], k=400, threshold=threshold)[0]
         assert all(h.similarity >= threshold for h in hits)
         if prev is not None:
             assert len(hits) <= len(prev)
             assert set(h.publication_id for h in hits) <= \
                 set(h.publication_id for h in prev)
         prev = hits
-    small = search(coll, q, k=3, threshold=-1.0)
-    large = search(coll, q, k=10, threshold=-1.0)
+    small = search_many(coll, [q], k=3, threshold=-1.0)[0]
+    large = search_many(coll, [q], k=10, threshold=-1.0)[0]
     assert list(large[:3]) == list(small)
     sims = [h.similarity for h in large]
     assert sims == sorted(sims, reverse=True)
@@ -122,7 +121,7 @@ def test_search_tie_ordering():
         _record("PUBB", 0, v), _record("PUBA", 1, v)))
     coll_a = collection("a", 3, (
         _record("PUBA", 2, v), _record("PUBA", 0, 2 * v)))
-    hits = search((coll_b, coll_a), np.array([1.0, 0, 0]), k=10, threshold=0.5)
+    hits = search_many((coll_b, coll_a), [np.array([1.0, 0, 0])], k=10, threshold=0.5)[0]
     keys = [(h.publication_id, h.segment_index, h.collection) for h in hits]
     assert keys == [("PUBA", 0, "a"), ("PUBA", 1, "b"),
                     ("PUBA", 2, "a"), ("PUBB", 0, "b")]
@@ -133,14 +132,14 @@ def test_search_input_guards():
     coll = _random_collection(5, 10, 8)
     q = np.ones(8)
     with pytest.raises(ValueError):
-        search(coll, q, k=0)
+        search_many(coll, [q], k=0)[0]
     with pytest.raises(ValueError):
-        search(coll, q, threshold=1.5)
+        search_many(coll, [q], threshold=1.5)[0]
     with pytest.raises(DimensionError):
-        search(coll, np.ones(9))
+        search_many(coll, [np.ones(9)])[0]
     with pytest.raises(ValueError):
-        search(coll, np.zeros(8))
-    assert search((), q) == ()
+        search_many(coll, [np.zeros(8)])[0]
+    assert search_many((), [q])[0] == ()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -151,7 +150,7 @@ def test_search_rejects_non_finite_query(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
-            search(coll, q, threshold=-1.0)
+            search_many(coll, [q], threshold=-1.0)[0]
         with pytest.raises(ValueError, match="non-finite"):
             search_many(coll, [np.ones(8), q], threshold=-1.0)
 
@@ -160,7 +159,7 @@ def test_search_rejects_non_finite_query(bad):
 def test_search_rejects_k_that_is_not_an_integer(k):
     coll = _random_collection(5, 10, 8)
     with pytest.raises(TypeError, match="k must be an integer"):
-        search(coll, np.ones(8), k=k, threshold=-1.0)
+        search_many(coll, [np.ones(8)], k=k, threshold=-1.0)[0]
     with pytest.raises(TypeError, match="k must be an integer"):
         search_many(coll, [], k=k)
 
@@ -431,7 +430,7 @@ def test_save_writes_the_vectors_the_collection_checked(tmp_path, value):
     matrix[0, 1] = value
     loaded = load_collection(save_collection(coll, tmp_path))
     assert loaded.matrix[0].tolist() == [0.5, 0.5, 0.5]
-    hits = search(coll, [0.0, 1.0, 0.0], k=1, threshold=-1.0)
+    hits = search_many(coll, [[0.0, 1.0, 0.0]], k=1, threshold=-1.0)[0]
     assert [h.similarity for h in hits] == [pytest.approx(3 ** -0.5)]
 
 
@@ -444,13 +443,13 @@ def test_record_is_not_changed_through_the_callers_array(tmp_path):
     colls = [Collection("col", twins.records, matrix),
              Collection("col", twins.records, view)]
     query = [0.0, 1.0, 0.0, 0.0]
-    before = search(colls[0], query, k=2, threshold=-1.0)
+    before = search_many(colls[0], [query], k=2, threshold=-1.0)[0]
     matrix[1, 1] = np.nan
     for coll in colls:
         assert coll.matrix.tolist() == [[1.0] * 4] * 2
         assert not coll.matrix.flags.writeable
         assert coll == twins
-        assert search(coll, query, k=2, threshold=-1.0) == before
+        assert search_many(coll, [query], k=2, threshold=-1.0)[0] == before
     loaded = load_collection(save_collection(colls[0], tmp_path))
     assert loaded == colls[0]
     # The loaded vectors live only in the collection's own matrix.
@@ -515,9 +514,9 @@ def test_semantic_search_wrapper(corpus_path):
                               backend=backend, k=3, threshold=-1.0)
     hits, = searcher.query_many(["gut bacterial metabolites in aging"])
     assert len(hits) == 3
-    manual = search(tuple(colls.values()),
-                    backend.embed("gut bacterial metabolites in aging"),
-                    k=3, threshold=-1.0)
+    manual = search_many(tuple(colls.values()),
+                         [backend.embed("gut bacterial metabolites in aging")],
+                         k=3, threshold=-1.0)[0]
     assert hits == manual
 
 
@@ -530,7 +529,7 @@ def test_query_many_equals_query(corpus_path):
     texts = ["gut bacterial metabolites in aging", "Alzheimer's disease",
              "zz", "short-chain fatty acids and cognition"]
     assert searcher.query_many(texts) == [
-        search(searcher.collections, backend.embed(t), k=2, threshold=0.2)
+        search_many(searcher.collections, [backend.embed(t)], k=2, threshold=0.2)[0]
         for t in texts]
     assert searcher.query_many([]) == []
 
@@ -589,7 +588,7 @@ def test_cached_top_k_equals_full_scan():
         ((ties, other), e[1], 50, -0.2),
     ]
     for collections, q, k, threshold in cases:
-        assert search(collections, q, k=k, threshold=threshold) == \
+        assert search_many(collections, [q], k=k, threshold=threshold)[0] == \
             _search_full_scan(collections, q, k, threshold)
 
     backend = OfflineHashEmbedder(dim=256)
@@ -606,7 +605,7 @@ def test_cached_top_k_equals_full_scan():
         q = backend.embed(" ".join(rng.choice(words, 6)))
         k = int(rng.integers(1, 30))
         threshold = float(rng.uniform(-0.2, 0.7))
-        assert search(colls, q, k=k, threshold=threshold) == \
+        assert search_many(colls, [q], k=k, threshold=threshold)[0] == \
             _search_full_scan(colls, q, k, threshold)
 
 
@@ -614,9 +613,9 @@ def test_scan_cache_is_reused_and_invisible():
     coll = _random_collection(8, 50, 12)
     fresh = _random_collection(8, 50, 12)
     q = np.random.default_rng(9).normal(size=12)
-    first = search(coll, q, k=7, threshold=-1.0)
+    first = search_many(coll, [q], k=7, threshold=-1.0)[0]
     rows, norms = scan = coll._scan
-    assert search(coll, q, k=7, threshold=-1.0) == first
+    assert search_many(coll, [q], k=7, threshold=-1.0)[0] == first
     assert coll._scan is scan
     assert not rows.flags.writeable and not norms.flags.writeable
     assert coll == fresh and fresh == coll
@@ -689,3 +688,29 @@ def test_load_collection_never_holds_the_files_bytes(tmp_path, dim, text_length)
     # Beside what the collection holds, only the matrix the file was read
     # into is alive while the collection copies it.
     assert peak <= held + matrix + _SLACK
+
+
+def test_index_verify_reloads_without_the_corpus(tmp_path):
+    """index --verify holds the store it built while it reloads the written
+    one, and nothing of the parsed corpus, whose text outweighs its vectors."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"publication_id": doc.publication_id, "text": doc.text}) + "\n"
+        for doc in _generated_corpus(400, 5000)), encoding="utf-8")
+
+    def index(store):
+        return main(["index", "--corpus", str(corpus), "--store", str(tmp_path / store),
+                     "--embedding-dim", "64", "--segment-length", "1000",
+                     "--overlap", "0", "--verify"])
+
+    assert index("first") == 0  # hash every gram, import every module
+    built, built_held, _ = _traced(lambda: index_corpus(
+        read_corpus(corpus), OfflineHashEmbedder(dim=64), segment_length=1000,
+        overlap=0))
+    _, _, load_peak = _traced(lambda: load_collections(tmp_path / "first"))
+    status, _, peak = _traced(lambda: index("second"))
+    assert status == 0
+    vectors = sum(c.matrix.nbytes for c in built.values())
+    assert corpus.stat().st_size > vectors + _SLACK  # the text does not fit in the slack
+    # The peak is the reload: the built store beside one load_collections.
+    assert peak <= built_held + load_peak + _SLACK
