@@ -443,7 +443,7 @@ def cmd_evaluate(args) -> int:
     if failures:
         lines = [f"seed {seed}: {message}" for seed, message in failures]
         write_text(out / "failures.txt", "\n".join(lines) + "\n")
-        print(f"failures: {len(failures)} seed(s) skipped "
+        print(f"failures: {len(failures)} skipped "
               f"(see {out / 'failures.txt'})", file=sys.stderr)
     else:  # a failures.txt of an earlier run would name seeds that now passed
         (out / "failures.txt").unlink(missing_ok=True)

@@ -146,7 +146,11 @@ def fit_seed(sample_set: SampleSet, config: RunConfig, seed: int,
 
 
 def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,
-                  classifier, searcher) -> list[TrialResult]:
+                  classifier, searcher) -> tuple[list[TrialResult], list]:
+    """One seed's (trials, failures). A model that raises an AdamError
+    joins the failures when config.tolerate_failures is set and leaves
+    the other models' trials standing; a failure in the shared steps
+    (fit_seed, cohort draw) raises for the whole seed."""
     from .agents.pipeline import classify_cohort, healthy_reference
     from .comparison import TrialResult
 
@@ -162,27 +166,35 @@ def _run_one_seed(sample_set, seed, config: RunConfig, models, summarizer,
         "baseline-lr": lambda: fit_logistic_regression(fit.X_train,
                                                        fit.y_train),
     }
-    results = []
-    for tag in models:
+
+    def score(tag) -> BinaryMetrics:
         if tag != "adam":
-            metrics = evaluate_binary(
-                y, baselines[tag]().predict_proba(X_cohort),
-                threshold=config.fallback_threshold)
-        else:
-            # verdicts score accuracy and F1; probabilities score the AUC
-            items = classify_cohort(
-                cohort, test, fit.deployed, healthy_reference(fit.train),
-                searcher, summarizer, classifier, config)
-            yhat = np.asarray([report.verdict == "Yes" for _, report, _ in items],
-                              dtype=float)
-            precision, recall, f1 = precision_recall_f1(y, yhat)
-            metrics = BinaryMetrics(
-                accuracy=accuracy(y, yhat), precision=precision,
-                recall=recall, f1=f1, auc=auc_score(
-                    y, [report.probability for _, report, _ in items]))
+            return evaluate_binary(y, baselines[tag]().predict_proba(X_cohort),
+                                   threshold=config.fallback_threshold)
+        # verdicts score accuracy and F1; probabilities score the AUC
+        items = classify_cohort(
+            cohort, test, fit.deployed, healthy_reference(fit.train),
+            searcher, summarizer, classifier, config)
+        yhat = np.asarray([report.verdict == "Yes" for _, report, _ in items],
+                          dtype=float)
+        precision, recall, f1 = precision_recall_f1(y, yhat)
+        return BinaryMetrics(
+            accuracy=accuracy(y, yhat), precision=precision,
+            recall=recall, f1=f1, auc=auc_score(
+                y, [report.probability for _, report, _ in items]))
+
+    results, failures = [], []
+    for tag in models:
+        try:
+            metrics = score(tag)
+        except AdamError as exc:
+            if not config.tolerate_failures:
+                raise
+            failures.append((seed, str(exc)))
+            continue
         results.append(TrialResult(seed=seed, model=tag, metrics=metrics,
                                    cohort_size=len(cohort.samples)))
-    return results
+    return results, failures
 
 
 def run_seeded_trials(sample_set: SampleSet, seeds,
@@ -191,10 +203,11 @@ def run_seeded_trials(sample_set: SampleSet, seeds,
                       searcher=None) -> tuple[tuple[TrialResult, ...], tuple]:
     """Evaluate every requested model on every seed: (trials, failures).
 
-    A failing seed aborts the run unless config.tolerate_failures is
-    set, in which case its (seed, message) pair joins the failures and
-    it is skipped in aggregation. The adam variant defaults to the
-    deterministic mock backends when no LLM clients are supplied.
+    A failing seed, or a failing model of a seed, aborts the run unless
+    config.tolerate_failures is set, in which case its (seed, message)
+    pair joins the failures and only what failed is skipped in
+    aggregation. The adam variant defaults to the deterministic mock
+    backends when no LLM clients are supplied.
     config.jobs > 1 fans independent seeds out to worker processes;
     results are identical to a sequential run.
     """
@@ -220,11 +233,14 @@ def run_seeded_trials(sample_set: SampleSet, seeds,
 
     def record(seed, resolve):
         try:
-            trials.extend(resolve())
+            seed_trials, seed_failures = resolve()
         except AdamError as exc:
             if not config.tolerate_failures:
                 raise
             failures.append((seed, str(exc)))
+        else:
+            trials.extend(seed_trials)
+            failures.extend(seed_failures)
 
     one_seed = partial(_run_one_seed, sample_set, config=config, models=models,
                        summarizer=summarizer, classifier=classifier,

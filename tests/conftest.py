@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from adam.agents import DeployedModel
+from adam.agents.computational import DeployedModel
 from adam.dataset import (
     feature_medians,
     impute,
     parse_samples,
     split_grouped_stratified,
 )
-from adam.ensemble import GBDTParams, fit_gbdt
+from adam.ensemble.gbdt import GBDTParams, fit_gbdt
 from adam.synthetic import write_dataset
 
 

@@ -13,16 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from adam.agents import (
-    CLASSIFICATION_TITLES,
-    SUMMARIZATION_TITLES,
-    ThresholdMockLLM,
-    TitleEchoMock,
-    estimate_tokens,
-    parse_verdict,
-    run_computational_many,
-    run_pipeline,
-)
+from adam.agents.computational import run_computational_many
+from adam.agents.llm import ThresholdMockLLM, TitleEchoMock, estimate_tokens, parse_verdict
+from adam.agents.pipeline import run_pipeline
+from adam.agents.steps import CLASSIFICATION_TITLES, SUMMARIZATION_TITLES
 from adam.attribution import shap_values, shap_values_exact
 from adam.chunker import reconstruct, segment_count, segment_start, segment_text
 from adam.cli import main
@@ -30,7 +24,8 @@ from adam.comparison import read_trials_csv
 from adam.config import RESOLVED_CONFIG_NAME, RunConfig
 from adam.dataset import SampleSet
 from adam.diversity import ALPHA_METRICS, BETA_METRICS, alpha_metrics, beta_metrics
-from adam.ensemble import GBDTParams, accuracy, fit_gbdt, model_to_dict
+from adam.ensemble.gbdt import GBDTParams, fit_gbdt, model_to_dict
+from adam.ensemble.metrics import accuracy
 from adam.stats import _approx_mwu_p, _u_arrangement_counts, cohens_d, \
     levene_test, mann_whitney_u, variance_f_test
 from adam.vectorstore import (

@@ -1,40 +1,39 @@
-"""Agent layer: exports, programs, verdict grammar, mocks, pipeline, reports."""
+"""Agent layer: programs, verdict grammar, mocks, pipeline, reports."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
-import adam.agents
-import adam.ensemble
-from adam.agents import (
-    CLASSIFICATION_TITLES,
-    NO_ATTRIBUTIONS_MARKER,
-    NO_HISTORY_MARKER,
-    NO_PASSAGES_MARKER,
-    SECTION_TITLES,
-    PROGRAMS,
-    SUMMARIZATION_TITLES,
-    ClassificationReport,
-    ComputationalOutput,
+from adam.agents.computational import ComputationalOutput, run_computational_many
+from adam.agents.llm import (
+    API_KEY_VARIABLE,
     HttpChatBackend,
     LLMRequest,
     StaticMock,
     ThresholdMockLLM,
     TitleEchoMock,
-    build_sections,
     estimate_tokens,
-    format_attribution,
-    format_probability,
     parse_verdict,
     probability_line,
-    render_report,
-    run_computational_many,
-    run_pipeline,
-    stage_queries,
     threshold_line,
 )
+from adam.agents.pipeline import (
+    NO_HISTORY_MARKER,
+    NO_PASSAGES_MARKER,
+    run_pipeline,
+    stage_queries,
+)
+from adam.agents.report import (
+    NO_ATTRIBUTIONS_MARKER,
+    SECTION_TITLES,
+    ClassificationReport,
+    build_sections,
+    format_attribution,
+    format_probability,
+    render_report,
+)
+from adam.agents.steps import CLASSIFICATION_TITLES, PROGRAMS, SUMMARIZATION_TITLES
 from adam.attribution import Attribution
 from adam.config import RunConfig
 from adam.dataset import Sample, SampleSet
@@ -49,15 +48,6 @@ from adam.errors import (
 from adam.chunker import CorpusDocument
 from adam.embedding import OfflineHashEmbedder
 from adam.vectorstore import RetrievalHit, SemanticSearch, index_corpus
-
-
-# --- package surface ---------------------------------------------------------
-
-@pytest.mark.parametrize("package, name", [
-    (package.__name__, name)
-    for package in (adam.agents, adam.ensemble) for name in package.__all__])
-def test_every_exported_name_resolves(package, name):
-    assert hasattr(importlib.import_module(package), name)
 
 
 # --- reasoning programs ------------------------------------------------------
@@ -260,7 +250,6 @@ def test_http_backend_non_json_body_keeps_step_transcript(deployment):
 
 
 def test_http_backend_credential(monkeypatch):
-    from adam.agents import API_KEY_VARIABLE
     monkeypatch.delenv(API_KEY_VARIABLE, raising=False)
     backend = HttpChatBackend("http://x", model="m", session=_Session([]))
     with pytest.raises(BackendError, match=API_KEY_VARIABLE):

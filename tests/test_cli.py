@@ -698,14 +698,10 @@ def test_classify_matches_per_visit_recompute(workspace):
     from dataclasses import asdict
 
     from adam import cli
-    from adam.agents import (
-        PROGRAMS,
-        render_report,
-        run_computational_many,
-        run_pipeline,
-        stage_queries,
-    )
-    from adam.agents.pipeline import healthy_reference
+    from adam.agents.computational import run_computational_many
+    from adam.agents.pipeline import healthy_reference, run_pipeline, stage_queries
+    from adam.agents.report import render_report
+    from adam.agents.steps import PROGRAMS
     from adam.dataset import SampleSet, draw_eval_cohort
 
     config = resolve_config(None, dataset=workspace["dataset"],
@@ -754,7 +750,8 @@ def test_train_and_classify_reproduce_an_evaluate_seed(workspace, tmp_path,
     classify --seed s scores that seed's adam row; rf and lr never fit or
     deploy it."""
     from adam import evaluation
-    from adam.ensemble import accuracy, model_to_dict, precision_recall_f1
+    from adam.ensemble.gbdt import model_to_dict
+    from adam.ensemble.metrics import accuracy, precision_recall_f1
 
     seed = "3"
     data = ["--dataset", workspace["dataset"], "--schema", workspace["schema"]]

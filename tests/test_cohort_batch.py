@@ -13,7 +13,7 @@ import pytest
 
 import tree_oracle as oracle
 from adam import diversity
-from adam.agents import run_computational_many
+from adam.agents.computational import run_computational_many
 from adam.attribution import explain_rows, shap_values, shap_values_exact
 from adam.config import RunConfig
 from adam.dataset import SampleSet

@@ -10,15 +10,11 @@ per step query.
 import numpy as np
 import pytest
 
-from adam.agents import (
-    PROGRAMS,
-    ThresholdMockLLM,
-    TitleEchoMock,
-    pipeline,
-    run_computational_many,
-    run_pipeline,
-    stage_queries,
-)
+from adam.agents import pipeline
+from adam.agents.computational import run_computational_many
+from adam.agents.llm import ThresholdMockLLM, TitleEchoMock
+from adam.agents.pipeline import run_pipeline, stage_queries
+from adam.agents.steps import PROGRAMS
 from adam.chunker import CorpusDocument
 from adam.config import RunConfig
 from adam.dataset import SampleSet, draw_eval_cohort

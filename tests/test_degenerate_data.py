@@ -116,3 +116,49 @@ def test_baselines_without_feature_columns_write_a_row_each(synth, tmp_path, cap
     with open(out / "trials.csv", newline="", encoding="utf-8") as fh:
         models = [row["model"] for row in csv.DictReader(fh)]
     assert sorted(models) == ["baseline-gbdt", "baseline-lr", "baseline-rf"]
+
+
+def _every_40th_row_without_taxa(rows, roles):
+    taxa = [c for c, role in roles.items() if role == "taxon"]
+    return [{**r, **dict.fromkeys(taxa, "0")} if i % 40 == 0 else r
+            for i, r in enumerate(rows)], roles
+
+
+def test_a_failing_adam_arm_keeps_the_baseline_rows(synth, tmp_path, capsys):
+    """Zeroing the taxa of 9 of 335 rows leaves adam's diversity undefined on
+    every seed; the baselines never read diversity, so with
+    --tolerate-failures they keep the rows they write without adam."""
+    data = _write_shape(tmp_path, *synth, _every_40th_row_without_taxa)
+
+    def evaluate(name, models, *extra, names=""):
+        out = tmp_path / name
+        return _run(["evaluate", *data, "--out", str(out), "--seeds", "3",
+                     "--models", models, *extra], capsys, names), out
+
+    code, baselines = evaluate("baselines", "gbdt,rf,lr")
+    assert code == 0
+    runs = {jobs: evaluate(f"jobs-{jobs}", "gbdt,rf,lr,adam", "--tolerate-failures",
+                           "--jobs", jobs) for jobs in ("1", "2")}
+    assert [code for code, _ in runs.values()] == [0, 0]
+    tolerant = runs["1"][1]
+    with open(tolerant / "trials.csv", newline="", encoding="utf-8") as fh:
+        models = [row["model"] for row in csv.DictReader(fh)]
+    assert sorted(models) == ["baseline-gbdt"] * 3 + ["baseline-lr"] * 3 + ["baseline-rf"] * 3
+    for name in ("trials.csv", "trials-baseline-gbdt.csv", "trials-baseline-rf.csv",
+                 "trials-baseline-lr.csv"):
+        assert (tolerant / name).read_bytes() == (baselines / name).read_bytes(), name
+    assert (tolerant / "trials-adam.csv").read_text() == "seed,model,accuracy,auc,f1\n"
+    empty = "abundance vector has no positive entries"
+    assert (tolerant / "failures.txt").read_text().splitlines() == [
+        f"seed 0: reference sample FB001: {empty}",
+        f"seed 1: sample FB161: {empty}",
+        f"seed 2: reference sample FB001: {empty}",
+    ]
+    for name in ("trials.csv", "trials-adam.csv", "trials-baseline-gbdt.csv",
+                 "trials-baseline-rf.csv", "trials-baseline-lr.csv", "metrics.txt",
+                 "failures.txt"):
+        assert (runs["2"][1] / name).read_bytes() == (tolerant / name).read_bytes(), name
+
+    code, _ = evaluate("strict", "gbdt,rf,lr,adam",
+                       names=f"error: reference sample FB001: {empty}\n")
+    assert code == 1

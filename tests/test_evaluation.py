@@ -16,7 +16,8 @@ from adam.comparison import (
     write_trials_csv,
 )
 from adam.config import RunConfig
-from adam.ensemble import BinaryMetrics, fit_gbdt, model_to_dict
+from adam.ensemble.gbdt import fit_gbdt, model_to_dict
+from adam.ensemble.metrics import BinaryMetrics
 from adam.errors import EmptyInputError, FormatError, StratificationError
 from adam.evaluation import (
     MODEL_TAGS,
@@ -387,7 +388,7 @@ def test_classify_cohort_computes_each_visit_once(deployment, monkeypatch):
     from collections import Counter
 
     import adam.agents.pipeline as pipeline
-    from adam.agents import ThresholdMockLLM, TitleEchoMock
+    from adam.agents.llm import ThresholdMockLLM, TitleEchoMock
     from adam.dataset import draw_eval_cohort
 
     calls = Counter()
