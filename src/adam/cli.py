@@ -19,7 +19,7 @@ resolved-config.json in the output directory. Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
-import gc
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, replace
@@ -592,14 +592,27 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry of ``python -m adam`` and the ``adam`` script. After
-    main returns, every artifact is closed and only exit is left, so the
-    objects still alive are frozen: the collections at interpreter exit
-    then skip them. In-process callers of main keep running, so main does
-    not freeze."""
+    """The process entry of ``python -m adam`` and the ``adam`` script. When
+    main returns, every artifact is written and closed, so once stdout and
+    stderr are flushed the process ends with main's status and skips
+    interpreter teardown. It exits the usual way, with that teardown, when
+    a flush fails or a trace or profile hook is set, since the interpreter
+    or the hook's owner (``python -m cProfile``, a coverage tool) still has
+    work at exit. In-process callers of main keep running, so main does
+    not exit."""
     status = main()
-    gc.freeze()
-    sys.exit(status)
+    hooks = [sys.gettrace(), sys.getprofile()]
+    if hasattr(sys, "monitoring"):  # Python 3.12 and later
+        hooks += map(sys.monitoring.get_tool, range(6))
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its descriptor was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    if any(hook is not None for hook in hooks):
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -84,6 +84,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,6 +110,11 @@ STORE_SUFFIX = ".advec"
 # (texts x dim) float64 arrays of a batch stay small, and a remote
 # embedder gets one request per batch.
 QUERY_BATCH = 64
+# Segments per embedding call in index_corpus, consecutive rows of one
+# collection: the per-call cost is spread over several texts while the
+# (texts x dim) float64 arrays of a call stay small, and a remote embedder
+# gets one request per batch.
+EMBED_BATCH = 8
 
 DEFAULT_ROUTING = {
     "alzheimers": ("alzheimer",),
@@ -377,11 +383,11 @@ def index_corpus(documents, backend: EmbeddingBackend,
     """Chunk, embed, and route every document into collections.
 
     Every document is chunked first, so each collection's row count is
-    known; its float32 matrix is then allocated once, and each document's
-    ``embed_many`` rows (one call per document, in document order) are
-    written straight into it. Beside the records, the vectors are held at
-    most twice: the matrices, and one collection's own copy while it is
-    built.
+    known; its float32 matrix is then allocated once, and its rows are
+    embedded ``EMBED_BATCH`` consecutive segments per ``embed_many`` call,
+    in row order, and written straight into it. Beside the records, the
+    vectors are held at most twice: while a collection copies its matrix,
+    both are alive beside the collections built before it.
 
     :returns: mapping of collection name to Collection, covering every
         collection that received at least one record; an empty corpus
@@ -391,44 +397,77 @@ def index_corpus(documents, backend: EmbeddingBackend,
     from .chunker import CorpusDocument, segment_text  # the store reader needs no chunker
 
     buckets: dict[str, list[VectorRecord]] = {}
-    spans = []  # (collection, first row, row count) of each document
     for doc in documents:
         if not isinstance(doc, CorpusDocument):
             raise TypeError(f"expected CorpusDocument, got {type(doc).__name__}")
-        target = route_document(doc.keywords)
         chunks = segment_text(doc.text, segment_length, overlap,
                               publication_id=doc.publication_id,
                               keywords=doc.keywords)
-        records = buckets.setdefault(target, [])
-        spans.append((target, len(records), len(chunks)))
-        records.extend(VectorRecord(chunk.publication_id, chunk.segment_index,
-                                    chunk.text, chunk.topic_keywords)
-                       for chunk in chunks)
-    matrices = {name: np.empty((len(records), backend.dim), dtype=np.float32)
-                for name, records in buckets.items()}
-    for target, start, count in spans:
-        rows = slice(start, start + count)
-        block = backend.embed_many([rec.text for rec in buckets[target][rows]])
-        if block.shape != (count, backend.dim):
-            raise DimensionError(
-                f"embedding backend returned vectors of shape {block.shape} "
-                f"for {count} text(s) of dimension {backend.dim}")
-        matrices[target][rows] = block
-    return {name: Collection(name, tuple(buckets[name]), matrices.pop(name))
-            for name in sorted(buckets)}
+        buckets.setdefault(route_document(doc.keywords), []).extend(
+            VectorRecord(chunk.publication_id, chunk.segment_index,
+                         chunk.text, chunk.topic_keywords)
+            for chunk in chunks)
+    collections = {}
+    for name, records in sorted(buckets.items()):
+        matrix = np.empty((len(records), backend.dim), dtype=np.float32)
+        for start in range(0, len(records), EMBED_BATCH):
+            texts = [rec.text for rec in records[start:start + EMBED_BATCH]]
+            block = backend.embed_many(texts)
+            if block.shape != (len(texts), backend.dim):
+                raise DimensionError(
+                    f"embedding backend returned vectors of shape {block.shape} "
+                    f"for {len(texts)} text(s) of dimension {backend.dim}")
+            matrix[start:start + len(texts)] = block
+        collections[name] = Collection(name, tuple(records), matrix)
+    return collections
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def _record_bytes(rec: VectorRecord, vector: np.ndarray) -> bytes:
-    meta = json.dumps({"publication_id": rec.publication_id,
-                       "segment_index": rec.segment_index,
-                       "text": rec.text,
-                       "topic_keywords": list(rec.topic_keywords)},
-                      sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    blob = meta.encode("utf-8")
-    return struct.pack("<I", len(blob)) + blob + vector.astype("<f4").tobytes()
+# The bytes json.dumps escapes in a string: the C0 controls, '"' and '\\'.
+# Every byte of a UTF-8 multi-byte sequence is 0x80 or above.
+_ESCAPED = bytes(range(0x20)) + b'"\\'
+
+
+def _json_string(text: str) -> bytes:
+    """The UTF-8 bytes of ``json.dumps(text, ensure_ascii=False)``."""
+    raw = text.encode("utf-8")
+    if len(raw.translate(None, _ESCAPED)) == len(raw):
+        return b'"' + raw + b'"'
+    return encode_basestring(text).encode("utf-8")
+
+
+def _metadata(rec: VectorRecord) -> bytes:
+    """A record's metadata: the UTF-8 bytes of ``json.dumps`` of its
+    fields with ``sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False``, written out field by field."""
+    return b"".join((
+        b'{"publication_id":', _json_string(rec.publication_id),
+        b',"segment_index":', b"%d" % rec.segment_index,
+        b',"text":', _json_string(rec.text),
+        b',"topic_keywords":[', b",".join(map(_json_string, rec.topic_keywords)),
+        b"]}"))
+
+
+# Record bytes gathered before one checksum update and one write.
+_WRITE_BLOCK = 1 << 20
+
+
+def _record_blocks(collection: Collection):
+    """The records payload of a store file, in blocks that each end with
+    the record taking the block to ``_WRITE_BLOCK`` bytes or more."""
+    block = bytearray()
+    for rec, vector in zip(collection.records,
+                           collection.matrix.astype("<f4", copy=False)):
+        meta = _metadata(rec)
+        block += len(meta).to_bytes(4, "little")
+        block += meta
+        block += vector.data
+        if len(block) >= _WRITE_BLOCK:
+            yield block
+            block = bytearray()
+    yield block
 
 
 def save_collection(collection: Collection, directory: str | Path) -> Path:
@@ -440,10 +479,9 @@ def save_collection(collection: Collection, directory: str | Path) -> Path:
     checksum = 0
     with replacing(path, binary=True) as fh:
         fh.write(bytes(24))  # the header, once the checksum is known
-        for rec, vector in zip(collection.records, collection.matrix):
-            record = _record_bytes(rec, vector)
-            checksum = zlib.crc32(record, checksum)
-            fh.write(record)
+        for block in _record_blocks(collection):
+            checksum = zlib.crc32(block, checksum)
+            fh.write(block)
         fh.seek(0)
         fh.write(MAGIC + struct.pack("<IQI", collection.dim, collection.count, checksum))
     return path

@@ -1049,18 +1049,82 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
 
 # --- the process entry -----------------------------------------------------------
 
-def test_run_freezes_once_after_main_and_exits_with_its_status(monkeypatch):
-    import gc
+class _Stream:
+    """A stdout or stderr stand-in that records its flushes."""
+
+    def __init__(self, name, events, error=None):
+        self.name, self.events, self.error = name, events, error
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.error is not None:
+            raise self.error
+
+
+def _run_events(monkeypatch, profile=None, stdout_error=None, stdout_closed=False):
+    """What adam.cli.run does after a main that returns 3: each flush, and
+    the exit it takes. A closed stdout is None, as Python sets it when
+    descriptor 1 is closed at start-up."""
+    import os
     import sys
 
     import adam.cli
 
     events = []
     monkeypatch.setattr(adam.cli, "main", lambda: events.append("main") or 3)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-    monkeypatch.setattr(sys, "exit", lambda status: events.append(("exit", status)))
-    adam.cli.run()
-    assert events == ["main", "freeze", ("exit", 3)]
+    monkeypatch.setattr(sys, "stdout", None if stdout_closed
+                        else _Stream("stdout", events, stdout_error))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: profile)
+    monkeypatch.delattr(sys, "monitoring", raising=False)
+
+    def exiting(name):
+        def exit(status):
+            events.append((name, status))
+            raise SystemExit(status)  # neither exit returns
+        return exit
+
+    monkeypatch.setattr(sys, "exit", exiting("sys.exit"))
+    monkeypatch.setattr(os, "_exit", exiting("os._exit"))
+    with pytest.raises(SystemExit):
+        adam.cli.run()
+    return events
+
+
+def test_run_flushes_both_streams_after_main_and_ends_the_process_with_its_status(
+        monkeypatch):
+    assert _run_events(monkeypatch) == [
+        "main", ("flush", "stdout"), ("flush", "stderr"), ("os._exit", 3)]
+
+
+def test_run_exits_through_the_interpreter_under_a_profile_hook(monkeypatch):
+    assert _run_events(monkeypatch, profile=lambda *args: None) == [
+        "main", ("flush", "stdout"), ("flush", "stderr"), ("sys.exit", 3)]
+
+
+def test_run_leaves_a_failed_flush_to_the_interpreter(monkeypatch):
+    assert _run_events(monkeypatch, stdout_error=BrokenPipeError()) == [
+        "main", ("flush", "stdout"), ("sys.exit", 3)]
+
+
+def test_run_flushes_only_the_open_stream_when_stdout_is_closed(monkeypatch):
+    assert _run_events(monkeypatch, stdout_closed=True) == [
+        "main", ("flush", "stderr"), ("os._exit", 3)]
+
+
+def test_python_m_cprofile_m_adam_prints_its_stats(tmp_path):
+    import subprocess
+    import sys
+
+    out = tmp_path / "data"
+    run = subprocess.run([sys.executable, "-m", "cProfile", "-m", "adam", "synth",
+                          "--seed", "1", "--out", str(out)], env=_source_env(),
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith(f"wrote {out / 'synthetic.csv'}\n")
+    assert " function calls " in run.stdout and "Ordered by:" in run.stdout
+    assert len(list(out.iterdir())) == 3
 
 
 def test_python_m_adam_writes_what_main_writes(tmp_path, capsys):

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
+from adam import vectorstore
 from adam.chunker import read_corpus
 from adam.embedding import OfflineHashEmbedder
 from adam.cli import main
@@ -37,6 +38,7 @@ from adam.vectorstore import (
     save_collections,
     search_many,
 )
+import embed_oracle
 from search_oracle import collection
 
 
@@ -504,6 +506,87 @@ def test_record_metadata_survives_round_trip(tmp_path):
     loaded = load_collection(path)
     assert loaded.records[0] == rec
     assert loaded.records[0].topic_keywords == ("k one", "k two")
+
+
+# Every character json.dumps escapes, and some it writes as they are.
+_ESCAPED = '"\\' + "".join(map(chr, range(0x20)))
+_KEPT = "\x7f\u2028\u2029\u00e9\U0001F9A0"
+
+
+def _json_dumps_store(coll):
+    """The .advec bytes of ``coll``, each record's metadata from json.dumps."""
+    payload = b""
+    for rec, vector in zip(coll.records, coll.matrix):
+        meta = json.dumps({"publication_id": rec.publication_id,
+                           "segment_index": rec.segment_index,
+                           "text": rec.text,
+                           "topic_keywords": list(rec.topic_keywords)},
+                          sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False).encode("utf-8")
+        payload += (struct.pack("<I", len(meta)) + meta
+                    + vector.astype("<f4").tobytes())
+    return (MAGIC + struct.pack("<IQI", coll.dim, coll.count, zlib.crc32(payload))
+            + payload)
+
+
+@pytest.mark.parametrize("write_block", [None, 1, 200],
+                         ids=["default-blocks", "one-record-blocks", "200-byte-blocks"])
+def test_saved_metadata_is_what_json_dumps_writes(tmp_path, monkeypatch, write_block):
+    if write_block is not None:
+        monkeypatch.setattr(vectorstore, "_WRITE_BLOCK", write_block)
+    rng = np.random.default_rng(14)
+    characters = _ESCAPED + _KEPT
+    records = [_record(f"P{c}", i, rng.normal(size=3), text=f"a{c}b", keywords=(c, "k"))
+               for i, c in enumerate(characters)]
+    records += [_record(characters, 0, rng.normal(size=3), text=characters[::-1],
+                        keywords=(characters,)),
+                _record("PUB-none", 1, rng.normal(size=3), text="no keywords",
+                        keywords=())]
+    coll = collection("awkward", 3, records)
+    path = save_collection(coll, tmp_path)
+    assert path.read_bytes() == _json_dumps_store(coll)
+    assert load_collection(path) == coll
+
+
+def test_index_corpus_embeds_eight_consecutive_rows_per_call(monkeypatch):
+    from adam.chunker import CorpusDocument
+
+    calls = []
+    embed_many = OfflineHashEmbedder.embed_many
+
+    def recording(self, texts):
+        calls.append(list(texts))
+        return embed_many(self, calls[-1])
+
+    monkeypatch.setattr(OfflineHashEmbedder, "embed_many", recording)
+    rng = np.random.default_rng(15)
+    letters = np.array(list("abcdefghij  "))
+    docs = [CorpusDocument(f"PUB{i:02d}", "", "".join(rng.choice(letters, 50 * n)),
+                           (keyword,))
+            for i, (n, keyword) in enumerate(
+                [(1, "alzheimer"), (3, "gut"), (8, "alzheimer"), (9, "alzheimer"),
+                 (17, "gut"), (1, "gut"), (8, "gut"), (3, "alzheimer"),
+                 (17, "alzheimer"), (9, "gut")])]
+    colls = index_corpus(docs, OfflineHashEmbedder(dim=32), segment_length=50,
+                         overlap=0)
+    assert {name: c.count for name, c in colls.items()} == {
+        "alzheimers": 38, "microbiome": 38}
+    batches = {name: [[rec.text for rec in c.records[start:start + 8]]
+                      for start in range(0, c.count, 8)]
+               for name, c in colls.items()}
+    texts = [text for coll_batches in batches.values()
+             for batch in coll_batches for text in batch]
+    assert len(set(texts)) == len(texts)
+    # At most 8 texts per call, all from one collection and in row order:
+    # ceil(38 / 8) calls for each collection.
+    assert len(calls) == 10
+    assert sorted(calls) == sorted(batch for coll_batches in batches.values()
+                                   for batch in coll_batches)
+    for coll_batches in batches.values():
+        assert [call for call in calls if call in coll_batches] == coll_batches
+    for c in colls.values():
+        want = embed_oracle.embed_many([rec.text for rec in c.records], 32)
+        assert c.matrix.tobytes() == want.tobytes()
 
 
 def test_semantic_search_wrapper(corpus_path):
